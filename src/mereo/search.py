@@ -1,11 +1,19 @@
 """Bounded model enumeration and countermodel search.
 
 Structures are identified with the row-major encoding of their relation
-(bit i*n+j set iff element i is a part of element j).  Isomorphism
-rejection keeps a structure iff its encoding is minimal over all n!
-permutations of the universe: exact, simple, and adequate for the sizes
-this package handles.  Output is ordered by increasing universe size,
-then increasing canonical encoding, so searches return minimal-size
+(bit i*n+j set iff element i is a part of element j).  The canonical
+form of a structure is its encoding minimised over all n! permutations
+of the universe.  canonical_form computes it exactly without trying
+every permutation: it labels elements from the most significant row
+down, keeps only the choices that reach the least row at each level,
+refines an ordered partition of the still unlabelled elements after
+each choice, and tries one element per class of twins (McKay & Piperno,
+Practical graph isomorphism II, adapted to this minimal encoding).  The
+literal n! scan stays as _canonical_form_scan, the oracle it is tested
+against.  is_canonical, which rejects labelled candidates during
+generation, still scans permutations, because it stops at the first
+smaller one.  Output is ordered by increasing universe size, then
+increasing canonical encoding, so searches return minimal-size
 witnesses and enumeration is deterministic.
 
 Generation prunes by structural constraints where it can: transitivity
@@ -81,9 +89,122 @@ def _remap(mask: int, cmap: tuple[int, ...]) -> int:
     return out
 
 
-def canonical_form(n: int, mask: int) -> int:
-    """Minimal relation encoding over all universe permutations."""
+def _canonical_form_scan(n: int, mask: int) -> int:
+    """Minimal relation encoding over all n! universe permutations: the
+    definition of the canonical form, kept as the oracle for
+    canonical_form."""
     return min(_remap(mask, cmap) for cmap in _perm_cell_maps(n))
+
+
+def _twin_masks(n: int, succ: list[int]) -> list[int]:
+    """twins[x]: the elements y such that swapping x and y is an
+    automorphism of the relation (x included)."""
+    twins = [1 << x for x in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            sx = succ[x]
+            if (sx >> x ^ sx >> y) & 1:
+                sx ^= 1 << x | 1 << y
+            if sx != succ[y]:
+                continue
+            if all((succ[w] >> x ^ succ[w] >> y) & 1 == 0
+                   for w in range(n) if w != x and w != y):
+                twins[x] |= 1 << y
+                twins[y] |= 1 << x
+    return twins
+
+
+def canonical_form(n: int, mask: int) -> int:
+    """Minimal relation encoding over all universe permutations.
+
+    Equal to _canonical_form_scan, but found row by row, from the most
+    significant row (label n-1) down.  A branch is an ordered partition
+    of the elements into cells, each owning a contiguous range of
+    labels; elements already labelled are singleton cells at the top.
+    The top free label goes to some element x of the cell that owns it,
+    and x's row can be no less than its successors packed at the bottom
+    of every cell.  Only the choices that reach the least such row over
+    all branches survive, and each survivor refines every cell into x's
+    successors (low labels) and the rest (high labels), which is exactly
+    the set of labellings attaining that row.  Candidates that are twins
+    (their swap is an automorphism) lead to equal encodings, so one per
+    twin class is tried.  The level minima are the rows of the result.
+    """
+    full = (1 << n) - 1
+    succ = [mask >> (x * n) & full for x in range(n)]
+    twins = _twin_masks(n, succ)
+    branches = [[(0, full)]]        # cells as (first label, members), low first
+    out = 0
+    for label in range(n - 1, -1, -1):
+        # live branches share cell boundaries (equal rows fix the split
+        # sizes), so all are discrete once one is
+        if len(branches[0]) == n:
+            return out | min(_discrete_rows(n, succ, cells, label)
+                             for cells in branches)
+        k = len(branches[0]) - n + label    # the owner; above it, labelled
+        best = -1
+        picks = []
+        for cells in branches:
+            start, owner = cells[k]
+            tried = 0
+            free = owner
+            while free:
+                low = free & -free
+                free ^= low
+                if tried & low:
+                    continue
+                x = low.bit_length() - 1
+                tried |= twins[x]
+                s = succ[x]
+                row = (((1 << (s & (owner ^ low)).bit_count()) - 1) << start
+                       | (s & low and 1 << label))
+                for first, members in cells[:k]:
+                    row |= ((1 << (s & members).bit_count()) - 1) << first
+                for first, members in cells[k + 1:]:
+                    if s & members:
+                        row |= 1 << first
+                if row < best or best < 0:
+                    best = row
+                    picks = [(cells, low, s)]
+                elif row == best:
+                    picks.append((cells, low, s))
+        out |= best << (label * n)
+        branches = []
+        for cells, low, s in picks:
+            start, owner = cells[k]
+            split = cells[:k]
+            if owner != low:
+                split.append((start, owner ^ low))
+            split.append((label, low))
+            refined = []
+            for first, members in split:
+                inner = members & s
+                if inner and inner != members:
+                    refined.append((first, inner))
+                    refined.append((first + inner.bit_count(),
+                                    members ^ inner))
+                else:
+                    refined.append((first, members))
+            branches.append(refined + cells[k + 1:])
+    return out
+
+
+def _discrete_rows(n: int, succ: list[int], cells: list[tuple[int, int]],
+                   label: int) -> int:
+    """Encoding rows 0..label of a labelling given as n singleton cells."""
+    labels = [0] * n
+    for first, members in cells:
+        labels[members.bit_length() - 1] = first
+    out = 0
+    for first, members in cells[:label + 1]:
+        row = 0
+        s = succ[members.bit_length() - 1]
+        while s:
+            low = s & -s
+            row |= 1 << labels[low.bit_length() - 1]
+            s ^= low
+        out |= row << (first * n)
+    return out
 
 
 def is_canonical(n: int, mask: int) -> bool:

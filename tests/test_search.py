@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mereo import (
     AxiomId, ParthoodStructure, SearchSpec, canonical_form, count_models,
@@ -8,7 +10,10 @@ from mereo import (
     verify_implication,
 )
 from mereo import fixtures as F
-from mereo.search import enumerate_model_masks
+from mereo.search import (
+    _canonical_form_scan, _order_compatible_posets, _transitive_masks,
+    enumerate_model_masks,
+)
 
 
 # -- naive oracle: filter every labelled relation, group by permutation -------
@@ -23,16 +28,16 @@ def naive_class_count(n, keep):
 
 
 def _naive_canon(n, mask):
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    best = None
-    for p in itertools.permutations(range(n)):
-        out = 0
-        for i, j in cells:
+    return min(_relabel(n, mask, p) for p in itertools.permutations(range(n)))
+
+
+def _relabel(n, mask, p):
+    out = 0
+    for i in range(n):
+        for j in range(n):
             if mask >> (i * n + j) & 1:
                 out |= 1 << (p[i] * n + p[j])
-        if best is None or out < best:
-            best = out
-    return best
+    return out
 
 
 SPO = ("T", "IRR")
@@ -182,10 +187,68 @@ def test_transitive_generation_matches_all_mask_filter():
 
 
 def test_order_compatible_path_matches_general_path():
-    # the linear-extension shortcut agrees with canonical filtering
-    from mereo.search import _order_compatible_posets
+    # the linear-extension shortcut agrees with canonical filtering; T+AS
+    # (the same models as SPO) takes the transitive walk and is_canonical
     for n in (2, 3, 4):
         fast = sorted({canonical_form(n, m)
                        for m in _order_compatible_posets(n)})
-        slow = enumerate_model_masks(n, SPO)
+        slow = enumerate_model_masks(n, ("T", "AS"))
         assert fast == slow
+
+
+def test_census_counts_match_oeis():
+    # A000112: unlabelled posets; A006455: naturally labelled posets
+    unlabelled = [1, 2, 5, 16, 63, 318]
+    for n, want in enumerate(unlabelled, start=1):
+        assert count_models(n, SPO) == want
+    natural = [1, 2, 7, 40, 357, 4824, 96428]
+    for n, want in enumerate(natural, start=1):
+        assert len(_order_compatible_posets(n)) == want
+
+
+# -- refinement canonical form against the n! scan ----------------------------
+
+def test_canonical_form_matches_scan_on_small_relations():
+    for n in range(1, 4):
+        for mask in range(1 << (n * n)):
+            assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
+
+
+def test_canonical_form_matches_scan_on_posets_and_transitive():
+    for n in range(1, 6):
+        for mask in _order_compatible_posets(n):
+            assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
+    for mask in _transitive_masks(4, False):
+        assert canonical_form(4, mask) == _canonical_form_scan(4, mask)
+
+
+def test_canonical_form_matches_scan_on_tie_heavy_inputs():
+    # large automorphism groups: twin pruning must keep the result exact
+    n = 7
+    loops = sum(1 << (i * n + i) for i in range(n))
+    cases = [
+        0,
+        (1 << (n * n)) - 1,
+        loops,
+        sum(1 << (i * n) for i in range(1, n)),             # top is 0
+        sum(1 << (i * n + n - 1) for i in range(n - 1)),    # top is n-1
+    ]
+    for mask in cases:
+        assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
+
+
+@st.composite
+def relabelled_relations(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    mask = draw(st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
+    p = draw(st.permutations(range(n)))
+    return n, mask, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_relations())
+def test_canonical_form_is_exact_and_relabelling_invariant(case):
+    n, mask, p = case
+    canon = canonical_form(n, mask)
+    assert canon == _canonical_form_scan(n, mask)
+    assert canonical_form(n, _relabel(n, mask, p)) == canon
