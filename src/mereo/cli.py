@@ -134,6 +134,11 @@ def _verdict_json(v: Verdict):
             "witness": _witness_json(v.witness)}
 
 
+def _model_doc(s: ParthoodStructure):
+    return {"elements": [e.label for e in s.universe],
+            "parts": [[p.label, w.label] for p, w in s.pairs()]}
+
+
 def _emit(out, text: str):
     out.write(text + "\n")
 
@@ -288,11 +293,9 @@ def _cmd_enumerate(args, out) -> int:
             _emit(out, str(count))
         return 0
     if args.json:
-        docs = [{"elements": [e.label for e in m.universe],
-                 "parts": [[p.label, w.label] for p, w in m.pairs()]}
-                for m in models]
         _emit(out, json.dumps({"n": args.n, "theory": args.theory.upper(),
-                               "models": docs}, indent=2))
+                               "models": [_model_doc(m) for m in models]},
+                              indent=2))
         return 0
     first = True
     for m in models:
@@ -323,10 +326,8 @@ def _cmd_implies(args, out) -> int:
                "max_n": args.max_n,
                "explored": res.explored,
                "exhausted": res.exhausted,
-               "countermodel": None if res.found is None else {
-                   "elements": [e.label for e in res.found.universe],
-                   "parts": [[p.label, w.label] for p, w in res.found.pairs()],
-               }}
+               "countermodel": None if res.found is None
+               else _model_doc(res.found)}
         _emit(out, json.dumps(doc, indent=2))
         return 1 if res.found else 0
     if res.found is None:

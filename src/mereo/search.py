@@ -10,18 +10,24 @@ refines an ordered partition of the still unlabelled elements after
 each choice, and tries one element per class of twins (McKay & Piperno,
 Practical graph isomorphism II, adapted to this minimal encoding).  The
 literal n! scan stays as _canonical_form_scan, the oracle it is tested
-against.  is_canonical, which rejects labelled candidates during
-generation, still scans permutations, because it stops at the first
-smaller one.  Output is ordered by increasing universe size, then
-increasing canonical encoding, so searches return minimal-size
+against.  is_canonical, which only has to find one smaller relabelling,
+keeps a per-n table for each permutation (the element sent to each
+label, and a 2^n-entry map relabelling a row) and compares the image
+with the encoding row by row from the most significant, so most
+permutations cost one lookup; its oracle is _is_canonical_scan, which
+remaps every set cell.  Output is ordered by increasing universe size,
+then increasing canonical encoding, so searches return minimal-size
 witnesses and enumeration is deterministic.
 
 Generation prunes by structural constraints where it can: transitivity
 violations are cut during the cell-by-cell walk, irreflexivity empties
 the diagonal, and for strict partial orders only relations compatible
 with the index order are generated (every isomorphism class contains
-such a labelling).  Remaining constraint axioms are checked on the
-survivors, cheapest first.
+such a labelling).  Up-to-isomorphism searches without transitivity
+generate only canonical encodings, by an orderly walk down from the
+full relation (_canonical_masks), instead of testing all 2^(n*n)
+relations.  Remaining constraint axioms are checked on the survivors,
+cheapest first.
 """
 
 from __future__ import annotations
@@ -207,10 +213,52 @@ def _discrete_rows(n: int, succ: list[int], cells: list[tuple[int, int]],
     return out
 
 
-def is_canonical(n: int, mask: int) -> bool:
+def _is_canonical_scan(n: int, mask: int) -> bool:
+    """True iff no permutation gives a smaller encoding, by remapping every
+    set cell under each of the n! cell maps: the oracle for is_canonical."""
     for cmap in _perm_cell_maps(n)[1:]:
         if _remap(mask, cmap) < mask:
             return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
+                                      ...]:
+    """For each non-identity permutation p of range(n): the element that p
+    sends to each label from n-1 down, and the map row -> p(row) over all
+    2^n rows (bit j of a row is element j)."""
+    tables = []
+    for p in itertools.permutations(range(n)):
+        sources = [0] * n
+        for x, label in enumerate(p):
+            sources[n - 1 - label] = x
+        rowmap = [0] * (1 << n)
+        for row in range(1, 1 << n):
+            low = row & -row
+            rowmap[row] = rowmap[row ^ low] | 1 << p[low.bit_length() - 1]
+        tables.append((tuple(sources), tuple(rowmap)))
+    return tuple(tables[1:])
+
+
+def is_canonical(n: int, mask: int) -> bool:
+    """True iff no relabelling gives a smaller encoding.
+
+    Under p, the row at label L of the image is p applied to the row of
+    the element p sends to L.  The image is compared with mask row by
+    row from the most significant, so most permutations are decided by
+    one table lookup.
+    """
+    full = (1 << n) - 1
+    succ = [mask >> (x * n) & full for x in range(n)]
+    top = succ[::-1]
+    for sources, rowmap in _perm_row_tables(n):
+        for want, x in zip(top, sources):
+            got = rowmap[succ[x]]
+            if got != want:
+                if got < want:
+                    return False
+                break
     return True
 
 
@@ -230,6 +278,35 @@ def _all_masks(n: int, irreflexive: bool) -> Iterator[int]:
             mask |= 1 << offdiag[low.bit_length() - 1]
             c ^= low
         yield mask
+
+
+def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
+    """The canonical relation encodings, ascending and lazily; diagonal
+    empty if irreflexive.
+
+    Orderly generation (Read, Every one a winner, 1978, in complement
+    form): setting the lowest empty cell of a canonical encoding other
+    than the full relation gives a canonical encoding.  So the canonical
+    encodings form a tree under the full relation, and the children of a
+    node whose lowest empty cell is z are its canonical copies with one
+    cell k < z cleared.  Every encoding below the child at k keeps the
+    node's cells from k up, so a post-order walk taking children from
+    the highest k down yields ascending order.
+    """
+    bits = [1 << (i * n + j) for i in range(n) for j in range(n)
+            if not (irreflexive and i == j)]
+    stack = [(sum(bits), len(bits))]    # (node, its untried cells below)
+    while stack:
+        mask, k = stack.pop()
+        while k:
+            k -= 1
+            child = mask ^ bits[k]
+            if is_canonical(n, child):
+                stack.append((mask, k))
+                stack.append((child, k))
+                break
+        else:
+            yield mask
 
 
 def _transitive_masks(n: int, irreflexive: bool) -> list[int]:
@@ -346,8 +423,9 @@ def _filtered(candidates, keep, workers: int) -> list[int]:
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
                        up_to_iso: bool) -> Iterator[int]:
     """Model encodings in ascending order, produced lazily where the
-    generation strategy allows it (all-relations and transitive walks);
-    the strict-partial-order shortcut canonicalises a finished batch."""
+    generation strategy allows it (the orderly, all-relations and
+    transitive walks); the strict-partial-order shortcut canonicalises a
+    finished batch."""
     has_t, has_irr, residual = _split_constraints(constraints)
 
     def residual_ok(mask: int) -> bool:
@@ -356,6 +434,9 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
     if up_to_iso and has_t and has_irr:
         reps = [m for m in _order_compatible_posets(n) if residual_ok(m)]
         yield from sorted({canonical_form(n, m) for m in reps})
+        return
+    if up_to_iso and not has_t:
+        yield from (m for m in _canonical_masks(n, has_irr) if residual_ok(m))
         return
 
     if has_t:

@@ -10,9 +10,10 @@ from mereo import (
     verify_implication,
 )
 from mereo import fixtures as F
+from mereo import search
 from mereo.search import (
-    _canonical_form_scan, _order_compatible_posets, _transitive_masks,
-    enumerate_model_masks,
+    _all_masks, _canonical_form_scan, _canonical_masks, _is_canonical_scan,
+    _order_compatible_posets, _transitive_masks, enumerate_model_masks,
 )
 
 
@@ -204,6 +205,13 @@ def test_census_counts_match_oeis():
     natural = [1, 2, 7, 40, 357, 4824, 96428]
     for n, want in enumerate(natural, start=1):
         assert len(_order_compatible_posets(n)) == want
+    # A000595: binary relations; A000273: directed graphs (irreflexive)
+    relations = [2, 10, 104, 3044]
+    for n, want in enumerate(relations, start=1):
+        assert count_models(n, ()) == want
+    digraphs = [1, 3, 16, 218, 9608]
+    for n, want in enumerate(digraphs, start=1):
+        assert count_models(n, ("IRR",)) == want
 
 
 # -- refinement canonical form against the n! scan ----------------------------
@@ -252,3 +260,81 @@ def test_canonical_form_is_exact_and_relabelling_invariant(case):
     canon = canonical_form(n, mask)
     assert canon == _canonical_form_scan(n, mask)
     assert canonical_form(n, _relabel(n, mask, p)) == canon
+
+
+# -- row-table is_canonical and orderly generation against the scans -----------
+
+def test_is_canonical_matches_scan_on_small_relations_and_posets():
+    for n in range(1, 5):
+        for mask in range(1 << (n * n)):
+            assert is_canonical(n, mask) == _is_canonical_scan(n, mask)
+    # canonical inputs make both sides try every permutation
+    for mask in _order_compatible_posets(5):
+        for m in (mask, canonical_form(5, mask)):
+            assert is_canonical(5, m) == _is_canonical_scan(5, m)
+
+
+@st.composite
+def larger_relations(draw):
+    n = draw(st.integers(min_value=5, max_value=7))
+    return n, draw(st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
+
+
+@settings(deadline=None)
+@given(larger_relations())
+def test_is_canonical_matches_scan_on_random_relations(case):
+    n, mask = case
+    for m in (mask, canonical_form(n, mask)):
+        assert is_canonical(n, m) == _is_canonical_scan(n, m)
+
+
+def test_orderly_generation_matches_canonical_filter():
+    for n in range(1, 5):
+        for irreflexive in (False, True):
+            want = [m for m in _all_masks(n, irreflexive)
+                    if _is_canonical_scan(n, m)]
+            assert list(_canonical_masks(n, irreflexive)) == want
+
+
+def _reference_find(spec):
+    # the seed's walk: every relation, ascending, kept if canonical
+    irreflexive = AxiomId.IRR in spec.ambient
+    explored = 0
+    for n in range(1, spec.max_n + 1):
+        for mask in _all_masks(n, irreflexive):
+            if not _is_canonical_scan(n, mask):
+                continue
+            s = ParthoodStructure.from_mask(n, mask)
+            if not satisfies(s, spec.ambient + spec.require):
+                continue
+            explored += 1
+            if not any(satisfies(s, [f]) for f in spec.forbid):
+                return s, explored
+    return None, explored
+
+
+def test_find_model_matches_reference_walk():
+    claims = [("ANTIS", "U_SUP"), ("AS", "AC"), ("EXT_PP", "U_SUM"),
+              ("NO_ZERO", "ANTIS")]
+    for ambient in ((), ("IRR",)):
+        for hypothesis, conclusion in claims:
+            spec = SearchSpec(max_n=3, ambient=ambient,
+                              require=(hypothesis,), forbid=(conclusion,))
+            got = find_model(spec)
+            assert (got.found, got.explored) == _reference_find(spec)
+
+
+def test_orderly_generation_is_lazy(monkeypatch):
+    # collecting and sorting the n=6 classes would take far more calls
+    calls = 0
+    scan = search.is_canonical
+
+    def counted(n, mask):
+        nonlocal calls
+        calls += 1
+        if calls > 2000:
+            raise AssertionError("orderly generation is not lazy")
+        return scan(n, mask)
+
+    monkeypatch.setattr(search, "is_canonical", counted)
+    assert next(_canonical_masks(6, False)) == 0
