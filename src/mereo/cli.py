@@ -196,42 +196,32 @@ def _parse_set(s: ParthoodStructure, spec: str) -> Subset:
     return s.subset(*labels)
 
 
-def _cmd_sum(args, out) -> int:
-    name, s = load_structure(args.file)
-    subset = _parse_set(s, args.set)
-    res = sum_of(s, subset)
-    if args.json:
-        _emit(out, json.dumps({"structure": name, "query": "sum",
-                               "set": list(subset.labels()),
-                               "candidates": [e.label for e in res.candidates],
-                               "unique": res.unique}, indent=2))
-    elif not res.candidates:
-        _emit(out, "no sum")
-    elif res.unique:
-        _emit(out, f"sum: {res.candidates[0].label}")
-    else:
-        _emit(out, "sum candidates: "
-              + ", ".join(e.label for e in res.candidates) + " (not unique)")
-    return 0 if res.candidates else 1
+def _subset_query(query, key: str, word: str):
+    """A command printing the sum or supremum candidates of a subset."""
+    def command(args, out) -> int:
+        name, s = load_structure(args.file)
+        subset = _parse_set(s, args.set)
+        res = query(s, subset)
+        if args.json:
+            _emit(out, json.dumps({"structure": name, "query": key,
+                                   "set": list(subset.labels()),
+                                   "candidates": [e.label
+                                                  for e in res.candidates],
+                                   "unique": res.unique}, indent=2))
+        elif not res.candidates:
+            _emit(out, f"no {word}")
+        elif res.unique:
+            _emit(out, f"{word}: {res.candidates[0].label}")
+        else:
+            _emit(out, f"{word} candidates: "
+                  + ", ".join(e.label for e in res.candidates)
+                  + " (not unique)")
+        return 0 if res.candidates else 1
+    return command
 
 
-def _cmd_sup(args, out) -> int:
-    name, s = load_structure(args.file)
-    subset = _parse_set(s, args.set)
-    res = sup_of(s, subset)
-    if args.json:
-        _emit(out, json.dumps({"structure": name, "query": "sup",
-                               "set": list(subset.labels()),
-                               "candidates": [e.label for e in res.candidates],
-                               "unique": res.unique}, indent=2))
-    elif not res.candidates:
-        _emit(out, "no supremum")
-    elif res.unique:
-        _emit(out, f"supremum: {res.candidates[0].label}")
-    else:
-        _emit(out, "supremum candidates: "
-              + ", ".join(e.label for e in res.candidates) + " (not unique)")
-    return 0 if res.candidates else 1
+_cmd_sum = _subset_query(sum_of, "sum", "sum")
+_cmd_sup = _subset_query(sup_of, "sup", "supremum")
 
 
 _ALG_OPS = ("product", "difference", "complement", "bsum")

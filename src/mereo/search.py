@@ -19,15 +19,17 @@ remaps every set cell.  Output is ordered by increasing universe size,
 then increasing canonical encoding, so searches return minimal-size
 witnesses and enumeration is deterministic.
 
-Generation prunes by structural constraints where it can: transitivity
-violations are cut during the cell-by-cell walk, irreflexivity empties
-the diagonal, and for strict partial orders only relations compatible
-with the index order are generated (every isomorphism class contains
-such a labelling).  Up-to-isomorphism searches without transitivity
-generate only canonical encodings, by an orderly walk down from the
-full relation (_canonical_masks), instead of testing all 2^(n*n)
-relations.  Remaining constraint axioms are checked on the survivors,
-cheapest first.
+Generation prunes by structural constraints where it can: transitive
+relations are walked row by row, lazily and in ascending order, each
+row drawn only from the values that keep the decided rows transitive
+(_transitive_masks); irreflexivity empties the diagonal; and for
+strict partial orders only relations compatible with the index order
+are generated (every isomorphism class contains such a labelling).
+Up-to-isomorphism searches without transitivity generate only
+canonical encodings, by an orderly walk down from the full relation
+(_canonical_masks), instead of testing all 2^(n*n) relations.
+Remaining constraint axioms are checked on the survivors, cheapest
+first.
 """
 
 from __future__ import annotations
@@ -309,55 +311,56 @@ def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
             yield mask
 
 
-def _transitive_masks(n: int, irreflexive: bool) -> list[int]:
-    """All transitive relations on n elements, by cell-by-cell search.
+def _transitive_masks(n: int, irreflexive: bool) -> Iterator[int]:
+    """All transitive relations on n elements, ascending and lazily;
+    diagonal empty if irreflexive.
 
-    Cells are decided in row-major order; a triple x P y P z lacking
-    x P z is pruned as soon as the last of its three cells is decided.
+    Whole rows are decided from the most significant (element n-1) down,
+    each taking its values in increasing order.  Row i ranges over the
+    subsets of upper, the intersection of the decided rows that contain
+    i (x P i and i P z force x P z), and a value r is kept iff it
+    contains the row of every decided element it contains (i P d and
+    d P z force i P z).  So each pair of rows is checked once, when the
+    later of the two is decided.
     """
-    cells = [(i, j) for i in range(n) for j in range(n)
-             if not (irreflexive and i == j)]
-    pos = {c: k for k, c in enumerate(cells)}
+    full = (1 << n) - 1
     rows = [0] * n
-    out: list[int] = []
+    uppers = [0] * n
+    prefix = [0] * (n + 1)      # prefix[i]: encoding of the rows above i
 
-    def val(i: int, j: int) -> int:
-        return rows[i] >> j & 1
+    def upper_of(i: int) -> int:
+        upper = full ^ (1 << i) if irreflexive else full
+        for d in range(i + 1, n):
+            if rows[d] >> i & 1:
+                upper &= rows[d]
+        return upper
 
-    def settled(i: int, j: int, k: int) -> bool:
-        if irreflexive and i == j:
-            return True
-        return pos[(i, j)] < k
-
-    def ok(k: int, bit: int) -> bool:
-        i, j = cells[k]
-        if bit:
-            for x in range(n):      # x P i and i P j force x P j
-                if val(x, i) and settled(x, j, k) and not val(x, j):
-                    return False
-            for z in range(n):      # i P j and j P z force i P z
-                if val(j, z) and settled(i, z, k) and not val(i, z):
-                    return False
-            return True
-        for m in range(n):          # i P m and m P j forbid missing i P j
-            if val(i, m) and val(m, j):
-                return False
-        return True
-
-    def walk(k: int):
-        if k == len(cells):
-            out.append(sum(rows[i] << (i * n) for i in range(n)))
-            return
-        i, j = cells[k]
-        if ok(k, 0):
-            walk(k + 1)
-        rows[i] |= 1 << j
-        if ok(k, 1):
-            walk(k + 1)
-        rows[i] &= ~(1 << j)
-
-    walk(0)
-    return out
+    i = n - 1
+    uppers[i] = upper_of(i)
+    r = 0
+    while True:
+        above = r >> (i + 1) << (i + 1)
+        while above:
+            low = above & -above
+            if rows[low.bit_length() - 1] & ~r:
+                break
+            above ^= low
+        else:
+            if i == 0:
+                yield prefix[1] | r
+            else:
+                rows[i] = r
+                prefix[i] = prefix[i + 1] | r << (i * n)
+                i -= 1
+                uppers[i] = upper_of(i)
+                r = 0
+                continue
+        while r == uppers[i]:       # row i exhausted: next value above
+            i += 1
+            if i == n:
+                return
+            r = rows[i]
+        r = (r - uppers[i]) & uppers[i]
 
 
 def _order_compatible_posets(n: int) -> list[int]:
@@ -422,10 +425,10 @@ def _filtered(candidates, keep, workers: int) -> list[int]:
 
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
                        up_to_iso: bool) -> Iterator[int]:
-    """Model encodings in ascending order, produced lazily where the
-    generation strategy allows it (the orderly, all-relations and
-    transitive walks); the strict-partial-order shortcut canonicalises a
-    finished batch."""
+    """Model encodings in ascending order, produced lazily by the
+    orderly, all-relations and transitive walks, so a caller that stops
+    early generates no more candidates than it consumed; the
+    strict-partial-order shortcut canonicalises a finished batch."""
     has_t, has_irr, residual = _split_constraints(constraints)
 
     def residual_ok(mask: int) -> bool:
@@ -440,7 +443,7 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
         return
 
     if has_t:
-        candidates: Iterable[int] = sorted(_transitive_masks(n, has_irr))
+        candidates: Iterable[int] = _transitive_masks(n, has_irr)
     else:
         candidates = _all_masks(n, has_irr)
     if up_to_iso:
@@ -472,7 +475,7 @@ def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
         return sorted({canonical_form(n, m) for m in reps})
 
     if has_t:
-        candidates: Iterable[int] = sorted(_transitive_masks(n, has_irr))
+        candidates: Iterable[int] = _transitive_masks(n, has_irr)
     else:
         candidates = _all_masks(n, has_irr)
     if up_to_iso:

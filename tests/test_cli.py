@@ -238,6 +238,17 @@ def test_json_implies():
     assert doc["exhausted"] is True and doc["countermodel"] is None
 
 
+def test_json_implies_transitive_countermodel():
+    # the lazy transitive walk stops at the first countermodel; the
+    # figures match perfbench/claims.json
+    code, out = run_cli("implies", "--ambient", "T", "--from", "U_SUM",
+                        "--to", "SSP", "--max-n", "5", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["exhausted"] is False
+    assert len(doc["countermodel"]["elements"]) == 5
+    assert doc["explored"] == 61
+
+
 # -- dot export ------------------------------------------------------------------
 
 def naive_covers(s: ParthoodStructure):

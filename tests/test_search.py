@@ -212,6 +212,18 @@ def test_census_counts_match_oeis():
     digraphs = [1, 3, 16, 218, 9608]
     for n, want in enumerate(digraphs, start=1):
         assert count_models(n, ("IRR",)) == want
+    # A006905: transitive relations; A001035: labelled posets (the
+    # irreflexive transitive relations); A091073: transitive relations up
+    # to isomorphism
+    transitive = [2, 13, 171, 3994, 154303]
+    for n, want in enumerate(transitive, start=1):
+        assert sum(1 for _ in _transitive_masks(n, False)) == want
+    labelled_posets = [1, 3, 19, 219, 4231, 130023]
+    for n, want in enumerate(labelled_posets, start=1):
+        assert sum(1 for _ in _transitive_masks(n, True)) == want
+    transitive_classes = [2, 8, 39, 242]
+    for n, want in enumerate(transitive_classes, start=1):
+        assert count_models(n, ("T",)) == want
 
 
 # -- refinement canonical form against the n! scan ----------------------------
@@ -296,12 +308,24 @@ def test_orderly_generation_matches_canonical_filter():
             assert list(_canonical_masks(n, irreflexive)) == want
 
 
+def _is_transitive(n, mask):
+    # the literal definition: x P y and y P z give x P z
+    def part(x, y):
+        return mask >> (x * n + y) & 1
+    return all(part(x, z) or not (part(x, y) and part(y, z))
+               for x in range(n) for y in range(n) for z in range(n))
+
+
 def _reference_find(spec):
-    # the seed's walk: every relation, ascending, kept if canonical
+    # the seed's walk: every relation (every transitive one under T),
+    # ascending, kept if canonical
     irreflexive = AxiomId.IRR in spec.ambient
+    transitive = AxiomId.T in spec.ambient
     explored = 0
     for n in range(1, spec.max_n + 1):
         for mask in _all_masks(n, irreflexive):
+            if transitive and not _is_transitive(n, mask):
+                continue
             if not _is_canonical_scan(n, mask):
                 continue
             s = ParthoodStructure.from_mask(n, mask)
@@ -322,6 +346,36 @@ def test_find_model_matches_reference_walk():
                               require=(hypothesis,), forbid=(conclusion,))
             got = find_model(spec)
             assert (got.found, got.explored) == _reference_find(spec)
+
+
+def test_find_model_matches_reference_walk_under_transitivity():
+    # two claims exhausted at n<=4, two refuted (at n=4)
+    claims = [("U_SUM", "ANTIS"), ("EXT_OV", "U_SUM"),
+              ("U_SUM", "SSP_PLUS"), ("WSP", "U_SUM")]
+    for hypothesis, conclusion in claims:
+        spec = SearchSpec(max_n=4, ambient=("T",),
+                          require=(hypothesis,), forbid=(conclusion,))
+        got = find_model(spec)
+        assert (got.found, got.explored) == _reference_find(spec)
+
+
+# -- the row-by-row transitive walk against the literal filter ----------------
+
+def test_transitive_walk_matches_literal_filter():
+    for n in range(1, 5):
+        for irreflexive in (False, True):
+            want = [m for m in _all_masks(n, irreflexive)
+                    if _is_transitive(n, m)]
+            assert list(_transitive_masks(n, irreflexive)) == want
+
+
+def test_transitive_walk_is_lazy():
+    # checked first, so a walk that builds a list fails here instead of
+    # hanging on the n=7 space below
+    walk = _transitive_masks(3, False)
+    assert iter(walk) is walk
+    assert list(itertools.islice(_transitive_masks(7, False), 5)) \
+        == [0, 1, 2, 3, 4]
 
 
 def test_orderly_generation_is_lazy(monkeypatch):
