@@ -2,9 +2,21 @@
 
 Every axiom is evaluated literally, including vacuous-truth cases on
 degenerate universes, and no axiom presupposes another: SSP is checked
-even on non-transitive relations, the subset-quantified principles scan
-all 2^n subsets, and acyclicity is decided by cycle detection in the
-part digraph.
+even on non-transitive relations, the subset-quantified principles
+decide every subset, and acyclicity is decided by cycle detection in
+the part digraph.
+
+The subset-quantified principles (U_SUM, U_SUP, the DOLLAR pair,
+DIAMOND, SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM) share one
+kernel, sums.subset_tables: per subset, its common upper bounds and
+the elements overlapping it, built once per structure, so each test of
+an (element, subset) pair is a few mask operations.  The mask-major
+finders walk the subsets in encoding order and stop at the first
+violation.  The element-major ones visit, for each element x, only the
+subsets of its ingredienses, since x can sum or bound no other; the
+DOLLAR pair still visits every subset, because the closure side can
+hold of any.  The literal definitions, sums.is_sum_mask and
+sums.is_sup_mask, are the oracles the finders are tested against.
 
 A failed check carries a witness: the first violating assignment under
 universe order and subset encoding order, as a tuple of elements
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .core import MereologyError, ParthoodStructure, _bits
-from .sums import cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates
+from .sums import is_sum_mask, subset_tables, sum_candidates
 
 
 class CatalogError(MereologyError):
@@ -245,11 +257,41 @@ def _ppp(s):
     return None
 
 
+def _sums(s, ub_m: int, ov_m: int) -> int:
+    """The sums of one subset, as a mask, from its table entries."""
+    ing, gaps, out = s.ing_of, ~ov_m, 0
+    for x in _bits(ub_m):
+        if not ing[x] & gaps:
+            out |= 1 << x
+    return out
+
+
+def _sups(s, ub_m: int) -> int:
+    """The suprema of one subset, as a mask, from its upper bounds."""
+    up, out = s.ing_up, 0
+    for x in _bits(ub_m):
+        if not ub_m & ~up[x]:
+            out |= 1 << x
+    return out
+
+
+def _two_lowest(cands: int, mask: int):
+    """Witness of non-uniqueness: the two lowest candidates, or None."""
+    rest = cands & (cands - 1)
+    if not rest:
+        return None
+    return ((cands & -cands).bit_length() - 1,
+            (rest & -rest).bit_length() - 1, ("subset", mask))
+
+
 def _u_sum(s):
+    ub, ov = subset_tables(s)
     for mask in range(1, s.full + 1):
-        cands = sum_candidates(s, mask)
-        if len(cands) > 1:
-            return (cands[0], cands[1], ("subset", mask))
+        u = ub[mask]
+        if u & (u - 1):                 # a sum is an upper bound
+            found = _two_lowest(_sums(s, u, ov[mask]), mask)
+            if found:
+                return found
     return None
 
 
@@ -262,10 +304,13 @@ def _s_sum(s):
 
 
 def _u_sup(s):
+    ub, _ = subset_tables(s)
     for mask in range(1, s.full + 1):
-        cands = sup_candidates(s, mask)
-        if len(cands) > 1:
-            return (cands[0], cands[1], ("subset", mask))
+        u = ub[mask]
+        if u & (u - 1):                 # a supremum is an upper bound
+            found = _two_lowest(_sups(s, u), mask)
+            if found:
+                return found
     return None
 
 
@@ -296,18 +341,14 @@ def _ext_ov(s):
     return None
 
 
-def _dollar_closure_holds(s, x: int, mask: int) -> bool:
-    """u Ov x iff u overlaps some member, for every u."""
-    ing = s.ing_of
-    ix = ing[x]
-    cover = cover_mask(s, mask)
-    return all(bool(ing[u] & ix) == bool(ing[u] & cover) for u in range(s.n))
-
-
 def _dollar(s):
+    ub, ov = subset_tables(s)
+    ing = s.ing_of
     for x in range(s.n):
+        bit, ix, ovx = 1 << x, ing[x], s.ov_of[x]
         for mask in range(s.full + 1):
-            if is_sum_mask(s, x, mask) != _dollar_closure_holds(s, x, mask):
+            o = ov[mask]
+            if bool(ub[mask] & bit and not ix & ~o) != (o == ovx):
                 return (x, ("subset", mask))
     return None
 
@@ -318,57 +359,83 @@ def dollar_converse_holds(s: ParthoodStructure) -> bool:
     Both the overlap and the exteriority form have the same converse:
     whenever the closure condition holds of x and S, x is a sum of S.
     """
+    ub, ov = subset_tables(s)
+    ing = s.ing_of
     for x in range(s.n):
+        bit, ix, ovx = 1 << x, ing[x], s.ov_of[x]
         for mask in range(s.full + 1):
-            if _dollar_closure_holds(s, x, mask) and not is_sum_mask(s, x, mask):
+            o = ov[mask]
+            if o == ovx and not (ub[mask] & bit and not ix & ~o):
                 return False
     return True
 
 
 def _diamond(s):
+    ub, ov = subset_tables(s)
     for mask in range(1, s.full + 1):
-        sums = sum_candidates(s, mask)
+        u = ub[mask]
+        sums = _sums(s, u, ov[mask])
         if not sums:
             continue
-        sups = sup_candidates(s, mask)
-        for x in sums:
-            for y in sups:
-                if x != y:
-                    return (x, y, ("subset", mask))
+        sups = _sups(s, u)
+        for x in _bits(sums):
+            others = sups & ~(1 << x)
+            if others:
+                return (x, (others & -others).bit_length() - 1,
+                        ("subset", mask))
     return None
 
 
+# The x-major finders below visit, for each x, only the submasks m of
+# ing_of[x], ascending (m = (m - ix) & ix): x sums or bounds m only if
+# m is one, and then x is in ub[m] already.
+
 def _sum_sub_sup(s):
+    ub, ov = subset_tables(s)
     for x in range(s.n):
-        for mask in range(1, s.full + 1):
-            if is_sum_mask(s, x, mask) and not is_sup_mask(s, x, mask):
+        ix, up = s.ing_of[x], s.ing_up[x]
+        mask = ix & -ix
+        while mask:
+            if not ix & ~ov[mask] and ub[mask] & ~up:
                 return (x, ("subset", mask))
+            mask = (mask - ix) & ix
+    return None
+
+
+def _sup_not_sum(s, with_empty: bool):
+    """First (x, m) with x a supremum but not a sum of m; the empty
+    subset is visited only when with_empty."""
+    ub, ov = subset_tables(s)
+    for x in range(s.n):
+        ix, up = s.ing_of[x], s.ing_up[x]
+        mask = 0 if with_empty else ix & -ix
+        while True:
+            if not ub[mask] & ~up and ix & ~ov[mask]:
+                return (x, ("subset", mask))
+            mask = (mask - ix) & ix
+            if not mask:
+                break
     return None
 
 
 def _sup_sub_sum(s):
-    for x in range(s.n):
-        for mask in range(s.full + 1):
-            if is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask):
-                return (x, ("subset", mask))
-    return None
+    return _sup_not_sum(s, True)
 
 
 def _dagger(s):
-    for x in range(s.n):
-        for mask in range(1, s.full + 1):
-            if is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask):
-                return (x, ("subset", mask))
-    return None
+    return _sup_not_sum(s, False)
 
 
 def _ddagger(s):
+    # the empty set never has a sum, and is exempt from the supremum side
+    ub, ov = subset_tables(s)
     for x in range(s.n):
-        for mask in range(s.full + 1):
-            lhs = is_sum_mask(s, x, mask)
-            rhs = mask != 0 and is_sup_mask(s, x, mask)
-            if lhs != rhs:
+        ix, up = s.ing_of[x], s.ing_up[x]
+        mask = ix & -ix
+        while mask:
+            if (not ix & ~ov[mask]) != (not ub[mask] & ~up):
                 return (x, ("subset", mask))
+            mask = (mask - ix) & ix
     return None
 
 
@@ -401,8 +468,9 @@ def _e_bsum(s):
 
 
 def _e_sum(s):
+    ub, ov = subset_tables(s)
     for mask in range(1, s.full + 1):
-        if not sum_candidates(s, mask):
+        if not _sums(s, ub[mask], ov[mask]):
             return (("subset", mask),)
     return None
 

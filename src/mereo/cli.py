@@ -168,9 +168,11 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_axioms(args, out) -> int:
+    codes = None if args.only is None else _axiom_list(args.only)
+    if codes == ():
+        raise CatalogError("--only names no axiom codes")
     name, s = load_structure(args.file)
-    if args.only:
-        codes = [axiom_id(c.strip()) for c in args.only.split(",") if c.strip()]
+    if codes:
         verdicts = [check_axiom(s, c) for c in codes]
     else:
         verdicts = check_all(s)
@@ -271,8 +273,7 @@ def _cmd_enumerate(args, out) -> int:
     if not 1 <= args.n <= SEARCH_MAX:
         raise CatalogError(f"--n must be within 1..{SEARCH_MAX}")
     constraints = _constraints_for(args.theory)
-    models = enumerate_models(args.n, constraints,
-                              up_to_iso=args.up_to_iso, workers=args.workers)
+    models = enumerate_models(args.n, constraints, up_to_iso=args.up_to_iso)
     if args.count_only:
         count = sum(1 for _ in models)
         if args.json:
@@ -308,7 +309,7 @@ def _cmd_implies(args, out) -> int:
     conclusion = axiom_id(args.to)
     spec = SearchSpec(max_n=args.max_n, ambient=ambient,
                       require=hypothesis, forbid=(conclusion,))
-    res = find_model(spec, workers=args.workers)
+    res = find_model(spec)
     if args.json:
         doc = {"ambient": [a.value for a in ambient],
                "hypothesis": [a.value for a in hypothesis],
@@ -467,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -478,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated hypothesis codes")
     p.add_argument("--to", required=True, help="conclusion code")
     p.add_argument("--max-n", type=int, default=SEARCH_MAX)
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_implies)
 

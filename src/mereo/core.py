@@ -6,10 +6,14 @@ construction time: it may violate irreflexivity, transitivity, or any
 other law, because the axiom checkers must be able to exhibit
 violations and the model search must range over all relations.
 
-Everything is precomputed as bitmasks at construction (bit i of an
-element mask corresponds to universe index i), instances are immutable
-afterwards, and all queries are pure, so structures can be shared
-freely across threads.
+The relation and its derived element masks are precomputed as bitmasks
+at construction (bit i of an element mask corresponds to universe index
+i) and never change afterwards.  The one exception is a single slot,
+`_subset_tables`, that `sums.subset_tables` fills on first use with the
+per-subset tables the subset-quantified axioms share; it depends only on
+the relation, so filling it never changes an answer, and a structure
+that is never asked a subset question never builds it.  All queries are
+pure.
 """
 
 from __future__ import annotations
@@ -91,11 +95,14 @@ class ParthoodStructure:
       ing_of[x]    -- {z : z Ing x} = parts_in[x] | {x}
       ing_up[x]    -- {u : x Ing u} = rows[x] | {x}
       ov_of[x]     -- {u : u Ov x}
+
+    `_subset_tables` is None until `sums.subset_tables` fills it.
     """
 
     __slots__ = (
         "n", "universe", "_label_index",
         "rows", "parts_in", "ing_of", "ing_up", "ov_of", "full",
+        "_subset_tables",
     )
 
     def __init__(self, labels: Sequence[str], rows: Sequence[int]):
@@ -128,6 +135,7 @@ class ParthoodStructure:
             sum(1 << u for u in range(n) if ing[u] & ing[x])
             for x in range(n)
         )
+        self._subset_tables = None
 
     # -- construction -----------------------------------------------------
 

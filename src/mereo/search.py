@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -411,18 +410,6 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return has_t, has_irr, residual
 
 
-def _filtered(candidates, keep, workers: int) -> list[int]:
-    """keep-filter preserving ascending order; worker count cannot change
-    the result because chunks are reassembled by sorting."""
-    if workers <= 1:
-        return [m for m in candidates if keep(m)]
-    items = list(candidates)
-    chunks = [items[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda ch: [m for m in ch if keep(m)], chunks)
-    return sorted(m for part in parts for m in part)
-
-
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
                        up_to_iso: bool) -> Iterator[int]:
     """Model encodings in ascending order, produced lazily by the
@@ -455,55 +442,29 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
 
 
 def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
-                          up_to_iso: bool = True,
-                          workers: int = 1) -> list[int]:
+                          up_to_iso: bool = True) -> list[int]:
     """Relation encodings of every model of the constraints, ascending.
 
     With up_to_iso, exactly the canonical (minimal-encoding)
     representative of each isomorphism class is kept.
     """
-    if workers <= 1:
-        return list(_model_mask_stream(n, constraints, up_to_iso))
-
-    has_t, has_irr, residual = _split_constraints(constraints)
-
-    def residual_ok(mask: int) -> bool:
-        return satisfies(ParthoodStructure.from_mask(n, mask), residual)
-
-    if up_to_iso and has_t and has_irr:
-        reps = _filtered(_order_compatible_posets(n), residual_ok, workers)
-        return sorted({canonical_form(n, m) for m in reps})
-
-    if has_t:
-        candidates: Iterable[int] = _transitive_masks(n, has_irr)
-    else:
-        candidates = _all_masks(n, has_irr)
-    if up_to_iso:
-        keep = lambda m: is_canonical(n, m) and residual_ok(m)
-    else:
-        keep = residual_ok
-    return _filtered(candidates, keep, workers)
+    return list(_model_mask_stream(n, constraints, up_to_iso))
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
-                     up_to_iso: bool = True,
-                     workers: int = 1) -> Iterator[ParthoodStructure]:
+                     up_to_iso: bool = True) -> Iterator[ParthoodStructure]:
     """Every relation on n elements satisfying the constraints.
 
     One representative per isomorphism class when up_to_iso; ordered by
-    increasing canonical encoding, independent of worker count.
+    increasing canonical encoding.
     """
-    if workers <= 1:
-        masks: Iterable[int] = _model_mask_stream(n, constraints, up_to_iso)
-    else:
-        masks = enumerate_model_masks(n, constraints, up_to_iso, workers)
-    for mask in masks:
+    for mask in _model_mask_stream(n, constraints, up_to_iso):
         yield ParthoodStructure.from_mask(n, mask)
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),
-                 up_to_iso: bool = True, workers: int = 1) -> int:
-    return len(enumerate_model_masks(n, constraints, up_to_iso, workers))
+                 up_to_iso: bool = True) -> int:
+    return len(enumerate_model_masks(n, constraints, up_to_iso))
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,7 +482,7 @@ def models_up_to_iso(n: int, constraints: Iterable[AxiomLike] = ()) \
 
 # -- search -------------------------------------------------------------------
 
-def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
+def find_model(spec: SearchSpec) -> SearchResult:
     """First canonical structure satisfying ambient plus require and
     violating every forbid entry; sizes are searched in increasing order.
 
@@ -531,7 +492,7 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
     explored = 0
     constraints = spec.ambient + spec.require
     for n in range(1, spec.max_n + 1):
-        for s in enumerate_models(n, constraints, spec.up_to_iso, workers):
+        for s in enumerate_models(n, constraints, spec.up_to_iso):
             explored += 1
             if all(not satisfies(s, [f]) for f in spec.forbid):
                 return SearchResult(s, explored, False)
@@ -541,8 +502,7 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
 def verify_implication(ambient: Sequence[AxiomLike],
                        hypothesis: Sequence[AxiomLike],
                        conclusion: AxiomLike,
-                       max_n: int = DEFAULT_SWEEP_MAX,
-                       workers: int = 1) -> SearchResult:
+                       max_n: int = DEFAULT_SWEEP_MAX) -> SearchResult:
     """Search for a model of ambient plus hypothesis violating the conclusion.
 
     Exhausted with nothing found is a bounded confirmation of the
@@ -554,4 +514,4 @@ def verify_implication(ambient: Sequence[AxiomLike],
         require=tuple(axiom_id(a) for a in hypothesis),
         forbid=(axiom_id(conclusion),),
     )
-    return find_model(spec, workers)
+    return find_model(spec)

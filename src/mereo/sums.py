@@ -43,7 +43,36 @@ class SupQueryResult:
     unique: bool
 
 
-# -- mask-level kernels (used heavily by the axiom checkers) ---------------
+# -- the subset-table kernel (used by the subset-quantified axioms) ---------
+
+def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
+    """Per-subset tables (ub, ov), indexed by subset mask m.
+
+    ub[m] is the set of common upper bounds of m under ingrediens
+    (ub[0] is the whole universe) and ov[m] the set of elements
+    overlapping some member of m (ov[0] is empty).  With them every
+    subset question is a few mask operations:
+
+      x sums m            iff  ub[m] has x and ing_of[x] & ~ov[m] == 0
+      x is a sup of m     iff  ub[m] has x and ub[m] & ~ing_up[x] == 0
+      u Ov x <-> u Ov m   iff  ov[m] == ov_of[x]
+
+    Both tables are built by doubling over the elements, 2^n entries
+    each, once per structure: the result is kept in the structure's
+    `_subset_tables` slot.  `is_sum_mask` and `is_sup_mask` below are
+    the literal definitions the tables are tested against.
+    """
+    tables = s._subset_tables
+    if tables is None:
+        ub, ov = [s.full], [0]
+        for up, reach in zip(s.ing_up, s.ov_of):
+            ub += [u & up for u in ub]
+            ov += [o | reach for o in ov]
+        tables = s._subset_tables = (ub, ov)
+    return tables
+
+
+# -- literal mask-level kernels ------------------------------------------------
 
 def cover_mask(s: ParthoodStructure, subset_mask: int) -> int:
     """Union of the ingrediens sets of the subset's members."""

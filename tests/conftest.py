@@ -105,6 +105,26 @@ def structures(draw, max_n=5, transitive=False, irreflexive=False):
     return ParthoodStructure.from_mask(n, mask)
 
 
+def all_relations(max_n):
+    """Every relation on 1..max_n elements, as structures."""
+    for n in range(1, max_n + 1):
+        for mask in range(1 << (n * n)):
+            yield ParthoodStructure.from_mask(n, mask)
+
+
+@st.composite
+def structures_maybe_with_zero(draw, max_n=5):
+    """Random relations, half of them transitively closed; about half get
+    element 0 as an ingrediens of everything, so the empty subset has a
+    supremum."""
+    s = draw(structures(max_n=max_n, transitive=draw(st.booleans())))
+    if not draw(st.booleans()):
+        return s
+    rows = list(s.rows)
+    rows[0] |= s.full & ~1
+    return ParthoodStructure([e.label for e in s.universe], rows)
+
+
 @pytest.fixture(scope="session")
 def fixture_files():
     return sorted(FIXTURE_DIR.glob("*.txt"))

@@ -1,10 +1,17 @@
 import pytest
+from hypothesis import given, settings
 
 from mereo import (
     CATALOG_ORDER, AxiomId, CatalogError, ParthoodStructure, Subset,
     check_all, check_axiom, holds, models_up_to_iso,
 )
 from mereo import fixtures as F
+from mereo.axioms import CATALOG, dollar_converse_holds
+from mereo.sums import (
+    cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
+)
+
+from conftest import all_relations, structures_maybe_with_zero
 
 
 def sweep(nmax, ambient=()):
@@ -301,3 +308,117 @@ def test_closure_characterisation_matches_literal_definition():
             if violated:
                 break
         assert holds(s, "DOLLAR_OV") == (violated is None), s
+
+
+# -- the subset-table finders against literal seed-style scans ----------------
+# Each reference scans every (element, subset) pair with the literal
+# is_sum_mask / is_sup_mask definitions, in the order the catalog
+# promises, so the table-based finders must return exactly the same
+# first witness.
+
+
+def _ref_closure(s, x, mask):
+    ing, cover = s.ing_of, cover_mask(s, mask)
+    return all(bool(ing[u] & ing[x]) == bool(ing[u] & cover)
+               for u in range(s.n))
+
+
+def _ref_unique(candidates):
+    def find(s):
+        for mask in range(1, s.full + 1):
+            cands = candidates(s, mask)
+            if len(cands) > 1:
+                return (cands[0], cands[1], ("subset", mask))
+        return None
+    return find
+
+
+def _ref_dollar(s):
+    for x in range(s.n):
+        for mask in range(s.full + 1):
+            if is_sum_mask(s, x, mask) != _ref_closure(s, x, mask):
+                return (x, ("subset", mask))
+    return None
+
+
+def _ref_dollar_converse(s):
+    return all(not _ref_closure(s, x, mask) or is_sum_mask(s, x, mask)
+               for x in range(s.n) for mask in range(s.full + 1))
+
+
+def _ref_diamond(s):
+    for mask in range(1, s.full + 1):
+        sums = sum_candidates(s, mask)
+        if not sums:
+            continue
+        for x in sums:
+            for y in sup_candidates(s, mask):
+                if x != y:
+                    return (x, y, ("subset", mask))
+    return None
+
+
+def _ref_pairwise(violates, first_mask):
+    def find(s):
+        for x in range(s.n):
+            for mask in range(first_mask, s.full + 1):
+                if violates(s, x, mask):
+                    return (x, ("subset", mask))
+        return None
+    return find
+
+
+def _ref_e_sum(s):
+    for mask in range(1, s.full + 1):
+        if not sum_candidates(s, mask):
+            return (("subset", mask),)
+    return None
+
+
+def _sup_not_sum(s, x, mask):
+    return is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask)
+
+
+_REFERENCE = {
+    AxiomId.U_SUM: _ref_unique(sum_candidates),
+    AxiomId.U_SUP: _ref_unique(sup_candidates),
+    AxiomId.DOLLAR_EXT: _ref_dollar,
+    AxiomId.DOLLAR_OV: _ref_dollar,
+    AxiomId.DIAMOND: _ref_diamond,
+    AxiomId.SUM_SUB_SUP: _ref_pairwise(
+        lambda s, x, m: is_sum_mask(s, x, m) and not is_sup_mask(s, x, m), 1),
+    AxiomId.SUP_SUB_SUM: _ref_pairwise(_sup_not_sum, 0),
+    AxiomId.DAGGER: _ref_pairwise(_sup_not_sum, 1),
+    AxiomId.DDAGGER: _ref_pairwise(
+        lambda s, x, m: is_sum_mask(s, x, m)
+        != (m != 0 and is_sup_mask(s, x, m)), 0),
+    AxiomId.E_SUM: _ref_e_sum,
+}
+
+
+def _assert_finders_match_reference(s):
+    for code, reference in _REFERENCE.items():
+        assert CATALOG[code].find_violation(s) == reference(s), (code, s)
+    assert dollar_converse_holds(s) == _ref_dollar_converse(s), s
+
+
+def test_subset_finders_match_literal_scans_on_all_small_relations():
+    failing = set()
+    for s in all_relations(3):
+        _assert_finders_match_reference(s)
+        failing.update(code for code, ref in _REFERENCE.items() if ref(s))
+    assert failing == set(_REFERENCE)       # every finder reports a witness
+    # strict orders hold most of these principles, so the scans run long
+    for s in sweep(5, ["T", "IRR"]):
+        _assert_finders_match_reference(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures_maybe_with_zero(max_n=6))
+def test_subset_finders_match_literal_scans_on_random_relations(s):
+    _assert_finders_match_reference(s)
+
+
+def test_subset_finders_match_literal_scans_on_fixtures():
+    for make in F.ALL.values():
+        _assert_finders_match_reference(make())

@@ -93,6 +93,14 @@ def test_axioms_only_selection():
     assert "summary: 25/32 hold" in out
 
 
+@pytest.mark.parametrize("only", [",", " , ,", ""])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_axioms_only_naming_no_codes_is_a_usage_error(only, mode, capsys):
+    code, out = run_cli("axioms", fx("w4"), "--only", only, *mode)
+    assert code == 2 and out == ""
+    assert "--only names no axiom codes" in capsys.readouterr().err
+
+
 def test_sum_and_sup_outputs():
     code, out = run_cli("sum", fx("w4"), "--set", "o1,o2")
     assert code == 1 and out == "no sum\n"
@@ -140,11 +148,14 @@ def test_enumerate_structures_parse_back():
     assert code == 0 and out.strip() == "3"
 
 
-def test_enumerate_worker_count_does_not_change_output():
-    base = run_cli("enumerate", "--n", "4", "--theory", "T3", "--up-to-iso")
-    threaded = run_cli("enumerate", "--n", "4", "--theory", "T3",
-                       "--up-to-iso", "--workers", "3")
-    assert base == threaded
+def test_enumerate_output_is_deterministic():
+    first = run_cli("enumerate", "--n", "4", "--theory", "T3", "--up-to-iso")
+    again = run_cli("enumerate", "--n", "4", "--theory", "T3", "--up-to-iso")
+    assert first == again and first[0] == 0
+    # there is no thread pool to size any more
+    code, out = run_cli("enumerate", "--n", "4", "--theory", "T3",
+                        "--workers", "3")
+    assert code == 2 and out == ""
 
 
 def test_implies_outputs():

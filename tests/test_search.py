@@ -96,22 +96,20 @@ def test_canonical_outputs_are_pairwise_nonisomorphic():
         assert len(set(canonical_form(n, m) for m in masks)) == len(masks)
 
 
-def test_enumeration_is_deterministic_and_worker_independent():
+def test_enumeration_is_deterministic():
     for constraints in (SPO, ("T",), ()):
         for n in (2, 3, 4):
-            one = enumerate_model_masks(n, constraints, workers=1)
-            again = enumerate_model_masks(n, constraints, workers=1)
-            three = enumerate_model_masks(n, constraints, workers=3)
-            assert one == again == three
+            one = enumerate_model_masks(n, constraints)
+            again = enumerate_model_masks(n, constraints)
+            assert one == again
 
 
-def test_find_model_worker_independent():
+def test_find_model_is_deterministic():
     spec = SearchSpec(max_n=5, require=("T", "IRR", "U_SUM"),
                       forbid=("PPP",))
-    solo = find_model(spec, workers=1)
-    pooled = find_model(spec, workers=3)
-    assert solo.found == pooled.found
-    assert solo.explored == pooled.explored
+    first, again = find_model(spec), find_model(spec)
+    assert first.found == again.found
+    assert first.explored == again.explored
 
 
 def test_yielded_structures_repass_constraints():

@@ -8,8 +8,12 @@ from mereo import (
 )
 from mereo import fixtures as F
 from mereo.core import ParthoodStructure
+from mereo.sums import subset_tables, sum_candidates, sup_candidates
 
-from conftest import o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets, structures
+from conftest import (
+    all_relations, o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets,
+    structures, structures_maybe_with_zero,
+)
 
 
 def labels_of(result):
@@ -150,3 +154,47 @@ def test_deterministic_candidate_order():
     s = ParthoodStructure.build(["p", "q"], [("p", "q"), ("q", "p")])
     res = sum_of(s, ["p"])
     assert labels_of(res) == ["p", "q"]
+
+
+# -- the subset-table kernel against the literal candidate lists -------------
+
+def _table_candidates(s):
+    """Per mask, the sums and the suprema read off the two tables."""
+    ub, ov = subset_tables(s)
+    for mask in range(1 << s.n):
+        yield mask, (
+            [x for x in range(s.n)
+             if ub[mask] >> x & 1 and not s.ing_of[x] & ~ov[mask]],
+            [x for x in range(s.n)
+             if ub[mask] >> x & 1 and not ub[mask] & ~s.ing_up[x]])
+
+
+def _assert_tables_match_candidates(s):
+    for mask, (sums, sups) in _table_candidates(s):
+        assert sums == sum_candidates(s, mask), (s, mask)
+        assert sups == sup_candidates(s, mask), (s, mask)
+
+
+def test_subset_tables_match_literal_candidates_on_all_small_relations():
+    empty_sups = 0
+    for s in all_relations(3):
+        _assert_tables_match_candidates(s)
+        empty_sups += bool(sup_candidates(s, 0))
+    assert empty_sups > 0           # structures with a zero were covered
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures_maybe_with_zero(max_n=6))
+def test_subset_tables_match_literal_candidates_on_random_relations(s):
+    _assert_tables_match_candidates(s)
+
+
+def test_subset_tables_are_built_once_per_structure():
+    labels = [e.label for e in F.b7().universe]
+    s = ParthoodStructure(labels, F.b7().rows)
+    assert s._subset_tables is None
+    tables = subset_tables(s)
+    assert subset_tables(s) is tables
+    assert len(tables[0]) == len(tables[1]) == 1 << s.n
+    # an equal structure built afresh starts without them
+    assert ParthoodStructure(labels, F.b7().rows)._subset_tables is None
