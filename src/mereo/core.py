@@ -129,12 +129,17 @@ class ParthoodStructure:
                 parts_in[y] |= 1 << x
         self.parts_in = tuple(parts_in)
         self.ing_of = tuple(parts_in[x] | (1 << x) for x in range(n))
-        self.ing_up = tuple(self.rows[x] | (1 << x) for x in range(n))
-        ing = self.ing_of
-        self.ov_of = tuple(
-            sum(1 << u for u in range(n) if ing[u] & ing[x])
-            for x in range(n)
-        )
+        self.ing_up = ing_up = tuple(rows[x] | (1 << x) for x in range(n))
+        # u Ov x iff some ingrediens z of x has u in ing_up[z]
+        ov_of = []
+        for ing in self.ing_of:
+            acc = 0
+            while ing:
+                low = ing & -ing
+                acc |= ing_up[low.bit_length() - 1]
+                ing ^= low
+            ov_of.append(acc)
+        self.ov_of = tuple(ov_of)
         self._subset_tables = None
 
     # -- construction -----------------------------------------------------

@@ -22,12 +22,14 @@ witnesses and enumeration is deterministic.
 Generation prunes by structural constraints where it can: transitive
 relations are walked row by row, lazily and in ascending order, each
 row drawn only from the values that keep the decided rows transitive
-(_transitive_masks); irreflexivity empties the diagonal; and for
-strict partial orders only relations compatible with the index order
-are generated (every isomorphism class contains such a labelling).
-Up-to-isomorphism searches without transitivity generate only
-canonical encodings, by an orderly walk down from the full relation
-(_canonical_masks), instead of testing all 2^(n*n) relations.
+(_transitive_masks); and irreflexivity empties the diagonal.
+Up-to-isomorphism searches over strict partial orders walk the
+isomorphism classes themselves, built from the classes one element
+smaller by adding a new maximal element over each down-set
+(_poset_classes, memoised per size).  Up-to-isomorphism searches
+without transitivity generate only canonical encodings, by an orderly
+walk down from the full relation (_canonical_masks), instead of testing
+all 2^(n*n) relations.
 Remaining constraint axioms are checked on the survivors, cheapest
 first.
 """
@@ -362,42 +364,55 @@ def _transitive_masks(n: int, irreflexive: bool) -> Iterator[int]:
         r = (r - uppers[i]) & uppers[i]
 
 
-def _order_compatible_posets(n: int) -> list[int]:
-    """Strict partial orders whose parts have higher indices than wholes.
+def _down_sets(parts_in: Sequence[int]) -> list[int]:
+    """Every down-set (a set holding the parts of each member) of a strict
+    partial order given by parts_in[x], the parts of x; the empty set
+    first.
 
-    Every strict partial order is isomorphic to one of these (relabel
-    along a linear extension), so they suffice for up-to-isomorphism
-    enumeration.  Only strict-lower-triangle cells may hold edges; rows
-    below i and row-i cells left of the walk are decided.
+    Elements are added in an order listing parts before wholes (a part
+    has fewer parts than its whole), so x can join exactly the down-sets
+    already found that hold all of its parts.
     """
-    cells = [(i, j) for i in range(1, n) for j in range(i)]
-    rows = [0] * n
-    out: list[int] = []
+    downs = [0]
+    for x in sorted(range(len(parts_in)),
+                    key=lambda x: parts_in[x].bit_count()):
+        downs += [d | 1 << x for d in downs if not parts_in[x] & ~d]
+    return downs
 
-    def walk(k: int):
-        if k == len(cells):
-            out.append(sum(rows[i] << (i * n) for i in range(n)))
-            return
-        i, j = cells[k]
-        # skipping i P j is illegal when a decided m gives i P m P j
-        legal0 = True
-        m = rows[i]
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] >> j & 1:
-                legal0 = False
-                break
-            m ^= low
-        if legal0:
-            walk(k + 1)
-        # adding i P j forces i P z for every decided j P z
-        if not rows[j] & ~rows[i]:
-            rows[i] |= 1 << j
-            walk(k + 1)
-            rows[i] &= ~(1 << j)
 
-    walk(0)
-    return out
+@functools.lru_cache(maxsize=None)
+def _poset_classes(n: int) -> tuple[int, ...]:
+    """The canonical encodings of the strict partial orders on n elements,
+    ascending: one per isomorphism class (A000112).
+
+    Removing a maximal element from a strict partial order leaves one, so
+    every class at n is a class at n-1 plus a new maximal element n-1
+    whose parts form a down-set.  Each class at n-1 is widened to n
+    columns and extended over each of its down-sets, the empty one
+    included, and the children are canonicalised and deduplicated.
+    Twins (elements whose swap is an automorphism) are interchangeable,
+    so of the down-sets that take k members of a class of twins only the
+    one taking the k lowest is extended.
+    """
+    if n == 1:
+        return (0,)
+    m = n - 1
+    full = (1 << m) - 1
+    top = 1 << m
+    children = set()
+    for parent in _poset_classes(m):
+        rows = [parent >> (i * m) & full for i in range(m)]
+        parts_in = [sum(1 << z for z in range(m) if rows[z] >> x & 1)
+                    for x in range(m)]
+        twins = {t for t in _twin_masks(m, rows) if t & (t - 1)}
+        for down in _down_sets(parts_in):
+            if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
+                   for t in twins):
+                continue
+            children.add(canonical_form(n, sum(
+                (r | top if down >> i & 1 else r) << (i * n)
+                for i, r in enumerate(rows))))
+    return tuple(sorted(children))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -412,18 +427,18 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
                        up_to_iso: bool) -> Iterator[int]:
-    """Model encodings in ascending order, produced lazily by the
-    orderly, all-relations and transitive walks, so a caller that stops
-    early generates no more candidates than it consumed; the
-    strict-partial-order shortcut canonicalises a finished batch."""
+    """Model encodings in ascending order.  The orderly, all-relations
+    and transitive walks produce them lazily, so a caller that stops
+    early generates no more candidates than it consumed; strict partial
+    orders up to isomorphism come from the memoised class list, and the
+    residual axioms are checked on each class as it is consumed."""
     has_t, has_irr, residual = _split_constraints(constraints)
 
     def residual_ok(mask: int) -> bool:
         return satisfies(ParthoodStructure.from_mask(n, mask), residual)
 
     if up_to_iso and has_t and has_irr:
-        reps = [m for m in _order_compatible_posets(n) if residual_ok(m)]
-        yield from sorted({canonical_form(n, m) for m in reps})
+        yield from (m for m in _poset_classes(n) if residual_ok(m))
         return
     if up_to_iso and not has_t:
         yield from (m for m in _canonical_masks(n, has_irr) if residual_ok(m))

@@ -129,6 +129,10 @@ def test_enumerate_count():
     code, out = run_cli("enumerate", "--n", "3", "--theory", "SPO",
                         "--count-only", "--up-to-iso")
     assert code == 0 and out.strip() == "5"
+    # A000112 at the command-line cap
+    code, out = run_cli("enumerate", "--n", "7", "--theory", "SPO",
+                        "--up-to-iso", "--count-only")
+    assert code == 0 and out.strip() == "2045"
     code, _ = run_cli("enumerate", "--n", "9", "--theory", "SPO",
                       "--count-only")
     assert code == 2

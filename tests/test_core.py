@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mereo import DomainError, ParthoodStructure, holds
 from mereo import fixtures as F
 
-from conftest import o_ing, o_labels, o_ov, o_pairs, o_pov, structures
+from conftest import (
+    all_relations, o_ing, o_labels, o_ov, o_pairs, o_pov, structures,
+)
 
 
 def test_ing_examples():
@@ -79,6 +82,35 @@ def test_mask_round_trip():
         again = ParthoodStructure.from_mask(s.n, s.relation_mask,
                                             [e.label for e in s.universe])
         assert again == s
+
+
+def _literal_ov_of(s):
+    # the definition: u Ov x iff u and x share an ingrediens
+    ing = s.ing_of
+    return tuple(sum(1 << u for u in range(s.n) if ing[u] & ing[x])
+                 for x in range(s.n))
+
+
+def test_ov_of_matches_definition_on_small_relations():
+    for s in all_relations(3):
+        assert s.ov_of == _literal_ov_of(s)
+
+
+@st.composite
+def sparse_relations(draw, max_n=9):
+    # dense random relations overlap almost everywhere; a few pairs do not
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    cell = st.integers(min_value=0, max_value=n - 1)
+    rows = [0] * n
+    for part, whole in draw(st.lists(st.tuples(cell, cell), max_size=2 * n)):
+        rows[part] |= 1 << whole
+    return ParthoodStructure(list("abcdefghi"[:n]), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(structures(max_n=9), sparse_relations()))
+def test_ov_of_matches_definition_on_random_relations(s):
+    assert s.ov_of == _literal_ov_of(s)
 
 
 @settings(max_examples=150, deadline=None)

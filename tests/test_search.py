@@ -13,7 +13,7 @@ from mereo import fixtures as F
 from mereo import search
 from mereo.search import (
     _all_masks, _canonical_form_scan, _canonical_masks, _is_canonical_scan,
-    _order_compatible_posets, _transitive_masks, enumerate_model_masks,
+    _poset_classes, _transitive_masks, enumerate_model_masks,
 )
 
 
@@ -42,6 +42,47 @@ def _relabel(n, mask, p):
 
 
 SPO = ("T", "IRR")
+
+
+# -- reference: every naturally labelled strict partial order -----------------
+
+def _order_compatible_posets(n):
+    """Strict partial orders whose parts have higher indices than wholes
+    (A006455).
+
+    Every strict partial order is isomorphic to one of these (relabel
+    along a linear extension), so their canonical forms are the classes.
+    Only strict-lower-triangle cells may hold edges; rows below i and
+    row-i cells left of the walk are decided.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(i)]
+    rows = [0] * n
+    out = []
+
+    def walk(k):
+        if k == len(cells):
+            out.append(sum(rows[i] << (i * n) for i in range(n)))
+            return
+        i, j = cells[k]
+        # skipping i P j is illegal when a decided m gives i P m P j
+        legal0 = True
+        m = rows[i]
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] >> j & 1:
+                legal0 = False
+                break
+            m ^= low
+        if legal0:
+            walk(k + 1)
+        # adding i P j forces i P z for every decided j P z
+        if not rows[j] & ~rows[i]:
+            rows[i] |= 1 << j
+            walk(k + 1)
+            rows[i] &= ~(1 << j)
+
+    walk(0)
+    return out
 
 
 def test_spo_counts_match_naive_oracle():
@@ -186,19 +227,30 @@ def test_transitive_generation_matches_all_mask_filter():
 
 
 def test_order_compatible_path_matches_general_path():
-    # the linear-extension shortcut agrees with canonical filtering; T+AS
-    # (the same models as SPO) takes the transitive walk and is_canonical
-    for n in (2, 3, 4):
-        fast = sorted({canonical_form(n, m)
+    # the poset classes agree with canonical filtering; T+AS (the same
+    # models as SPO) takes the transitive walk and is_canonical
+    for n in (1, 2, 3, 4):
+        assert enumerate_model_masks(n, SPO) \
+            == enumerate_model_masks(n, ("T", "AS"))
+
+
+def test_poset_classes_match_canonicalised_labelled_posets():
+    # the one-point extension finds exactly the classes of the naturally
+    # labelled posets, and of every labelled poset from the transitive walk
+    for n in range(1, 7):
+        want = sorted({canonical_form(n, m)
                        for m in _order_compatible_posets(n)})
-        slow = enumerate_model_masks(n, ("T", "AS"))
-        assert fast == slow
+        assert list(_poset_classes(n)) == want
+        if n <= 5:
+            assert want == sorted({canonical_form(n, m)
+                                   for m in _transitive_masks(n, True)})
 
 
 def test_census_counts_match_oeis():
     # A000112: unlabelled posets; A006455: naturally labelled posets
-    unlabelled = [1, 2, 5, 16, 63, 318]
+    unlabelled = [1, 2, 5, 16, 63, 318, 2045]
     for n, want in enumerate(unlabelled, start=1):
+        assert len(_poset_classes(n)) == want
         assert count_models(n, SPO) == want
     natural = [1, 2, 7, 40, 357, 4824, 96428]
     for n, want in enumerate(natural, start=1):
@@ -316,14 +368,19 @@ def _is_transitive(n, mask):
 
 def _reference_find(spec):
     # the seed's walk: every relation (every transitive one under T),
-    # ascending, kept if canonical
+    # ascending, kept if canonical; under T and IRR the labelled posets
+    # come from the transitive walk, checked against the literal filter
+    # below, since the literal filter would visit 2^20 relations at n=5
     irreflexive = AxiomId.IRR in spec.ambient
     transitive = AxiomId.T in spec.ambient
     explored = 0
     for n in range(1, spec.max_n + 1):
-        for mask in _all_masks(n, irreflexive):
-            if transitive and not _is_transitive(n, mask):
-                continue
+        if transitive and irreflexive:
+            candidates = _transitive_masks(n, True)
+        else:
+            candidates = (m for m in _all_masks(n, irreflexive)
+                          if not transitive or _is_transitive(n, m))
+        for mask in candidates:
             if not _is_canonical_scan(n, mask):
                 continue
             s = ParthoodStructure.from_mask(n, mask)
@@ -352,6 +409,17 @@ def test_find_model_matches_reference_walk_under_transitivity():
               ("U_SUM", "SSP_PLUS"), ("WSP", "U_SUM")]
     for hypothesis, conclusion in claims:
         spec = SearchSpec(max_n=4, ambient=("T",),
+                          require=(hypothesis,), forbid=(conclusion,))
+        got = find_model(spec)
+        assert (got.found, got.explored) == _reference_find(spec)
+
+
+def test_find_model_matches_reference_walk_over_strict_orders():
+    # two claims refuted (at n=5 and n=4), two exhausted at n<=5
+    claims = [("U_SUM", "PPP"), ("WSP", "SSP"),
+              ("SSP_PLUS", "DDAGGER"), ("SSP", "C_PROD")]
+    for hypothesis, conclusion in claims:
+        spec = SearchSpec(max_n=5, ambient=SPO,
                           require=(hypothesis,), forbid=(conclusion,))
         got = find_model(spec)
         assert (got.found, got.explored) == _reference_find(spec)

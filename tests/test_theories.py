@@ -108,10 +108,21 @@ def test_mem_crosses_the_order_theories():
 def test_order_level_crossing_needs_eight_elements():
     # exhaust the order-theoretic reading at seven: every coincidence
     # model up to that size carries products, so triples8 is minimal
+    # (the next test shows it is the only crossing at eight)
     from mereo import enumerate_models
     for n in range(1, 8):
         for s in enumerate_models(n, ("T", "IRR", "DDAGGER")):
             assert holds(s, "C_PROD"), s
+
+
+def test_triples8_is_the_only_eight_element_crossing():
+    # of the 16,999 strict partial orders on eight elements, exactly one
+    # satisfies the coincidence axiom and lacks products: triples8
+    from mereo import canonical_form, enumerate_models
+    crossings = [s.relation_mask
+                 for s in enumerate_models(8, ("T", "IRR", "DDAGGER"))
+                 if not holds(s, "C_PROD")]
+    assert crossings == [canonical_form(8, F.triples8().relation_mask)]
 
 
 def test_mspo_variants_agree():
