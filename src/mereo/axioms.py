@@ -6,17 +6,17 @@ even on non-transitive relations, the subset-quantified principles
 decide every subset, and acyclicity is decided by cycle detection in
 the part digraph.
 
-The subset-quantified principles (U_SUM, U_SUP, the DOLLAR pair,
-DIAMOND, SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM) share one
-kernel, sums.subset_tables: per subset, its common upper bounds and
-the elements overlapping it, built once per structure, so each test of
-an (element, subset) pair is a few mask operations.  The mask-major
-finders walk the subsets in encoding order and stop at the first
-violation.  The element-major ones visit, for each element x, only the
-subsets of its ingredienses, since x can sum or bound no other; the
-DOLLAR pair still visits every subset, because the closure side can
-hold of any.  The literal definitions, sums.is_sum_mask and
-sums.is_sup_mask, are the oracles the finders are tested against.
+The sums module owns the sum and supremum rule, which sees a subset
+only as its pair (ub, ov): its common upper bounds and the elements
+overlapping it.  The subset-quantified principles (U_SUM, U_SUP, the
+DOLLAR pair, DIAMOND, SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM)
+read every subset's pair from sums.subset_tables, built once per
+structure; S_SUM, C_BSUM, E_BSUM and the supplementation principles
+fold it from ing_up and ov_of.  Mask-major finders walk the subsets in
+encoding order.  Element-major ones visit, for each x, only the subsets
+of its ingredienses (x sums or bounds no other) and test the rule
+inline; the DOLLAR pair visits every subset, as its closure side can
+hold of any.  The literal definitions in sums are the finders' oracles.
 
 A failed check carries a witness: the first violating assignment under
 universe order and subset encoding order, as a tuple of elements
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .core import MereologyError, ParthoodStructure, _bits
-from .sums import is_sum_mask, subset_tables, sum_candidates
+from .sums import subset_tables, sums_in, sups_in
 
 
 class CatalogError(MereologyError):
@@ -190,34 +190,24 @@ def _no_zero(s):
 
 
 def _exists_ext(s):
-    if s.n < 2:
+    # x has an exterior iff something does not overlap it
+    if s.n < 2 or any(ov != s.full for ov in s.ov_of):
         return None
-    ing = s.ing_of
-    for x in range(s.n):
-        for y in range(s.n):
-            if not ing[x] & ing[y]:
-                return None
     return ()
 
 
 def _wsp(s):
-    ing = s.ing_of
     for a in range(s.n):
         for b in _bits(s.rows[a]):
-            ia = ing[a]
-            if not any(not ing[z] & ia for z in _bits(s.parts_in[b])):
+            if not s.parts_in[b] & ~s.ov_of[a]:
                 return (a, b)
     return None
 
 
 def _ssp(s):
-    ing = s.ing_of
     for x in range(s.n):
         for y in range(s.n):
-            if s.ing_up[x] >> y & 1:
-                continue
-            iy = ing[y]
-            if not any(not ing[z] & iy for z in _bits(ing[x])):
+            if not s.ing_up[x] >> y & 1 and not s.ing_of[x] & ~s.ov_of[y]:
                 return (x, y)
     return None
 
@@ -236,11 +226,7 @@ def _ssp_plus(s):
         for y in range(s.n):
             if s.ing_up[x] >> y & 1:
                 continue
-            iy = ing[y]
-            rest = 0
-            for u in _bits(ing[x]):
-                if not ing[u] & iy:
-                    rest |= 1 << u
+            rest = ing[x] & ~s.ov_of[y]
             if not any(not rest & ~ing[z] for z in _bits(rest)):
                 return (x, y)
     return None
@@ -257,24 +243,6 @@ def _ppp(s):
     return None
 
 
-def _sums(s, ub_m: int, ov_m: int) -> int:
-    """The sums of one subset, as a mask, from its table entries."""
-    ing, gaps, out = s.ing_of, ~ov_m, 0
-    for x in _bits(ub_m):
-        if not ing[x] & gaps:
-            out |= 1 << x
-    return out
-
-
-def _sups(s, ub_m: int) -> int:
-    """The suprema of one subset, as a mask, from its upper bounds."""
-    up, out = s.ing_up, 0
-    for x in _bits(ub_m):
-        if not ub_m & ~up[x]:
-            out |= 1 << x
-    return out
-
-
 def _two_lowest(cands: int, mask: int):
     """Witness of non-uniqueness: the two lowest candidates, or None."""
     rest = cands & (cands - 1)
@@ -289,16 +257,18 @@ def _u_sum(s):
     for mask in range(1, s.full + 1):
         u = ub[mask]
         if u & (u - 1):                 # a sum is an upper bound
-            found = _two_lowest(_sums(s, u, ov[mask]), mask)
+            found = _two_lowest(sums_in(s, u, ov[mask]), mask)
             if found:
                 return found
     return None
 
 
 def _s_sum(s):
+    # x sums {y} iff x is in ing_up[y] and every ingrediens of x overlaps y
+    ing, up, ov = s.ing_of, s.ing_up, s.ov_of
     for x in range(s.n):
         for y in range(s.n):
-            if x != y and is_sum_mask(s, x, 1 << y):
+            if x != y and up[y] >> x & 1 and not ing[x] & ~ov[y]:
                 return (x, y)
     return None
 
@@ -308,7 +278,7 @@ def _u_sup(s):
     for mask in range(1, s.full + 1):
         u = ub[mask]
         if u & (u - 1):                 # a supremum is an upper bound
-            found = _two_lowest(_sups(s, u), mask)
+            found = _two_lowest(sups_in(s, u), mask)
             if found:
                 return found
     return None
@@ -341,15 +311,23 @@ def _ext_ov(s):
     return None
 
 
-def _dollar(s):
+def _dollar_mismatches(s):
+    """(x, m, x sums m) for each pair where x sums m and the closure
+    condition (u Ov x iff u Ov m) disagree, x-major."""
     ub, ov = subset_tables(s)
     ing = s.ing_of
     for x in range(s.n):
         bit, ix, ovx = 1 << x, ing[x], s.ov_of[x]
         for mask in range(s.full + 1):
             o = ov[mask]
-            if bool(ub[mask] & bit and not ix & ~o) != (o == ovx):
-                return (x, ("subset", mask))
+            is_sum = bool(ub[mask] & bit and not ix & ~o)
+            if is_sum != (o == ovx):
+                yield x, mask, is_sum
+
+
+def _dollar(s):
+    for x, mask, _ in _dollar_mismatches(s):
+        return (x, ("subset", mask))
     return None
 
 
@@ -359,25 +337,17 @@ def dollar_converse_holds(s: ParthoodStructure) -> bool:
     Both the overlap and the exteriority form have the same converse:
     whenever the closure condition holds of x and S, x is a sum of S.
     """
-    ub, ov = subset_tables(s)
-    ing = s.ing_of
-    for x in range(s.n):
-        bit, ix, ovx = 1 << x, ing[x], s.ov_of[x]
-        for mask in range(s.full + 1):
-            o = ov[mask]
-            if o == ovx and not (ub[mask] & bit and not ix & ~o):
-                return False
-    return True
+    return all(is_sum for _, _, is_sum in _dollar_mismatches(s))
 
 
 def _diamond(s):
     ub, ov = subset_tables(s)
     for mask in range(1, s.full + 1):
         u = ub[mask]
-        sums = _sums(s, u, ov[mask])
+        sums = sums_in(s, u, ov[mask])
         if not sums:
             continue
-        sups = _sups(s, u)
+        sups = sups_in(s, u)
         for x in _bits(sums):
             others = sups & ~(1 << x)
             if others:
@@ -450,19 +420,20 @@ def _c_prod(s):
 
 
 def _c_bsum(s):
+    up, ov = s.ing_up, s.ov_of
     for x in range(s.n):
         for y in range(s.n):
-            if not s.ing_up[x] & s.ing_up[y]:
-                continue
-            if not sum_candidates(s, (1 << x) | (1 << y)):
+            ub = up[x] & up[y]
+            if ub and not sums_in(s, ub, ov[x] | ov[y]):
                 return (x, y)
     return None
 
 
 def _e_bsum(s):
+    up, ov = s.ing_up, s.ov_of
     for x in range(s.n):
         for y in range(s.n):
-            if not sum_candidates(s, (1 << x) | (1 << y)):
+            if not sums_in(s, up[x] & up[y], ov[x] | ov[y]):
                 return (x, y)
     return None
 
@@ -470,7 +441,7 @@ def _e_bsum(s):
 def _e_sum(s):
     ub, ov = subset_tables(s)
     for mask in range(1, s.full + 1):
-        if not _sums(s, ub[mask], ov[mask]):
+        if not sums_in(s, ub[mask], ov[mask]):
             return (("subset", mask),)
     return None
 

@@ -168,9 +168,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_axioms(args, out) -> int:
-    codes = None if args.only is None else _axiom_list(args.only)
-    if codes == ():
-        raise CatalogError("--only names no axiom codes")
+    codes = None if args.only is None else _axiom_list(args.only, "--only")
     name, s = load_structure(args.file)
     if codes:
         verdicts = [check_axiom(s, c) for c in codes]
@@ -297,15 +295,18 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _axiom_list(spec: str) -> tuple[AxiomId, ...]:
-    return tuple(axiom_id(c.strip()) for c in spec.split(",") if c.strip())
+def _axiom_list(spec: str, required: str = "") -> tuple[AxiomId, ...]:
+    codes = tuple(axiom_id(c.strip()) for c in spec.split(",") if c.strip())
+    if required and not codes:
+        raise CatalogError(f"{required} names no axiom codes")
+    return codes
 
 
 def _cmd_implies(args, out) -> int:
     if not 1 <= args.max_n <= SEARCH_MAX:
         raise CatalogError(f"--max-n must be within 1..{SEARCH_MAX}")
     ambient = _axiom_list(args.ambient) if args.ambient else ()
-    hypothesis = _axiom_list(getattr(args, "from"))
+    hypothesis = _axiom_list(getattr(args, "from"), "--from")
     conclusion = axiom_id(args.to)
     spec = SearchSpec(max_n=args.max_n, ambient=ambient,
                       require=hypothesis, forbid=(conclusion,))
@@ -406,15 +407,20 @@ def _covering_pairs(s: ParthoodStructure) -> list[tuple[ElementId, ElementId]]:
     return out
 
 
+def _dot_id(e: ElementId) -> str:
+    """A quoted DOT ID for the label, with backslash and quote escaped."""
+    return '"' + e.label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_dot(args, out) -> int:
     name, s = load_structure(args.file)
     edges = s.pairs() if args.full else _covering_pairs(s)
     _emit(out, "digraph parthood {")
     _emit(out, "  rankdir=BT;")
     for e in s.universe:
-        _emit(out, f'  "{e.label}";')
+        _emit(out, f"  {_dot_id(e)};")
     for p, w in edges:
-        _emit(out, f'  "{p.label}" -> "{w.label}";')
+        _emit(out, f"  {_dot_id(p)} -> {_dot_id(w)};")
     _emit(out, "}")
     return 0
 

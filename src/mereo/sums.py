@@ -8,6 +8,13 @@ return every candidate instead of assuming uniqueness; product,
 difference, complement and binary sum distinguish "absent" (no
 candidate, returned as None) from "ambiguous" (several candidates,
 raised as UniquenessFault).
+
+This module owns the rule deciding both.  A subset enters it as its
+pair (ub, ov), its common upper bounds and the elements overlapping it,
+from `subset_entry` for one subset or `subset_tables` for all, and
+`sums_in` / `sups_in` read the sums and suprema off the pair.  The
+literal definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
+`sum_candidates`, `sup_candidates`) are oracles for the tests only.
 """
 
 from __future__ import annotations
@@ -43,7 +50,16 @@ class SupQueryResult:
     unique: bool
 
 
-# -- the subset-table kernel (used by the subset-quantified axioms) ---------
+# -- the (ub, ov) kernel ----------------------------------------------------
+
+def subset_entry(s: ParthoodStructure, subset_mask: int) -> tuple[int, int]:
+    """The pair (ub, ov) of one subset, folded over its members."""
+    ub, ov = s.full, 0
+    for i in _bits(subset_mask):
+        ub &= s.ing_up[i]
+        ov |= s.ov_of[i]
+    return ub, ov
+
 
 def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
     """Per-subset tables (ub, ov), indexed by subset mask m.
@@ -59,8 +75,7 @@ def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
 
     Both tables are built by doubling over the elements, 2^n entries
     each, once per structure: the result is kept in the structure's
-    `_subset_tables` slot.  `is_sum_mask` and `is_sup_mask` below are
-    the literal definitions the tables are tested against.
+    `_subset_tables` slot.  Entry m equals `subset_entry(s, m)`.
     """
     tables = s._subset_tables
     if tables is None:
@@ -72,7 +87,25 @@ def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
     return tables
 
 
-# -- literal mask-level kernels ------------------------------------------------
+def sums_in(s: ParthoodStructure, ub_m: int, ov_m: int) -> int:
+    """The sums of a subset with entry (ub_m, ov_m), as a mask."""
+    ing, gaps, out = s.ing_of, ~ov_m, 0
+    for x in _bits(ub_m):
+        if not ing[x] & gaps:
+            out |= 1 << x
+    return out
+
+
+def sups_in(s: ParthoodStructure, ub_m: int) -> int:
+    """The suprema of a subset with upper bounds ub_m, as a mask."""
+    up, out = s.ing_up, 0
+    for x in _bits(ub_m):
+        if not ub_m & ~up[x]:
+            out |= 1 << x
+    return out
+
+
+# -- literal mask-level definitions (oracles only) ----------------------------
 
 def cover_mask(s: ParthoodStructure, subset_mask: int) -> int:
     """Union of the ingrediens sets of the subset's members."""
@@ -82,13 +115,11 @@ def cover_mask(s: ParthoodStructure, subset_mask: int) -> int:
     return cover
 
 
-def is_sum_mask(s: ParthoodStructure, x: int, subset_mask: int,
-                cover: Optional[int] = None) -> bool:
+def is_sum_mask(s: ParthoodStructure, x: int, subset_mask: int) -> bool:
     ing = s.ing_of
     if subset_mask & ~ing[x]:
         return False
-    if cover is None:
-        cover = cover_mask(s, subset_mask)
+    cover = cover_mask(s, subset_mask)
     for u in _bits(ing[x]):
         if not ing[u] & cover:
             return False
@@ -107,8 +138,7 @@ def is_sup_mask(s: ParthoodStructure, x: int, subset_mask: int) -> bool:
 
 
 def sum_candidates(s: ParthoodStructure, subset_mask: int) -> list[int]:
-    cover = cover_mask(s, subset_mask)
-    return [x for x in range(s.n) if is_sum_mask(s, x, subset_mask, cover)]
+    return [x for x in range(s.n) if is_sum_mask(s, x, subset_mask)]
 
 
 def sup_candidates(s: ParthoodStructure, subset_mask: int) -> list[int]:
@@ -118,22 +148,22 @@ def sup_candidates(s: ParthoodStructure, subset_mask: int) -> list[int]:
 # -- public query operations ------------------------------------------------
 
 def is_sum(s: ParthoodStructure, x: ElementLike, subset: SubsetLike) -> bool:
-    return is_sum_mask(s, s.index(x), s.subset_mask(subset))
+    return s.element(x) in sum_of(s, subset).candidates
 
 
 def is_sup(s: ParthoodStructure, x: ElementLike, subset: SubsetLike) -> bool:
-    return is_sup_mask(s, s.index(x), s.subset_mask(subset))
+    return s.element(x) in sup_of(s, subset).candidates
 
 
 def sum_of(s: ParthoodStructure, subset: SubsetLike) -> SumQueryResult:
-    cands = sum_candidates(s, s.subset_mask(subset))
-    elems = tuple(s.universe[i] for i in cands)
+    ub, ov = subset_entry(s, s.subset_mask(subset))
+    elems = s.subset_from_mask(sums_in(s, ub, ov)).members
     return SumQueryResult(elems, len(elems) == 1)
 
 
 def sup_of(s: ParthoodStructure, subset: SubsetLike) -> SupQueryResult:
-    cands = sup_candidates(s, s.subset_mask(subset))
-    elems = tuple(s.universe[i] for i in cands)
+    ub, _ = subset_entry(s, s.subset_mask(subset))
+    elems = s.subset_from_mask(sups_in(s, ub)).members
     return SupQueryResult(elems, len(elems) == 1)
 
 
@@ -141,13 +171,10 @@ def sup_of(s: ParthoodStructure, subset: SubsetLike) -> SupQueryResult:
 
 def _unique_sum(s: ParthoodStructure, subset_mask: int,
                 operation: str) -> Optional[ElementId]:
-    cands = sum_candidates(s, subset_mask)
-    if not cands:
-        return None
-    if len(cands) > 1:
-        raise UniquenessFault(operation,
-                              tuple(s.universe[i] for i in cands))
-    return s.universe[cands[0]]
+    sums = sums_in(s, *subset_entry(s, subset_mask))
+    if sums & (sums - 1):
+        raise UniquenessFault(operation, s.subset_from_mask(sums).members)
+    return s.universe[sums.bit_length() - 1] if sums else None
 
 
 def product(s: ParthoodStructure, x: ElementLike,
@@ -161,12 +188,7 @@ def difference(s: ParthoodStructure, x: ElementLike,
                y: ElementLike) -> Optional[ElementId]:
     """Unique sum of the ingredienses of x exterior to y, if any."""
     i, j = s.index(x), s.index(y)
-    ing_y = s.ing_of[j]
-    mask = 0
-    for u in _bits(s.ing_of[i]):
-        if not s.ing_of[u] & ing_y:
-            mask |= 1 << u
-    return _unique_sum(s, mask, "difference")
+    return _unique_sum(s, s.ing_of[i] & ~s.ov_of[j], "difference")
 
 
 def complement(s: ParthoodStructure, x: ElementLike) -> Optional[ElementId]:

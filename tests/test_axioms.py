@@ -7,6 +7,7 @@ from mereo import (
 )
 from mereo import fixtures as F
 from mereo.axioms import CATALOG, dollar_converse_holds
+from mereo.core import _bits
 from mereo.sums import (
     cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
 )
@@ -310,11 +311,11 @@ def test_closure_characterisation_matches_literal_definition():
         assert holds(s, "DOLLAR_OV") == (violated is None), s
 
 
-# -- the subset-table finders against literal seed-style scans ----------------
-# Each reference scans every (element, subset) pair with the literal
-# is_sum_mask / is_sup_mask definitions, in the order the catalog
-# promises, so the table-based finders must return exactly the same
-# first witness.
+# -- the (ub, ov) finders against literal seed-style scans --------------------
+# Each reference scans every (element, subset) or (element, element)
+# pair with the literal is_sum_mask / is_sup_mask definitions or ing_of
+# intersections, in the order the catalog promises, so the finders must
+# return exactly the same first witness.
 
 
 def _ref_closure(s, x, mask):
@@ -379,6 +380,75 @@ def _sup_not_sum(s, x, mask):
     return is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask)
 
 
+# The pair-quantified finders, as seed-style scans: exteriority by
+# intersecting ing_of rows, sums by the literal candidate lists.
+
+def _ref_exists_ext(s):
+    if s.n < 2:
+        return None
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if not ing[x] & ing[y]:
+                return None
+    return ()
+
+
+def _ref_wsp(s):
+    ing = s.ing_of
+    for a in range(s.n):
+        for b in _bits(s.rows[a]):
+            if not any(not ing[z] & ing[a] for z in _bits(s.parts_in[b])):
+                return (a, b)
+    return None
+
+
+def _ref_ssp(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if not any(not ing[z] & ing[y] for z in _bits(ing[x])):
+                return (x, y)
+    return None
+
+
+def _ref_ssp_plus(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            rest = 0
+            for u in _bits(ing[x]):
+                if not ing[u] & ing[y]:
+                    rest |= 1 << u
+            if not any(not rest & ~ing[z] for z in _bits(rest)):
+                return (x, y)
+    return None
+
+
+def _ref_s_sum(s):
+    for x in range(s.n):
+        for y in range(s.n):
+            if x != y and is_sum_mask(s, x, 1 << y):
+                return (x, y)
+    return None
+
+
+def _ref_pair_sum(bounded):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if bounded and not s.ing_up[x] & s.ing_up[y]:
+                    continue
+                if not sum_candidates(s, (1 << x) | (1 << y)):
+                    return (x, y)
+        return None
+    return find
+
+
 _REFERENCE = {
     AxiomId.U_SUM: _ref_unique(sum_candidates),
     AxiomId.U_SUP: _ref_unique(sup_candidates),
@@ -393,6 +463,13 @@ _REFERENCE = {
         lambda s, x, m: is_sum_mask(s, x, m)
         != (m != 0 and is_sup_mask(s, x, m)), 0),
     AxiomId.E_SUM: _ref_e_sum,
+    AxiomId.EXISTS_EXT: _ref_exists_ext,
+    AxiomId.WSP: _ref_wsp,
+    AxiomId.SSP: _ref_ssp,
+    AxiomId.SSP_PLUS: _ref_ssp_plus,
+    AxiomId.S_SUM: _ref_s_sum,
+    AxiomId.C_BSUM: _ref_pair_sum(True),
+    AxiomId.E_BSUM: _ref_pair_sum(False),
 }
 
 
@@ -404,13 +481,14 @@ def _assert_finders_match_reference(s):
 
 def test_subset_finders_match_literal_scans_on_all_small_relations():
     failing = set()
-    for s in all_relations(3):
+    # strict orders hold most of these principles, so the scans run long;
+    # they also supply C_BSUM's witness: every bounded pair of every
+    # relation on at most 3 elements has a sum
+    for s in (*all_relations(3), *sweep(5, ["T", "IRR"])):
         _assert_finders_match_reference(s)
-        failing.update(code for code, ref in _REFERENCE.items() if ref(s))
+        failing.update(code for code, ref in _REFERENCE.items()
+                       if ref(s) is not None)
     assert failing == set(_REFERENCE)       # every finder reports a witness
-    # strict orders hold most of these principles, so the scans run long
-    for s in sweep(5, ["T", "IRR"]):
-        _assert_finders_match_reference(s)
 
 
 @settings(max_examples=200, deadline=None)

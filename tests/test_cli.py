@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -172,6 +173,16 @@ def test_implies_outputs():
     parse_structure(out.split(":\n", 1)[1])
 
 
+@pytest.mark.parametrize("hypothesis", [",", " , ,", ""])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_implies_from_naming_no_codes_is_a_usage_error(hypothesis, mode,
+                                                        capsys):
+    code, out = run_cli("implies", "--from", hypothesis, "--to", "SSP",
+                        "--max-n", "2", *mode)
+    assert code == 2 and out == ""
+    assert "--from names no axiom codes" in capsys.readouterr().err
+
+
 def test_lattice_and_tarski():
     code, out = run_cli("lattice", fx("b7"))
     assert code == 0 and "boolean: yes" in out
@@ -298,6 +309,27 @@ def test_dot_full_draws_raw_relation():
     got = {line.strip() for line in out.splitlines() if "->" in line}
     assert f'"x" -> "z2";' in got
     assert len(got) == 6
+
+
+def _dot_ids(line):
+    """The quoted IDs on one DOT line, unescaped."""
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', line)
+    return [re.sub(r"\\(.)", r"\1", i) for i in ids]
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path):
+    path = tmp_path / "quoted.txt"
+    path.write_text('elements: a"b c\\d e\\"\n'
+                    'part: a"b < c\\d\npart: c\\d < e\\"\n')
+    code, out = run_cli("dot", str(path))
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    nodes = [_dot_ids(line) for line in lines
+             if line.endswith(";") and "->" not in line and "=" not in line]
+    edges = [_dot_ids(line) for line in lines if "->" in line]
+    assert nodes == [['a"b'], ['c\\d'], ['e\\"']]
+    assert edges == [['a"b', 'c\\d'], ['c\\d', 'e\\"']]
+    assert '"a\\"b" -> "c\\\\d";' in lines
 
 
 # -- golden outputs ---------------------------------------------------------------

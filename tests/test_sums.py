@@ -1,18 +1,23 @@
+import io
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from mereo import (
-    UniquenessFault, binary_sum, complement, difference, holds, is_sum,
-    is_sup, product, product_by_cases, satisfies, sum_of, sup_of,
+    SumQueryResult, SupQueryResult, TheoryId, UniquenessFault, binary_sum,
+    check_all, check_theory, complement, difference, holds, is_sum, is_sup,
+    models_up_to_iso, product, product_by_cases, satisfies, sum_of, sup_of,
     theory_axioms,
 )
 from mereo import fixtures as F
-from mereo.core import ParthoodStructure
+from mereo.cli import main
+from mereo.core import ParthoodStructure, _bits
 from mereo.sums import subset_tables, sum_candidates, sup_candidates
 
 from conftest import (
-    all_relations, o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets,
-    structures, structures_maybe_with_zero,
+    FIXTURE_DIR, all_relations, o_is_sum, o_is_sup, o_labels, o_pairs,
+    o_subsets, structures, structures_maybe_with_zero,
 )
 
 
@@ -198,3 +203,162 @@ def test_subset_tables_are_built_once_per_structure():
     assert len(tables[0]) == len(tables[1]) == 1 << s.n
     # an equal structure built afresh starts without them
     assert ParthoodStructure(labels, F.b7().rows)._subset_tables is None
+
+
+# -- the queries and the algebra against the literal candidate lists ---------
+
+def _ref_unique_sum(s, mask, operation):
+    cands = sum_candidates(s, mask)
+    if len(cands) > 1:
+        raise UniquenessFault(operation, tuple(s.universe[i] for i in cands))
+    return s.universe[cands[0]] if cands else None
+
+
+def _ref_product(s, i, j):
+    return _ref_unique_sum(s, s.ing_of[i] & s.ing_of[j], "product")
+
+
+def _ref_difference(s, i, j):
+    mask = 0
+    for u in _bits(s.ing_of[i]):
+        if not s.ing_of[u] & s.ing_of[j]:
+            mask |= 1 << u
+    return _ref_unique_sum(s, mask, "difference")
+
+
+def _ref_complement(s, i):
+    u = s.unity()
+    if u is None or u.index == i:
+        return None
+    return _ref_difference(s, u.index, i)
+
+
+def _ref_binary_sum(s, i, j):
+    return _ref_unique_sum(s, (1 << i) | (1 << j), "binary_sum")
+
+
+def _ref_product_by_cases(s, i, j):
+    if s.ing(i, j):
+        return s.universe[i]
+    if s.ing(j, i):
+        return s.universe[j]
+    if s.pov(i, j):
+        inner = _ref_difference(s, i, j)
+        return None if inner is None else _ref_difference(s, i, inner.index)
+    return None
+
+
+_BINARY = ((product, _ref_product), (difference, _ref_difference),
+           (binary_sum, _ref_binary_sum),
+           (product_by_cases, _ref_product_by_cases))
+
+
+def _outcome(op, *args):
+    """The result, or the operation and candidates of the fault raised."""
+    try:
+        return op(*args)
+    except UniquenessFault as fault:
+        return ("fault", fault.operation, fault.candidates)
+
+
+def _assert_queries_match_candidates(s):
+    for mask in range(1 << s.n):
+        sums, sups = sum_candidates(s, mask), sup_candidates(s, mask)
+        assert sum_of(s, mask) == SumQueryResult(
+            tuple(s.universe[i] for i in sums), len(sums) == 1), (s, mask)
+        assert sup_of(s, mask) == SupQueryResult(
+            tuple(s.universe[i] for i in sups), len(sups) == 1), (s, mask)
+        for x in range(s.n):
+            assert is_sum(s, x, mask) == (x in sums), (s, x, mask)
+            assert is_sup(s, x, mask) == (x in sups), (s, x, mask)
+    for i in range(s.n):
+        assert _outcome(complement, s, i) == _outcome(_ref_complement, s, i)
+        for j in range(s.n):
+            for op, ref in _BINARY:
+                assert _outcome(op, s, i, j) == _outcome(ref, s, i, j), \
+                    (op.__name__, s, i, j)
+
+
+def test_queries_and_algebra_match_literal_candidates_on_small_structures():
+    faults = set()
+    for s in all_relations(3):
+        _assert_queries_match_candidates(s)
+        for i in range(s.n):
+            for j in range(s.n):
+                for op, _ in _BINARY:
+                    found = _outcome(op, s, i, j)
+                    if isinstance(found, tuple):
+                        faults.add(found[1])
+    # every operation built on a unique sum raised its fault somewhere
+    assert faults == {"product", "difference", "binary_sum"}
+    for n in range(1, 6):
+        for s in models_up_to_iso(n, ["T", "IRR"]):
+            _assert_queries_match_candidates(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures_maybe_with_zero(max_n=6))
+def test_queries_and_algebra_match_literal_candidates_on_random_relations(s):
+    _assert_queries_match_candidates(s)
+
+
+def test_queries_and_algebra_match_literal_candidates_on_fixtures():
+    for make in F.ALL.values():
+        _assert_queries_match_candidates(make())
+
+
+# -- no production path reaches the literal definitions ----------------------
+
+_LITERAL = ("cover_mask", "is_sum_mask", "is_sup_mask", "sum_candidates",
+            "sup_candidates")
+
+
+def _production_outputs():
+    """check_all, theory verdicts, the algebra and every CLI command on
+    every fixture, plus two searches over sum axioms."""
+    runs = [["implies", "--ambient", "T,IRR", "--from", "DDAGGER",
+             "--to", "C_PROD", "--max-n", "5"],
+            ["enumerate", "--n", "4", "--theory", "GMU", "--up-to-iso"]]
+    outputs = []
+    for name, make in sorted(F.ALL.items()):
+        s, path = make(), str(FIXTURE_DIR / f"{name}.txt")
+        labels = [e.label for e in s.universe]
+        pair = f"{labels[0]},{labels[-1]}"
+        outputs.append((check_all(s), [check_theory(s, t) for t in TheoryId]))
+        outputs.append([_outcome(op, s, i, j) for op, _ in _BINARY
+                        for i in range(s.n) for j in range(s.n)])
+        outputs.append([_outcome(complement, s, i) for i in range(s.n)])
+        runs += [["axioms", path], ["lattice", path, "--tarski"],
+                 ["localtrans", path], ["dot", path]]
+        runs += [["check", path, "--theory", t.value] for t in TheoryId]
+        runs += [[query, path, "--set", subset, *mode]
+                 for query in ("sum", "sup")
+                 for subset in (pair, ",".join(labels))
+                 for mode in ((), ("--json",))]
+        runs += [["alg", path, "--op", op, "--args",
+                  labels[0] if op == "complement" else pair]
+                 for op in ("product", "difference", "complement", "bsum")]
+    for argv in runs:
+        buf = io.StringIO()
+        outputs.append((argv, main(argv, out=buf), buf.getvalue()))
+    return outputs
+
+
+def test_production_paths_never_call_the_literal_definitions(monkeypatch):
+    expected = _production_outputs()
+
+    def stub(*args, **kwargs):
+        raise AssertionError("a literal sum definition was called")
+
+    literals = {getattr(sys.modules["mereo.sums"], name): name
+                for name in _LITERAL}
+    replaced = set()
+    for modname, module in list(sys.modules.items()):
+        if modname != "mereo" and not modname.startswith("mereo."):
+            continue
+        for key, value in list(vars(module).items()):
+            if callable(value) and value in literals:
+                monkeypatch.setattr(module, key, stub)
+                replaced.add(literals[value])
+    assert replaced == set(_LITERAL)
+    assert _production_outputs() == expected
