@@ -71,6 +71,9 @@ def parse_structure(text: str) -> ParthoodStructure:
                 raise ParseError(line_no, "duplicate label")
             if any("<" in l for l in labels):
                 raise ParseError(line_no, "labels may not contain '<'")
+            # --set and --args name elements in comma-separated lists
+            if any("," in l for l in labels):
+                raise ParseError(line_no, "labels may not contain ','")
         elif line.startswith("part:"):
             if labels is None:
                 raise ParseError(line_no, "part line before elements line")

@@ -8,12 +8,14 @@ violations and the model search must range over all relations.
 
 The relation and its derived element masks are precomputed as bitmasks
 at construction (bit i of an element mask corresponds to universe index
-i) and never change afterwards.  The one exception is a single slot,
-`_subset_tables`, that `sums.subset_tables` fills on first use with the
-per-subset tables the subset-quantified axioms share; it depends only on
-the relation, so filling it never changes an answer, and a structure
-that is never asked a subset question never builds it.  All queries are
-pure.
+i) and never change afterwards.  What only some callers read is filled
+on first use instead: the `ElementId` tuple `universe` and the label
+index, which only naming, reporting and printing need, and the
+per-subset tables (`_subset_tables`) that `sums.subset_tables` builds
+for the subset-quantified axioms.  Each depends only on the labels or
+the relation given at construction, so filling it never changes an
+answer, and a search candidate that is never reported never builds its
+labels.  All queries are pure.
 """
 
 from __future__ import annotations
@@ -96,11 +98,13 @@ class ParthoodStructure:
       ing_up[x]    -- {u : x Ing u} = rows[x] | {x}
       ov_of[x]     -- {u : u Ov x}
 
-    `_subset_tables` is None until `sums.subset_tables` fills it.
+    The labels are checked at construction, but `universe` and the
+    label index are built from them on first use.  `_subset_tables` is
+    None until `sums.subset_tables` fills it.
     """
 
     __slots__ = (
-        "n", "universe", "_label_index",
+        "n", "_labels", "_universe", "_label_index",
         "rows", "parts_in", "ing_of", "ing_up", "ov_of", "full",
         "_subset_tables",
     )
@@ -120,8 +124,9 @@ class ParthoodStructure:
                 raise DomainError("relation row mentions foreign elements")
         self.n = n
         self.full = full
-        self.universe = tuple(ElementId(i, str(l)) for i, l in enumerate(labels))
-        self._label_index = {e.label: e.index for e in self.universe}
+        self._labels = tuple(labels)
+        self._universe = None
+        self._label_index = None
         self.rows = tuple(rows)
         parts_in = [0] * n
         for x in range(n):
@@ -164,10 +169,22 @@ class ParthoodStructure:
     def from_mask(cls, n: int, mask: int,
                   labels: Optional[Sequence[str]] = None) -> "ParthoodStructure":
         """Build from the row-major relation encoding (bit i*n+j = i P j)."""
+        if mask < 0 or mask >> (n * n):
+            raise DomainError("relation mask mentions cells outside the "
+                              f"{n} x {n} grid")
         if labels is None:
             labels = DEFAULT_LABELS[:n]
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
         return cls(labels, rows)
+
+    @property
+    def universe(self) -> tuple[ElementId, ...]:
+        """The elements in index order, built on first use."""
+        universe = self._universe
+        if universe is None:
+            universe = self._universe = tuple(
+                ElementId(i, str(l)) for i, l in enumerate(self._labels))
+        return universe
 
     @property
     def relation_mask(self) -> int:
@@ -184,8 +201,12 @@ class ParthoodStructure:
                 return i
             raise DomainError(f"element {x} not in universe")
         if isinstance(x, str):
+            label_index = self._label_index
+            if label_index is None:
+                label_index = self._label_index = {
+                    str(l): i for i, l in enumerate(self._labels)}
             try:
-                return self._label_index[x]
+                return label_index[x]
             except KeyError:
                 raise DomainError(f"no element labelled {x!r}") from None
         if isinstance(x, int):
@@ -219,7 +240,8 @@ class ParthoodStructure:
     def subset_from_mask(self, mask: int) -> Subset:
         if mask & ~self.full:
             raise DomainError("subset mask mentions foreign elements")
-        return Subset(tuple(self.universe[i] for i in _bits(mask)), mask)
+        universe = self.universe
+        return Subset(tuple(universe[i] for i in _bits(mask)), mask)
 
     def subsets(self) -> Iterator[Subset]:
         """All subsets in increasing characteristic-vector encoding."""
@@ -288,18 +310,19 @@ class ParthoodStructure:
 
     def pairs(self) -> list[tuple[ElementId, ElementId]]:
         """All (part, whole) pairs in universe order."""
+        universe = self.universe
         out = []
         for i in range(self.n):
             for j in _bits(self.rows[i]):
-                out.append((self.universe[i], self.universe[j]))
+                out.append((universe[i], universe[j]))
         return out
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ParthoodStructure)
-                and self.universe == other.universe
-                and self.rows == other.rows)
+                and self.rows == other.rows
+                and self.universe == other.universe)
 
     def __hash__(self) -> int:
         return hash((self.universe, self.rows))

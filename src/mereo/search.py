@@ -31,7 +31,10 @@ without transitivity generate only canonical encodings, by an orderly
 walk down from the full relation (_canonical_masks), instead of testing
 all 2^(n*n) relations.
 Remaining constraint axioms are checked on the survivors, cheapest
-first.
+first.  Each candidate is built as a structure once, for that check,
+and a model is handed on as that same structure, subset tables
+included.  Labels are built only when read, so a rejected candidate
+never builds them.
 """
 
 from __future__ import annotations
@@ -426,34 +429,36 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
-                       up_to_iso: bool) -> Iterator[int]:
-    """Model encodings in ascending order.  The orderly, all-relations
-    and transitive walks produce them lazily, so a caller that stops
-    early generates no more candidates than it consumed; strict partial
-    orders up to isomorphism come from the memoised class list, and the
-    residual axioms are checked on each class as it is consumed."""
+                       up_to_iso: bool) \
+        -> Iterator[tuple[int, ParthoodStructure]]:
+    """Models as (encoding, structure) pairs, in ascending order.
+
+    Each candidate is built once, to check the residual axioms, and a
+    model is handed on as that same structure, with whatever per-subset
+    tables the check filled.  The orderly, all-relations and transitive
+    walks produce candidates lazily, so a caller that stops early
+    generates no more candidates than it consumed; strict partial orders
+    up to isomorphism come from the memoised class list, and the residual
+    axioms are checked on each class as it is consumed."""
     has_t, has_irr, residual = _split_constraints(constraints)
-
-    def residual_ok(mask: int) -> bool:
-        return satisfies(ParthoodStructure.from_mask(n, mask), residual)
-
+    # only the labelled transitive walk yields non-canonical encodings
+    # that an up-to-iso search must skip
+    check_iso = False
     if up_to_iso and has_t and has_irr:
-        yield from (m for m in _poset_classes(n) if residual_ok(m))
-        return
-    if up_to_iso and not has_t:
-        yield from (m for m in _canonical_masks(n, has_irr) if residual_ok(m))
-        return
-
-    if has_t:
-        candidates: Iterable[int] = _transitive_masks(n, has_irr)
+        candidates: Iterable[int] = _poset_classes(n)
+    elif up_to_iso and not has_t:
+        candidates = _canonical_masks(n, has_irr)
+    elif has_t:
+        candidates = _transitive_masks(n, has_irr)
+        check_iso = up_to_iso
     else:
         candidates = _all_masks(n, has_irr)
-    if up_to_iso:
-        for m in candidates:
-            if is_canonical(n, m) and residual_ok(m):
-                yield m
-    else:
-        yield from (m for m in candidates if residual_ok(m))
+    for m in candidates:
+        if check_iso and not is_canonical(n, m):
+            continue
+        s = ParthoodStructure.from_mask(n, m)
+        if satisfies(s, residual):
+            yield m, s
 
 
 def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
@@ -463,7 +468,7 @@ def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
     With up_to_iso, exactly the canonical (minimal-encoding)
     representative of each isomorphism class is kept.
     """
-    return list(_model_mask_stream(n, constraints, up_to_iso))
+    return [m for m, _ in _model_mask_stream(n, constraints, up_to_iso)]
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
@@ -471,10 +476,11 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     """Every relation on n elements satisfying the constraints.
 
     One representative per isomorphism class when up_to_iso; ordered by
-    increasing canonical encoding.
+    increasing canonical encoding.  Each model is the structure its
+    residual check built; its labels are filled only if read.
     """
-    for mask in _model_mask_stream(n, constraints, up_to_iso):
-        yield ParthoodStructure.from_mask(n, mask)
+    for _, s in _model_mask_stream(n, constraints, up_to_iso):
+        yield s
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),

@@ -46,6 +46,20 @@ def test_parse_error_reports_line_numbers():
         parse_structure("elements: a\npart: a <")
 
 
+def test_labels_containing_a_comma_are_refused(tmp_path, capsys):
+    # --set and --args split on commas, so such a label could never be named
+    with pytest.raises(ParseError) as exc:
+        parse_structure("elements: a,b c")
+    assert exc.value.line_no == 1 and "','" in str(exc.value)
+    bad = tmp_path / "comma.txt"
+    bad.write_text("elements: a,b c\npart: c < a,b\n")
+    for argv in (("check", str(bad), "--theory", "SPO"),
+                 ("sum", str(bad), "--set", "a,b")):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "parse error: line 1" in capsys.readouterr().err
+
+
 def test_comments_blanks_and_duplicates_are_tolerated():
     text = "# hi\n\nelements: a b\n\npart: a < b\npart: a < b\n# bye\n"
     s = parse_structure(text)

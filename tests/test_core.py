@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mereo import DomainError, ParthoodStructure, holds
+from mereo import DomainError, ElementId, ParthoodStructure, holds
 from mereo import fixtures as F
+from mereo.cli import serialize
 
 from conftest import (
     all_relations, o_ing, o_labels, o_ov, o_pairs, o_pov, structures,
@@ -67,6 +68,97 @@ def test_domain_errors():
         ParthoodStructure.build([])
     with pytest.raises(DomainError):
         ParthoodStructure.build(list("abcdefghijklm"))  # cap is 12
+    # a relation mask has exactly n * n cells
+    for mask in (1 << 10, 1 << 4, -1):
+        with pytest.raises(DomainError):
+            ParthoodStructure.from_mask(2, mask)
+    assert ParthoodStructure.from_mask(2, (1 << 4) - 1).rows == (3, 3)
+
+
+# -- labels built on first use -------------------------------------------------
+
+def _label_queries(labels, rows):
+    """Each label-reading query, as a check against ElementIds built
+    eagerly from labels."""
+    eager = tuple(ElementId(i, str(l)) for i, l in enumerate(labels))
+    n = len(eager)
+    edges = [(eager[i], eager[j]) for i in range(n) for j in range(n)
+             if rows[i] >> j & 1]
+
+    def resolve(s):
+        for e in eager:
+            for key in (e.label, e, e.index):
+                assert s.index(key) == e.index
+                assert s.element(key) == e
+            with pytest.raises(DomainError):
+                s.index(ElementId(e.index, e.label + "'"))
+
+    def subset(s):
+        assert s.subset(*(e.label for e in eager)).members == eager
+        assert s.subset(*range(n)).members == eager
+        assert s.subset(*eager[::-1]).members == eager
+        assert s.subset().members == ()
+
+    def identity(s):
+        twin = ParthoodStructure(list(labels), list(rows))
+        assert s == twin
+        assert hash(s) == hash(twin) == hash((eager, tuple(rows)))
+        renamed = [e.label + "'" for e in eager]
+        assert s != ParthoodStructure(renamed, rows)
+
+    def text(s):
+        shown = ", ".join(f"{p.label}<{w.label}" for p, w in edges)
+        assert repr(s) == ("ParthoodStructure(["
+                           + ", ".join(e.label for e in eager) + "]"
+                           + (f"; {shown})" if shown else ")"))
+        assert serialize(s) == "".join(
+            ["elements: " + " ".join(e.label for e in eager) + "\n"]
+            + [f"part: {p.label} < {w.label}\n" for p, w in edges])
+
+    return eager, (resolve, subset, identity, text)
+
+
+def _check_lazy_labels(labels, rows):
+    """Every query agrees with the eager labels on a fresh structure,
+    with the universe read before it and read after it, even when the
+    caller's label list changes after construction."""
+    eager, queries = _label_queries(labels, rows)
+    for query in queries:
+        for universe_first in (True, False):
+            given = list(labels)
+            s = ParthoodStructure(given, rows)
+            given.clear()
+            if universe_first:
+                assert s.universe == eager
+            query(s)
+            assert s.universe == eager
+
+
+def test_lazy_labels_match_eager_on_fixtures():
+    for fn in F.ALL.values():
+        s = fn()
+        _check_lazy_labels(o_labels(s), s.rows)
+
+
+def test_lazy_labels_match_eager_on_small_relations():
+    for s in all_relations(3):
+        _check_lazy_labels(o_labels(s), s.rows)
+
+
+@st.composite
+def labelled_relations(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    labels = draw(st.lists(st.text("abxy01'_", min_size=1, max_size=3),
+                           min_size=n, max_size=n, unique=True))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         min_size=n, max_size=n))
+    return labels, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_relations())
+def test_lazy_labels_match_eager_on_random_relations(case):
+    _check_lazy_labels(*case)
 
 
 def test_raw_relations_are_allowed():

@@ -9,8 +9,8 @@ from mereo import (
     enumerate_models, find_model, is_canonical, satisfies, theory_axioms,
     verify_implication,
 )
+from mereo import core, search
 from mereo import fixtures as F
-from mereo import search
 from mereo.search import (
     _all_masks, _canonical_form_scan, _canonical_masks, _is_canonical_scan,
     _poset_classes, _transitive_masks, enumerate_model_masks,
@@ -194,6 +194,62 @@ def test_find_model_exhaustion():
     r = find_model(spec)
     assert r.found is None and r.exhausted
     assert r.explored == 1 + 2 + 5
+
+
+def _count_builds(monkeypatch):
+    builds = [0]
+    init = ParthoodStructure.__init__
+
+    def counted(self, labels, rows):
+        builds[0] += 1
+        init(self, labels, rows)
+
+    monkeypatch.setattr(ParthoodStructure, "__init__", counted)
+    return builds
+
+
+def test_each_candidate_is_built_once(monkeypatch):
+    # every transitive relation on 4 elements (A006905: 3,994) is built
+    # once for its U_SUM check, and a model is handed on as that structure
+    builds = _count_builds(monkeypatch)
+    masks = enumerate_model_masks(4, ("T", "U_SUM"), up_to_iso=False)
+    assert builds[0] == 3994
+    builds[0] = 0
+    models = list(enumerate_models(4, ("T", "U_SUM"), up_to_iso=False))
+    assert builds[0] == 3994
+    assert [s.relation_mask for s in models] == masks
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(max_n=4, ambient=("T", "IRR"), require=("SSP",),
+               forbid=("WSP",)),
+    SearchSpec(max_n=4, ambient=("T",), require=("ANTIS",),
+               forbid=("U_SUP",)),
+    SearchSpec(max_n=4, ambient=("T",), require=("ANTIS",),
+               forbid=("U_SUP",), up_to_iso=False),
+    SearchSpec(max_n=3, require=("ANTIS",), forbid=("EXT_ING",)),
+    SearchSpec(max_n=3, require=("ANTIS",), forbid=("EXT_ING",),
+               up_to_iso=False),
+], ids=["posets", "transitive", "transitive-labelled", "orderly",
+        "all-labelled"])
+def test_exhausted_search_builds_no_labels(spec, monkeypatch):
+    made = [0]
+    element_id = core.ElementId
+
+    def counted(*args):
+        made[0] += 1
+        return element_id(*args)
+
+    monkeypatch.setattr(core, "ElementId", counted)
+    r = find_model(spec)
+    assert r.found is None and r.exhausted and r.explored > 0
+    assert made[0] == 0
+    # a reported model builds its labels when they are read
+    found = find_model(SearchSpec(max_n=3, require=("T", "IRR"),
+                                  forbid=("NO_ZERO",))).found
+    assert made[0] == 0
+    assert [e.label for e in found.universe] == ["a", "b"]
+    assert made[0] == 2
 
 
 def test_search_spec_validation():
