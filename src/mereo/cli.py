@@ -26,6 +26,8 @@ Exit status: 0 verdict holds, 1 verdict fails, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -430,7 +432,11 @@ def _cmd_dot(args, out) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `mereo` parser, built on first use and shared by every `main`
+    call.  It holds only constant defaults (no output stream, nothing
+    mutable), so one call's result never depends on an earlier call's."""
     parser = argparse.ArgumentParser(
         prog="mereo",
         description="finite-model checks for parthood structures")
@@ -513,10 +519,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Run one command line and return its exit status.
+
+    Reports and `--help` text go to `out` (default: stdout); usage and
+    error messages go to stderr.  The argument parser is built once per
+    process, so `main` is cheap and safe to call repeatedly in-process.
+    """
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -98,9 +98,10 @@ class ParthoodStructure:
       ing_up[x]    -- {u : x Ing u} = rows[x] | {x}
       ov_of[x]     -- {u : u Ov x}
 
-    The labels are checked at construction, but `universe` and the
-    label index are built from them on first use.  `_subset_tables` is
-    None until `sums.subset_tables` fills it.
+    Labels are stored as their `str()` forms, which must be pairwise
+    distinct; `universe` and the label index are built from them on
+    first use.  `_subset_tables` is None until `sums.subset_tables`
+    fills it.
     """
 
     __slots__ = (
@@ -114,6 +115,8 @@ class ParthoodStructure:
         if not 1 <= n <= MAX_UNIVERSE_SIZE:
             raise DomainError(
                 f"universe size {n} outside 1..{MAX_UNIVERSE_SIZE}")
+        # a str (from_mask's default) is already a sequence of str labels
+        labels = tuple(labels if isinstance(labels, str) else map(str, labels))
         if len(set(labels)) != n:
             raise DomainError("labels must be pairwise distinct")
         if len(rows) != n:
@@ -124,7 +127,7 @@ class ParthoodStructure:
                 raise DomainError("relation row mentions foreign elements")
         self.n = n
         self.full = full
-        self._labels = tuple(labels)
+        self._labels = labels
         self._universe = None
         self._label_index = None
         self.rows = tuple(rows)
@@ -154,8 +157,6 @@ class ParthoodStructure:
               parts: Iterable[tuple[str, str]] = ()) -> "ParthoodStructure":
         """Build from labels and (part, whole) label pairs."""
         index = {str(l): i for i, l in enumerate(labels)}
-        if len(index) != len(labels):
-            raise DomainError("labels must be pairwise distinct")
         rows = [0] * len(labels)
         for part, whole in parts:
             if part not in index:
@@ -169,6 +170,9 @@ class ParthoodStructure:
     def from_mask(cls, n: int, mask: int,
                   labels: Optional[Sequence[str]] = None) -> "ParthoodStructure":
         """Build from the row-major relation encoding (bit i*n+j = i P j)."""
+        if not 1 <= n <= MAX_UNIVERSE_SIZE:
+            raise DomainError(
+                f"universe size {n} outside 1..{MAX_UNIVERSE_SIZE}")
         if mask < 0 or mask >> (n * n):
             raise DomainError("relation mask mentions cells outside the "
                               f"{n} x {n} grid")
@@ -183,7 +187,7 @@ class ParthoodStructure:
         universe = self._universe
         if universe is None:
             universe = self._universe = tuple(
-                ElementId(i, str(l)) for i, l in enumerate(self._labels))
+                ElementId(i, l) for i, l in enumerate(self._labels))
         return universe
 
     @property
@@ -204,7 +208,7 @@ class ParthoodStructure:
             label_index = self._label_index
             if label_index is None:
                 label_index = self._label_index = {
-                    str(l): i for i, l in enumerate(self._labels)}
+                    l: i for i, l in enumerate(self._labels)}
             try:
                 return label_index[x]
             except KeyError:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 
 from mereo import ParthoodStructure
 from mereo import fixtures as F
-from mereo.cli import ParseError, main, parse_structure, serialize
+from mereo.cli import (
+    ParseError, _build_parser, main, parse_structure, serialize,
+)
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, structures
 
@@ -378,3 +381,77 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: holds" in proc.stdout
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_help_goes_to_out(capsys):
+    for argv, usage in ((["--help"], "usage: mereo "),
+                        (["check", "--help"], "usage: mereo check ")):
+        code, out = run_cli(*argv)
+        assert code == 0 and out.startswith(usage)
+        assert capsys.readouterr() == ("", "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    for i in range(20):
+        argv = (("check", fx("w4"), "--theory", "T3") if i % 2
+                else ("dot", fx("c2")))
+        assert run_cli(*argv)[0] == 0
+    assert built.count("mereo") == 1
+
+
+def _cli_lines():
+    """Every subcommand in text and --json mode, a usage error, a
+    catalog error and --help."""
+    w4, c2 = fx("w4"), fx("c2")
+    lines = [
+        ("check", w4, "--theory", "T3"),
+        ("axioms", c2, "--only", "WSP,SSP"),
+        ("sum", w4, "--set", "o1,o2"),
+        ("sup", w4, "--set", "o1,o2"),
+        ("alg", w4, "--op", "product", "--args", "o1,1"),
+        ("enumerate", "--n", "3", "--theory", "SPO", "--up-to-iso"),
+        ("implies", "--ambient", "T", "--from", "U_SUM", "--to", "SSP",
+         "--max-n", "4"),
+        ("lattice", w4, "--tarski"),
+        ("localtrans", c2),
+    ]
+    lines += [line + ("--json",) for line in lines]
+    return lines + [
+        ("dot", w4),
+        ("check", w4),                          # argparse usage error
+        ("check", w4, "--theory", "NOPE"),      # CatalogError
+        ("--help",),
+    ]
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys):
+    lines = _cli_lines()
+
+    def run(order, fresh):
+        results = {}
+        for argv in order:
+            if fresh:
+                _build_parser.cache_clear()
+            code, out = run_cli(*argv)
+            results[argv] = (code, out, capsys.readouterr().err)
+        return results
+
+    forwards = run(lines, fresh=False)
+    assert forwards == run(lines[::-1], fresh=False)
+    assert forwards == run(lines, fresh=True)
+    codes = [forwards[argv][0] for argv in lines]
+    assert codes[-4:] == [0, 2, 2, 0]
+    assert set(codes) == {0, 1, 2}
+    assert "error: unknown theory code" in forwards[lines[-2]][2]
+    assert "required: --theory" in forwards[lines[-3]][2]

@@ -73,6 +73,15 @@ def test_domain_errors():
         with pytest.raises(DomainError):
             ParthoodStructure.from_mask(2, mask)
     assert ParthoodStructure.from_mask(2, (1 << 4) - 1).rows == (3, 3)
+    for n in (13, -1, 0):
+        with pytest.raises(DomainError, match="universe size"):
+            ParthoodStructure.from_mask(n, 0)
+    # labels are distinct as the strings they are stored as
+    with pytest.raises(DomainError, match="distinct"):
+        ParthoodStructure([1, "1"], [0b10, 0])
+    with pytest.raises(DomainError, match="distinct"):
+        ParthoodStructure.build([1, "1"])
+    assert ParthoodStructure([1, 2], [0b10, 0]).index("1") == 0
 
 
 # -- labels built on first use -------------------------------------------------
