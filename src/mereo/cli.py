@@ -310,9 +310,13 @@ def _axiom_list(spec: str, required: str = "") -> tuple[AxiomId, ...]:
 def _cmd_implies(args, out) -> int:
     if not 1 <= args.max_n <= SEARCH_MAX:
         raise CatalogError(f"--max-n must be within 1..{SEARCH_MAX}")
-    ambient = _axiom_list(args.ambient) if args.ambient else ()
+    ambient = () if args.ambient is None \
+        else _axiom_list(args.ambient, "--ambient")
     hypothesis = _axiom_list(getattr(args, "from"), "--from")
     conclusion = axiom_id(args.to)
+    if conclusion in hypothesis:
+        raise CatalogError(f"--to {conclusion.value} is also a hypothesis "
+                           "in --from")
     spec = SearchSpec(max_n=args.max_n, ambient=ambient,
                       require=hypothesis, forbid=(conclusion,))
     res = find_model(spec)
@@ -488,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("implies",
                        help="bounded countermodel search for an implication")
-    p.add_argument("--ambient", default="", help="comma-separated axiom codes")
+    p.add_argument("--ambient", help="comma-separated axiom codes")
     p.add_argument("--from", required=True, dest="from",
                    help="comma-separated hypothesis codes")
     p.add_argument("--to", required=True, help="conclusion code")

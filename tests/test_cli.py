@@ -200,6 +200,28 @@ def test_implies_from_naming_no_codes_is_a_usage_error(hypothesis, mode,
     assert "--from names no axiom codes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ambient", [",", " , ,", ""])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_implies_ambient_naming_no_codes_is_a_usage_error(ambient, mode,
+                                                           capsys):
+    code, out = run_cli("implies", "--ambient", ambient, "--from", "WSP",
+                        "--to", "SSP", "--max-n", "2", *mode)
+    assert code == 2 and out == ""
+    assert "--ambient names no axiom codes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hypothesis,conclusion", [
+    ("U_SUM", "U_SUM"), ("WSP,U_SUM", "U_SUM"), ("u_sum", "U_SUM"),
+])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_implies_conclusion_among_hypotheses_is_a_usage_error(
+        hypothesis, conclusion, mode, capsys):
+    code, out = run_cli("implies", "--from", hypothesis, "--to", conclusion,
+                        "--max-n", "2", *mode)
+    assert code == 2 and out == ""
+    assert "--to U_SUM is also a hypothesis" in capsys.readouterr().err
+
+
 def test_lattice_and_tarski():
     code, out = run_cli("lattice", fx("b7"))
     assert code == 0 and "boolean: yes" in out

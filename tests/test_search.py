@@ -514,3 +514,110 @@ def test_orderly_generation_is_lazy(monkeypatch):
 
     monkeypatch.setattr(search, "is_canonical", counted)
     assert next(_canonical_masks(6, False)) == 0
+
+
+# -- up-to-iso walks shared across the searches of a process ------------------
+
+def _counted_is_canonical(monkeypatch, fail_after=None):
+    calls = [0]
+    scan = search.is_canonical
+
+    def counted(n, mask):
+        calls[0] += 1
+        if fail_after is not None and calls[0] > fail_after:
+            raise RuntimeError("stopped mid-walk")
+        return scan(n, mask)
+
+    monkeypatch.setattr(search, "is_canonical", counted)
+    return calls
+
+
+def _unshared_iso_walk(n, constraints):
+    if "T" in constraints:
+        return [m for m in _transitive_masks(n, False) if is_canonical(n, m)]
+    return list(_canonical_masks(n, "IRR" in constraints))
+
+
+def test_shared_walk_calls_is_canonical_only_past_what_was_found(monkeypatch):
+    search._iso_candidates.cache_clear()
+    calls = _counted_is_canonical(monkeypatch)
+    full = list(_canonical_masks(4, False))
+    full_calls, calls[0] = calls[0], 0
+    # no ambient: refuted at n=4 after 290 explored models
+    spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
+    first = find_model(spec)
+    assert first.found is not None and first.found.n == 4
+    assert first.explored == 290
+    assert 0 < calls[0] < full_calls
+    calls[0] = 0
+    again = find_model(spec)
+    assert calls[0] == 0
+    assert (again.found, again.explored) == (first.found, first.explored)
+    # an exhaustive search finishes the walk; after it, nothing is recomputed
+    assert enumerate_model_masks(4, ()) == full
+    calls[0] = 0
+    assert enumerate_model_masks(4, ()) == full
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
+def test_interleaved_consumers_see_one_sequence(constraints):
+    search._iso_candidates.cache_clear()
+    n = 4
+    want = _unshared_iso_walk(n, constraints)
+    # consumer k reads k+1 values a round, so each passes the end of the
+    # shared list at different times
+    key = (n, "T" in constraints, "IRR" in constraints)
+    streams = [iter(search._iso_candidates(*key)) for _ in range(3)]
+    seen = [[] for _ in streams]
+    live = True
+    while live:
+        live = False
+        for k, it in enumerate(streams):
+            chunk = list(itertools.islice(it, k + 1))
+            seen[k] += chunk
+            live |= bool(chunk)
+    assert seen == [want] * 3
+    assert enumerate_model_masks(n, constraints) == want
+
+
+@pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
+def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
+                                                      monkeypatch):
+    search._iso_candidates.cache_clear()
+    n = 4
+    want = _unshared_iso_walk(n, constraints)
+    _counted_is_canonical(monkeypatch, fail_after=100)
+    with pytest.raises(RuntimeError, match="mid-walk"):
+        enumerate_model_masks(n, constraints)
+    monkeypatch.undo()
+    assert enumerate_model_masks(n, constraints) == want
+    assert enumerate_model_masks(n, constraints) == want
+
+
+def test_claims_agree_forwards_backwards_and_cold():
+    # refuted and exhausted claims under each generating ambient, max_n 4
+    claims = [
+        ((), "ANTIS", "DAGGER"), ((), "ANTIS", "U_SUP"), ((), "AS", "IRR"),
+        ((), "AC", "DAGGER"), (("IRR",), "SSP", "C_PROD"),
+        (("IRR",), "ANTIS", "U_SUP"), (("T",), "ANTIS", "C_PROD"),
+        (("T",), "U_SUM", "ANTIS"), (("T",), "WSP", "U_SUM"),
+        (("T", "IRR"), "SSP_PLUS", "DDAGGER"), (("T", "IRR"), "WSP", "SSP"),
+    ]
+    specs = [SearchSpec(max_n=4, ambient=a, require=(h,), forbid=(c,))
+             for a, h, c in claims]
+
+    def run(spec):
+        r = find_model(spec)
+        return r.found, r.explored, r.exhausted
+
+    search._iso_candidates.cache_clear()
+    forwards = [run(spec) for spec in specs]
+    backwards = [run(spec) for spec in reversed(specs)][::-1]
+    cold = []
+    for spec in specs:
+        search._iso_candidates.cache_clear()
+        cold.append(run(spec))
+    assert forwards == backwards == cold
+    assert any(found is None for found, _, _ in cold)
+    assert any(found is not None and found.n == 4 for found, _, _ in cold)
