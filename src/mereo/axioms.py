@@ -533,7 +533,17 @@ def holds(s: ParthoodStructure, a: AxiomLike) -> bool:
     return CATALOG[axiom_id(a)].find_violation(s) is None
 
 
+def violation_finders(axioms: Iterable[AxiomLike]) -> tuple[Checker, ...]:
+    """The find_violation functions of the given axioms, cheapest first.
+
+    They are read from CATALOG when this is called, so a caller that
+    checks many structures resolves its axioms once and still sees any
+    entry replaced in CATALOG before the call.
+    """
+    infos = sorted((CATALOG[axiom_id(a)] for a in axioms), key=lambda i: i.cost)
+    return tuple(info.find_violation for info in infos)
+
+
 def satisfies(s: ParthoodStructure, axioms: Iterable[AxiomLike]) -> bool:
     """All of the given axioms hold; cheap axioms are tried first."""
-    infos = sorted((CATALOG[axiom_id(a)] for a in axioms), key=lambda i: i.cost)
-    return all(info.find_violation(s) is None for info in infos)
+    return all(find(s) is None for find in violation_finders(axioms))

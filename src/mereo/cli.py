@@ -317,6 +317,9 @@ def _cmd_implies(args, out) -> int:
     if conclusion in hypothesis:
         raise CatalogError(f"--to {conclusion.value} is also a hypothesis "
                            "in --from")
+    if conclusion in ambient:
+        raise CatalogError(f"--to {conclusion.value} is also an ambient "
+                           "axiom in --ambient")
     spec = SearchSpec(max_n=args.max_n, ambient=ambient,
                       require=hypothesis, forbid=(conclusion,))
     res = find_model(spec)

@@ -8,7 +8,10 @@ violations and the model search must range over all relations.
 
 The relation and its derived element masks are precomputed as bitmasks
 at construction (bit i of an element mask corresponds to universe index
-i) and never change afterwards.  What only some callers read is filled
+i) and never change afterwards.  They come from one pass over the rows,
+which checks each row and, for every set bit of it, updates the parts
+and the overlaps of that bit's element; only `ing_of` is read off the
+parts afterwards.  What only some callers read is filled
 on first use instead: the `ElementId` tuple `universe` and the label
 index, which only naming, reporting and printing need, and the
 per-subset tables (`_subset_tables`) that `sums.subset_tables` builds
@@ -98,6 +101,12 @@ class ParthoodStructure:
       ing_up[x]    -- {u : x Ing u} = rows[x] | {x}
       ov_of[x]     -- {u : u Ov x}
 
+    One pass over the rows checks each row against the universe and
+    derives the masks: row x sets ing_up[x], puts x into parts_in[y] for
+    each y in rows[x], and ORs ing_up[x] into ov_of[x] and each such
+    ov_of[y], as u Ov y iff u is in ing_up[z] for some z Ing y.  ing_of
+    is then parts_in plus each element itself.
+
     Labels are stored as their `str()` forms, which must be pairwise
     distinct; `universe` and the label index are built from them on
     first use.  `_subset_tables` is None until `sums.subset_tables`
@@ -122,31 +131,32 @@ class ParthoodStructure:
         if len(rows) != n:
             raise DomainError("relation table must have one row per element")
         full = (1 << n) - 1
-        for r in rows:
+        rows = tuple(rows)
+        # one pass over the rows checks them and derives the masks
+        parts_in = [0] * n
+        ing_up = [0] * n
+        ov_of = [0] * n
+        for x, r in enumerate(rows):
             if r & ~full:
                 raise DomainError("relation row mentions foreign elements")
+            bit = 1 << x
+            up = ing_up[x] = r | bit
+            ov_of[x] |= up
+            while r:
+                low = r & -r
+                y = low.bit_length() - 1
+                parts_in[y] |= bit
+                ov_of[y] |= up
+                r ^= low
         self.n = n
         self.full = full
         self._labels = labels
         self._universe = None
         self._label_index = None
-        self.rows = tuple(rows)
-        parts_in = [0] * n
-        for x in range(n):
-            for y in _bits(rows[x]):
-                parts_in[y] |= 1 << x
+        self.rows = rows
         self.parts_in = tuple(parts_in)
-        self.ing_of = tuple(parts_in[x] | (1 << x) for x in range(n))
-        self.ing_up = ing_up = tuple(rows[x] | (1 << x) for x in range(n))
-        # u Ov x iff some ingrediens z of x has u in ing_up[z]
-        ov_of = []
-        for ing in self.ing_of:
-            acc = 0
-            while ing:
-                low = ing & -ing
-                acc |= ing_up[low.bit_length() - 1]
-                ing ^= low
-            ov_of.append(acc)
+        self.ing_of = tuple([p | 1 << x for x, p in enumerate(parts_in)])
+        self.ing_up = tuple(ing_up)
         self.ov_of = tuple(ov_of)
         self._subset_tables = None
 

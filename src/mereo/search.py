@@ -37,8 +37,10 @@ the deepest search has read, and a later search calls is_canonical only
 past its end (_iso_candidates).  The kept lists cost memory that grows
 with the classes consumed, and one thread is assumed.  Labelled walks
 are not shared.
-Remaining constraint axioms are checked on the survivors, cheapest
-first.  Each candidate is built as a structure once, for that check,
+Remaining constraint axioms are checked on the survivors, in an order
+fixed once per search: their checkers are read from the catalog and
+sorted cheapest first when a walk starts, not for every candidate.
+Each candidate is built as a structure once, for that check,
 and a model is handed on as that same structure, subset tables
 included.  Labels are built only when read, so a rejected candidate
 never builds them.
@@ -51,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .axioms import AxiomId, AxiomLike, axiom_id, satisfies
+from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
 from .core import ParthoodStructure
 
 # Invariant sweeps default to universes of size at most 5; command-line
@@ -79,6 +81,10 @@ class SearchSpec:
                            tuple(axiom_id(a) for a in self.forbid))
         if set(self.require) & set(self.forbid):
             raise ValueError("require and forbid overlap")
+        both = [a.value for a in self.forbid if a in self.ambient]
+        if both:
+            raise ValueError(f"forbid code {', '.join(both)} is also in "
+                             "ambient")
 
 
 @dataclass(frozen=True)
@@ -516,6 +522,7 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
     and checks its own structures.  Labelled walks (all relations, or
     the transitive ones) are not shared and run lazily per search."""
     has_t, has_irr, residual = _split_constraints(constraints)
+    finders = violation_finders(residual)
     if up_to_iso:
         candidates = _iso_candidates(n, has_t, has_irr)
     elif has_t:
@@ -524,7 +531,10 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
         candidates = _all_masks(n, has_irr)
     for m in candidates:
         s = ParthoodStructure.from_mask(n, m)
-        if satisfies(s, residual):
+        for find in finders:
+            if find(s) is not None:
+                break
+        else:
             yield m, s
 
 
@@ -575,14 +585,16 @@ def find_model(spec: SearchSpec) -> SearchResult:
     violating every forbid entry; sizes are searched in increasing order.
 
     `explored` counts the structures that met ambient plus require and
-    were tested against the forbid list.
+    were tested against the forbid list, whose checkers are read from
+    the catalog once, when the search starts.
     """
     explored = 0
     constraints = spec.ambient + spec.require
+    forbid = violation_finders(spec.forbid)
     for n in range(1, spec.max_n + 1):
         for s in enumerate_models(n, constraints, spec.up_to_iso):
             explored += 1
-            if all(not satisfies(s, [f]) for f in spec.forbid):
+            if all(find(s) is not None for find in forbid):
                 return SearchResult(s, explored, False)
     return SearchResult(None, explored, True)
 

@@ -222,6 +222,16 @@ def test_implies_conclusion_among_hypotheses_is_a_usage_error(
     assert "--to U_SUM is also a hypothesis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ambient", ["U_SUM", "T,U_SUM", "u_sum"])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_implies_conclusion_in_ambient_is_a_usage_error(ambient, mode,
+                                                        capsys):
+    code, out = run_cli("implies", "--ambient", ambient, "--from", "WSP",
+                        "--to", "U_SUM", *mode)
+    assert code == 2 and out == ""
+    assert "--to U_SUM is also an ambient axiom" in capsys.readouterr().err
+
+
 def test_lattice_and_tarski():
     code, out = run_cli("lattice", fx("b7"))
     assert code == 0 and "boolean: yes" in out

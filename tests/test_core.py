@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mereo import DomainError, ElementId, ParthoodStructure, holds
+from mereo import (
+    MAX_UNIVERSE_SIZE, DomainError, ElementId, ParthoodStructure, holds,
+)
 from mereo import fixtures as F
 from mereo.cli import serialize
 
@@ -82,6 +84,15 @@ def test_domain_errors():
     with pytest.raises(DomainError, match="distinct"):
         ParthoodStructure.build([1, "1"])
     assert ParthoodStructure([1, 2], [0b10, 0]).index("1") == 0
+    # the row count is checked before any row's bits, and a foreign bit
+    # (or a negative row) is refused in whichever row it sits
+    with pytest.raises(DomainError, match="one row per element"):
+        ParthoodStructure(["a", "b"], [0b100])
+    with pytest.raises(DomainError, match="one row per element"):
+        ParthoodStructure(["a", "b"], [0, 0b100, 0])
+    for rows in ([0b100, 0], [0, 0b100], [0, -1]):
+        with pytest.raises(DomainError, match="foreign elements"):
+            ParthoodStructure(["a", "b"], rows)
 
 
 # -- labels built on first use -------------------------------------------------
@@ -185,33 +196,59 @@ def test_mask_round_trip():
         assert again == s
 
 
-def _literal_ov_of(s):
-    # the definition: u Ov x iff u and x share an ingrediens
-    ing = s.ing_of
-    return tuple(sum(1 << u for u in range(s.n) if ing[u] & ing[x])
-                 for x in range(s.n))
+def _literal_masks(n, mask):
+    """rows, parts_in, ing_of, ing_up and ov_of read off the relation's
+    cells one by one, as their definitions state them."""
+    def part(x, y):
+        return mask >> (x * n + y) & 1
+
+    def ing(x, y):
+        return x == y or part(x, y)
+
+    def collect(test):
+        return tuple(sum(1 << y for y in range(n) if test(x, y))
+                     for x in range(n))
+
+    return (collect(part),
+            collect(lambda x, z: part(z, x)),
+            collect(lambda x, z: ing(z, x)),
+            collect(ing),
+            collect(lambda x, u: any(ing(z, u) and ing(z, x)
+                                     for z in range(n))))
 
 
-def test_ov_of_matches_definition_on_small_relations():
+def _built_masks(s):
+    return s.rows, s.parts_in, s.ing_of, s.ing_up, s.ov_of
+
+
+def test_one_pass_build_matches_definitions_on_small_relations():
     for s in all_relations(3):
-        assert s.ov_of == _literal_ov_of(s)
+        assert _built_masks(s) == _literal_masks(s.n, s.relation_mask)
 
 
 @st.composite
-def sparse_relations(draw, max_n=9):
-    # dense random relations overlap almost everywhere; a few pairs do not
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    cell = st.integers(min_value=0, max_value=n - 1)
-    rows = [0] * n
-    for part, whole in draw(st.lists(st.tuples(cell, cell), max_size=2 * n)):
-        rows[part] |= 1 << whole
-    return ParthoodStructure(list("abcdefghi"[:n]), rows)
+def relations_up_to_the_cap(draw):
+    # dense and sparse masks on every universe size the constructor allows
+    n = draw(st.integers(min_value=1, max_value=MAX_UNIVERSE_SIZE))
+    cells = n * n
+    if draw(st.booleans()):
+        mask = draw(st.integers(min_value=0, max_value=(1 << cells) - 1))
+    else:
+        cell = st.integers(min_value=0, max_value=cells - 1)
+        mask = sum({1 << c for c in draw(st.lists(cell, max_size=2 * n))})
+    return n, mask
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(structures(max_n=9), sparse_relations()))
-def test_ov_of_matches_definition_on_random_relations(s):
-    assert s.ov_of == _literal_ov_of(s)
+@given(relations_up_to_the_cap())
+def test_one_pass_build_matches_definitions_on_random_relations(case):
+    n, mask = case
+    want = _literal_masks(n, mask)
+    full = (1 << n) - 1
+    rows = [mask >> (i * n) & full for i in range(n)]
+    assert _built_masks(ParthoodStructure.from_mask(n, mask)) == want
+    assert _built_masks(ParthoodStructure(
+        [f"e{i}" for i in range(n)], rows)) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -9,8 +10,9 @@ from mereo import (
     enumerate_models, find_model, is_canonical, satisfies, theory_axioms,
     verify_implication,
 )
-from mereo import core, search
+from mereo import axioms, core, search
 from mereo import fixtures as F
+from mereo.axioms import CATALOG_ORDER
 from mereo.search import (
     _all_masks, _canonical_form_scan, _canonical_masks, _is_canonical_scan,
     _poset_classes, _transitive_masks, enumerate_model_masks,
@@ -257,6 +259,12 @@ def test_search_spec_validation():
         SearchSpec(max_n=0)
     with pytest.raises(ValueError):
         SearchSpec(max_n=3, require=("SSP",), forbid=("SSP",))
+    # no model of the ambient can violate it, so the search could only
+    # walk every class up to max_n
+    with pytest.raises(ValueError, match="U_SUM is also in ambient"):
+        SearchSpec(max_n=3, ambient=("T", "U_SUM"), forbid=("u_sum",))
+    with pytest.raises(ValueError, match="T is also in ambient"):
+        verify_implication(["T"], ["WSP"], "T", max_n=2)
 
 
 def test_verify_implication_confirms_and_refutes():
@@ -479,6 +487,68 @@ def test_find_model_matches_reference_walk_over_strict_orders():
                           require=(hypothesis,), forbid=(conclusion,))
         got = find_model(spec)
         assert (got.found, got.explored) == _reference_find(spec)
+
+
+# -- residual checks picked once per search -----------------------------------
+
+def _count_catalog_calls(monkeypatch, code):
+    """Replace code's CATALOG entry, after import, by one whose finder
+    counts its calls."""
+    calls = [0]
+    info = axioms.CATALOG[code]
+    find = info.find_violation
+
+    def counted(s):
+        calls[0] += 1
+        return find(s)
+
+    monkeypatch.setitem(axioms.CATALOG, code, dataclasses.replace(
+        info, find_violation=counted))
+    return calls
+
+
+@pytest.mark.parametrize("ambient,hypothesis,conclusion,max_n", [
+    ((), "WSP", "U_SUM", 3), (("IRR",), "ANTIS", "U_SUP", 3),
+    (("T",), "WSP", "U_SUM", 4), (("T", "IRR"), "WSP", "SSP", 5),
+])
+def test_finders_replaced_after_import_see_every_call(
+        ambient, hypothesis, conclusion, max_n, monkeypatch):
+    # an unwrapped search runs first, so finders kept from an earlier
+    # search (or from import) would miss the wrappers
+    plain = verify_implication(ambient, [hypothesis], conclusion, max_n)
+    required = _count_catalog_calls(monkeypatch, AxiomId[hypothesis])
+    forbidden = _count_catalog_calls(monkeypatch, AxiomId[conclusion])
+    wrapped = verify_implication(ambient, [hypothesis], conclusion, max_n)
+    assert wrapped == plain
+    # each explored model passed the hypothesis and met the conclusion
+    assert forbidden[0] == plain.explored > 0
+    assert required[0] >= plain.explored
+
+
+def _filtered_candidates(n, generator, code, up_to_iso):
+    """The generator's candidates, taken from the literal walks, kept if
+    canonical (up to isomorphism) and if satisfies() accepts every
+    constraint."""
+    irreflexive = "IRR" in generator
+    walk = (_transitive_masks(n, irreflexive) if "T" in generator
+            else _all_masks(n, irreflexive))
+    constraints = generator + (code,)
+    return [m for m in walk
+            if (not up_to_iso or _is_canonical_scan(n, m))
+            and satisfies(ParthoodStructure.from_mask(n, m), constraints)]
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True],
+                         ids=["labelled", "up-to-iso"])
+@pytest.mark.parametrize("generator", [(), ("IRR",), ("T",), ("T", "IRR")],
+                         ids=["all", "IRR", "T", "T+IRR"])
+def test_model_masks_match_a_satisfies_filter_for_every_code(generator,
+                                                             up_to_iso):
+    for code in CATALOG_ORDER:
+        for n in range(1, 4):
+            got = enumerate_model_masks(n, generator + (code,), up_to_iso)
+            assert got == _filtered_candidates(n, generator, code.value,
+                                               up_to_iso), (code, n)
 
 
 # -- the row-by-row transitive walk against the literal filter ----------------
