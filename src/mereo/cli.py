@@ -36,7 +36,7 @@ from .axioms import (
     AxiomId, CatalogError, Verdict, axiom_id, check_all, check_axiom, holds,
 )
 from .core import ElementId, MereologyError, ParthoodStructure, Subset
-from .lattice import adjoin_zero, lattice_report, tarski_check
+from .lattice import adjoin_zero, lattice_report, tarski_agrees
 from .search import (
     SEARCH_MAX, SearchSpec, enumerate_models, find_model,
 )
@@ -346,7 +346,7 @@ def _cmd_lattice(args, out) -> int:
     name, s = load_structure(args.file)
     ok_order = holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
     report = lattice_report(adjoin_zero(s)) if ok_order else None
-    agreed = tarski_check(s)
+    agreed = tarski_agrees(s, report) if args.tarski else None
     if args.json:
         doc = {"structure": name, "order": ok_order}
         if report:

@@ -19,6 +19,11 @@ for the subset-quantified axioms.  Each depends only on the labels or
 the relation given at construction, so filling it never changes an
 answer, and a search candidate that is never reported never builds its
 labels.  All queries are pure.
+
+A structure can also be made from the five derived masks of an earlier
+build of the same relation (`_masks`, `_from_masks`), with nothing
+checked or derived again: the up-to-isomorphism searches keep them for
+every class they have met.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 MAX_UNIVERSE_SIZE = 12
 
 DEFAULT_LABELS = "abcdefghijkl"
+
+# The default label tuple of each size, shared by the structures made
+# from kept masks.
+_DEFAULT_LABEL_TUPLES = tuple(tuple(DEFAULT_LABELS[:n])
+                              for n in range(MAX_UNIVERSE_SIZE + 1))
 
 
 class MereologyError(Exception):
@@ -190,6 +200,31 @@ class ParthoodStructure:
             labels = DEFAULT_LABELS[:n]
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
         return cls(labels, rows)
+
+    def _masks(self) -> tuple[int, ...]:
+        """The derived masks rows, parts_in, ing_of, ing_up and ov_of, in
+        that order: 5n values, each below 2^n, that _from_masks reads back."""
+        return self.rows + self.parts_in + self.ing_of + self.ing_up + self.ov_of
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Iterable[int]) -> "ParthoodStructure":
+        """A fresh structure with default labels from the 5n values of
+        _masks of a structure of size n so labelled.  Nothing is checked
+        or derived: the masks were, when that structure was built."""
+        masks = tuple(masks)
+        s = cls.__new__(cls)
+        s.n = n
+        s.full = (1 << n) - 1
+        s._labels = _DEFAULT_LABEL_TUPLES[n]
+        s._universe = None
+        s._label_index = None
+        s.rows = masks[:n]
+        s.parts_in = masks[n:2 * n]
+        s.ing_of = masks[2 * n:3 * n]
+        s.ing_up = masks[3 * n:4 * n]
+        s.ov_of = masks[4 * n:]
+        s._subset_tables = None
+        return s
 
     @property
     def universe(self) -> tuple[ElementId, ...]:

@@ -185,9 +185,15 @@ def tarski_check(s: ParthoodStructure) -> bool:
     partial order whose zero adjunction is a non-degenerate complete
     Boolean lattice.  Each side is evaluated independently.
     """
+    order = holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
+    return tarski_agrees(s, lattice_report(adjoin_zero(s)) if order else None)
+
+
+def tarski_agrees(s: ParthoodStructure,
+                  report: Optional[LatticeReport]) -> bool:
+    """tarski_check given the lattice_report of s's zero adjunction, or
+    None when s is not a strict partial order.  The adjunction has at
+    least two elements, so it is non-degenerate."""
     lhs = check_theory(s, TheoryId.CM).holds
-    if holds(s, AxiomId.T) and holds(s, AxiomId.IRR):
-        rhs = is_boolean_complete(adjoin_zero(s))
-    else:
-        rhs = False
+    rhs = report is not None and report.is_boolean and report.is_complete
     return lhs == rhs

@@ -34,22 +34,27 @@ Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
 the canonical encodings found are kept in a list that grows as far as
 the deepest search has read, and a later search calls is_canonical only
-past its end (_iso_candidates).  The kept lists cost memory that grows
-with the classes consumed, and one thread is assumed.  Labelled walks
-are not shared.
+past its end (_iso_candidates, _SharedWalk).  Beside each encoding the
+walk keeps the five derived masks of its structure, 5n values packed in
+one byte array per walk (two bytes a value above n=8), so only the
+first search to reach a class builds it; every later one gets a fresh
+structure made from those masks, with nothing checked or derived again.
+A kept class costs its encoding plus 5n bytes: 3,044 classes take about
+111 KB and 61 KB at n=4 without T or IRR, 291,968 about 10.8 MB and
+7.3 MB at n=5.  One thread is assumed.  Labelled walks are not shared.
 Remaining constraint axioms are checked on the survivors, in an order
 fixed once per search: their checkers are read from the catalog and
 sorted cheapest first when a walk starts, not for every candidate.
-Each candidate is built as a structure once, for that check,
-and a model is handed on as that same structure, subset tables
-included.  Labels are built only when read, so a rejected candidate
-never builds them.
+Each search checks its own structures, and a model is handed on as the
+structure its check ran on, subset tables included.  Labels are built
+only when read, so a rejected candidate never builds them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -442,65 +447,90 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 
 class _SharedWalk:
-    """One lazy walk whose values are kept as they are found, so every
-    consumer in the process reads the same list and only the consumer
-    that passes its end advances the walk.
+    """One lazy walk of canonical encodings at size n, kept as they are
+    found together with the derived masks of each one's structure, so
+    every consumer in the process reads the same classes and only the
+    consumer that passes the end advances the walk and builds.
 
-    The list only grows.  If the walk raises, the values already found
+    Iterating yields (encoding, structure) pairs, each structure a fresh
+    object.  The consumer that finds a class gets the structure built
+    (and checked) from its encoding, and appends that structure's 5n
+    derived masks to _packed, one array of bytes (two bytes above n=8);
+    a later consumer gets a structure made from that slice.  _packed
+    always holds exactly the masks of the classes in _found, in order.
+
+    The lists only grow.  If the walk raises, the classes already found
     stay; the next consumer to pass the end starts the walk afresh and
     skips that many values, so a failed walk never reads as a finished
     one.  One thread is assumed: the walk is a generator, and two
     threads advancing it at once would fail.
     """
 
-    __slots__ = ("_start", "_found", "_walk", "_done")
+    __slots__ = ("_n", "_start", "_found", "_packed", "_walk", "_done")
 
-    def __init__(self, start):
+    def __init__(self, n: int, start):
+        self._n = n
         self._start = start     # () -> a fresh walk from its first value
         self._found: list[int] = []
+        self._packed = array("B" if n <= 8 else "H")
         self._walk: Optional[Iterator[int]] = None
         self._done = False
 
-    def _advance(self) -> bool:
-        """Append the walk's next value; False once the walk is over."""
+    def _advance(self) -> Optional[ParthoodStructure]:
+        """Keep the walk's next class and return its structure, built
+        from the encoding; None once the walk is over."""
         if self._done:
-            return False
+            return None
         if self._walk is None:
             self._walk = itertools.islice(self._start(), len(self._found),
                                           None)
         try:
-            self._found.append(next(self._walk))
+            m = next(self._walk)
         except StopIteration:
             self._done = True
             self._walk = None
-            return False
+            return None
         except BaseException:
             self._walk = None
             raise
-        return True
+        s = ParthoodStructure.from_mask(self._n, m)
+        self._packed.extend(s._masks())
+        self._found.append(m)
+        return s
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator[tuple[int, ParthoodStructure]]:
+        n = self._n
+        width = 5 * n
         found = self._found
+        packed = self._packed
+        from_masks = ParthoodStructure._from_masks
         i = 0
-        while i < len(found) or self._advance():
-            yield found[i]
+        while True:
+            if i < len(found):
+                start = i * width
+                s = from_masks(n, packed[start:start + width])
+            else:
+                s = self._advance()
+                if s is None:
+                    return
+            yield found[i], s
             i += 1
 
 
 @functools.lru_cache(maxsize=None)
-def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> Iterable[int]:
+def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
     """The canonical encodings an up-to-isomorphism search walks at size
-    n, shared by every search in the process: the memoised poset classes
-    under T and IRR, the orderly walk without T, and the canonical
-    members of the labelled transitive walk under T alone.  The last two
-    are filled lazily (_SharedWalk), so they hold only as many classes
-    as the deepest search so far consumed."""
+    n, and their structures, shared by every search in the process: the
+    memoised poset classes under T and IRR, the orderly walk without T,
+    and the canonical members of the labelled transitive walk under T
+    alone.  Each is filled lazily (_SharedWalk), so it holds only as
+    many classes as the deepest search so far consumed."""
     if has_t and has_irr:
-        return _poset_classes(n)
+        return _SharedWalk(n, lambda: iter(_poset_classes(n)))
     if not has_t:
-        return _SharedWalk(lambda: _canonical_masks(n, has_irr))
-    return _SharedWalk(lambda: (m for m in _transitive_masks(n, False)
-                                if is_canonical(n, m)))
+        return _SharedWalk(n, lambda: _canonical_masks(n, has_irr))
+    return _SharedWalk(n, lambda: (m for m in _transitive_masks(n, False)
+                                   if is_canonical(n, m)))
 
 
 def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
@@ -508,29 +538,30 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
         -> Iterator[tuple[int, ParthoodStructure]]:
     """Models as (encoding, structure) pairs, in ascending order.
 
-    Each candidate is built once, to check the residual axioms, and a
-    model is handed on as that same structure, with whatever per-subset
-    tables the check filled.  Up to isomorphism, the candidates come from
-    _iso_candidates, one shared walk per (n, T, IRR) for the whole
-    process: a later search with the same generating axioms reads the
-    canonical encodings an earlier one found and calls is_canonical only
-    past them, and a search that stops early leaves the rest of the walk
-    undone.  The kept encodings cost memory that grows with the classes
-    consumed (the complete list without T or IRR holds 3,044 encodings,
-    about 111 KB, at n=4 and 291,968, about 10.8 MB, at n=5), and one
-    thread is assumed.  Only encodings are shared: each search builds
-    and checks its own structures.  Labelled walks (all relations, or
-    the transitive ones) are not shared and run lazily per search."""
+    Each candidate is a fresh structure, checked against the residual
+    axioms, and a model is handed on as that same structure, with
+    whatever per-subset tables the check filled.  Up to isomorphism, the
+    candidates come from _iso_candidates, one shared walk per (n, T,
+    IRR) for the whole process: a later search with the same generating
+    axioms reads the canonical encodings an earlier one found, calls
+    is_canonical only past them, and makes each structure from the
+    derived masks kept beside its encoding instead of building it; a
+    search that stops early leaves the rest of the walk undone.  What is
+    kept grows with the classes consumed: the encoding plus 5n bytes of
+    masks per class (the complete walk without T or IRR holds 3,044
+    classes, about 111 KB of encodings and 61 KB of masks, at n=4 and
+    291,968, about 10.8 MB and 7.3 MB, at n=5), and one thread is
+    assumed.  Labelled walks (all relations, or the transitive ones) are
+    not shared: they run lazily per search and build every candidate."""
     has_t, has_irr, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:
         candidates = _iso_candidates(n, has_t, has_irr)
-    elif has_t:
-        candidates = _transitive_masks(n, has_irr)
     else:
-        candidates = _all_masks(n, has_irr)
-    for m in candidates:
-        s = ParthoodStructure.from_mask(n, m)
+        walk = _transitive_masks if has_t else _all_masks
+        candidates = ((m, ParthoodStructure.from_mask(n, m))
+                      for m in walk(n, has_irr))
+    for m, s in candidates:
         for find in finders:
             if find(s) is not None:
                 break
@@ -565,17 +596,10 @@ def count_models(n: int, constraints: Sequence[AxiomLike] = (),
     return len(enumerate_model_masks(n, constraints, up_to_iso))
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_masks(n: int, constraints: tuple[AxiomId, ...]) -> tuple[int, ...]:
-    return tuple(enumerate_model_masks(n, constraints, up_to_iso=True))
-
-
 def models_up_to_iso(n: int, constraints: Iterable[AxiomLike] = ()) \
         -> list[ParthoodStructure]:
-    """Cached canonical models of exactly size n."""
-    key = tuple(sorted((axiom_id(a) for a in constraints),
-                       key=lambda a: a.name))
-    return [ParthoodStructure.from_mask(n, m) for m in _cached_masks(n, key)]
+    """The canonical models of exactly size n, by increasing encoding."""
+    return list(enumerate_models(n, constraints))
 
 
 # -- search -------------------------------------------------------------------

@@ -251,6 +251,39 @@ def test_lattice_on_a_raw_relation(tmp_path):
     assert code == 0 and "tarski: agree" in out
 
 
+def _count_calls(monkeypatch, fn):
+    """Count calls to fn through every binding of it in a mereo module."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mereo" or name.startswith("mereo."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["b7", "w4"])
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--tarski",),
+                                   ("--tarski", "--json")])
+def test_lattice_scans_the_zero_adjunction_once(name, flags, monkeypatch):
+    from mereo import lattice, theories
+    reports = _count_calls(monkeypatch, lattice.lattice_report)
+    checks = _count_calls(monkeypatch, theories.check_theory)
+    code, _ = run_cli("lattice", fx(name), *flags)
+    assert reports[0] == 1
+    if "--tarski" in flags:
+        assert checks[0] == 1
+        monkeypatch.undo()
+        assert code == (0 if lattice.tarski_check(getattr(F, name)()) else 1)
+    else:
+        assert checks[0] == 0
+
+
 def test_localtrans_outputs():
     code, out = run_cli("localtrans", fx("chain4"))
     assert code == 0

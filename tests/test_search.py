@@ -10,7 +10,7 @@ from mereo import (
     enumerate_models, find_model, is_canonical, satisfies, theory_axioms,
     verify_implication,
 )
-from mereo import axioms, core, search
+from mereo import axioms, core, search, sums
 from mereo import fixtures as F
 from mereo.axioms import CATALOG_ORDER
 from mereo.search import (
@@ -608,6 +608,28 @@ def _unshared_iso_walk(n, constraints):
     return list(_canonical_masks(n, "IRR" in constraints))
 
 
+_SLOTS = ("n", "full", "rows", "parts_in", "ing_of", "ing_up", "ov_of",
+          "universe")
+
+
+def _assert_built_afresh(s, n, mask):
+    """s equals a fresh, validated build of the encoding slot by slot."""
+    want = ParthoodStructure.from_mask(n, mask)
+    for slot in _SLOTS:
+        assert getattr(s, slot) == getattr(want, slot), slot
+    assert s._subset_tables is None
+
+
+def _assert_store_aligned(walk, n):
+    """The kept masks are exactly those of the kept encodings, in order."""
+    width = 5 * n
+    assert len(walk._packed) == width * len(walk._found)
+    for i, mask in enumerate(walk._found):
+        packed = walk._packed[i * width:(i + 1) * width]
+        _assert_built_afresh(ParthoodStructure._from_masks(n, packed), n,
+                             mask)
+
+
 def test_shared_walk_calls_is_canonical_only_past_what_was_found(monkeypatch):
     search._iso_candidates.cache_clear()
     calls = _counted_is_canonical(monkeypatch)
@@ -647,7 +669,13 @@ def test_interleaved_consumers_see_one_sequence(constraints):
             chunk = list(itertools.islice(it, k + 1))
             seen[k] += chunk
             live |= bool(chunk)
-    assert seen == [want] * 3
+    assert [[m for m, _ in pairs] for pairs in seen] == [want] * 3
+    # the consumer that found a class built it; the others made it from
+    # the kept masks, each a structure of its own
+    for pairs in zip(*seen):
+        assert len({id(s) for _, s in pairs}) == 3
+        for m, s in pairs:
+            _assert_built_afresh(s, n, m)
     assert enumerate_model_masks(n, constraints) == want
 
 
@@ -660,9 +688,61 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     _counted_is_canonical(monkeypatch, fail_after=100)
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, constraints)
+    walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
+    assert 0 < len(walk._found) < len(want)
+    _assert_store_aligned(walk, n)
     monkeypatch.undo()
     assert enumerate_model_masks(n, constraints) == want
+    _assert_store_aligned(walk, n)
     assert enumerate_model_masks(n, constraints) == want
+    assert walk._found == want
+
+
+@pytest.mark.parametrize("key", [
+    (n, has_t, has_irr) for n in range(1, 5)
+    for has_t in (False, True) for has_irr in (False, True)
+] + [(n, True, True) for n in (5, 6)])
+def test_second_pass_structures_equal_fresh_builds(key):
+    search._iso_candidates.cache_clear()
+    walk = search._iso_candidates(*key)
+    first = list(walk)
+    second = list(walk)
+    n = key[0]
+    assert [m for m, _ in second] == [m for m, _ in first]
+    if key[1:] == (True, True):
+        assert [m for m, _ in second] == list(_poset_classes(n))
+    for (m, s), (_, t) in zip(first, second):
+        assert t is not s
+        _assert_built_afresh(t, n, m)
+    _assert_store_aligned(walk, n)
+
+
+def test_a_repeated_search_builds_no_structure(monkeypatch):
+    builds = [0]
+    init = ParthoodStructure.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    count_models(4, ["U_SUM"])
+    monkeypatch.setattr(ParthoodStructure, "__init__", counted)
+    assert count_models(4, ["U_SUM"]) == count_models(4, ["U_SUM"]) > 0
+    assert builds[0] == 0
+
+
+def test_searches_over_one_walk_share_no_structure():
+    search._iso_candidates.cache_clear()
+    ours = list(enumerate_models(3, ()))
+    theirs = list(enumerate_models(3, ()))
+    assert [a.rows for a in ours] == [b.rows for b in theirs]
+    assert all(a is not b for a, b in zip(ours, theirs))
+    for a in ours:
+        sums.subset_tables(a)
+        a.universe
+    for b in theirs:
+        assert b._subset_tables is None
+        assert b._universe is None
 
 
 def test_claims_agree_forwards_backwards_and_cold():
