@@ -33,10 +33,10 @@ import sys
 from typing import Optional, Sequence
 
 from .axioms import (
-    AxiomId, CatalogError, Verdict, axiom_id, check_all, check_axiom, holds,
+    AxiomId, CatalogError, Verdict, axiom_id, check_all, check_axiom,
 )
 from .core import ElementId, MereologyError, ParthoodStructure, Subset
-from .lattice import adjoin_zero, lattice_report, tarski_agrees
+from .lattice import tarski_agrees, zero_report
 from .search import (
     SEARCH_MAX, SearchSpec, enumerate_models, find_model,
 )
@@ -344,9 +344,10 @@ def _cmd_implies(args, out) -> int:
 
 def _cmd_lattice(args, out) -> int:
     name, s = load_structure(args.file)
-    ok_order = holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
-    report = lattice_report(adjoin_zero(s)) if ok_order else None
-    agreed = tarski_agrees(s, report) if args.tarski else None
+    cm = check_theory(s, TheoryId.CM) if args.tarski else None
+    report = zero_report(s, cm)
+    ok_order = report is not None
+    agreed = tarski_agrees(cm, report) if args.tarski else None
     if args.json:
         doc = {"structure": name, "order": ok_order}
         if report:

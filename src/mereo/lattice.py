@@ -19,7 +19,7 @@ from typing import Optional
 
 from .axioms import AxiomId, holds
 from .core import ElementId, MereologyError, ParthoodStructure, Subset, _bits
-from .theories import TheoryId, check_theory
+from .theories import TheoryId, TheoryVerdict, check_theory
 
 
 class OrderError(MereologyError):
@@ -94,11 +94,27 @@ class LatticeReport:
     witness: Optional[tuple] = None     # first failing law's assignment
 
 
+def _is_order(s: ParthoodStructure,
+              cm: Optional[TheoryVerdict] = None) -> bool:
+    """T and IRR hold of s.  Given cm, s's classical mereology verdict,
+    this is read off it instead of checked again: CM's axioms begin with
+    T and IRR, so both hold unless it failed at one of them."""
+    if cm is None:
+        return holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
+    return cm.holds or cm.failing.axiom not in (AxiomId.T, AxiomId.IRR)
+
+
 def adjoin_zero(s: ParthoodStructure,
                 zero_label: Optional[str] = None) -> ZeroedStructure:
-    if not (holds(s, AxiomId.T) and holds(s, AxiomId.IRR)):
+    if not _is_order(s):
         raise OrderError(
             "zero adjunction needs a transitive irreflexive relation")
+    return _adjoin(s, zero_label)
+
+
+def _adjoin(s: ParthoodStructure,
+            zero_label: Optional[str] = None) -> ZeroedStructure:
+    """adjoin_zero on a structure already known to be a strict order."""
     if zero_label is None:
         zero_label = DEFAULT_ZERO_LABEL
         taken = {e.label for e in s.universe}
@@ -178,22 +194,32 @@ def is_boolean_complete(z: ZeroedStructure) -> bool:
     return z.n >= 2 and r.is_boolean and r.is_complete
 
 
+def zero_report(s: ParthoodStructure,
+                cm: Optional[TheoryVerdict] = None) \
+        -> Optional[LatticeReport]:
+    """The lattice_report of s's zero adjunction, or None when s is not a
+    strict partial order.  The order is checked once: read off cm, s's
+    classical mereology verdict, when given."""
+    return lattice_report(_adjoin(s)) if _is_order(s, cm) else None
+
+
 def tarski_check(s: ParthoodStructure) -> bool:
     """Both sides of the classical-mereology correspondence agree on s.
 
     Left side: s models classical mereology.  Right side: s is a strict
     partial order whose zero adjunction is a non-degenerate complete
-    Boolean lattice.  Each side is evaluated independently.
+    Boolean lattice.  The sides share only the order axioms T and IRR,
+    which the left side checks and the right side reads off its verdict;
+    sums and lattice bounds are evaluated independently.
     """
-    order = holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
-    return tarski_agrees(s, lattice_report(adjoin_zero(s)) if order else None)
+    cm = check_theory(s, TheoryId.CM)
+    return tarski_agrees(cm, zero_report(s, cm))
 
 
-def tarski_agrees(s: ParthoodStructure,
+def tarski_agrees(cm: TheoryVerdict,
                   report: Optional[LatticeReport]) -> bool:
-    """tarski_check given the lattice_report of s's zero adjunction, or
-    None when s is not a strict partial order.  The adjunction has at
-    least two elements, so it is non-degenerate."""
-    lhs = check_theory(s, TheoryId.CM).holds
+    """tarski_check given s's classical mereology verdict and its
+    zero_report.  The adjunction has at least two elements, so it is
+    non-degenerate."""
     rhs = report is not None and report.is_boolean and report.is_complete
-    return lhs == rhs
+    return cm.holds == rhs

@@ -41,13 +41,19 @@ first search to reach a class builds it; every later one gets a fresh
 structure made from those masks, with nothing checked or derived again.
 A kept class costs its encoding plus 5n bytes: 3,044 classes take about
 111 KB and 61 KB at n=4 without T or IRR, 291,968 about 10.8 MB and
-7.3 MB at n=5.  One thread is assumed.  Labelled walks are not shared.
-Remaining constraint axioms are checked on the survivors, in an order
-fixed once per search: their checkers are read from the catalog and
-sorted cheapest first when a walk starts, not for every candidate.
-Each search checks its own structures, and a model is handed on as the
-structure its check ran on, subset tables included.  Labels are built
-only when read, so a rejected candidate never builds them.
+7.3 MB at n=5.  The walk also keeps a class's subset tables once some
+search has read them, packed read-only, and hands them to every later
+structure of that class, so a process builds each class's tables at
+most once; a class whose tables no search read costs one list slot,
+one whose tables were kept about 154 bytes more at n=4 (186 at n=5).
+One thread is assumed.  Labelled walks are not shared.
+Remaining constraint axioms are checked on the survivors, each code
+once, in an order fixed once per search: their checkers are read from
+the catalog and sorted cheapest first when a walk starts, not for every
+candidate.  Each search checks its own structures, and a model is
+handed on as the structure its check ran on, with the subset tables
+that check built or the walk handed it.  Labels are built only when
+read, so a rejected candidate never builds them.
 """
 
 from __future__ import annotations
@@ -439,7 +445,9 @@ def _poset_classes(n: int) -> tuple[int, ...]:
 # -- enumeration ---------------------------------------------------------------
 
 def _split_constraints(constraints: Sequence[AxiomLike]):
-    axs = [axiom_id(a) for a in constraints]
+    """Whether T and IRR are named, and the other codes, each once, in
+    the order first named."""
+    axs = dict.fromkeys(axiom_id(a) for a in constraints)
     has_t = AxiomId.T in axs
     has_irr = AxiomId.IRR in axs
     residual = [a for a in axs if a not in (AxiomId.T, AxiomId.IRR)]
@@ -448,9 +456,11 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 class _SharedWalk:
     """One lazy walk of canonical encodings at size n, kept as they are
-    found together with the derived masks of each one's structure, so
-    every consumer in the process reads the same classes and only the
-    consumer that passes the end advances the walk and builds.
+    found together with the derived masks of each one's structure and,
+    once some consumer has built them, its subset tables, so every
+    consumer in the process reads the same classes, only the consumer
+    that passes the end advances the walk and builds the structure, and
+    only the first to read a class's tables builds those.
 
     Iterating yields (encoding, structure) pairs, each structure a fresh
     object.  The consumer that finds a class gets the structure built
@@ -459,6 +469,16 @@ class _SharedWalk:
     a later consumer gets a structure made from that slice.  _packed
     always holds exactly the masks of the classes in _found, in order.
 
+    _tables is parallel to _found: None until a consumer has read the
+    class's subset tables, then the pair (ub, ov) packed read-only,
+    bytes up to n=8 and a read-only view of an array('H') above.  Each
+    structure a consumer gets carries the kept pair, if there is one;
+    when the consumer asks for the next class, the pair it filled is
+    packed into the slot, if that is still empty.  So the tables a
+    search's forbid check builds are kept too, and a consumer that stops
+    early or raises keeps nothing.  A class whose tables no search reads
+    costs one list slot.
+
     The lists only grow.  If the walk raises, the classes already found
     stay; the next consumer to pass the end starts the walk afresh and
     skips that many values, so a failed walk never reads as a finished
@@ -466,13 +486,15 @@ class _SharedWalk:
     threads advancing it at once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_found", "_packed", "_walk", "_done")
+    __slots__ = ("_n", "_start", "_found", "_packed", "_tables", "_walk",
+                 "_done")
 
     def __init__(self, n: int, start):
         self._n = n
         self._start = start     # () -> a fresh walk from its first value
         self._found: list[int] = []
         self._packed = array("B" if n <= 8 else "H")
+        self._tables: list[Optional[tuple[Sequence[int], Sequence[int]]]] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
 
@@ -496,6 +518,7 @@ class _SharedWalk:
         s = ParthoodStructure.from_mask(self._n, m)
         self._packed.extend(s._masks())
         self._found.append(m)
+        self._tables.append(None)
         return s
 
     def __iter__(self) -> Iterator[tuple[int, ParthoodStructure]]:
@@ -503,17 +526,27 @@ class _SharedWalk:
         width = 5 * n
         found = self._found
         packed = self._packed
+        tables = self._tables
+        if n <= 8:
+            pack = bytes
+        else:
+            def pack(values):
+                return memoryview(array("H", values)).toreadonly()
         from_masks = ParthoodStructure._from_masks
         i = 0
         while True:
             if i < len(found):
                 start = i * width
                 s = from_masks(n, packed[start:start + width])
+                s._subset_tables = tables[i]
             else:
                 s = self._advance()
                 if s is None:
                     return
             yield found[i], s
+            if tables[i] is None and s._subset_tables is not None:
+                ub, ov = s._subset_tables
+                tables[i] = pack(ub), pack(ov)
             i += 1
 
 
@@ -545,14 +578,18 @@ def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
     IRR) for the whole process: a later search with the same generating
     axioms reads the canonical encodings an earlier one found, calls
     is_canonical only past them, and makes each structure from the
-    derived masks kept beside its encoding instead of building it; a
+    derived masks kept beside its encoding instead of building it, with
+    the class's subset tables set if an earlier search built them; a
     search that stops early leaves the rest of the walk undone.  What is
     kept grows with the classes consumed: the encoding plus 5n bytes of
     masks per class (the complete walk without T or IRR holds 3,044
     classes, about 111 KB of encodings and 61 KB of masks, at n=4 and
-    291,968, about 10.8 MB and 7.3 MB, at n=5), and one thread is
-    assumed.  Labelled walks (all relations, or the transitive ones) are
-    not shared: they run lazily per search and build every candidate."""
+    291,968, about 10.8 MB and 7.3 MB, at n=5), plus the packed tables
+    of each class whose tables a search read (about 154 bytes at n=4,
+    186 at n=5: a U_SUM search over that whole n=5 walk peaked at 99 MB
+    against 34 MB without them), and one thread is assumed.  Labelled walks (all relations, or the
+    transitive ones) are not shared: they run lazily per search and
+    build every candidate."""
     has_t, has_irr, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:

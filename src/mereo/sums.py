@@ -20,7 +20,7 @@ literal definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     ElementId, ElementLike, MereologyError, ParthoodStructure, SubsetLike,
@@ -61,8 +61,10 @@ def subset_entry(s: ParthoodStructure, subset_mask: int) -> tuple[int, int]:
     return ub, ov
 
 
-def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
-    """Per-subset tables (ub, ov), indexed by subset mask m.
+def subset_tables(s: ParthoodStructure) \
+        -> tuple[Sequence[int], Sequence[int]]:
+    """Per-subset tables (ub, ov), indexed by subset mask m: two integer
+    sequences of 2^n entries, which callers only read.
 
     ub[m] is the set of common upper bounds of m under ingrediens
     (ub[0] is the whole universe) and ov[m] the set of elements
@@ -75,7 +77,11 @@ def subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
 
     Both tables are built by doubling over the elements, 2^n entries
     each, once per structure: the result is kept in the structure's
-    `_subset_tables` slot.  Entry m equals `subset_entry(s, m)`.
+    `_subset_tables` slot.  A structure from a shared up-to-isomorphism
+    walk may come with them already there, packed read-only (bytes, or a
+    read-only view of two-byte values above n=8) by the walk when an
+    earlier search built them for the same class.  Entry m equals
+    `subset_entry(s, m)`.
     """
     tables = s._subset_tables
     if tables is None:

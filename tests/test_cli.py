@@ -284,6 +284,27 @@ def test_lattice_scans_the_zero_adjunction_once(name, flags, monkeypatch):
         assert checks[0] == 0
 
 
+@pytest.mark.parametrize("name", ["b7", "w4"])
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--tarski",),
+                                   ("--tarski", "--json")])
+def test_lattice_checks_the_order_once(name, flags, monkeypatch):
+    import dataclasses
+    from mereo.axioms import CATALOG, AxiomId
+    want = run_cli("lattice", fx(name), *flags)
+    calls = {}
+    for code in (AxiomId.T, AxiomId.IRR):
+        info = CATALOG[code]
+
+        def counted(s, code=code, find=info.find_violation):
+            calls[code] = calls.get(code, 0) + 1
+            return find(s)
+
+        monkeypatch.setitem(CATALOG, code, dataclasses.replace(
+            info, find_violation=counted))
+    assert run_cli("lattice", fx(name), *flags) == want
+    assert calls == {AxiomId.T: 1, AxiomId.IRR: 1}
+
+
 def test_localtrans_outputs():
     code, out = run_cli("localtrans", fx("chain4"))
     assert code == 0

@@ -1,11 +1,12 @@
 import pytest
 
 from mereo import (
-    OrderError, ParthoodStructure, adjoin_zero, enumerate_models,
-    lattice_report, models_up_to_iso, satisfies, tarski_check, theory_axioms,
+    OrderError, ParthoodStructure, adjoin_zero, check_theory, enumerate_models,
+    holds, lattice_report, models_up_to_iso, satisfies, tarski_check,
+    theory_axioms,
 )
 from mereo import fixtures as F
-from mereo.lattice import is_boolean_complete
+from mereo.lattice import is_boolean_complete, zero_report
 
 
 def test_adjoin_zero_shapes():
@@ -111,6 +112,22 @@ def test_tarski_examples():
     # a raw relation is not classical and not an order: both sides fail
     loop = ParthoodStructure.build(["a", "b"], [("a", "b"), ("b", "a")])
     assert tarski_check(loop)
+
+
+def test_order_read_off_the_cm_verdict_matches_a_fresh_check():
+    # every relation up to n=3, loops and cycles included
+    for n in range(1, 4):
+        for mask in range(1 << (n * n)):
+            s = ParthoodStructure.from_mask(n, mask)
+            cm = check_theory(s, "CM")
+            report = zero_report(s, cm)
+            assert report == zero_report(s)
+            order = holds(s, "T") and holds(s, "IRR")
+            assert (report is not None) == order
+            if order:
+                assert report == lattice_report(adjoin_zero(s))
+            assert tarski_check(s) == (cm.holds == (
+                order and report.is_boolean and report.is_complete))
 
 
 def test_tarski_sweep_to_5():

@@ -525,6 +525,23 @@ def test_finders_replaced_after_import_see_every_call(
     assert required[0] >= plain.explored
 
 
+@pytest.mark.parametrize("ambient,hypothesis", [
+    (["U_SUM"], ["U_SUM"]), ([], ["U_SUM", "U_SUM"]),
+    (["U_SUM", "T"], ["u_sum"]),
+])
+def test_a_code_named_twice_is_checked_once(ambient, hypothesis,
+                                            monkeypatch):
+    once = ([c for c in ambient if c != "U_SUM"], ["U_SUM"])
+    calls = _count_catalog_calls(monkeypatch, AxiomId.U_SUM)
+    want = verify_implication(*once, "SSP", 3)
+    want_calls, calls[0] = calls[0], 0
+    got = verify_implication(ambient, hypothesis, "SSP", 3)
+    assert calls[0] == want_calls > 0
+    assert got == want
+    assert search._split_constraints(ambient + hypothesis)[2] \
+        == [AxiomId.U_SUM]
+
+
 def _filtered_candidates(n, generator, code, up_to_iso):
     """The generator's candidates, taken from the literal walks, kept if
     canonical (up to isomorphism) and if satisfies() accepts every
@@ -621,13 +638,27 @@ def _assert_built_afresh(s, n, mask):
 
 
 def _assert_store_aligned(walk, n):
-    """The kept masks are exactly those of the kept encodings, in order."""
+    """The kept masks are exactly those of the kept encodings, in order,
+    and every kept pair of subset tables is that of its encoding."""
     width = 5 * n
     assert len(walk._packed) == width * len(walk._found)
+    assert len(walk._tables) == len(walk._found)
     for i, mask in enumerate(walk._found):
         packed = walk._packed[i * width:(i + 1) * width]
         _assert_built_afresh(ParthoodStructure._from_masks(n, packed), n,
                              mask)
+        if walk._tables[i] is not None:
+            _assert_kept_tables(walk._tables[i], n, mask)
+
+
+def _assert_kept_tables(tables, n, mask):
+    """tables are read-only and equal, entry by entry, to the subset
+    tables of a fresh build of the encoding."""
+    want = sums.subset_tables(ParthoodStructure.from_mask(n, mask))
+    for got, ref in zip(tables, want):
+        assert list(got) == ref
+        with pytest.raises(TypeError):
+            got[0] = 0
 
 
 def test_shared_walk_calls_is_canonical_only_past_what_was_found(monkeypatch):
@@ -698,10 +729,13 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     assert walk._found == want
 
 
-@pytest.mark.parametrize("key", [
+_ISO_KEYS = [
     (n, has_t, has_irr) for n in range(1, 5)
     for has_t in (False, True) for has_irr in (False, True)
-] + [(n, True, True) for n in (5, 6)])
+] + [(n, True, True) for n in (5, 6)]
+
+
+@pytest.mark.parametrize("key", _ISO_KEYS)
 def test_second_pass_structures_equal_fresh_builds(key):
     search._iso_candidates.cache_clear()
     walk = search._iso_candidates(*key)
@@ -717,6 +751,19 @@ def test_second_pass_structures_equal_fresh_builds(key):
     _assert_store_aligned(walk, n)
 
 
+def _count_table_builds(monkeypatch):
+    """Count the subset tables the axiom finders build, not read."""
+    builds = [0]
+    tables = axioms.subset_tables
+
+    def counted(s):
+        builds[0] += s._subset_tables is None
+        return tables(s)
+
+    monkeypatch.setattr(axioms, "subset_tables", counted)
+    return builds
+
+
 def test_a_repeated_search_builds_no_structure(monkeypatch):
     builds = [0]
     init = ParthoodStructure.__init__
@@ -727,8 +774,92 @@ def test_a_repeated_search_builds_no_structure(monkeypatch):
 
     count_models(4, ["U_SUM"])
     monkeypatch.setattr(ParthoodStructure, "__init__", counted)
+    table_builds = _count_table_builds(monkeypatch)
     assert count_models(4, ["U_SUM"]) == count_models(4, ["U_SUM"]) > 0
     assert builds[0] == 0
+    assert table_builds[0] == 0
+
+
+def _generating_codes(key):
+    _, has_t, has_irr = key
+    return ["T"] * has_t + ["IRR"] * has_irr
+
+
+@pytest.mark.parametrize("key", _ISO_KEYS)
+def test_second_pass_structures_carry_the_kept_subset_tables(key):
+    search._iso_candidates.cache_clear()
+    n = key[0]
+    # U_SUM reads every candidate's tables, so the first search keeps all
+    first = count_models(n, ["U_SUM"] + _generating_codes(key))
+    walk = search._iso_candidates(*key)
+    assert all(tables is not None for tables in walk._tables)
+    for m, s in walk:
+        tables = s._subset_tables
+        assert tables is walk._tables[walk._found.index(m)]
+        assert sums.subset_tables(s) is tables
+        _assert_kept_tables(tables, n, m)
+    _assert_store_aligned(walk, n)
+    assert count_models(n, ["U_SUM"] + _generating_codes(key)) == first
+
+
+def test_tables_above_eight_elements_are_kept_as_read_only_shorts():
+    # a chain and an antichain on nine elements: table entries above 255
+    n = 9
+    chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
+    walk = search._SharedWalk(n, lambda: iter([0, chain]))
+    for _, s in walk:
+        sums.subset_tables(s)
+    for m, s in walk:
+        assert isinstance(s._subset_tables[0], memoryview)
+        _assert_kept_tables(s._subset_tables, n, m)
+    _assert_store_aligned(walk, n)
+
+
+@pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
+def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
+                                                     monkeypatch):
+    search._iso_candidates.cache_clear()
+    n = 4
+    codes = constraints + ("U_SUM",)
+    want = enumerate_model_masks(n, codes)
+    classes = len(_unshared_iso_walk(n, constraints))
+    search._iso_candidates.cache_clear()
+    _counted_is_canonical(monkeypatch, fail_after=100)
+    with pytest.raises(RuntimeError, match="mid-walk"):
+        enumerate_model_masks(n, codes)
+    walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
+    kept = len(walk._found)
+    assert 0 < kept < classes
+    # the consumer checked U_SUM on every class it was handed
+    assert None not in walk._tables
+    _assert_store_aligned(walk, n)
+    monkeypatch.undo()
+    builds = _count_table_builds(monkeypatch)
+    assert enumerate_model_masks(n, codes) == want
+    _assert_store_aligned(walk, n)
+    assert None not in walk._tables
+    # after the restart, only the classes past the raise built tables
+    assert builds[0] == len(walk._found) - kept
+
+
+def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
+    search._iso_candidates.cache_clear()
+    spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
+    found = find_model(spec).found
+    walk = search._iso_candidates(4, False, False)
+    last = walk._found.index(found.relation_mask)
+    assert last == len(walk._found) - 1
+    # DAGGER read the tables of every explored model before the last one
+    explored = [i for i, m in enumerate(walk._found)
+                if satisfies(ParthoodStructure.from_mask(4, m), ["ANTIS"])]
+    assert all(walk._tables[i] is not None for i in explored[:-1])
+    assert explored[-1] == last and walk._tables[last] is None
+    # the same search stops there again; a search that passes it keeps them
+    assert find_model(spec).found == found
+    assert walk._tables[last] is None
+    count_models(4, ["ANTIS", "U_SUM"])
+    _assert_kept_tables(walk._tables[last], 4, found.relation_mask)
+    _assert_store_aligned(walk, 4)
 
 
 def test_searches_over_one_walk_share_no_structure():
