@@ -14,9 +14,10 @@ from mereo import axioms, core, search, sums
 from mereo import fixtures as F
 from mereo.axioms import CATALOG_ORDER
 from mereo.search import (
-    _all_masks, _canonical_form_scan, _canonical_masks, _is_canonical_scan,
-    _poset_classes, _transitive_masks, enumerate_model_masks,
+    _all_masks, _canonical_masks, _down_sets, _poset_classes,
+    _transitive_masks, _twin_masks, enumerate_model_masks,
 )
+from oracles import _canonical_form_scan, _is_canonical_scan
 
 
 # -- naive oracle: filter every labelled relation, group by permutation -------
@@ -85,6 +86,32 @@ def _order_compatible_posets(n):
 
     walk(0)
     return out
+
+
+# -- reference: one-point extension with twin pruning only --------------------
+
+def _twin_pruned_poset_classes(n):
+    """The poset classes at n as the one-point extension found them
+    before children were ranked: every class at n-1 extended over every
+    down-set, twin pruning aside, each child canonicalised."""
+    if n == 1:
+        return (0,)
+    m = n - 1
+    full = (1 << m) - 1
+    children = set()
+    for parent in _twin_pruned_poset_classes(m):
+        rows = [parent >> (i * m) & full for i in range(m)]
+        parts_in = [sum(1 << z for z in range(m) if rows[z] >> x & 1)
+                    for x in range(m)]
+        twins = {t for t in _twin_masks(m, rows) if t & (t - 1)}
+        for down in _down_sets(parts_in):
+            if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
+                   for t in twins):
+                continue
+            children.add(canonical_form(n, sum(
+                (r | 1 << m if down >> i & 1 else r) << (i * n)
+                for i, r in enumerate(rows))))
+    return tuple(sorted(children))
 
 
 def test_spo_counts_match_naive_oracle():
@@ -308,6 +335,54 @@ def test_poset_classes_match_canonicalised_labelled_posets():
         if n <= 5:
             assert want == sorted({canonical_form(n, m)
                                    for m in _transitive_masks(n, True)})
+
+
+def test_ranked_extension_matches_twin_pruned_reference():
+    # skipping children whose new element is outranked loses no class
+    for n in range(1, 8):
+        assert _poset_classes(n) == _twin_pruned_poset_classes(n)
+
+
+@st.composite
+def labelled_strict_orders(draw, max_n=7):
+    # the transitive closure of a random relation on a random linear
+    # order of the elements is a strict partial order
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    order = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                rows[order[i]] |= 1 << order[j]
+    for k in order[::-1]:
+        for x in range(n):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return n, sum(r << (x * n) for x, r in enumerate(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_strict_orders())
+def test_random_strict_order_has_its_class_in_the_poset_classes(case):
+    n, mask = case
+    assert satisfies(ParthoodStructure.from_mask(n, mask), SPO)
+    assert canonical_form(n, mask) in _poset_classes(n)
+
+
+def test_poset_classes_canonicalise_each_class_about_once(monkeypatch):
+    # 405 classes for n <= 6, 404 of them built by extension; twin
+    # pruning alone canonicalised 730 children
+    calls = [0]
+    canon = search.canonical_form
+
+    def counted(n, mask):
+        calls[0] += 1
+        return canon(n, mask)
+
+    monkeypatch.setattr(search, "canonical_form", counted)
+    _poset_classes.cache_clear()
+    assert sum(len(_poset_classes(n)) for n in range(1, 7)) == 405
+    assert calls[0] <= 445
 
 
 def test_census_counts_match_oeis():
