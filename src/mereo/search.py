@@ -11,10 +11,14 @@ each choice, and tries one element per class of twins (McKay & Piperno,
 Practical graph isomorphism II, adapted to this minimal encoding).
 is_canonical, which only has to find one smaller relabelling, keeps a
 per-n table for each permutation (the element sent to each label, and a
-2^n-entry map relabelling a row) and compares the image with the
-encoding row by row from the most significant, so most permutations
-cost one lookup.  The literal n! scans that define both are test
-oracles, kept outside the package.  Output is ordered by increasing
+2^n-entry map relabelling a row), grouped by the element sent to the top
+label.  The least top row a block can reach is known from that
+element's successor count and loop alone, so a block whose bound is
+below the encoding's top row rejects at once, one above it is skipped
+whole, and only tied blocks are compared with the encoding row by row
+from the most significant, where most permutations cost one lookup.
+It takes 1 to 8 elements.  The literal n! scans that define both are
+test oracles, kept outside the package.  Output is ordered by increasing
 universe size, then increasing canonical encoding, so searches return
 minimal-size witnesses and enumeration is deterministic.
 
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import ParthoodStructure
+from .core import DomainError, ParthoodStructure
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -220,14 +224,30 @@ def _discrete_rows(n: int, succ: list[int], cells: list[tuple[int, int]],
     return out
 
 
+# The largest universe is_canonical takes: its tables hold n! row maps of
+# 2^n entries each, which at n=8 take 2.3 s and 90 MB to build and at
+# n=9 would take about 1.5 GB.
+IS_CANONICAL_MAX = 8
+
+
 @functools.lru_cache(maxsize=None)
-def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
+def _perm_row_tables(n: int) -> tuple[tuple[tuple[tuple[int, ...],
+                                                  tuple[int, ...]], ...],
                                       ...]:
-    """For each non-identity permutation p of range(n): the element that p
+    """Block x, for each element x: for each permutation p of range(n)
+    that sends x to label n-1, the identity excepted, the element that p
     sends to each label from n-1 down, and the map row -> p(row) over all
-    2^n rows (bit j of a row is element j)."""
-    tables = []
-    for p in itertools.permutations(range(n)):
+    2^n rows (bit j of a row is element j).
+
+    Refuses n outside 1..IS_CANONICAL_MAX before building anything.
+    """
+    if not 1 <= n <= IS_CANONICAL_MAX:
+        raise DomainError(f"is_canonical takes 1 to {IS_CANONICAL_MAX} "
+                          f"elements, not {n}")
+    blocks = [[] for _ in range(n)]
+    perms = itertools.permutations(range(n))
+    next(perms)                                 # the identity
+    for p in perms:
         sources = [0] * n
         for x, label in enumerate(p):
             sources[n - 1 - label] = x
@@ -235,28 +255,57 @@ def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
         for row in range(1, 1 << n):
             low = row & -row
             rowmap[row] = rowmap[row ^ low] | 1 << p[low.bit_length() - 1]
-        tables.append((tuple(sources), tuple(rowmap)))
-    return tuple(tables[1:])
+        blocks[sources[0]].append((tuple(sources), tuple(rowmap)))
+    return tuple(tuple(block) for block in blocks)
 
 
 def is_canonical(n: int, mask: int) -> bool:
     """True iff no relabelling gives a smaller encoding.
 
     Under p, the row at label L of the image is p applied to the row of
-    the element p sends to L.  The image is compared with mask row by
-    row from the most significant, so most permutations are decided by
-    one table lookup.
+    the element p sends to L.  Encodings compare from the most
+    significant row, label n-1, so the permutations are taken in blocks
+    by the element x they send there.  Every image in block x has p(row
+    of x) at the top; that row holds bit n-1 iff x P x, and one bit for
+    each of the k other successors of x, at distinct labels below n-1,
+    so it is at least least(x) = (2^k - 1) | [x P x] 2^(n-1), and the
+    permutation that packs those successors into labels 0..k-1 attains
+    it.  So against the top row t of mask itself:
+
+    - least(x) < t: that permutation gives an image smaller than mask
+      in its top row, so mask is not canonical;
+    - least(x) > t: every image in block x is larger than mask in its
+      top row, so none of its (n-1)! permutations can be smaller;
+    - least(x) = t: the block is compared with mask row by row from the
+      most significant, so most permutations are decided by one table
+      lookup.
+
+    Each step decides exactly what the literal scan over all n!
+    relabellings would, so the result is the same on every input.
+    Blocks are taken in element order, the bound of each computed as it
+    is reached.  Raises DomainError for n outside 1..IS_CANONICAL_MAX.
     """
+    blocks = _perm_row_tables(n)
     full = (1 << n) - 1
     succ = [mask >> (x * n) & full for x in range(n)]
     top = succ[::-1]
-    for sources, rowmap in _perm_row_tables(n):
-        for want, x in zip(top, sources):
-            got = rowmap[succ[x]]
-            if got != want:
-                if got < want:
-                    return False
-                break
+    t = top[0]
+    loop_bit = n - 1
+    for x, block in enumerate(blocks):
+        s = succ[x]
+        loop = s >> x & 1
+        least = (1 << s.bit_count() - loop) - 1 | loop << loop_bit
+        if least != t:
+            if least < t:
+                return False
+            continue
+        for sources, rowmap in block:
+            for want, y in zip(top, sources):
+                got = rowmap[succ[y]]
+                if got != want:
+                    if got < want:
+                        return False
+                    break
     return True
 
 

@@ -1,14 +1,15 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mereo import (
-    AxiomId, ParthoodStructure, SearchSpec, canonical_form, count_models,
-    enumerate_models, find_model, is_canonical, satisfies, theory_axioms,
-    verify_implication,
+    AxiomId, DomainError, ParthoodStructure, SearchSpec, canonical_form,
+    count_models, enumerate_models, find_model, is_canonical, satisfies,
+    theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
 from mereo import fixtures as F
@@ -17,7 +18,9 @@ from mereo.search import (
     _all_masks, _canonical_masks, _down_sets, _poset_classes,
     _transitive_masks, _twin_masks, enumerate_model_masks,
 )
-from oracles import _canonical_form_scan, _is_canonical_scan
+from oracles import (
+    _canonical_form_scan, _is_canonical_scan, _perm_cell_maps, _remap,
+)
 
 
 # -- naive oracle: filter every labelled relation, group by permutation -------
@@ -487,6 +490,88 @@ def test_is_canonical_matches_scan_on_random_relations(case):
     n, mask = case
     for m in (mask, canonical_form(n, mask)):
         assert is_canonical(n, m) == _is_canonical_scan(n, m)
+
+
+def _tie_heavy_relations(n):
+    # relations whose elements tie, several or all of them, on the least
+    # top row a relabelling can give them
+    def rel(pairs):
+        return sum(1 << (i * n + j) for i, j in pairs)
+    loops = rel((i, i) for i in range(n))
+    cycle = rel((i, (i + 1) % n) for i in range(n))
+    return [
+        0,
+        (1 << (n * n)) - 1,
+        loops,
+        cycle,
+        cycle | loops,
+        rel((i, i ^ 1) for i in range(n - n % 2)),          # disjoint 2-cycles
+        rel((i, j) for i in range(n) for j in range(i + 1, n)),  # tournament
+    ]
+
+
+def _blocks_by_top_label(n, mask):
+    # for each element x, over every relabelling that sends x to label
+    # n-1: the least top row of the image, and whether some image is
+    # smaller than mask
+    images = [[] for _ in range(n)]
+    for p, cmap in zip(itertools.permutations(range(n)), _perm_cell_maps(n)):
+        images[p.index(n - 1)].append(_remap(mask, cmap))
+    return [(min(im >> (n - 1) * n for im in block), min(block) < mask)
+            for block in images]
+
+
+def test_is_canonical_matches_scan_on_tie_heavy_inputs():
+    paths = set()
+    for n in range(5, 8):
+        shuffled = list(range(n))
+        random.Random(n).shuffle(shuffled)
+        relabellings = [list(range(n)), [n - 1 - i for i in range(n)],
+                        [(i + 1) % n for i in range(n)],
+                        [0, n - 1] + list(range(1, n - 1)), shuffled]
+        for base in _tie_heavy_relations(n):
+            for p in relabellings:
+                mask = _relabel(n, base, p)
+                assert is_canonical(n, mask) == _is_canonical_scan(n, mask)
+                if n > 6:
+                    continue
+                # which blocks a top-row bound decides, in element order,
+                # up to the first one holding a smaller image
+                top = mask >> (n - 1) * n
+                tied = skipped = False
+                for least, smaller in _blocks_by_top_label(n, mask):
+                    if least > top:
+                        skipped = True
+                    elif least < top:
+                        paths.add(("rejected by bound", tied, skipped))
+                        break
+                    elif smaller:
+                        paths.add(("rejected in block", tied, skipped))
+                        break
+                    else:
+                        tied = True
+                else:
+                    paths.add(("accepted", tied, skipped))
+    # a later block rejects by its bound after a tied block was scanned
+    # whole, and after a block was skipped; a tied block rejects too
+    assert ("rejected by bound", True, False) in paths
+    assert ("rejected by bound", False, True) in paths
+    assert ("rejected in block", False, False) in paths
+    assert ("accepted", True, True) in paths
+
+
+def test_is_canonical_refuses_sizes_without_tables(monkeypatch):
+    # a refusal must come before any table is built: were it missing,
+    # building n=9 would take about 1.5 GB, so fail fast instead
+    def no_tables(*args):
+        raise AssertionError("a permutation table was built")
+    monkeypatch.setattr(search.itertools, "permutations", no_tables)
+    before = search._perm_row_tables.cache_info()
+    for n in (0, 9):
+        with pytest.raises(DomainError, match="1 to 8"):
+            is_canonical(n, 0)
+    after = search._perm_row_tables.cache_info()
+    assert after.currsize == before.currsize
 
 
 def test_orderly_generation_matches_canonical_filter():
