@@ -133,15 +133,23 @@ def _as(s):
     return None
 
 
-def _t(s):
-    for x in range(s.n):
-        rx = s.rows[x]
-        for y in _bits(rx):
-            missing = s.rows[y] & ~rx
+def transitivity_gap(s: ParthoodStructure,
+                     within: int) -> Optional[tuple[int, int, int]]:
+    """The first triple (x, y, z) of elements of the set within, in
+    universe order, with x P y and y P z but not x P z; None if the
+    relation restricted to within is transitive."""
+    rows = s.rows
+    for x in _bits(within):
+        rx = rows[x]
+        for y in _bits(rx & within):
+            missing = rows[y] & within & ~rx
             if missing:
-                z = (missing & -missing).bit_length() - 1
-                return (x, y, z)
+                return (x, y, (missing & -missing).bit_length() - 1)
     return None
+
+
+def _t(s):
+    return transitivity_gap(s, s.full)
 
 
 def _find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:

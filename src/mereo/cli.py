@@ -268,14 +268,10 @@ def _cmd_alg(args, out) -> int:
     return 0
 
 
-def _constraints_for(theory: str) -> tuple[AxiomId, ...]:
-    return theory_axioms(theory_id(theory))
-
-
 def _cmd_enumerate(args, out) -> int:
     if not 1 <= args.n <= SEARCH_MAX:
         raise CatalogError(f"--n must be within 1..{SEARCH_MAX}")
-    constraints = _constraints_for(args.theory)
+    constraints = theory_axioms(args.theory)
     models = enumerate_models(args.n, constraints, up_to_iso=args.up_to_iso)
     if args.count_only:
         count = sum(1 for _ in models)
@@ -544,10 +540,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (CatalogError, MereologyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MereologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

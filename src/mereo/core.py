@@ -22,9 +22,8 @@ labels.  All queries are pure.
 
 A structure can also be made from the five derived masks of an earlier
 build of the same relation (`_masks`, `_from_masks`), with nothing
-checked or derived again: the up-to-isomorphism searches keep them for
-every class they have met, and the subset tables of every class whose
-tables a search has read.
+checked or derived again, as the shared up-to-isomorphism walks of
+`search` do.
 """
 
 from __future__ import annotations
@@ -121,9 +120,8 @@ class ParthoodStructure:
     Labels are stored as their `str()` forms, which must be pairwise
     distinct; `universe` and the label index are built from them on
     first use.  `_subset_tables` holds the pair of read-only integer
-    sequences `sums.subset_tables` returns: None until that fills it,
-    unless the structure was made from a shared up-to-isomorphism walk
-    that already kept its class's tables and set them.
+    sequences `sums.subset_tables` returns: None until that fills it or
+    a shared up-to-isomorphism walk sets the tables it kept.
     """
 
     __slots__ = (

@@ -49,10 +49,9 @@ class ZeroedStructure:
         below = [base.ing_of[i] | (1 << zero) for i in range(base.n)]
         below.append(1 << zero)
         self.below = tuple(below)
-        self.above = tuple(
-            sum(1 << j for j in range(n) if below[j] >> i & 1)
-            for i in range(n)
-        )
+        # at or above a base element: its wholes and itself, never the
+        # zero; at or above the zero: everything
+        self.above = base.ing_up + (self.full,)
 
     @property
     def zero_index(self) -> int:

@@ -38,25 +38,17 @@ walk down from the full relation (_canonical_masks), instead of testing
 all 2^(n*n) relations.
 Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
-the canonical encodings found are kept in a list that grows as far as
-the deepest search has read, and a later search calls is_canonical only
-past its end (_iso_candidates, _SharedWalk).  Beside each encoding the
-walk keeps the five derived masks of its structure, 5n values packed in
-one byte array per walk (two bytes a value above n=8), so only the
-first search to reach a class builds it; every later one gets a fresh
-structure made from those masks, with nothing checked or derived again.
-A kept class costs its encoding plus 5n bytes: 3,044 classes take about
-111 KB and 61 KB at n=4 without T or IRR, 291,968 about 10.8 MB and
-7.3 MB at n=5.  The walk also keeps a class's subset tables once some
-search has read them, packed read-only, and hands them to every later
-structure of that class, so a process builds each class's tables at
-most once; a class whose tables no search read costs one list slot,
-one whose tables were kept about 154 bytes more at n=4 (186 at n=5).
-One thread is assumed.  Labelled walks are not shared.
-Remaining constraint axioms are checked on the survivors, each code
-once, in an order fixed once per search: their checkers are read from
-the catalog and sorted cheapest first when a walk starts, not for every
-candidate.  Each search checks its own structures, and a model is
+a later search calls is_canonical only past the classes an earlier one
+found, and makes each class's structure from kept masks instead of
+building it (_iso_candidates; _SharedWalk says what is kept and what
+it costs).  Labelled walks are not shared.
+The walk is chosen from what the constraints entail, not only from the
+codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
+of strict partial orders guarantees AS, AC and ANTIS as well as T and
+IRR.  Remaining constraint axioms are checked on the survivors, each
+code once, in an order fixed once per search: their checkers are read
+from the catalog and sorted cheapest first when a walk starts, not for
+every candidate.  Each search checks its own structures, and a model is
 handed on as the structure its check ran on, with the subset tables
 that check built or the walk handed it.  Labels are built only when
 read, so a rejected candidate never builds them.
@@ -313,18 +305,8 @@ def is_canonical(n: int, mask: int) -> bool:
 
 def _all_masks(n: int, irreflexive: bool) -> Iterator[int]:
     """Every relation encoding, ascending; diagonal empty if irreflexive."""
-    if not irreflexive:
-        yield from range(1 << (n * n))
-        return
-    offdiag = [i * n + j for i in range(n) for j in range(n) if i != j]
-    for combo in range(1 << len(offdiag)):
-        mask = 0
-        c = combo
-        while c:
-            low = c & -c
-            mask |= 1 << offdiag[low.bit_length() - 1]
-            c ^= low
-        yield mask
+    diagonal = sum(1 << (i * n + i) for i in range(n)) if irreflexive else 0
+    return (m for m in range(1 << (n * n)) if not m & diagonal)
 
 
 def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
@@ -489,55 +471,75 @@ def _poset_classes(n: int) -> tuple[int, ...]:
 
 # -- enumeration ---------------------------------------------------------------
 
+# The codes that entail IRR on every structure, so a search naming one
+# walks only irreflexive relations.  Each fails on a loop x P x:
+_ENTAILS_IRR = frozenset({
+    AxiomId.AS,     # x and x are mutual parts
+    AxiomId.AC,     # the loop is a part-cycle of length 1
+    AxiomId.WSP,    # x is a part of x, yet every part of x overlaps x
+})
+
+# The codes a walk of strict partial orders guarantees: T and IRR, and
+# what they entail (a cycle or mutual parts would give a loop by T).
+_POSET_CODES = frozenset({AxiomId.T, AxiomId.IRR, AxiomId.AS, AxiomId.AC,
+                          AxiomId.ANTIS})
+
+
 def _split_constraints(constraints: Sequence[AxiomLike]):
-    """Whether T and IRR are named, and the other codes, each once, in
-    the order first named."""
+    """Whether the walk is to guarantee T and IRR, and the codes it does
+    not guarantee, each once, in the order first named.
+
+    IRR is guaranteed when it or a code in _ENTAILS_IRR is named; with
+    both T and IRR, the codes they entail are guaranteed too.
+    """
     axs = dict.fromkeys(axiom_id(a) for a in constraints)
     has_t = AxiomId.T in axs
-    has_irr = AxiomId.IRR in axs
-    residual = [a for a in axs if a not in (AxiomId.T, AxiomId.IRR)]
+    has_irr = AxiomId.IRR in axs or not _ENTAILS_IRR.isdisjoint(axs)
+    walked = (_POSET_CODES if has_t and has_irr
+              else (AxiomId.T, AxiomId.IRR))
+    residual = [a for a in axs if a not in walked]
     return has_t, has_irr, residual
 
 
 class _SharedWalk:
-    """One lazy walk of canonical encodings at size n, kept as they are
-    found together with the derived masks of each one's structure and,
-    once some consumer has built them, its subset tables, so every
-    consumer in the process reads the same classes, only the consumer
-    that passes the end advances the walk and builds the structure, and
-    only the first to read a class's tables builds those.
+    """One lazy walk of canonical encodings at size n, kept as it is read
+    so that every consumer in the process reads the same classes: only
+    the consumer that passes the end advances the walk and builds the
+    structure, and only the first to read a class's subset tables builds
+    those.
 
-    Iterating yields (encoding, structure) pairs, each structure a fresh
-    object.  The consumer that finds a class gets the structure built
-    (and checked) from its encoding, and appends that structure's 5n
-    derived masks to _packed, one array of bytes (two bytes above n=8);
-    a later consumer gets a structure made from that slice.  _packed
-    always holds exactly the masks of the classes in _found, in order.
+    Iterating yields structures, each a fresh object.  The consumer that
+    finds a class gets the structure built (and checked) from its
+    encoding, and appends that structure's 5n derived masks to _packed,
+    one array of bytes (two bytes a value above n=8); a later consumer
+    gets a structure made from that slice.
 
-    _tables is parallel to _found: None until a consumer has read the
-    class's subset tables, then the pair (ub, ov) packed read-only,
-    bytes up to n=8 and a read-only view of an array('H') above.  Each
-    structure a consumer gets carries the kept pair, if there is one;
-    when the consumer asks for the next class, the pair it filled is
-    packed into the slot, if that is still empty.  So the tables a
-    search's forbid check builds are kept too, and a consumer that stops
-    early or raises keeps nothing.  A class whose tables no search reads
-    costs one list slot.
+    _tables holds one slot per class found, in order, so its length is
+    the number of classes found.  A slot is None until a consumer has
+    read the class's subset tables, then the pair (ub, ov) packed
+    read-only, bytes up to n=8 and a read-only view of an array('H')
+    above.  Each structure a consumer gets carries the kept pair, if
+    there is one; when the consumer asks for the next class, the pair it
+    filled is packed into the slot, if that is still empty.  So the
+    tables a search's forbid check builds are kept too, and a consumer
+    that stops early or raises keeps nothing.
 
-    The lists only grow.  If the walk raises, the classes already found
+    A class costs 5n bytes of masks (10n above n=8) plus one list slot,
+    plus its packed tables, 2^n values each, once a search has read them.
+
+    Nothing is released: the store grows with the classes the deepest
+    search consumed.  If the walk raises, the classes already found
     stay; the next consumer to pass the end starts the walk afresh and
-    skips that many values, so a failed walk never reads as a finished
-    one.  One thread is assumed: the walk is a generator, and two
-    threads advancing it at once would fail.
+    skips len(_tables) values, so a failed walk never reads as a
+    finished one.  One thread is assumed: the walk is a generator, and
+    two threads advancing it at once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_found", "_packed", "_tables", "_walk",
-                 "_done")
+    __slots__ = ("_n", "_start", "_packed", "_tables", "_walk", "_done")
 
     def __init__(self, n: int, start):
         self._n = n
         self._start = start     # () -> a fresh walk from its first value
-        self._found: list[int] = []
         self._packed = array("B" if n <= 8 else "H")
         self._tables: list[Optional[tuple[Sequence[int], Sequence[int]]]] = []
         self._walk: Optional[Iterator[int]] = None
@@ -549,7 +551,7 @@ class _SharedWalk:
         if self._done:
             return None
         if self._walk is None:
-            self._walk = itertools.islice(self._start(), len(self._found),
+            self._walk = itertools.islice(self._start(), len(self._tables),
                                           None)
         try:
             m = next(self._walk)
@@ -562,14 +564,12 @@ class _SharedWalk:
             raise
         s = ParthoodStructure.from_mask(self._n, m)
         self._packed.extend(s._masks())
-        self._found.append(m)
         self._tables.append(None)
         return s
 
-    def __iter__(self) -> Iterator[tuple[int, ParthoodStructure]]:
+    def __iter__(self) -> Iterator[ParthoodStructure]:
         n = self._n
         width = 5 * n
-        found = self._found
         packed = self._packed
         tables = self._tables
         if n <= 8:
@@ -580,7 +580,7 @@ class _SharedWalk:
         from_masks = ParthoodStructure._from_masks
         i = 0
         while True:
-            if i < len(found):
+            if i < len(tables):
                 start = i * width
                 s = from_masks(n, packed[start:start + width])
                 s._subset_tables = tables[i]
@@ -588,7 +588,7 @@ class _SharedWalk:
                 s = self._advance()
                 if s is None:
                     return
-            yield found[i], s
+            yield s
             if tables[i] is None and s._subset_tables is not None:
                 ub, ov = s._subset_tables
                 tables[i] = pack(ub), pack(ov)
@@ -597,12 +597,10 @@ class _SharedWalk:
 
 @functools.lru_cache(maxsize=None)
 def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
-    """The canonical encodings an up-to-isomorphism search walks at size
-    n, and their structures, shared by every search in the process: the
-    memoised poset classes under T and IRR, the orderly walk without T,
-    and the canonical members of the labelled transitive walk under T
-    alone.  Each is filled lazily (_SharedWalk), so it holds only as
-    many classes as the deepest search so far consumed."""
+    """The canonical structures an up-to-isomorphism search walks at size
+    n, shared by every search in the process: the memoised poset classes
+    under T and IRR, the orderly walk without T, and the canonical
+    members of the labelled transitive walk under T alone."""
     if has_t and has_irr:
         return _SharedWalk(n, lambda: iter(_poset_classes(n)))
     if not has_t:
@@ -611,44 +609,34 @@ def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
                                    if is_canonical(n, m)))
 
 
-def _model_mask_stream(n: int, constraints: Sequence[AxiomLike],
-                       up_to_iso: bool) \
-        -> Iterator[tuple[int, ParthoodStructure]]:
-    """Models as (encoding, structure) pairs, in ascending order.
+def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
+                     up_to_iso: bool = True) -> Iterator[ParthoodStructure]:
+    """Every relation on n elements satisfying the constraints.
 
-    Each candidate is a fresh structure, checked against the residual
-    axioms, and a model is handed on as that same structure, with
-    whatever per-subset tables the check filled.  Up to isomorphism, the
-    candidates come from _iso_candidates, one shared walk per (n, T,
-    IRR) for the whole process: a later search with the same generating
-    axioms reads the canonical encodings an earlier one found, calls
-    is_canonical only past them, and makes each structure from the
-    derived masks kept beside its encoding instead of building it, with
-    the class's subset tables set if an earlier search built them; a
-    search that stops early leaves the rest of the walk undone.  What is
-    kept grows with the classes consumed: the encoding plus 5n bytes of
-    masks per class (the complete walk without T or IRR holds 3,044
-    classes, about 111 KB of encodings and 61 KB of masks, at n=4 and
-    291,968, about 10.8 MB and 7.3 MB, at n=5), plus the packed tables
-    of each class whose tables a search read (about 154 bytes at n=4,
-    186 at n=5: a U_SUM search over that whole n=5 walk peaked at 99 MB
-    against 34 MB without them), and one thread is assumed.  Labelled walks (all relations, or the
-    transitive ones) are not shared: they run lazily per search and
-    build every candidate."""
+    One representative per isomorphism class when up_to_iso, the one
+    with the canonical (minimal) encoding; ordered by increasing
+    encoding.  Each candidate is a fresh structure, checked against the
+    residual axioms, and a model is handed on as that same structure,
+    with whatever subset tables the check filled; its labels are filled
+    only if read.  Up to isomorphism the candidates come from the shared
+    walk of _iso_candidates, so a search that stops early leaves the
+    rest of it undone.  Labelled walks (all relations, or the transitive
+    ones) run lazily per search and build every candidate.
+    """
     has_t, has_irr, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:
         candidates = _iso_candidates(n, has_t, has_irr)
     else:
         walk = _transitive_masks if has_t else _all_masks
-        candidates = ((m, ParthoodStructure.from_mask(n, m))
+        candidates = (ParthoodStructure.from_mask(n, m)
                       for m in walk(n, has_irr))
-    for m, s in candidates:
+    for s in candidates:
         for find in finders:
             if find(s) is not None:
                 break
         else:
-            yield m, s
+            yield s
 
 
 def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
@@ -658,24 +646,13 @@ def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
     With up_to_iso, exactly the canonical (minimal-encoding)
     representative of each isomorphism class is kept.
     """
-    return [m for m, _ in _model_mask_stream(n, constraints, up_to_iso)]
-
-
-def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
-                     up_to_iso: bool = True) -> Iterator[ParthoodStructure]:
-    """Every relation on n elements satisfying the constraints.
-
-    One representative per isomorphism class when up_to_iso; ordered by
-    increasing canonical encoding.  Each model is the structure its
-    residual check built; its labels are filled only if read.
-    """
-    for _, s in _model_mask_stream(n, constraints, up_to_iso):
-        yield s
+    return [s.relation_mask for s in enumerate_models(n, constraints,
+                                                      up_to_iso)]
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),
                  up_to_iso: bool = True) -> int:
-    return len(enumerate_model_masks(n, constraints, up_to_iso))
+    return sum(1 for _ in enumerate_models(n, constraints, up_to_iso))
 
 
 def models_up_to_iso(n: int, constraints: Iterable[AxiomLike] = ()) \

@@ -77,10 +77,8 @@ def subset_tables(s: ParthoodStructure) \
 
     Both tables are built by doubling over the elements, 2^n entries
     each, once per structure: the result is kept in the structure's
-    `_subset_tables` slot.  A structure from a shared up-to-isomorphism
-    walk may come with them already there, packed read-only (bytes, or a
-    read-only view of two-byte values above n=8) by the walk when an
-    earlier search built them for the same class.  Entry m equals
+    `_subset_tables` slot, where a shared up-to-isomorphism walk may
+    have set them already, packed read-only.  Entry m equals
     `subset_entry(s, m)`.
     """
     tables = s._subset_tables

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .axioms import _find_cycle
+from .axioms import _find_cycle, transitivity_gap
 from .core import ElementId, ElementLike, ParthoodStructure, _bits
 
 
@@ -105,28 +105,13 @@ def paths_between(s: ParthoodStructure, x: ElementLike, y: ElementLike,
             for nodes in _simple_paths(s, i, j, max_len)]
 
 
-def _transitivity_gap(s: ParthoodStructure,
-                      nodes: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
-    """First triple from the node set on which transitivity fails."""
-    members = sorted(set(nodes))
-    for a in members:
-        ra = s.rows[a]
-        for b in members:
-            if not ra >> b & 1:
-                continue
-            for c in members:
-                if s.rows[b] >> c & 1 and not ra >> c & 1:
-                    return (a, b, c)
-    return None
-
-
 def is_locally_transitive(s: ParthoodStructure) -> LocalTransitivityVerdict:
     """For every pair x P y and every part-path from x to y, the relation
     restricted to the path's node set is transitive."""
     for x in range(s.n):
         for y in _bits(s.rows[x]):
             for nodes in _simple_paths(s, x, y, s.n):
-                gap = _transitivity_gap(s, nodes)
+                gap = transitivity_gap(s, sum(1 << k for k in nodes))
                 if gap is not None:
                     path = PartPath(tuple(s.universe[k] for k in nodes))
                     triple = tuple(s.universe[k] for k in gap)

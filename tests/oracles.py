@@ -1,12 +1,15 @@
-"""Literal definitions the canonical-form kernels in mereo.search are
-tested against: every one of the n! relabellings is applied to every set
-cell of the encoding.
+"""Literal definitions the kernels in mereo.search are tested against:
+the canonical forms, by applying every one of the n! relabellings to
+every set cell of the encoding, and the choice of walk, by the codes as
+named.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+
+from mereo.axioms import AxiomId, axiom_id
 
 
 @functools.lru_cache(maxsize=None)
@@ -40,3 +43,12 @@ def _is_canonical_scan(n: int, mask: int) -> bool:
         if _remap(mask, cmap) < mask:
             return False
     return True
+
+
+def _literal_split_constraints(constraints):
+    """Whether T and IRR are named, and the other codes, each once, in the
+    order first named: the walk chosen from the codes alone, the oracle
+    for search._split_constraints, which reads what they entail."""
+    axs = dict.fromkeys(axiom_id(a) for a in constraints)
+    residual = [a for a in axs if a not in (AxiomId.T, AxiomId.IRR)]
+    return AxiomId.T in axs, AxiomId.IRR in axs, residual

@@ -156,6 +156,15 @@ def test_enumerate_count():
     assert code == 2
 
 
+def test_enumerate_mem_and_mcm_at_the_command_line_cap():
+    # both name WSP, which entails IRR, so they walk the strict partial
+    # orders instead of every transitive relation
+    for theory, classes in (("MEM", "31"), ("MCM", "8")):
+        code, out = run_cli("enumerate", "--n", "7", "--theory", theory,
+                            "--up-to-iso", "--count-only")
+        assert code == 0 and out.strip() == classes
+
+
 def test_enumerate_structures_parse_back():
     code, out = run_cli("enumerate", "--n", "3", "--theory", "SPO",
                         "--up-to-iso")

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mereo import (
-    AxiomId, DomainError, ParthoodStructure, SearchSpec, canonical_form,
-    count_models, enumerate_models, find_model, is_canonical, satisfies,
-    theory_axioms, verify_implication,
+    AxiomId, DomainError, ParthoodStructure, SearchSpec, TheoryId,
+    canonical_form, count_models, enumerate_models, find_model, is_canonical,
+    satisfies, theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
 from mereo import fixtures as F
@@ -19,7 +19,8 @@ from mereo.search import (
     _transitive_masks, _twin_masks, enumerate_model_masks,
 )
 from oracles import (
-    _canonical_form_scan, _is_canonical_scan, _perm_cell_maps, _remap,
+    _canonical_form_scan, _is_canonical_scan, _literal_split_constraints,
+    _perm_cell_maps, _remap,
 )
 
 
@@ -728,6 +729,73 @@ def test_model_masks_match_a_satisfies_filter_for_every_code(generator,
                                                up_to_iso), (code, n)
 
 
+# -- the walk chosen from what the constraints entail --------------------------
+
+def _looped_models(code, max_n):
+    """The relations with a loop, on at most max_n elements, that satisfy
+    code."""
+    for n in range(1, max_n + 1):
+        diagonal = sum(1 << (i * n + i) for i in range(n))
+        for m in range(1 << (n * n)):
+            if m & diagonal and satisfies(ParthoodStructure.from_mask(n, m),
+                                          [code]):
+                yield m
+
+
+def test_codes_entailing_irr_are_exactly_the_table():
+    # each entry has no looped model to n=3 (so none under T either), and
+    # every other code but IRR has one on at most two elements, so a new
+    # catalog entry must be placed on one side or the other
+    for code in CATALOG_ORDER:
+        if code in search._ENTAILS_IRR:
+            assert next(_looped_models(code, 3), None) is None, code
+        elif code is not AxiomId.IRR:
+            assert next(_looped_models(code, 2), None) is not None, code
+
+
+def _literal_then_entailed(monkeypatch, run):
+    """run()'s result with the walk chosen from the codes as named, then
+    from what they entail."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_split_constraints",
+                      _literal_split_constraints)
+        literal = run()
+    return literal, run()
+
+
+def test_theories_agree_with_the_literal_split(monkeypatch):
+    # MEM and MCM name WSP but not IRR: the literal split walks every
+    # transitive relation for them
+    def census():
+        return [enumerate_model_masks(n, theory_axioms(t), up_to_iso)
+                for t in TheoryId for up_to_iso in (True, False)
+                for n in range(1, 6 if up_to_iso else 5)]
+
+    literal, entailed = _literal_then_entailed(monkeypatch, census)
+    assert entailed == literal
+
+
+_AMBIENTS = [(), ("IRR",), ("T",), ("T", "IRR")]
+
+
+@pytest.mark.parametrize("hypotheses,max_n", [
+    (CATALOG_ORDER, 3),
+    ((AxiomId.AS, AxiomId.AC, AxiomId.WSP, AxiomId.ANTIS), 4),
+], ids=["every-code", "order-codes"])
+def test_claims_agree_with_the_literal_split(hypotheses, max_n, monkeypatch):
+    # the result's witness, explored count and exhaustion, claim by claim
+    claims = [(ambient, h, c) for ambient in _AMBIENTS for h in hypotheses
+              if h.value not in ambient for c in CATALOG_ORDER
+              if c is not h and c.value not in ambient]
+
+    def verdicts():
+        return [verify_implication(ambient, [h], c, max_n)
+                for ambient, h, c in claims]
+
+    literal, entailed = _literal_then_entailed(monkeypatch, verdicts)
+    assert entailed == literal
+
+
 # -- the row-by-row transitive walk against the literal filter ----------------
 
 def test_transitive_walk_matches_literal_filter():
@@ -780,6 +848,10 @@ def _counted_is_canonical(monkeypatch, fail_after=None):
 
 
 def _unshared_iso_walk(n, constraints):
+    """The classes a shared walk over the generating codes must yield,
+    found without one."""
+    if "T" in constraints and "IRR" in constraints:
+        return list(_poset_classes(n))
     if "T" in constraints:
         return [m for m in _transitive_masks(n, False) if is_canonical(n, m)]
     return list(_canonical_masks(n, "IRR" in constraints))
@@ -797,13 +869,15 @@ def _assert_built_afresh(s, n, mask):
     assert s._subset_tables is None
 
 
-def _assert_store_aligned(walk, n):
-    """The kept masks are exactly those of the kept encodings, in order,
-    and every kept pair of subset tables is that of its encoding."""
+def _assert_store_aligned(walk, n, want):
+    """The walk keeps a prefix of the classes want, in order: the masks
+    of each, and one table slot each, holding None or that class's
+    subset tables."""
     width = 5 * n
-    assert len(walk._packed) == width * len(walk._found)
-    assert len(walk._tables) == len(walk._found)
-    for i, mask in enumerate(walk._found):
+    kept = len(walk._tables)
+    assert kept <= len(want)
+    assert len(walk._packed) == width * kept
+    for i, mask in enumerate(want[:kept]):
         packed = walk._packed[i * width:(i + 1) * width]
         _assert_built_afresh(ParthoodStructure._from_masks(n, packed), n,
                              mask)
@@ -860,12 +934,12 @@ def test_interleaved_consumers_see_one_sequence(constraints):
             chunk = list(itertools.islice(it, k + 1))
             seen[k] += chunk
             live |= bool(chunk)
-    assert [[m for m, _ in pairs] for pairs in seen] == [want] * 3
+    assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
     # the consumer that found a class built it; the others made it from
     # the kept masks, each a structure of its own
-    for pairs in zip(*seen):
-        assert len({id(s) for _, s in pairs}) == 3
-        for m, s in pairs:
+    for m, structures in zip(want, zip(*seen)):
+        assert len({id(s) for s in structures}) == 3
+        for s in structures:
             _assert_built_afresh(s, n, m)
     assert enumerate_model_masks(n, constraints) == want
 
@@ -880,19 +954,24 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, constraints)
     walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
-    assert 0 < len(walk._found) < len(want)
-    _assert_store_aligned(walk, n)
+    assert 0 < len(walk._tables) < len(want)
+    _assert_store_aligned(walk, n, want)
     monkeypatch.undo()
     assert enumerate_model_masks(n, constraints) == want
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, want)
     assert enumerate_model_masks(n, constraints) == want
-    assert walk._found == want
+    assert len(walk._tables) == len(want)
 
 
 _ISO_KEYS = [
     (n, has_t, has_irr) for n in range(1, 5)
     for has_t in (False, True) for has_irr in (False, True)
 ] + [(n, True, True) for n in (5, 6)]
+
+
+def _generating_codes(key):
+    _, has_t, has_irr = key
+    return ["T"] * has_t + ["IRR"] * has_irr
 
 
 @pytest.mark.parametrize("key", _ISO_KEYS)
@@ -902,13 +981,13 @@ def test_second_pass_structures_equal_fresh_builds(key):
     first = list(walk)
     second = list(walk)
     n = key[0]
-    assert [m for m, _ in second] == [m for m, _ in first]
-    if key[1:] == (True, True):
-        assert [m for m, _ in second] == list(_poset_classes(n))
-    for (m, s), (_, t) in zip(first, second):
+    want = _unshared_iso_walk(n, _generating_codes(key))
+    assert [s.relation_mask for s in first] == want
+    assert len(second) == len(want)
+    for m, s, t in zip(want, first, second):
         assert t is not s
         _assert_built_afresh(t, n, m)
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, want)
 
 
 def _count_table_builds(monkeypatch):
@@ -940,11 +1019,6 @@ def test_a_repeated_search_builds_no_structure(monkeypatch):
     assert table_builds[0] == 0
 
 
-def _generating_codes(key):
-    _, has_t, has_irr = key
-    return ["T"] * has_t + ["IRR"] * has_irr
-
-
 @pytest.mark.parametrize("key", _ISO_KEYS)
 def test_second_pass_structures_carry_the_kept_subset_tables(key):
     search._iso_candidates.cache_clear()
@@ -952,13 +1026,17 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
     # U_SUM reads every candidate's tables, so the first search keeps all
     first = count_models(n, ["U_SUM"] + _generating_codes(key))
     walk = search._iso_candidates(*key)
+    want = _unshared_iso_walk(n, _generating_codes(key))
+    assert len(walk._tables) == len(want)
     assert all(tables is not None for tables in walk._tables)
-    for m, s in walk:
+    second = list(walk)
+    assert len(second) == len(want)
+    for i, (m, s) in enumerate(zip(want, second)):
         tables = s._subset_tables
-        assert tables is walk._tables[walk._found.index(m)]
+        assert tables is walk._tables[i]
         assert sums.subset_tables(s) is tables
         _assert_kept_tables(tables, n, m)
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, want)
     assert count_models(n, ["U_SUM"] + _generating_codes(key)) == first
 
 
@@ -966,13 +1044,16 @@ def test_tables_above_eight_elements_are_kept_as_read_only_shorts():
     # a chain and an antichain on nine elements: table entries above 255
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
-    walk = search._SharedWalk(n, lambda: iter([0, chain]))
-    for _, s in walk:
+    want = [0, chain]
+    walk = search._SharedWalk(n, lambda: iter(want))
+    for s in walk:
         sums.subset_tables(s)
-    for m, s in walk:
+    second = list(walk)
+    assert [s.relation_mask for s in second] == want
+    for m, s in zip(want, second):
         assert isinstance(s._subset_tables[0], memoryview)
         _assert_kept_tables(s._subset_tables, n, m)
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, want)
 
 
 @pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
@@ -982,24 +1063,24 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     n = 4
     codes = constraints + ("U_SUM",)
     want = enumerate_model_masks(n, codes)
-    classes = len(_unshared_iso_walk(n, constraints))
+    classes = _unshared_iso_walk(n, constraints)
     search._iso_candidates.cache_clear()
     _counted_is_canonical(monkeypatch, fail_after=100)
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, codes)
     walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
-    kept = len(walk._found)
-    assert 0 < kept < classes
+    kept = len(walk._tables)
+    assert 0 < kept < len(classes)
     # the consumer checked U_SUM on every class it was handed
     assert None not in walk._tables
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, classes)
     monkeypatch.undo()
     builds = _count_table_builds(monkeypatch)
     assert enumerate_model_masks(n, codes) == want
-    _assert_store_aligned(walk, n)
+    _assert_store_aligned(walk, n, classes)
     assert None not in walk._tables
     # after the restart, only the classes past the raise built tables
-    assert builds[0] == len(walk._found) - kept
+    assert builds[0] == len(walk._tables) - kept == len(classes) - kept
 
 
 def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
@@ -1007,10 +1088,11 @@ def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
     spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
     found = find_model(spec).found
     walk = search._iso_candidates(4, False, False)
-    last = walk._found.index(found.relation_mask)
-    assert last == len(walk._found) - 1
+    want = _unshared_iso_walk(4, ())
+    last = want.index(found.relation_mask)
+    assert last == len(walk._tables) - 1
     # DAGGER read the tables of every explored model before the last one
-    explored = [i for i, m in enumerate(walk._found)
+    explored = [i for i, m in enumerate(want[:last + 1])
                 if satisfies(ParthoodStructure.from_mask(4, m), ["ANTIS"])]
     assert all(walk._tables[i] is not None for i in explored[:-1])
     assert explored[-1] == last and walk._tables[last] is None
@@ -1019,7 +1101,7 @@ def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
     assert walk._tables[last] is None
     count_models(4, ["ANTIS", "U_SUM"])
     _assert_kept_tables(walk._tables[last], 4, found.relation_mask)
-    _assert_store_aligned(walk, 4)
+    _assert_store_aligned(walk, 4, want)
 
 
 def test_searches_over_one_walk_share_no_structure():
