@@ -13,10 +13,12 @@ DOLLAR pair, DIAMOND, SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM)
 read every subset's pair from sums.subset_tables, built once per
 structure; S_SUM, C_BSUM, E_BSUM and the supplementation principles
 fold it from ing_up and ov_of.  Mask-major finders walk the subsets in
-encoding order.  Element-major ones visit, for each x, only the subsets
-of its ingredienses (x sums or bounds no other) and test the rule
-inline; the DOLLAR pair visits every subset, as its closure side can
-hold of any.  The literal definitions in sums are the finders' oracles.
+encoding order.  Element-major ones (the DOLLAR pair, DIAMOND and the
+sum/supremum inclusions) visit, for each x, only the subsets that can
+witness a failure at x and test the rule inline: the subsets of its
+ingredienses (x sums or bounds no other), and for the DOLLAR pair also
+those of the elements whose overlaps lie within x's.  The literal
+definitions in sums are the finders' oracles.
 
 A failed check carries a witness: the first violating assignment under
 universe order and subset encoding order, as a tuple of elements
@@ -319,18 +321,43 @@ def _ext_ov(s):
     return None
 
 
+# The x-major finders below visit, for each x, only the submasks m of a
+# support set of x that can witness a failure, ascending
+# (m = (m - w) & w for support w):
+# - DOLLAR: x sums m needs m within ing_of[x], and ov[m] = ov_of[x]
+#   needs ov_of[i] within ov_of[x] for every member i, so a mismatch has
+#   m within ing_of[x] | {i : ov_of[i] within ov_of[x]}.  m = 0 never
+#   mismatches: x does not sum it (x is its own ingrediens and overlaps
+#   no member), and ov[0] is empty while x overlaps x.  The mismatches
+#   come in the order of the full scan.
+# - DIAMOND: a failing (x, y, m) has x summing m, so m within ing_of[x].
+#   Each x stops at the least failing mask found so far and replaces it
+#   only by a smaller one, so the result is the least failing mask and
+#   the lowest x failing there, the full scan's first witness.  If x is
+#   a supremum of m, another supremum y is in ub[m], and x in ub[m]
+#   within ing_up[y] makes y an ingrediens of x; so the suprema are read
+#   only if ub[m] leaves ing_up[x] or holds another ingrediens of x.
+# - the rest: x sums or bounds m only if m is within ing_of[x], and then
+#   x is in ub[m] already.
+
 def _dollar_mismatches(s):
     """(x, m, x sums m) for each pair where x sums m and the closure
     condition (u Ov x iff u Ov m) disagree, x-major."""
-    ub, ov = subset_tables(s)
-    ing = s.ing_of
+    _, ov = subset_tables(s)
+    ing, ov_of = s.ing_of, s.ov_of
     for x in range(s.n):
-        bit, ix, ovx = 1 << x, ing[x], s.ov_of[x]
-        for mask in range(s.full + 1):
+        ix, ovx = ing[x], ov_of[x]
+        support = ix
+        for i in range(s.n):
+            if not ov_of[i] & ~ovx:
+                support |= 1 << i
+        mask = support & -support
+        while mask:
             o = ov[mask]
-            is_sum = bool(ub[mask] & bit and not ix & ~o)
+            is_sum = not mask & ~ix and not ix & ~o
             if is_sum != (o == ovx):
                 yield x, mask, is_sum
+            mask = (mask - support) & support
 
 
 def _dollar(s):
@@ -350,23 +377,22 @@ def dollar_converse_holds(s: ParthoodStructure) -> bool:
 
 def _diamond(s):
     ub, ov = subset_tables(s)
-    for mask in range(1, s.full + 1):
-        u = ub[mask]
-        sums = sums_in(s, u, ov[mask])
-        if not sums:
-            continue
-        sups = sups_in(s, u)
-        for x in _bits(sums):
-            others = sups & ~(1 << x)
-            if others:
-                return (x, (others & -others).bit_length() - 1,
-                        ("subset", mask))
-    return None
+    found, bound = None, s.full + 1
+    for x in range(s.n):
+        bit, ix, up = 1 << x, s.ing_of[x], s.ing_up[x]
+        mask = ix & -ix
+        while mask and mask < bound:
+            u = ub[mask]
+            if not ix & ~ov[mask] and (u & ~up or (u & ix) != bit):
+                others = sups_in(s, u) & ~bit
+                if others:
+                    found = (x, (others & -others).bit_length() - 1,
+                             ("subset", mask))
+                    bound = mask
+                    break
+            mask = (mask - ix) & ix
+    return found
 
-
-# The x-major finders below visit, for each x, only the submasks m of
-# ing_of[x], ascending (m = (m - ix) & ix): x sums or bounds m only if
-# m is one, and then x is in ub[m] already.
 
 def _sum_sub_sup(s):
     ub, ov = subset_tables(s)

@@ -3,9 +3,10 @@
 A parthood structure whose relation is a strict partial order induces
 the partial order "is an ingrediens of"; adjoining a fresh bottom
 element beneath everything yields a bounded poset whose lattice laws
-are then checked by exhaustive bound scans -- meets and joins are found
-by scanning candidates, never computed through the sum machinery, so
-these verdicts are an independent cross-check of it.
+are then checked by scanning for bounds -- meets and joins are found
+by scanning candidates, and completeness by finding a least element in
+each distinct upper-bound set, never computed through the sum
+machinery, so these verdicts are an independent cross-check of it.
 
 The one correspondence verified here: a structure models classical
 mereology exactly when its zero adjunction is a non-degenerate complete
@@ -74,8 +75,12 @@ class ZeroedStructure:
         upper = self.full
         for i in _bits(mask):
             upper &= self.above[i]
-        for k in _bits(upper):
-            if not upper & ~self.above[k]:
+        return self._least(upper)
+
+    def _least(self, elements: int) -> Optional[int]:
+        """The least element of the set elements, if any."""
+        for k in _bits(elements):
+            if not elements & ~self.above[k]:
                 return k
         return None
 
@@ -168,14 +173,16 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
                 break
 
     # For a finite carrier completeness follows from the lattice laws,
-    # but it is still checked directly, over every subset.
-    is_complete = True
-    for mask in range(1 << n):
-        if z.join_of_set(mask) is None:
-            is_complete = False
-            if witness is None:
-                witness = (z.subset_from_mask(mask),)
-            break
+    # but it is still checked directly: each subset's join is the least
+    # of its upper bounds, and folding in one element's up-set at a time
+    # collects the distinct upper-bound sets of all 2^n subsets.
+    uppers = {z.full}
+    for a in z.above:
+        uppers |= {u & a for u in uppers}
+    is_complete = all(z._least(u) is not None for u in uppers)
+    if not is_complete and witness is None:
+        mask = next(m for m in range(1 << n) if z.join_of_set(m) is None)
+        witness = (z.subset_from_mask(mask),)
 
     return LatticeReport(
         is_lattice=is_lattice,

@@ -1,13 +1,15 @@
-"""Literal definitions the kernels in mereo.search are tested against:
+"""Literal definitions the kernels are tested against: in mereo.search,
 the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, and the choice of walk, by the codes as
-named.
+named; in mereo.lattice, completeness, by asking for the join of every
+subset.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Optional
 
 from mereo.axioms import AxiomId, axiom_id
 
@@ -52,3 +54,13 @@ def _literal_split_constraints(constraints):
     axs = dict.fromkeys(axiom_id(a) for a in constraints)
     residual = [a for a in axs if a not in (AxiomId.T, AxiomId.IRR)]
     return AxiomId.T in axs, AxiomId.IRR in axs, residual
+
+
+def _first_joinless_mask(z) -> Optional[int]:
+    """The first subset mask of the zero adjunction z, in encoding order,
+    with no join, by join_of_set on every one of the 2^n masks; None if
+    z is complete: the oracle for lattice_report's is_complete."""
+    for mask in range(1 << z.n):
+        if z.join_of_set(mask) is None:
+            return mask
+    return None

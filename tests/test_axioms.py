@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +15,7 @@ from mereo.sums import (
     cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
 )
 
-from conftest import all_relations, structures_maybe_with_zero
+from conftest import _closure, all_relations, structures_maybe_with_zero
 
 
 def sweep(nmax, ambient=()):
@@ -500,3 +503,75 @@ def test_subset_finders_match_literal_scans_on_random_relations(s):
 def test_subset_finders_match_literal_scans_on_fixtures():
     for make in F.ALL.values():
         _assert_finders_match_reference(make())
+
+
+# -- DOLLAR and DIAMOND at the benchmark's catalog sizes ----------------------
+# Their finders visit, per element, only the subsets that can witness a
+# failure there; the literal scans visit every (element, subset) pair.
+
+_COMPOSITES = ["".join(c) for k in (2, 3, 4)
+               for c in itertools.combinations("abcd", k)]
+
+
+def _inclusion_family(rng, n, atoms):
+    """The given atoms and n - len(atoms) composites of abcd under strict
+    inclusion, in shuffled order."""
+    labels = list(atoms) + rng.sample(_COMPOSITES, n - len(atoms))
+    rng.shuffle(labels)
+    return ParthoodStructure.build(labels, [
+        (x, y) for x in labels for y in labels if set(x) < set(y)])
+
+
+def _raw_relation(rng, n, closed):
+    """Each ordered pair of distinct elements with chance 0.16, plus a
+    loop; transitively closed when closed."""
+    mask = sum(1 << cell for cell in range(n * n)
+               if cell % (n + 1) and rng.random() < 0.16)
+    mask |= 1 << (rng.randrange(n) * (n + 1))
+    return ParthoodStructure.from_mask(n, _closure(n, mask) if closed else mask)
+
+
+def _assert_dollar_and_diamond_match_reference(s):
+    dollar = _ref_dollar(s)
+    assert CATALOG[AxiomId.DOLLAR_EXT].find_violation(s) == dollar, s
+    assert CATALOG[AxiomId.DOLLAR_OV].find_violation(s) == dollar, s
+    assert CATALOG[AxiomId.DIAMOND].find_violation(s) == _ref_diamond(s), s
+    assert dollar_converse_holds(s) == _ref_dollar_converse(s), s
+
+
+def test_dollar_and_diamond_match_literal_scans_at_catalog_sizes():
+    # full families hold both principles, so their scans run to the end;
+    # without the atom d, and on raw relations, they fail at varied places
+    rng = random.Random(17)
+    for n in range(7, 11):
+        for _ in range(2):
+            for s in (_inclusion_family(rng, n, "abcd"),
+                      _inclusion_family(rng, n, "abc"),
+                      _raw_relation(rng, n, False),
+                      _raw_relation(rng, n, True)):
+                _assert_dollar_and_diamond_match_reference(s)
+
+
+def test_dollar_first_witness_outside_the_ingredienses():
+    # a and b share their only part c, so they overlap the same elements:
+    # {b} meets the closure condition for a without being summed by it
+    s = ParthoodStructure.build(["a", "b", "c"], [("c", "a"), ("c", "b")])
+    _assert_dollar_and_diamond_match_reference(s)
+    x, (_, mask) = CATALOG[AxiomId.DOLLAR_OV].find_violation(s)
+    assert (x, mask) == (0, 0b010) and mask & ~s.ing_of[x]
+
+
+def test_diamond_least_failing_mask_from_a_later_element():
+    # a fails first at {b} (supremum b), c at {a} (supremum a): the witness
+    # has the least failing mask, though a is the first element to fail
+    s = ParthoodStructure.build(["a", "b", "c"], [("a", "c"), ("b", "a")])
+    _assert_dollar_and_diamond_match_reference(s)
+    assert not _diamond_fails_at(s, 0, 0b001)
+    assert _diamond_fails_at(s, 0, 0b010)
+    assert check_axiom(s, "DIAMOND").witness == (
+        s.universe[2], s.universe[0], s.subset_from_mask(0b001))
+
+
+def _diamond_fails_at(s, x, mask):
+    return is_sum_mask(s, x, mask) and any(
+        y != x for y in sup_candidates(s, mask))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mereo import (
@@ -6,7 +8,10 @@ from mereo import (
     theory_axioms,
 )
 from mereo import fixtures as F
-from mereo.lattice import is_boolean_complete, zero_report
+from mereo.lattice import ZeroedStructure, is_boolean_complete, zero_report
+
+from conftest import _closure
+from oracles import _first_joinless_mask
 
 
 def test_adjoin_zero_shapes():
@@ -149,3 +154,57 @@ def test_cm_cardinality_law_to_6():
         for s in enumerate_models(n, cm):
             assert s.n in (1, 3, 7)
             assert is_boolean_complete(adjoin_zero(s))
+
+
+# -- completeness against the literal scan over every subset -----------------
+
+def _assert_completeness_matches_scan(s):
+    z = adjoin_zero(s)
+    assert lattice_report(z).is_complete == (
+        _first_joinless_mask(z) is None), s
+
+
+def _random_strict_order(rng, n):
+    """The transitive closure of a random relation along a random linear
+    order of n elements."""
+    rank = rng.sample(range(n), n)
+    p = rng.uniform(0.1, 0.4)
+    mask = sum(1 << (i * n + j) for i in range(n) for j in range(n)
+               if rank[i] < rank[j] and rng.random() < p)
+    return ParthoodStructure.from_mask(n, _closure(n, mask))
+
+
+def test_completeness_matches_literal_scan():
+    for n in range(1, 6):
+        for s in models_up_to_iso(n, ["T", "IRR"]):
+            _assert_completeness_matches_scan(s)
+    rng = random.Random(29)
+    for n in range(8, 12):
+        for _ in range(5):
+            _assert_completeness_matches_scan(_random_strict_order(rng, n))
+    for make in F.ALL.values():
+        s = make()
+        if holds(s, "T") and holds(s, "IRR"):
+            _assert_completeness_matches_scan(s)
+
+
+def test_incompleteness_witness_is_the_first_joinless_subset(monkeypatch):
+    # On a finite carrier a missing join already fails the lattice laws,
+    # which set the witness.  Lending the bowtie below the meets and joins
+    # of the eight-element Boolean lattice, whose top has the same index,
+    # leaves completeness as the first law to fail.
+    bowtie = adjoin_zero(ParthoodStructure.build(
+        ["a", "b", "c", "d", "e", "f", "t"],
+        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("a", "t"),
+         ("b", "t"), ("c", "t"), ("d", "t"), ("e", "t"), ("f", "t")]))
+    boolean = adjoin_zero(F.b7())
+    meet, join = ZeroedStructure.meet, ZeroedStructure.join
+    monkeypatch.setattr(ZeroedStructure, "meet",
+                        lambda z, i, j: meet(boolean, i, j))
+    monkeypatch.setattr(ZeroedStructure, "join",
+                        lambda z, i, j: join(boolean, i, j))
+    r = lattice_report(bowtie)
+    assert r.is_boolean and not r.is_complete
+    first = _first_joinless_mask(bowtie)
+    assert r.witness == (bowtie.subset_from_mask(first),)
+    assert first == 0b0000011       # {a, b}: bounded by c, d, t, none least
