@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .axioms import (
     AxiomId, CatalogError, Verdict, axiom_id, check_all, check_axiom,
 )
-from .core import ElementId, MereologyError, ParthoodStructure, Subset
+from .core import ElementId, MereologyError, ParthoodStructure, Subset, _bits
 from .lattice import tarski_agrees, zero_report
 from .search import (
     SEARCH_MAX, SearchSpec, enumerate_models, find_model,
@@ -340,10 +340,10 @@ def _cmd_implies(args, out) -> int:
 
 def _cmd_lattice(args, out) -> int:
     name, s = load_structure(args.file)
-    cm = check_theory(s, TheoryId.CM) if args.tarski else None
-    report = zero_report(s, cm)
+    report = zero_report(s)
     ok_order = report is not None
-    agreed = tarski_agrees(cm, report) if args.tarski else None
+    agreed = (tarski_agrees(check_theory(s, TheoryId.CM), report)
+              if args.tarski else None)
     if args.json:
         doc = {"structure": name, "order": ok_order}
         if report:
@@ -402,18 +402,17 @@ def _cmd_localtrans(args, out) -> int:
 
 def _covering_pairs(s: ParthoodStructure) -> list[tuple[ElementId, ElementId]]:
     """Covering pairs of the ingrediens relation: x strictly beneath y
-    with nothing strictly between."""
-    out = []
-    for x in range(s.n):
-        for y in range(s.n):
-            if x == y or not s.ing(x, y) or s.ing(y, x):
-                continue
-            if any(z not in (x, y) and s.ing(x, z) and s.ing(z, y)
-                   and not s.ing(z, x) and not s.ing(y, z)
-                   for z in range(s.n)):
-                continue
-            out.append((s.universe[x], s.universe[y]))
-    return out
+    with nothing strictly between, x-major."""
+    below = [s.ing_of[y] & ~s.ing_up[y] for y in range(s.n)]
+    covered = []
+    for b in below:
+        between = 0
+        for z in _bits(b):
+            between |= below[z]
+        covered.append(b & ~between)
+    u = s.universe
+    return [(u[x], u[y]) for x in range(s.n) for y in range(s.n)
+            if covered[y] >> x & 1]
 
 
 def _dot_id(e: ElementId) -> str:

@@ -10,7 +10,8 @@ machinery, so these verdicts are an independent cross-check of it.
 
 The one correspondence verified here: a structure models classical
 mereology exactly when its zero adjunction is a non-degenerate complete
-Boolean lattice, both sides evaluated independently.
+Boolean lattice, both sides evaluated independently: each checks that
+the relation is a strict partial order (T and IRR) itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import AxiomId, holds
-from .core import ElementId, MereologyError, ParthoodStructure, Subset, _bits
+from .core import ElementId, MereologyError, ParthoodStructure, _bits
 from .theories import TheoryId, TheoryVerdict, check_theory
 
 
@@ -84,9 +85,6 @@ class ZeroedStructure:
                 return k
         return None
 
-    def subset_from_mask(self, mask: int) -> Subset:
-        return Subset(tuple(self.elements[i] for i in _bits(mask)), mask)
-
 
 @dataclass(frozen=True)
 class LatticeReport:
@@ -98,27 +96,11 @@ class LatticeReport:
     witness: Optional[tuple] = None     # first failing law's assignment
 
 
-def _is_order(s: ParthoodStructure,
-              cm: Optional[TheoryVerdict] = None) -> bool:
-    """T and IRR hold of s.  Given cm, s's classical mereology verdict,
-    this is read off it instead of checked again: CM's axioms begin with
-    T and IRR, so both hold unless it failed at one of them."""
-    if cm is None:
-        return holds(s, AxiomId.T) and holds(s, AxiomId.IRR)
-    return cm.holds or cm.failing.axiom not in (AxiomId.T, AxiomId.IRR)
-
-
 def adjoin_zero(s: ParthoodStructure,
                 zero_label: Optional[str] = None) -> ZeroedStructure:
-    if not _is_order(s):
+    if not (holds(s, AxiomId.T) and holds(s, AxiomId.IRR)):
         raise OrderError(
             "zero adjunction needs a transitive irreflexive relation")
-    return _adjoin(s, zero_label)
-
-
-def _adjoin(s: ParthoodStructure,
-            zero_label: Optional[str] = None) -> ZeroedStructure:
-    """adjoin_zero on a structure already known to be a strict order."""
     if zero_label is None:
         zero_label = DEFAULT_ZERO_LABEL
         taken = {e.label for e in s.universe}
@@ -175,14 +157,14 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
     # For a finite carrier completeness follows from the lattice laws,
     # but it is still checked directly: each subset's join is the least
     # of its upper bounds, and folding in one element's up-set at a time
-    # collects the distinct upper-bound sets of all 2^n subsets.
+    # collects the distinct upper-bound sets of all 2^n subsets.  It needs
+    # no witness of its own: with the zero below everything and a join for
+    # every pair, every finite subset has a join, so an incomplete
+    # adjunction has already failed the lattice laws, which set one.
     uppers = {z.full}
     for a in z.above:
         uppers |= {u & a for u in uppers}
     is_complete = all(z._least(u) is not None for u in uppers)
-    if not is_complete and witness is None:
-        mask = next(m for m in range(1 << n) if z.join_of_set(m) is None)
-        witness = (z.subset_from_mask(mask),)
 
     return LatticeReport(
         is_lattice=is_lattice,
@@ -194,19 +176,14 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
     )
 
 
-def is_boolean_complete(z: ZeroedStructure) -> bool:
-    """Non-degenerate complete Boolean lattice check for a zero adjunction."""
-    r = lattice_report(z)
-    return z.n >= 2 and r.is_boolean and r.is_complete
-
-
-def zero_report(s: ParthoodStructure,
-                cm: Optional[TheoryVerdict] = None) \
-        -> Optional[LatticeReport]:
+def zero_report(s: ParthoodStructure) -> Optional[LatticeReport]:
     """The lattice_report of s's zero adjunction, or None when s is not a
-    strict partial order.  The order is checked once: read off cm, s's
-    classical mereology verdict, when given."""
-    return lattice_report(_adjoin(s)) if _is_order(s, cm) else None
+    strict partial order."""
+    try:
+        z = adjoin_zero(s)
+    except OrderError:
+        return None
+    return lattice_report(z)
 
 
 def tarski_check(s: ParthoodStructure) -> bool:
@@ -214,12 +191,11 @@ def tarski_check(s: ParthoodStructure) -> bool:
 
     Left side: s models classical mereology.  Right side: s is a strict
     partial order whose zero adjunction is a non-degenerate complete
-    Boolean lattice.  The sides share only the order axioms T and IRR,
-    which the left side checks and the right side reads off its verdict;
-    sums and lattice bounds are evaluated independently.
+    Boolean lattice.  The sides share no verdict: each checks the order
+    axioms T and IRR itself, and sums and lattice bounds are evaluated
+    independently.
     """
-    cm = check_theory(s, TheoryId.CM)
-    return tarski_agrees(cm, zero_report(s, cm))
+    return tarski_agrees(check_theory(s, TheoryId.CM), zero_report(s))
 
 
 def tarski_agrees(cm: TheoryVerdict,

@@ -146,10 +146,7 @@ def canonical_form(n: int, mask: int) -> int:
     out = 0
     for label in range(n - 1, -1, -1):
         # live branches share cell boundaries (equal rows fix the split
-        # sizes), so all are discrete once one is
-        if len(branches[0]) == n:
-            return out | min(_discrete_rows(n, succ, cells, label)
-                             for cells in branches)
+        # sizes), so the owner has one index in all of them
         k = len(branches[0]) - n + label    # the owner; above it, labelled
         best = -1
         picks = []
@@ -195,24 +192,6 @@ def canonical_form(n: int, mask: int) -> int:
                 else:
                     refined.append((first, members))
             branches.append(refined + cells[k + 1:])
-    return out
-
-
-def _discrete_rows(n: int, succ: list[int], cells: list[tuple[int, int]],
-                   label: int) -> int:
-    """Encoding rows 0..label of a labelling given as n singleton cells."""
-    labels = [0] * n
-    for first, members in cells:
-        labels[members.bit_length() - 1] = first
-    out = 0
-    for first, members in cells[:label + 1]:
-        row = 0
-        s = succ[members.bit_length() - 1]
-        while s:
-            low = s & -s
-            row |= 1 << labels[low.bit_length() - 1]
-            s ^= low
-        out |= row << (first * n)
     return out
 
 

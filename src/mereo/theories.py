@@ -72,21 +72,24 @@ _SSP_THESES = _U_SUM_THESES + (
 
 _MEM_THESES = _SSP_THESES + (A.IRR, A.SSP)
 
+# each entry de-duplicated, keeping first-mention order
 DERIVED_THESES: dict[TheoryId, tuple[AxiomId, ...]] = {
-    TheoryId.SPO: _ORDER_THESES,
-    TheoryId.T1: _U_SUM_THESES,
-    TheoryId.T2: _U_SUM_THESES + (A.EXT_PP,),
-    TheoryId.T3: _SSP_THESES,
-    TheoryId.MSPO_DAG: _SSP_THESES + (A.SSP, A.DDAGGER),
-    TheoryId.MSPO_DDAG: _SSP_THESES + (A.SSP, A.SUM_SUB_SUP, A.DAGGER),
-    TheoryId.MEM: _MEM_THESES,
-    TheoryId.MCM: _MEM_THESES,
-    TheoryId.GM: _MEM_THESES + (A.WSP, A.C_PROD, A.DDAGGER, A.DAGGER, A.C_BSUM),
-    TheoryId.GMU: _MEM_THESES + (A.WSP, A.C_PROD, A.DDAGGER, A.DAGGER, A.C_BSUM),
-    # Classical mereology proves the whole catalog except the unrestricted
-    # supremum-to-sum inclusion, which fails in the one-element model at
-    # the empty set.
-    TheoryId.CM: tuple(a for a in AxiomId if a is not A.SUP_SUB_SUM),
+    t: tuple(dict.fromkeys(theses)) for t, theses in {
+        TheoryId.SPO: _ORDER_THESES,
+        TheoryId.T1: _U_SUM_THESES,
+        TheoryId.T2: _U_SUM_THESES + (A.EXT_PP,),
+        TheoryId.T3: _SSP_THESES,
+        TheoryId.MSPO_DAG: _SSP_THESES + (A.SSP, A.DDAGGER),
+        TheoryId.MSPO_DDAG: _SSP_THESES + (A.SSP, A.SUM_SUB_SUP, A.DAGGER),
+        TheoryId.MEM: _MEM_THESES,
+        TheoryId.MCM: _MEM_THESES,
+        TheoryId.GM: _MEM_THESES + (A.WSP, A.C_PROD, A.DDAGGER, A.DAGGER, A.C_BSUM),
+        TheoryId.GMU: _MEM_THESES + (A.WSP, A.C_PROD, A.DDAGGER, A.DAGGER, A.C_BSUM),
+        # Classical mereology proves the whole catalog except the unrestricted
+        # supremum-to-sum inclusion, which fails in the one-element model at
+        # the empty set.
+        TheoryId.CM: tuple(a for a in AxiomId if a is not A.SUP_SUB_SUM),
+    }.items()
 }
 
 
@@ -116,11 +119,7 @@ def theory_axioms(t: TheoryLike) -> tuple[AxiomId, ...]:
 
 
 def derived_theses(t: TheoryLike) -> tuple[AxiomId, ...]:
-    # de-duplicate while keeping first-mention order
-    seen: dict[AxiomId, None] = {}
-    for a in DERIVED_THESES[theory_id(t)]:
-        seen.setdefault(a)
-    return tuple(seen)
+    return DERIVED_THESES[theory_id(t)]
 
 
 def check_theory(s: ParthoodStructure, t: TheoryLike) -> TheoryVerdict:

@@ -8,7 +8,7 @@ from mereo import (
     theory_axioms,
 )
 from mereo import fixtures as F
-from mereo.lattice import ZeroedStructure, is_boolean_complete, zero_report
+from mereo.lattice import zero_report
 
 from conftest import _closure
 from oracles import _first_joinless_mask
@@ -119,19 +119,17 @@ def test_tarski_examples():
     assert tarski_check(loop)
 
 
-def test_order_read_off_the_cm_verdict_matches_a_fresh_check():
+def test_zero_report_is_none_exactly_off_strict_orders():
     # every relation up to n=3, loops and cycles included
     for n in range(1, 4):
         for mask in range(1 << (n * n)):
             s = ParthoodStructure.from_mask(n, mask)
-            cm = check_theory(s, "CM")
-            report = zero_report(s, cm)
-            assert report == zero_report(s)
+            report = zero_report(s)
             order = holds(s, "T") and holds(s, "IRR")
             assert (report is not None) == order
             if order:
                 assert report == lattice_report(adjoin_zero(s))
-            assert tarski_check(s) == (cm.holds == (
+            assert tarski_check(s) == (check_theory(s, "CM").holds == (
                 order and report.is_boolean and report.is_complete))
 
 
@@ -153,7 +151,8 @@ def test_cm_cardinality_law_to_6():
     for n in range(1, 7):
         for s in enumerate_models(n, cm):
             assert s.n in (1, 3, 7)
-            assert is_boolean_complete(adjoin_zero(s))
+            r = lattice_report(adjoin_zero(s))
+            assert r.is_boolean and r.is_complete
 
 
 # -- completeness against the literal scan over every subset -----------------
@@ -174,37 +173,34 @@ def _random_strict_order(rng, n):
     return ParthoodStructure.from_mask(n, _closure(n, mask))
 
 
-def test_completeness_matches_literal_scan():
+def _strict_orders():
+    """The poset classes to 5 elements, seeded strict orders of 8 to 11
+    elements and the fixtures that are strict orders."""
     for n in range(1, 6):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
-            _assert_completeness_matches_scan(s)
+        yield from models_up_to_iso(n, ["T", "IRR"])
     rng = random.Random(29)
     for n in range(8, 12):
         for _ in range(5):
-            _assert_completeness_matches_scan(_random_strict_order(rng, n))
+            yield _random_strict_order(rng, n)
     for make in F.ALL.values():
         s = make()
         if holds(s, "T") and holds(s, "IRR"):
-            _assert_completeness_matches_scan(s)
+            yield s
 
 
-def test_incompleteness_witness_is_the_first_joinless_subset(monkeypatch):
-    # On a finite carrier a missing join already fails the lattice laws,
-    # which set the witness.  Lending the bowtie below the meets and joins
-    # of the eight-element Boolean lattice, whose top has the same index,
-    # leaves completeness as the first law to fail.
-    bowtie = adjoin_zero(ParthoodStructure.build(
-        ["a", "b", "c", "d", "e", "f", "t"],
-        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("a", "t"),
-         ("b", "t"), ("c", "t"), ("d", "t"), ("e", "t"), ("f", "t")]))
-    boolean = adjoin_zero(F.b7())
-    meet, join = ZeroedStructure.meet, ZeroedStructure.join
-    monkeypatch.setattr(ZeroedStructure, "meet",
-                        lambda z, i, j: meet(boolean, i, j))
-    monkeypatch.setattr(ZeroedStructure, "join",
-                        lambda z, i, j: join(boolean, i, j))
-    r = lattice_report(bowtie)
-    assert r.is_boolean and not r.is_complete
-    first = _first_joinless_mask(bowtie)
-    assert r.witness == (bowtie.subset_from_mask(first),)
-    assert first == 0b0000011       # {a, b}: bounded by c, d, t, none least
+def test_completeness_matches_literal_scan():
+    for s in _strict_orders():
+        _assert_completeness_matches_scan(s)
+
+
+def test_incomplete_adjunctions_fail_the_lattice_laws_first():
+    # a finite poset with a bottom and a join for every pair is complete,
+    # so the lattice laws set the witness of every incomplete adjunction
+    incomplete = 0
+    for s in _strict_orders():
+        r = lattice_report(adjoin_zero(s))
+        if not r.is_complete:
+            incomplete += 1
+            assert not r.is_lattice, s
+            assert r.witness is not None and len(r.witness) == 2, s
+    assert incomplete > 0

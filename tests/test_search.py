@@ -448,6 +448,12 @@ def test_canonical_form_matches_scan_on_tie_heavy_inputs():
     ]
     for mask in cases:
         assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
+    # several live branches turn discrete at the same level
+    for n in range(5, 8):
+        for base in _tie_heavy_relations(n):
+            for p in _fixed_relabellings(n):
+                mask = _relabel(n, base, p)
+                assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
 
 
 @st.composite
@@ -511,6 +517,14 @@ def _tie_heavy_relations(n):
     ]
 
 
+def _fixed_relabellings(n):
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    return [list(range(n)), [n - 1 - i for i in range(n)],
+            [(i + 1) % n for i in range(n)],
+            [0, n - 1] + list(range(1, n - 1)), shuffled]
+
+
 def _blocks_by_top_label(n, mask):
     # for each element x, over every relabelling that sends x to label
     # n-1: the least top row of the image, and whether some image is
@@ -525,13 +539,8 @@ def _blocks_by_top_label(n, mask):
 def test_is_canonical_matches_scan_on_tie_heavy_inputs():
     paths = set()
     for n in range(5, 8):
-        shuffled = list(range(n))
-        random.Random(n).shuffle(shuffled)
-        relabellings = [list(range(n)), [n - 1 - i for i in range(n)],
-                        [(i + 1) % n for i in range(n)],
-                        [0, n - 1] + list(range(1, n - 1)), shuffled]
         for base in _tie_heavy_relations(n):
-            for p in relabellings:
+            for p in _fixed_relabellings(n):
                 mask = _relabel(n, base, p)
                 assert is_canonical(n, mask) == _is_canonical_scan(n, mask)
                 if n > 6:
