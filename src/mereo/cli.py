@@ -58,7 +58,8 @@ class ParseError(MereologyError):
 
 def parse_structure(text: str) -> ParthoodStructure:
     labels: Optional[list[str]] = None
-    pairs: list[tuple[str, str]] = []
+    index: dict[str, int] = {}
+    rows: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -69,13 +70,15 @@ def parse_structure(text: str) -> ParthoodStructure:
             labels = line[len("elements:"):].split()
             if not labels:
                 raise ParseError(line_no, "elements line needs labels")
-            if len(set(labels)) != len(labels):
+            index = {label: i for i, label in enumerate(labels)}
+            if len(index) != len(labels):
                 raise ParseError(line_no, "duplicate label")
             if any("<" in l for l in labels):
                 raise ParseError(line_no, "labels may not contain '<'")
             # --set and --args name elements in comma-separated lists
             if any("," in l for l in labels):
                 raise ParseError(line_no, "labels may not contain ','")
+            rows = [0] * len(labels)
         elif line.startswith("part:"):
             if labels is None:
                 raise ParseError(line_no, "part line before elements line")
@@ -87,14 +90,14 @@ def parse_structure(text: str) -> ParthoodStructure:
             if not part or not whole:
                 raise ParseError(line_no, "expected 'part: A < B'")
             for label in (part, whole):
-                if label not in labels:
+                if label not in index:
                     raise ParseError(line_no, f"undeclared label {label!r}")
-            pairs.append((part, whole))
+            rows[index[part]] |= 1 << index[whole]
         else:
             raise ParseError(line_no, f"unrecognised line {line!r}")
     if labels is None:
         raise ParseError(1, "missing elements line")
-    return ParthoodStructure.build(labels, pairs)
+    return ParthoodStructure(labels, rows)
 
 
 def serialize(s: ParthoodStructure) -> str:

@@ -28,7 +28,7 @@ checked or derived again, as the shared up-to-isomorphism walks of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # Universe size cap keeping 2^n subset scans tractable.
@@ -50,27 +50,85 @@ class DomainError(MereologyError):
     """An element or label does not belong to the structure's universe."""
 
 
-@dataclass(frozen=True, order=True)
-class ElementId:
-    """A universe element: contiguous index plus a unique display label."""
+_set = object.__setattr__
 
-    index: int
-    label: str
+
+class _Record:
+    """An immutable value record over the fields its class names in
+    `__slots__`, set once by its `__init__` with `_set`.  The repr is the
+    dataclass one; two records are equal, and hash alike, when their
+    classes are the same and their field tuples equal.  Records are not
+    dataclasses because making a dataclass execs its generated methods,
+    which would be most of the package's own import time."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+@functools.total_ordering
+class ElementId(_Record):
+    """A universe element: contiguous index plus a unique display label,
+    ordered by (index, label)."""
+
+    __slots__ = ("index", "label")
+
+    def __init__(self, index: int, label: str):
+        _set(self, "index", index)
+        _set(self, "label", label)
 
     def __str__(self) -> str:
         return self.label
 
+    def __eq__(self, other):
+        if other.__class__ is ElementId:
+            return self.index == other.index and self.label == other.label
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Subset:
+    def __hash__(self) -> int:
+        return hash((self.index, self.label))
+
+    def __lt__(self, other):
+        if other.__class__ is ElementId:
+            return (self.index, self.label) < (other.index, other.label)
+        return NotImplemented
+
+
+class Subset(_Record):
     """A set of elements of one structure's universe; may be empty.
 
     `mask` is the characteristic bit vector (bit i = element of index i),
     `members` the elements in universe order.
     """
 
-    members: tuple[ElementId, ...]
-    mask: int
+    __slots__ = ("members", "mask")
+
+    def __init__(self, members: tuple[ElementId, ...], mask: int):
+        _set(self, "members", members)
+        _set(self, "mask", mask)
 
     def __iter__(self) -> Iterator[ElementId]:
         return iter(self.members)

@@ -16,11 +16,11 @@ the relation is a strict partial order (T and IRR) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import AxiomId, holds
 from .core import ElementId, MereologyError, ParthoodStructure, _bits
+from .core import _Record, _set
 from .theories import TheoryId, TheoryVerdict, check_theory
 
 
@@ -86,14 +86,19 @@ class ZeroedStructure:
         return None
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    is_lattice: bool
-    is_distributive: bool
-    is_complemented: bool
-    is_boolean: bool
-    is_complete: bool
-    witness: Optional[tuple] = None     # first failing law's assignment
+class LatticeReport(_Record):
+    __slots__ = ("is_lattice", "is_distributive", "is_complemented",
+                 "is_boolean", "is_complete", "witness")
+
+    def __init__(self, is_lattice: bool, is_distributive: bool,
+                 is_complemented: bool, is_boolean: bool, is_complete: bool,
+                 witness: Optional[tuple] = None):
+        _set(self, "is_lattice", is_lattice)
+        _set(self, "is_distributive", is_distributive)
+        _set(self, "is_complemented", is_complemented)
+        _set(self, "is_boolean", is_boolean)
+        _set(self, "is_complete", is_complete)
+        _set(self, "witness", witness)  # the first failing law's assignment
 
 
 def adjoin_zero(s: ParthoodStructure,

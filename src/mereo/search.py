@@ -59,11 +59,10 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import DomainError, ParthoodStructure
+from .core import DomainError, ParthoodStructure, _Record, _set
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -71,36 +70,41 @@ DEFAULT_SWEEP_MAX = 5
 SEARCH_MAX = 7
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    max_n: int
-    ambient: tuple[AxiomId, ...] = ()     # assumed; drives generation
-    require: tuple[AxiomId, ...] = ()     # must hold
-    forbid: tuple[AxiomId, ...] = ()      # must fail
-    up_to_iso: bool = True
+class SearchSpec(_Record):
+    """Models of at most `max_n` elements where the `ambient` codes are
+    assumed (they drive generation), `require` hold and `forbid` fail."""
 
-    def __post_init__(self):
-        if self.max_n < 1:
+    __slots__ = ("max_n", "ambient", "require", "forbid", "up_to_iso")
+
+    def __init__(self, max_n: int, ambient: Iterable[AxiomLike] = (),
+                 require: Iterable[AxiomLike] = (),
+                 forbid: Iterable[AxiomLike] = (), up_to_iso: bool = True):
+        if max_n < 1:
             raise ValueError("max_n must be at least 1")
-        object.__setattr__(self, "ambient",
-                           tuple(axiom_id(a) for a in self.ambient))
-        object.__setattr__(self, "require",
-                           tuple(axiom_id(a) for a in self.require))
-        object.__setattr__(self, "forbid",
-                           tuple(axiom_id(a) for a in self.forbid))
-        if set(self.require) & set(self.forbid):
+        ambient = tuple(axiom_id(a) for a in ambient)
+        require = tuple(axiom_id(a) for a in require)
+        forbid = tuple(axiom_id(a) for a in forbid)
+        if set(require) & set(forbid):
             raise ValueError("require and forbid overlap")
-        both = [a.value for a in self.forbid if a in self.ambient]
+        both = [a.value for a in forbid if a in ambient]
         if both:
             raise ValueError(f"forbid code {', '.join(both)} is also in "
                              "ambient")
+        _set(self, "max_n", max_n)
+        _set(self, "ambient", ambient)
+        _set(self, "require", require)
+        _set(self, "forbid", forbid)
+        _set(self, "up_to_iso", up_to_iso)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: Optional[ParthoodStructure]
-    explored: int
-    exhausted: bool
+class SearchResult(_Record):
+    __slots__ = ("found", "explored", "exhausted")
+
+    def __init__(self, found: Optional[ParthoodStructure], explored: int,
+                 exhausted: bool):
+        _set(self, "found", found)
+        _set(self, "explored", explored)
+        _set(self, "exhausted", exhausted)
 
 
 # -- canonical forms ----------------------------------------------------------

@@ -19,12 +19,11 @@ literal definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
     ElementId, ElementLike, MereologyError, ParthoodStructure, SubsetLike,
-    _bits,
+    _bits, _Record, _set,
 )
 
 
@@ -38,16 +37,17 @@ class UniquenessFault(MereologyError):
         super().__init__(f"{operation}: several candidates ({labels})")
 
 
-@dataclass(frozen=True)
-class SumQueryResult:
-    candidates: tuple[ElementId, ...]
-    unique: bool
+class SumQueryResult(_Record):
+    __slots__ = ("candidates", "unique")
+
+    def __init__(self, candidates: tuple[ElementId, ...], unique: bool):
+        _set(self, "candidates", candidates)
+        _set(self, "unique", unique)
 
 
-@dataclass(frozen=True)
-class SupQueryResult:
-    candidates: tuple[ElementId, ...]
-    unique: bool
+class SupQueryResult(_Record):
+    __slots__ = ("candidates", "unique")
+    __init__ = SumQueryResult.__init__
 
 
 # -- the (ub, ov) kernel ----------------------------------------------------

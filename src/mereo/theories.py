@@ -9,11 +9,10 @@ verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .axioms import AxiomId, CatalogError, Verdict, check_axiom
-from .core import ParthoodStructure
+from .core import ParthoodStructure, _Record, _set
 
 A = AxiomId
 
@@ -93,11 +92,14 @@ DERIVED_THESES: dict[TheoryId, tuple[AxiomId, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class TheoryVerdict:
-    theory: TheoryId
-    holds: bool
-    failing: Optional[Verdict] = None    # verdict of the first failing axiom
+class TheoryVerdict(_Record):
+    __slots__ = ("theory", "holds", "failing")
+
+    def __init__(self, theory: TheoryId, holds: bool,
+                 failing: Optional[Verdict] = None):
+        _set(self, "theory", theory)
+        _set(self, "holds", holds)
+        _set(self, "failing", failing)  # the first failing axiom's verdict
 
     def __str__(self) -> str:
         if self.holds:

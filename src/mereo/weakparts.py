@@ -9,18 +9,20 @@ direct edge counts as the trivial path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import _find_cycle, transitivity_gap
 from .core import ElementId, ElementLike, ParthoodStructure, _bits
+from .core import _Record, _set
 
 
-@dataclass(frozen=True)
-class PartPath:
+class PartPath(_Record):
     """A chain x, z1, ..., zn, y with each consecutive pair in the relation."""
 
-    nodes: tuple[ElementId, ...]
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[ElementId, ...]):
+        _set(self, "nodes", nodes)
 
     def __str__(self) -> str:
         return " -> ".join(e.label for e in self.nodes)
@@ -29,10 +31,13 @@ class PartPath:
         return all(s.part(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
 
-@dataclass(frozen=True)
-class AcyclicityVerdict:
-    holds: bool
-    cycle: Optional[tuple[ElementId, ...]] = None
+class AcyclicityVerdict(_Record):
+    __slots__ = ("holds", "cycle")
+
+    def __init__(self, holds: bool,
+                 cycle: Optional[tuple[ElementId, ...]] = None):
+        _set(self, "holds", holds)
+        _set(self, "cycle", cycle)
 
     def __str__(self) -> str:
         if self.holds:
@@ -40,11 +45,15 @@ class AcyclicityVerdict:
         return "cyclic, witness [" + ", ".join(e.label for e in self.cycle) + "]"
 
 
-@dataclass(frozen=True)
-class LocalTransitivityVerdict:
-    holds: bool
-    path: Optional[PartPath] = None
-    triple: Optional[tuple[ElementId, ElementId, ElementId]] = None
+class LocalTransitivityVerdict(_Record):
+    __slots__ = ("holds", "path", "triple")
+
+    def __init__(self, holds: bool, path: Optional[PartPath] = None,
+                 triple: Optional[tuple[ElementId, ElementId,
+                                        ElementId]] = None):
+        _set(self, "holds", holds)
+        _set(self, "path", path)
+        _set(self, "triple", triple)
 
     def __str__(self) -> str:
         if self.holds:
