@@ -100,9 +100,23 @@ def parse_structure(text: str) -> ParthoodStructure:
     return ParthoodStructure(labels, rows)
 
 
+def _label_pairs(s: ParthoodStructure) -> list[list[str]]:
+    """The [part, whole] label pairs of the relation, part-major and each
+    part's wholes ascending, the order of `s.pairs()`."""
+    labels = s._labels
+    pairs = []
+    for i, r in enumerate(s.rows):
+        part = labels[i]
+        while r:
+            low = r & -r
+            pairs.append([part, labels[low.bit_length() - 1]])
+            r ^= low
+    return pairs
+
+
 def serialize(s: ParthoodStructure) -> str:
-    lines = ["elements: " + " ".join(e.label for e in s.universe)]
-    lines += [f"part: {p.label} < {w.label}" for p, w in s.pairs()]
+    lines = ["elements: " + " ".join(s._labels)]
+    lines += [f"part: {p} < {w}" for p, w in _label_pairs(s)]
     return "\n".join(lines) + "\n"
 
 
@@ -143,8 +157,50 @@ def _verdict_json(v: Verdict):
 
 
 def _model_doc(s: ParthoodStructure):
-    return {"elements": [e.label for e in s.universe],
-            "parts": [[p.label, w.label] for p, w in s.pairs()]}
+    return {"elements": list(s._labels), "parts": _label_pairs(s)}
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc, newline: str = "\n") -> str:
+    """The text of `json.dumps(doc, indent=2)` for a document of list,
+    tuple, str-keyed dict, str, int, bool and None; any other value, float
+    included, raises TypeError.  CPython's `json` falls back to its
+    pure-Python encoder whenever `indent` is set; this writer makes one
+    string per container instead, and escapes the str items of a list
+    without a call.  `newline` is the line break and indent that precede
+    the document's closing bracket."""
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        items = [_escape(x) if isinstance(x, str) else _dumps(x, inner)
+                 for x in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in doc.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            items.append(_escape(key) + ": " + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(doc, str):
+        return _escape(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} "
+                    "is not JSON serializable")
 
 
 def _emit(out, text: str):
@@ -162,7 +218,7 @@ def _cmd_check(args, out) -> int:
         doc = {"structure": name, "theory": tid.value, "holds": tv.holds,
                "failed_axiom": None if tv.holds else tv.failing.axiom.value,
                "witness": None if tv.holds else _witness_json(tv.failing.witness)}
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _dumps(doc))
     else:
         _emit(out, f"structure: {name}")
         _emit(out, f"theory: {tid.value} [{axioms}]")
@@ -185,7 +241,7 @@ def _cmd_axioms(args, out) -> int:
     if args.json:
         doc = {"structure": name,
                "results": [_verdict_json(v) for v in verdicts]}
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _dumps(doc))
     else:
         _emit(out, f"structure: {name}")
         width = max(len(v.axiom.value) for v in verdicts)
@@ -211,11 +267,11 @@ def _subset_query(query, key: str, word: str):
         subset = _parse_set(s, args.set)
         res = query(s, subset)
         if args.json:
-            _emit(out, json.dumps({"structure": name, "query": key,
-                                   "set": list(subset.labels()),
-                                   "candidates": [e.label
-                                                  for e in res.candidates],
-                                   "unique": res.unique}, indent=2))
+            _emit(out, _dumps({"structure": name, "query": key,
+                               "set": list(subset.labels()),
+                               "candidates": [e.label
+                                              for e in res.candidates],
+                               "unique": res.unique}))
         elif not res.candidates:
             _emit(out, f"no {word}")
         elif res.unique:
@@ -252,20 +308,19 @@ def _cmd_alg(args, out) -> int:
             res = binary_sum(s, *labels)
     except UniquenessFault as fault:
         if args.json:
-            _emit(out, json.dumps({"structure": name, "op": args.op,
-                                   "args": labels, "result": None,
-                                   "ambiguous":
-                                   [e.label for e in fault.candidates]},
-                                  indent=2))
+            _emit(out, _dumps({"structure": name, "op": args.op,
+                               "args": labels, "result": None,
+                               "ambiguous":
+                               [e.label for e in fault.candidates]}))
         else:
             _emit(out, f"{args.op}: ambiguous ("
                   + ", ".join(e.label for e in fault.candidates) + ")")
         return 1
     if args.json:
-        _emit(out, json.dumps({"structure": name, "op": args.op,
-                               "args": labels,
-                               "result": None if res is None else res.label,
-                               "ambiguous": None}, indent=2))
+        _emit(out, _dumps({"structure": name, "op": args.op,
+                           "args": labels,
+                           "result": None if res is None else res.label,
+                           "ambiguous": None}))
     else:
         _emit(out, f"{args.op}: {'absent' if res is None else res.label}")
     return 0
@@ -279,16 +334,15 @@ def _cmd_enumerate(args, out) -> int:
     if args.count_only:
         count = sum(1 for _ in models)
         if args.json:
-            _emit(out, json.dumps({"n": args.n, "theory": args.theory.upper(),
-                                   "up_to_iso": args.up_to_iso,
-                                   "count": count}, indent=2))
+            _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
+                               "up_to_iso": args.up_to_iso,
+                               "count": count}))
         else:
             _emit(out, str(count))
         return 0
     if args.json:
-        _emit(out, json.dumps({"n": args.n, "theory": args.theory.upper(),
-                               "models": [_model_doc(m) for m in models]},
-                              indent=2))
+        _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
+                           "models": [_model_doc(m) for m in models]}))
         return 0
     first = True
     for m in models:
@@ -331,7 +385,7 @@ def _cmd_implies(args, out) -> int:
                "exhausted": res.exhausted,
                "countermodel": None if res.found is None
                else _model_doc(res.found)}
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _dumps(doc))
         return 1 if res.found else 0
     if res.found is None:
         _emit(out, f"exhausted: no countermodel up to n={args.max_n}")
@@ -358,7 +412,7 @@ def _cmd_lattice(args, out) -> int:
                         "witness": _witness_json(report.witness)})
         if args.tarski:
             doc["tarski"] = "agree" if agreed else "disagree"
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _dumps(doc))
     else:
         _emit(out, f"structure: {name} (+0: {s.n + 1} elements)"
               if ok_order else f"structure: {name} (not a strict order)")
@@ -389,7 +443,7 @@ def _cmd_localtrans(args, out) -> int:
                "locally_transitive": loc.holds,
                "path": None if loc.holds else [e.label for e in loc.path.nodes],
                "triple": None if loc.holds else [e.label for e in loc.triple]}
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _dumps(doc))
     else:
         _emit(out, f"structure: {name}")
         _emit(out, f"acyclic: {'yes' if acy.holds else 'no'}")

@@ -266,15 +266,18 @@ class ParthoodStructure:
         return self.rows + self.parts_in + self.ing_of + self.ing_up + self.ov_of
 
     @classmethod
-    def _from_masks(cls, n: int, masks: Iterable[int]) -> "ParthoodStructure":
-        """A fresh structure with default labels from the 5n values of
-        _masks of a structure of size n so labelled.  Nothing is checked
-        or derived: the masks were, when that structure was built."""
+    def _from_masks(cls, n: int, masks: Iterable[int],
+                    labels: Optional[tuple[str, ...]] = None
+                    ) -> "ParthoodStructure":
+        """A fresh structure from the 5n values of _masks of a structure of
+        size n with these labels (default labels if None).  Nothing is
+        checked or derived: the masks were, when that structure was
+        built."""
         masks = tuple(masks)
         s = cls.__new__(cls)
         s.n = n
         s.full = (1 << n) - 1
-        s._labels = _DEFAULT_LABEL_TUPLES[n]
+        s._labels = _DEFAULT_LABEL_TUPLES[n] if labels is None else labels
         s._universe = None
         s._label_index = None
         s.rows = masks[:n]
@@ -284,6 +287,13 @@ class ParthoodStructure:
         s.ov_of = masks[4 * n:]
         s._subset_tables = None
         return s
+
+    def __reduce__(self):
+        """Pickle and copy the labels and the five derived masks.  What is
+        filled on first use is left out (kept subset tables may be
+        memoryviews, which do not pickle) and is filled again when next
+        read."""
+        return self._from_masks, (self.n, self._masks(), self._labels)
 
     @property
     def universe(self) -> tuple[ElementId, ...]:

@@ -5,6 +5,7 @@ copy."""
 
 import copy
 import dataclasses
+from array import array
 import importlib
 import pickle
 import pkgutil
@@ -19,6 +20,9 @@ from mereo import (
     TheoryVerdict, Verdict,
 )
 from mereo.axioms import AxiomInfo
+from mereo.search import enumerate_models
+from mereo.sums import subset_tables
+from mereo.theories import theory_axioms
 
 A, B = ElementId(0, "a"), ElementId(1, "b")
 A_REPR = "ElementId(index=0, label='a')"
@@ -145,14 +149,51 @@ def test_element_ids_order_by_index_then_label():
         Verdict(AxiomId.IRR, True) < Verdict(AxiomId.T, True)
 
 
-# Protocols 0 and 1 cannot pickle the slotted ParthoodStructure a
-# SearchResult may hold.
+PROTOCOLS = pytest.mark.parametrize("protocol",
+                                    range(pickle.HIGHEST_PROTOCOL + 1))
+
+
 @records
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@PROTOCOLS
 def test_pickle_round_trip(make, fields, text, protocol):
     x = make()
     y = pickle.loads(pickle.dumps(x, protocol))
     assert type(y) is type(x) and y == x and repr(y) == text
+
+
+def _filled_structures():
+    """A structure with its labels read and its subset tables built, one
+    a shared walk handed out with the tables it kept (bytes up to n=8),
+    and one holding tables packed as a walk above n=8 packs them, in
+    read-only views, which do not pickle."""
+    s = ParthoodStructure.build(["é", 'q"x', "c"], [("é", "q\"x")])
+    s.element("c")
+    subset_tables(s)
+    assert s._universe is not None and s._label_index is not None
+    spo = theory_axioms("SPO")
+    for t in enumerate_models(3, spo, up_to_iso=True):
+        subset_tables(t)
+    kept = list(enumerate_models(3, spo, up_to_iso=True))[-1]
+    assert isinstance(kept._subset_tables[0], bytes)
+    viewed = ParthoodStructure.from_mask(3, 0b010001000)
+    viewed._subset_tables = tuple(memoryview(array("H", table)).toreadonly()
+                                  for table in subset_tables(viewed))
+    return [s, kept, viewed]
+
+
+@PROTOCOLS
+def test_structures_with_filled_caches_pickle_and_copy(protocol):
+    for s in _filled_structures():
+        for y in (pickle.loads(pickle.dumps(s, protocol)),
+                  pickle.loads(pickle.dumps(SearchResult(s, 1, False),
+                                            protocol)).found,
+                  copy.copy(s), copy.deepcopy(s)):
+            assert type(y) is ParthoodStructure and y == s
+            assert repr(y) == repr(s) and hash(y) == hash(s)
+            assert y._masks() == s._masks()
+            # the caches filled on first use are filled again
+            assert subset_tables(y) == tuple(map(list, subset_tables(s)))
+            assert y.element(s._labels[-1]) == s.element(s._labels[-1])
 
 
 @records
