@@ -111,9 +111,9 @@ class Verdict(_Record):
 
 
 # -- violation finders ------------------------------------------------------
-# Each returns None (axiom holds) or the raw witness: a tuple of element
-# indices and/or subset masks, converted to ElementId/Subset by check_axiom.
-# The trailing tuple marks which entries are subsets.
+# Each returns None (axiom holds) or the raw witness: a tuple whose entries
+# are element indices or ("subset", mask) pairs, converted to ElementId and
+# Subset by check_axiom.
 
 def _irr(s):
     for x in range(s.n):

@@ -4,9 +4,9 @@ A parthood structure whose relation is a strict partial order induces
 the partial order "is an ingrediens of"; adjoining a fresh bottom
 element beneath everything yields a bounded poset whose lattice laws
 are then checked by scanning for bounds -- meets and joins are found
-by scanning candidates, and completeness by finding a least element in
-each distinct upper-bound set, never computed through the sum
-machinery, so these verdicts are an independent cross-check of it.
+by scanning candidates, never computed through the sum machinery, so
+these verdicts are an independent cross-check of it.  Completeness
+follows from the lattice laws.
 
 The one correspondence verified here: a structure models classical
 mereology exactly when its zero adjunction is a non-degenerate complete
@@ -76,12 +76,9 @@ class ZeroedStructure:
         upper = self.full
         for i in _bits(mask):
             upper &= self.above[i]
-        return self._least(upper)
-
-    def _least(self, elements: int) -> Optional[int]:
-        """The least element of the set elements, if any."""
-        for k in _bits(elements):
-            if not elements & ~self.above[k]:
+        # the least upper bound, if any
+        for k in _bits(upper):
+            if not upper & ~self.above[k]:
                 return k
         return None
 
@@ -159,24 +156,20 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
                     witness = (z.elements[x],)
                 break
 
-    # For a finite carrier completeness follows from the lattice laws,
-    # but it is still checked directly: each subset's join is the least
-    # of its upper bounds, and folding in one element's up-set at a time
-    # collects the distinct upper-bound sets of all 2^n subsets.  It needs
-    # no witness of its own: with the zero below everything and a join for
-    # every pair, every finite subset has a join, so an incomplete
-    # adjunction has already failed the lattice laws, which set one.
-    uppers = {z.full}
-    for a in z.above:
-        uppers |= {u & a for u in uppers}
-    is_complete = all(z._least(u) is not None for u in uppers)
-
+    # Completeness is the lattice verdict.  The adjunction is finite with
+    # the zero as its bottom.  If every pair has a join, every nonempty
+    # subset has one, by joining in its members one at a time, and the
+    # empty subset's join is the zero.  Conversely, if every subset has a
+    # join, each pair's meet is the join of its common lower bounds: the
+    # pair's two elements bound that set from above, so its join lies in
+    # it and is its greatest member.  An incomplete adjunction keeps the
+    # lattice laws' failing pair as its witness.
     return LatticeReport(
         is_lattice=is_lattice,
         is_distributive=is_distributive,
         is_complemented=is_complemented,
         is_boolean=is_lattice and is_distributive and is_complemented,
-        is_complete=is_complete,
+        is_complete=is_lattice,
         witness=witness,
     )
 

@@ -1,4 +1,5 @@
-"""Shared helpers: naive definitional oracles and structure strategies.
+"""Shared helpers: the fixture structures, naive definitional oracles and
+structure strategies.
 
 The oracle functions re-derive every relation from the raw (part, whole)
 pair list with plain set logic, independently of the package's bitmask
@@ -7,6 +8,7 @@ code paths, so they can stand as expected-value generators in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -14,9 +16,24 @@ import pytest
 from hypothesis import strategies as st
 
 from mereo import ParthoodStructure
+from mereo.cli import load_structure
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FIXTURE_NAMES = tuple(sorted(p.stem for p in FIXTURE_DIR.glob("*.txt")))
+
+
+# -- the checked-in structures ------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def fixture(name: str) -> ParthoodStructure:
+    """The structure in fixtures/<name>.txt, loaded once per process."""
+    return load_structure(str(FIXTURE_DIR / f"{name}.txt"))[1]
+
+
+def all_fixtures() -> list[ParthoodStructure]:
+    """Every fixture structure, in file-name order."""
+    return [fixture(name) for name in FIXTURE_NAMES]
 
 
 # -- naive oracles ------------------------------------------------------------

@@ -2,7 +2,8 @@
 the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, and the choice of walk, by the codes as
 named; in mereo.lattice, completeness, by asking for the join of every
-subset.
+subset; in mereo.weakparts, local transitivity, by listing every
+part-path of every pair.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import functools
 import itertools
 from typing import Optional
 
-from mereo.axioms import AxiomId, axiom_id
+from mereo.axioms import AxiomId, axiom_id, transitivity_gap
+from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,3 +66,21 @@ def _first_joinless_mask(z) -> Optional[int]:
         if z.join_of_set(mask) is None:
             return mask
     return None
+
+
+def _locally_transitive_by_paths(s) -> LocalTransitivityVerdict:
+    """The verdict of the definition: for each pair x P y, in (x, y)
+    order, every part-path from x to y, in paths_between's order, until
+    one whose node set has a transitivity gap: the oracle for
+    is_locally_transitive."""
+    for x in s.universe:
+        for y in s.universe:
+            if not s.part(x, y):
+                continue
+            for path in paths_between(s, x, y):
+                gap = transitivity_gap(
+                    s, sum(1 << e.index for e in path.nodes))
+                if gap is not None:
+                    triple = tuple(s.universe[k] for k in gap)
+                    return LocalTransitivityVerdict(False, path, triple)
+    return LocalTransitivityVerdict(True)

@@ -17,14 +17,13 @@ from mereo import (
     is_sum, models_up_to_iso, satisfies, sum_of, sup_of, theory_axioms,
     verify_implication,
 )
-from mereo import fixtures as F
 from mereo.axioms import dollar_converse_holds
 from mereo.cli import main as cli_main
 from mereo.cli import parse_structure, serialize
 from mereo.search import enumerate_model_masks
 from mereo.sums import difference, product, product_by_cases
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR
+from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture
 
 
 @contextmanager
@@ -115,7 +114,7 @@ def _cli(*argv):
 
 def test_c05_supremum_witness_fixture():
     with criterion("5 supremum-without-sum witness fixture"):
-        w4 = F.w4()
+        w4 = fixture("w4")
         assert check_theory(w4, "T3").holds
         assert [e.label for e in sup_of(w4, ["o1", "o2"]).candidates] == ["1"]
         assert sup_of(w4, ["o1", "o2"]).unique
@@ -154,7 +153,7 @@ def test_c06b_ssp_without_product():
                                   forbid=("C_PROD",)))
         assert r.found is not None and r.found.n <= 6
         assert canonical_form(6, r.found.relation_mask) \
-            == canonical_form(6, F.x6().relation_mask)
+            == canonical_form(6, fixture("x6").relation_mask)
 
 
 def test_c06c_mem_without_dagger():
@@ -185,7 +184,7 @@ def test_c06d_theory_level_crossing_at_8():
     # appears at eight elements: four atoms and their four triple
     # fusions.  Nothing smaller works (exhausted to the criterion bound).
     with criterion("6d' order-theoretic crossing is realised at n = 8"):
-        t8 = F.triples8()
+        t8 = fixture("triples8")
         assert check_theory(t8, "MSPO_DDAG").holds
         assert check_theory(t8, "MSPO_DAG").holds
         assert not holds(t8, "C_PROD")
@@ -255,12 +254,12 @@ def test_c08_boolean_correspondence():
 
 def test_c09_local_transitivity_suite():
     with criterion("9 local-transitivity suite"):
-        assert is_acyclic(F.chain4()).holds
-        assert is_locally_transitive(F.chain4()).holds
-        assert is_acyclic(F.orch()).holds
-        assert is_locally_transitive(F.orch()).holds
-        gap = is_locally_transitive(F.chain4_gap())
-        assert is_acyclic(F.chain4_gap()).holds
+        assert is_acyclic(fixture("chain4")).holds
+        assert is_locally_transitive(fixture("chain4")).holds
+        assert is_acyclic(fixture("orch")).holds
+        assert is_locally_transitive(fixture("orch")).holds
+        gap = is_locally_transitive(fixture("chain4_gap"))
+        assert is_acyclic(fixture("chain4_gap")).holds
         assert not gap.holds
         assert [e.label for e in gap.path.nodes] == ["x", "z1", "z2", "y"]
         assert tuple(e.label for e in gap.triple) == ("x", "z1", "z2")

@@ -8,14 +8,16 @@ from mereo import (
     CATALOG_ORDER, AxiomId, CatalogError, ParthoodStructure, Subset,
     check_all, check_axiom, holds, models_up_to_iso,
 )
-from mereo import fixtures as F
 from mereo.axioms import CATALOG, dollar_converse_holds
 from mereo.core import _bits
 from mereo.sums import (
     cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
 )
 
-from conftest import _closure, all_relations, structures_maybe_with_zero
+from conftest import (
+    _closure, all_fixtures, all_relations, fixture,
+    structures_maybe_with_zero,
+)
 
 
 def sweep(nmax, ambient=()):
@@ -27,23 +29,23 @@ def test_catalog_is_complete_and_ordered():
     assert len(CATALOG_ORDER) == 32
     assert CATALOG_ORDER[0] is AxiomId.IRR
     assert CATALOG_ORDER[-1] is AxiomId.UNITY
-    verdicts = check_all(F.w4())
+    verdicts = check_all(fixture("w4"))
     assert [v.axiom for v in verdicts] == list(CATALOG_ORDER)
 
 
 def test_unknown_code_raises():
     with pytest.raises(CatalogError):
-        check_axiom(F.w4(), "NOT_AN_AXIOM")
+        check_axiom(fixture("w4"), "NOT_AN_AXIOM")
 
 
 def test_codes_resolve_case_insensitively():
-    assert check_axiom(F.w4(), "ssp").holds
-    assert check_axiom(F.w4(), "Ssp_Plus").axiom is AxiomId.SSP_PLUS
+    assert check_axiom(fixture("w4"), "ssp").holds
+    assert check_axiom(fixture("w4"), "Ssp_Plus").axiom is AxiomId.SSP_PLUS
 
 
 def test_w4_verdicts():
-    assert check_axiom(F.w4(), "SSP").holds
-    v = check_axiom(F.w4(), "SUP_SUB_SUM")
+    assert check_axiom(fixture("w4"), "SSP").holds
+    v = check_axiom(fixture("w4"), "SUP_SUB_SUM")
     assert not v.holds
     assert v.witness[0].label == "1"
     assert isinstance(v.witness[1], Subset)
@@ -51,16 +53,16 @@ def test_w4_verdicts():
 
 
 def test_c2_verdicts():
-    v = check_axiom(F.c2(), "WSP")
+    v = check_axiom(fixture("c2"), "WSP")
     assert not v.holds
     assert tuple(e.label for e in v.witness) == ("x", "y")
-    got = {x.axiom.name: x.holds for x in check_all(F.c2())}
+    got = {x.axiom.name: x.holds for x in check_all(fixture("c2"))}
     assert got["IRR"] and got["T"]
     assert not got["WSP"] and not got["S_SUM"] and not got["U_SUM"]
 
 
 def test_s1_vacuous_cases():
-    got = {x.axiom.name: x.holds for x in check_all(F.s1())}
+    got = {x.axiom.name: x.holds for x in check_all(fixture("s1"))}
     assert got["NO_ZERO"] and got["EXISTS_EXT"]
     assert got["E_BSUM"] and got["WSP"]
     # the empty set has a supremum but never a sum in the degenerate universe
@@ -68,11 +70,11 @@ def test_s1_vacuous_cases():
 
 
 def test_b7_satisfies_everything():
-    assert all(v.holds for v in check_all(F.b7()))
+    assert all(v.holds for v in check_all(fixture("b7")))
 
 
 def test_x6_cprod_witness():
-    v = check_axiom(F.x6(), "C_PROD")
+    v = check_axiom(fixture("x6"), "C_PROD")
     assert not v.holds
     assert tuple(e.label for e in v.witness) == ("x", "y")
 
@@ -85,13 +87,13 @@ def test_cycle_witnesses():
     loop = ParthoodStructure.build(["a"], [("a", "a")])
     v = check_axiom(loop, "AC")
     assert tuple(e.label for e in v.witness) == ("a",)
-    assert check_axiom(F.b7(), "AC").holds
+    assert check_axiom(fixture("b7"), "AC").holds
 
 
 def test_empty_witness_for_missing_required_objects():
-    v = check_axiom(F.c2(), "EXISTS_EXT")
+    v = check_axiom(fixture("c2"), "EXISTS_EXT")
     assert not v.holds and v.witness == ()
-    v = check_axiom(F.x6(), "UNITY")
+    v = check_axiom(fixture("x6"), "UNITY")
     assert not v.holds and v.witness == ()
 
 
@@ -194,7 +196,7 @@ def _recheck(s, verdict):
 
 
 def test_witnesses_reproduce_their_violations():
-    samples = [fn() for fn in F.ALL.values()]
+    samples = all_fixtures()
     samples += [
         ParthoodStructure.build(["a", "b"], [("a", "b"), ("b", "a")]),
         ParthoodStructure.build(["a"], [("a", "a")]),
@@ -501,8 +503,8 @@ def test_subset_finders_match_literal_scans_on_random_relations(s):
 
 
 def test_subset_finders_match_literal_scans_on_fixtures():
-    for make in F.ALL.values():
-        _assert_finders_match_reference(make())
+    for s in all_fixtures():
+        _assert_finders_match_reference(s)
 
 
 # -- DOLLAR and DIAMOND at the benchmark's catalog sizes ----------------------

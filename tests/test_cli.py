@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 
 from mereo import ParthoodStructure
-from mereo import fixtures as F
 from mereo.cli import (
     ParseError, _build_parser, _covering_pairs, main, parse_structure,
     serialize,
 )
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, structures
+from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture, structures
 
 
 def run_cli(*argv):
@@ -29,7 +28,7 @@ def run_cli(*argv):
 
 def test_parse_examples():
     s = parse_structure("elements: x y\npart: x < y")
-    assert s == F.c2()
+    assert s == fixture("c2")
     s = parse_structure(
         "elements: u o1 o2 o3\npart: o1 < u\npart: o2 < u\npart: o3 < u")
     assert [e.label for e in s.universe] == ["u", "o1", "o2", "o3"]
@@ -68,7 +67,7 @@ def test_labels_containing_a_comma_are_refused(tmp_path, capsys):
 def test_comments_blanks_and_duplicates_are_tolerated():
     text = "# hi\n\nelements: a b\n\npart: a < b\npart: a < b\n# bye\n"
     s = parse_structure(text)
-    assert s == F.c2() or [e.label for e in s.universe] == ["a", "b"]
+    assert s == fixture("c2") or [e.label for e in s.universe] == ["a", "b"]
     assert s.part("a", "b")
 
 
@@ -290,7 +289,7 @@ def test_lattice_scans_the_zero_adjunction_once(name, flags, monkeypatch):
     if "--tarski" in flags:
         assert checks[0] == 1
         monkeypatch.undo()
-        assert code == (0 if lattice.tarski_check(getattr(F, name)()) else 1)
+        assert code == (0 if lattice.tarski_check(fixture(name)) else 1)
     else:
         assert checks[0] == 0
 
@@ -413,7 +412,7 @@ def naive_covers(s: ParthoodStructure):
 
 @pytest.mark.parametrize("name", ["w4", "b7", "chain4", "x6", "s1"])
 def test_dot_contains_exactly_the_covering_edges(name):
-    s = F.ALL[name]()
+    s = fixture(name)
     code, out = run_cli("dot", fx(name))
     assert code == 0
     got = [line.strip() for line in out.splitlines() if "->" in line]

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 from mereo import (
     MAX_UNIVERSE_SIZE, DomainError, ElementId, ParthoodStructure, holds,
 )
-from mereo import fixtures as F
 from mereo.cli import serialize
 
 from conftest import (
-    all_relations, o_ing, o_labels, o_ov, o_pairs, o_pov, structures,
+    all_fixtures, all_relations, fixture, o_ing, o_labels, o_ov, o_pairs,
+    o_pov, structures,
 )
 
 
 def test_ing_examples():
-    w4 = F.w4()
+    w4 = fixture("w4")
     assert w4.ing("o1", "1")
     assert not w4.ing("o1", "o2")
     for e in w4.universe:
@@ -22,26 +22,26 @@ def test_ing_examples():
 
 
 def test_ext_ov_examples():
-    w4 = F.w4()
+    w4 = fixture("w4")
     assert w4.ext("o1", "o2")
     assert not w4.ext("o1", "o1")
     assert not w4.ext("o1", "1")
     assert w4.ov("o1", "1")
     assert not w4.ov("o2", "o3")
     # common part a makes the two composites of x6 overlap and cross
-    x6 = F.x6()
+    x6 = fixture("x6")
     assert x6.ov("x", "y")
     assert x6.pov("x", "y")
 
 
 def test_pov_examples():
-    w4 = F.w4()
+    w4 = fixture("w4")
     assert not w4.pov("o1", "o1")
     assert not w4.pov("o1", "1")
 
 
 def test_zero_unity():
-    w4, s1 = F.w4(), F.s1()
+    w4, s1 = fixture("w4"), fixture("s1")
     assert w4.is_unity("1")
     assert not w4.is_zero("o1")
     assert s1.is_zero("e") and s1.is_unity("e")
@@ -51,13 +51,13 @@ def test_zero_unity():
 
 
 def test_atoms():
-    assert F.w4().atoms().labels() == ("o1", "o2", "o3")
-    assert F.b7().atoms().labels() == ("a", "b", "c")
-    assert F.s1().atoms().labels() == ("e",)
+    assert fixture("w4").atoms().labels() == ("o1", "o2", "o3")
+    assert fixture("b7").atoms().labels() == ("a", "b", "c")
+    assert fixture("s1").atoms().labels() == ("e",)
 
 
 def test_domain_errors():
-    w4, b7 = F.w4(), F.b7()
+    w4, b7 = fixture("w4"), fixture("b7")
     with pytest.raises(DomainError):
         w4.ing("o1", "nope")
     with pytest.raises(DomainError):
@@ -155,8 +155,7 @@ def _check_lazy_labels(labels, rows):
 
 
 def test_lazy_labels_match_eager_on_fixtures():
-    for fn in F.ALL.values():
-        s = fn()
+    for s in all_fixtures():
         _check_lazy_labels(o_labels(s), s.rows)
 
 
@@ -189,8 +188,7 @@ def test_raw_relations_are_allowed():
 
 
 def test_mask_round_trip():
-    for fn in F.ALL.values():
-        s = fn()
+    for s in all_fixtures():
         again = ParthoodStructure.from_mask(s.n, s.relation_mask,
                                             [e.label for e in s.universe])
         assert again == s

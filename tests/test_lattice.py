@@ -7,19 +7,18 @@ from mereo import (
     holds, lattice_report, models_up_to_iso, satisfies, tarski_check,
     theory_axioms,
 )
-from mereo import fixtures as F
 from mereo.lattice import zero_report
 
-from conftest import _closure
+from conftest import _closure, all_fixtures, fixture
 from oracles import _first_joinless_mask
 
 
 def test_adjoin_zero_shapes():
-    z = adjoin_zero(F.b7())
+    z = adjoin_zero(fixture("b7"))
     assert z.n == 8
-    z = adjoin_zero(F.s1())
+    z = adjoin_zero(fixture("s1"))
     assert z.n == 2
-    z = adjoin_zero(F.w4())
+    z = adjoin_zero(fixture("w4"))
     assert z.n == 5
     # three coatoms directly beneath the top
     top = z.join_of_set(z.full)
@@ -47,8 +46,8 @@ def test_zero_label_avoids_collision():
 
 
 def test_round_trip_base_recovery():
-    for fn in (F.w4, F.b7, F.s1, F.x6):
-        s = fn()
+    for name in ("w4", "b7", "s1", "x6"):
+        s = fixture(name)
         z = adjoin_zero(s)
         assert z.base is s
         assert z.elements[:-1] == s.universe
@@ -61,29 +60,29 @@ def test_round_trip_base_recovery():
 
 
 def test_lattice_report_b7_is_boolean():
-    r = lattice_report(adjoin_zero(F.b7()))
+    r = lattice_report(adjoin_zero(fixture("b7")))
     assert r.is_lattice and r.is_distributive and r.is_complemented
     assert r.is_boolean and r.is_complete
     assert r.witness is None
 
 
 def test_lattice_report_w4_fails_distributivity():
-    r = lattice_report(adjoin_zero(F.w4()))
+    r = lattice_report(adjoin_zero(fixture("w4")))
     assert r.is_lattice and not r.is_distributive
     assert not r.is_boolean and r.is_complete
     assert tuple(e.label for e in r.witness) == ("o1", "o2", "o3")
 
 
 def test_lattice_report_c2_lacks_complements():
-    r = lattice_report(adjoin_zero(F.c2()))
+    r = lattice_report(adjoin_zero(fixture("c2")))
     assert r.is_lattice and r.is_distributive and not r.is_complemented
     assert not r.is_boolean
     assert tuple(e.label for e in r.witness) == ("x",)
 
 
 def test_meets_joins_against_naive_bound_scan():
-    for fn in (F.w4, F.b7, F.x6, F.chain4):
-        z = adjoin_zero(fn())
+    for name in ("w4", "b7", "x6", "chain4"):
+        z = adjoin_zero(fixture(name))
         n = z.n
         le = [[z.leq(i, j) for j in range(n)] for i in range(n)]
         for i in range(n):
@@ -99,8 +98,7 @@ def test_meets_joins_against_naive_bound_scan():
 
 
 def test_boolean_iff_report_components():
-    for fn in F.ALL.values():
-        s = fn()
+    for s in all_fixtures():
         from mereo import holds
         if not (holds(s, "T") and holds(s, "IRR")):
             continue
@@ -111,9 +109,9 @@ def test_boolean_iff_report_components():
 
 
 def test_tarski_examples():
-    assert tarski_check(F.b7())     # both sides hold
-    assert tarski_check(F.w4())     # both sides fail
-    assert tarski_check(F.c2())     # both sides fail
+    assert tarski_check(fixture("b7"))     # both sides hold
+    assert tarski_check(fixture("w4"))     # both sides fail
+    assert tarski_check(fixture("c2"))     # both sides fail
     # a raw relation is not classical and not an order: both sides fail
     loop = ParthoodStructure.build(["a", "b"], [("a", "b"), ("b", "a")])
     assert tarski_check(loop)
@@ -182,8 +180,7 @@ def _strict_orders():
     for n in range(8, 12):
         for _ in range(5):
             yield _random_strict_order(rng, n)
-    for make in F.ALL.values():
-        s = make()
+    for s in all_fixtures():
         if holds(s, "T") and holds(s, "IRR"):
             yield s
 

@@ -12,12 +12,12 @@ from mereo import (
     satisfies, theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
-from mereo import fixtures as F
 from mereo.axioms import CATALOG_ORDER
 from mereo.search import (
     _all_masks, _canonical_masks, _down_sets, _poset_classes,
     _transitive_masks, _twin_masks, enumerate_model_masks,
 )
+from conftest import fixture
 from oracles import (
     _canonical_form_scan, _is_canonical_scan, _literal_split_constraints,
     _perm_cell_maps, _remap,
@@ -149,7 +149,7 @@ def test_enumerate_examples():
     ms = list(enumerate_models(3, cm))
     assert len(ms) == 1
     assert canonical_form(3, ms[0].relation_mask) \
-        == canonical_form(3, F.b3().relation_mask)
+        == canonical_form(3, fixture("b3").relation_mask)
     for n in (2, 4, 5):
         assert count_models(n, cm) == 0
 
@@ -205,7 +205,7 @@ def test_find_model_ssp_without_products():
     assert not satisfies(r.found, ["C_PROD"])
     # the found witness is the crossing-composites structure up to iso
     assert canonical_form(6, r.found.relation_mask) \
-        == canonical_form(6, F.x6().relation_mask)
+        == canonical_form(6, fixture("x6").relation_mask)
 
 
 def test_find_model_mem_without_dagger():

@@ -10,14 +10,14 @@ from mereo import (
     models_up_to_iso, product, product_by_cases, satisfies, sum_of, sup_of,
     theory_axioms,
 )
-from mereo import fixtures as F
 from mereo.cli import main
 from mereo.core import ParthoodStructure, _bits
 from mereo.sums import subset_tables, sum_candidates, sup_candidates
 
 from conftest import (
-    FIXTURE_DIR, all_relations, o_is_sum, o_is_sup, o_labels, o_pairs,
-    o_subsets, structures, structures_maybe_with_zero,
+    FIXTURE_DIR, FIXTURE_NAMES, all_fixtures, all_relations, fixture,
+    o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets, structures,
+    structures_maybe_with_zero,
 )
 
 
@@ -26,7 +26,7 @@ def labels_of(result):
 
 
 def test_is_sum_examples():
-    w4 = F.w4()
+    w4 = fixture("w4")
     for e in w4.universe:
         assert is_sum(w4, e, [e])
         assert not is_sum(w4, e, [])
@@ -34,19 +34,19 @@ def test_is_sum_examples():
 
 
 def test_sum_of_examples():
-    assert labels_of(sum_of(F.b7(), ["a", "b"])) == ["ab"]
-    assert sum_of(F.b7(), ["a", "b"]).unique
-    res = sum_of(F.w4(), ["o1", "o2"])
+    assert labels_of(sum_of(fixture("b7"), ["a", "b"])) == ["ab"]
+    assert sum_of(fixture("b7"), ["a", "b"]).unique
+    res = sum_of(fixture("w4"), ["o1", "o2"])
     assert labels_of(res) == [] and not res.unique
     # both x and y count {x} as their sum in the two-element chain
-    res = sum_of(F.c2(), ["x"])
+    res = sum_of(fixture("c2"), ["x"])
     assert labels_of(res) == ["x", "y"] and not res.unique
 
 
 def test_sup_of_examples():
-    assert labels_of(sup_of(F.w4(), ["o1", "o2"])) == ["1"]
-    assert labels_of(sup_of(F.b7(), ["a", "b", "c"])) == ["abc"]
-    for s in (F.w4(), F.b7(), F.x6()):
+    assert labels_of(sup_of(fixture("w4"), ["o1", "o2"])) == ["1"]
+    assert labels_of(sup_of(fixture("b7"), ["a", "b", "c"])) == ["abc"]
+    for s in map(fixture, ("w4", "b7", "x6")):
         for e in s.universe:
             assert labels_of(sup_of(s, [e])) == [e.label]
 
@@ -57,43 +57,43 @@ def test_sup_of_examples():
     ("abc", "ab", "ab"),
 ])
 def test_product_b7(x, y, want):
-    assert product(F.b7(), x, y).label == want
+    assert product(fixture("b7"), x, y).label == want
 
 
 def test_product_absent_on_x6():
     # the shared pair of atoms has no fusion, so no product
-    assert product(F.x6(), "x", "y") is None
+    assert product(fixture("x6"), "x", "y") is None
 
 
 def test_difference_examples():
-    b7, w4 = F.b7(), F.w4()
+    b7, w4 = fixture("b7"), fixture("w4")
     assert difference(b7, "abc", "a").label == "bc"
     assert difference(b7, "a", "abc") is None
     assert difference(w4, "1", "o1") is None
 
 
 def test_complement_examples():
-    b7, w4 = F.b7(), F.w4()
+    b7, w4 = fixture("b7"), fixture("w4")
     assert complement(b7, "a").label == "bc"
     assert complement(b7, "abc") is None
     assert complement(w4, "o1") is None
-    assert complement(F.x6(), "a") is None      # no unity at all
+    assert complement(fixture("x6"), "a") is None      # no unity at all
 
 
 def test_binary_sum_examples():
-    assert binary_sum(F.b7(), "a", "b").label == "ab"
-    assert binary_sum(F.w4(), "o1", "o2") is None
-    for e in F.b7().universe:
-        assert binary_sum(F.b7(), e, e) == e
+    assert binary_sum(fixture("b7"), "a", "b").label == "ab"
+    assert binary_sum(fixture("w4"), "o1", "o2") is None
+    for e in fixture("b7").universe:
+        assert binary_sum(fixture("b7"), e, e) == e
 
 
 def test_uniqueness_fault_is_distinct_from_absence():
-    c2 = F.c2()
+    c2 = fixture("c2")
     with pytest.raises(UniquenessFault) as exc:
         binary_sum(c2, "x", "x")
     assert [e.label for e in exc.value.candidates] == ["x", "y"]
     # absence stays a plain None
-    assert binary_sum(F.w4(), "o1", "o2") is None
+    assert binary_sum(fixture("w4"), "o1", "o2") is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -126,7 +126,7 @@ def _subset_masks(s):
 
 def test_ssp_gives_sum_within_sup_and_closure_equivalences():
     from mereo.axioms import dollar_converse_holds
-    for s in (F.w4(), F.b7(), F.x6(), F.b3(), F.s1()):
+    for s in map(fixture, ("w4", "b7", "x6", "b3", "s1")):
         assert holds(s, "SSP")
         for mask in _subset_masks(s):
             sums = set(labels_of(sum_of(s, mask)))
@@ -137,7 +137,7 @@ def test_ssp_gives_sum_within_sup_and_closure_equivalences():
 
 
 def test_ddagger_fixtures_have_coinciding_sums_and_sups():
-    for s in (F.b7(), F.b3(), F.s1(), F.triples8()):
+    for s in map(fixture, ("b7", "b3", "s1", "triples8")):
         assert holds(s, "DDAGGER")
         for mask in range(1, 1 << s.n):
             assert set(labels_of(sum_of(s, mask))) \
@@ -146,7 +146,7 @@ def test_ddagger_fixtures_have_coinciding_sums_and_sups():
 
 def test_grzegorczyk_product_formula_on_gm_fixtures():
     gm = theory_axioms("GM")
-    for s in (F.b3(), F.b7(), F.s1()):
+    for s in (fixture("b3"), fixture("b7"), fixture("s1")):
         assert satisfies(s, gm)
         for x in s.universe:
             for y in s.universe:
@@ -195,14 +195,14 @@ def test_subset_tables_match_literal_candidates_on_random_relations(s):
 
 
 def test_subset_tables_are_built_once_per_structure():
-    labels = [e.label for e in F.b7().universe]
-    s = ParthoodStructure(labels, F.b7().rows)
+    labels = [e.label for e in fixture("b7").universe]
+    s = ParthoodStructure(labels, fixture("b7").rows)
     assert s._subset_tables is None
     tables = subset_tables(s)
     assert subset_tables(s) is tables
     assert len(tables[0]) == len(tables[1]) == 1 << s.n
     # an equal structure built afresh starts without them
-    assert ParthoodStructure(labels, F.b7().rows)._subset_tables is None
+    assert ParthoodStructure(labels, fixture("b7").rows)._subset_tables is None
 
 
 # -- the queries and the algebra against the literal candidate lists ---------
@@ -303,8 +303,8 @@ def test_queries_and_algebra_match_literal_candidates_on_random_relations(s):
 
 
 def test_queries_and_algebra_match_literal_candidates_on_fixtures():
-    for make in F.ALL.values():
-        _assert_queries_match_candidates(make())
+    for s in all_fixtures():
+        _assert_queries_match_candidates(s)
 
 
 # -- no production path reaches the literal definitions ----------------------
@@ -320,8 +320,8 @@ def _production_outputs():
              "--to", "C_PROD", "--max-n", "5"],
             ["enumerate", "--n", "4", "--theory", "GMU", "--up-to-iso"]]
     outputs = []
-    for name, make in sorted(F.ALL.items()):
-        s, path = make(), str(FIXTURE_DIR / f"{name}.txt")
+    for name in FIXTURE_NAMES:
+        s, path = fixture(name), str(FIXTURE_DIR / f"{name}.txt")
         labels = [e.label for e in s.universe]
         pair = f"{labels[0]},{labels[-1]}"
         outputs.append((check_all(s), [check_theory(s, t) for t in TheoryId]))

@@ -4,7 +4,8 @@ from mereo import (
     AxiomId, SearchSpec, TheoryId, check_theory, derived_theses, find_model,
     holds, models_up_to_iso, satisfies, theory_axioms, verify_implication,
 )
-from mereo import fixtures as F
+
+from conftest import fixture
 
 
 def test_bundles_match_their_definitions():
@@ -23,11 +24,11 @@ def test_bundles_match_their_definitions():
 
 
 def test_membership_examples():
-    assert check_theory(F.w4(), "T3").holds
-    tv = check_theory(F.w4(), "MSPO_DDAG")
+    assert check_theory(fixture("w4"), "T3").holds
+    tv = check_theory(fixture("w4"), "MSPO_DDAG")
     assert not tv.holds and tv.failing.axiom is AxiomId.DDAGGER
-    assert check_theory(F.b7(), "CM").holds
-    tv = check_theory(F.c2(), "T1")
+    assert check_theory(fixture("b7"), "CM").holds
+    tv = check_theory(fixture("c2"), "T1")
     assert not tv.holds and tv.failing.axiom is AxiomId.U_SUM
 
 
@@ -99,7 +100,7 @@ def test_mem_crosses_the_order_theories():
     # and conversely the coincidence theory does not prove products:
     # no model with 7 or fewer elements shows it, but eight do (the
     # four-atom, four-fusion structure)
-    t8 = F.triples8()
+    t8 = fixture("triples8")
     assert check_theory(t8, "MSPO_DDAG").holds
     assert check_theory(t8, "MSPO_DAG").holds
     assert not holds(t8, "C_PROD")
@@ -122,7 +123,7 @@ def test_triples8_is_the_only_eight_element_crossing():
     crossings = [s.relation_mask
                  for s in enumerate_models(8, ("T", "IRR", "DDAGGER"))
                  if not holds(s, "C_PROD")]
-    assert crossings == [canonical_form(8, F.triples8().relation_mask)]
+    assert crossings == [canonical_form(8, fixture("triples8").relation_mask)]
 
 
 def test_mspo_variants_agree():

@@ -6,15 +6,17 @@ from mereo import (
     ParthoodStructure, holds, is_acyclic, is_locally_transitive,
     models_up_to_iso, paths_between,
 )
-from mereo import fixtures as F
+
+from conftest import all_fixtures, all_relations, fixture, structures
+from oracles import _locally_transitive_by_paths
 
 
 def test_acyclicity_examples():
     two = ParthoodStructure.build(["a", "b"], [("a", "b"), ("b", "a")])
     v = is_acyclic(two)
     assert not v.holds and tuple(e.label for e in v.cycle) == ("a", "b")
-    assert is_acyclic(F.orch()).holds
-    assert is_acyclic(F.b7()).holds
+    assert is_acyclic(fixture("orch")).holds
+    assert is_acyclic(fixture("b7")).holds
 
 
 def test_acyclic_covers_loops_and_mutual_parts():
@@ -24,7 +26,7 @@ def test_acyclic_covers_loops_and_mutual_parts():
     # agreement with the catalog verdicts on the short cycles
     for s in (loop,
               ParthoodStructure.build(["a", "b"], [("a", "b"), ("b", "a")]),
-              F.b7(), F.orch(), F.chain4()):
+              fixture("b7"), fixture("orch"), fixture("chain4")):
         assert is_acyclic(s).holds <= holds(s, "IRR")
         assert is_acyclic(s).holds <= holds(s, "AS")
         if holds(s, "IRR") and holds(s, "T"):
@@ -32,52 +34,67 @@ def test_acyclic_covers_loops_and_mutual_parts():
 
 
 def test_local_transitivity_examples():
-    assert is_locally_transitive(F.chain4()).holds
-    v = is_locally_transitive(F.chain4_gap())
+    assert is_locally_transitive(fixture("chain4")).holds
+    v = is_locally_transitive(fixture("chain4_gap"))
     assert not v.holds
     assert [e.label for e in v.path.nodes] == ["x", "z1", "z2", "y"]
     assert tuple(e.label for e in v.triple) == ("x", "z1", "z2")
-    assert is_locally_transitive(F.orch()).holds
+    assert is_locally_transitive(fixture("orch")).holds
 
 
 def test_witness_path_is_checkable():
-    v = is_locally_transitive(F.chain4_gap())
-    assert v.path.valid_in(F.chain4_gap())
+    v = is_locally_transitive(fixture("chain4_gap"))
+    assert v.path.valid_in(fixture("chain4_gap"))
     a, b, c = v.triple
-    s = F.chain4_gap()
+    s = fixture("chain4_gap")
     assert s.part(a, b) and s.part(b, c) and not s.part(a, c)
 
 
 def test_paths_between_chain4():
-    got = [str(p) for p in paths_between(F.chain4(), "x", "y", 4)]
+    got = [str(p) for p in paths_between(fixture("chain4"), "x", "y", 4)]
     assert got == ["x -> z1 -> z2 -> y", "x -> z1 -> y",
                    "x -> z2 -> y", "x -> y"]
     # shorter cap trims the longest path
-    got3 = [str(p) for p in paths_between(F.chain4(), "x", "y", 3)]
+    got3 = [str(p) for p in paths_between(fixture("chain4"), "x", "y", 3)]
     assert got3 == ["x -> z1 -> y", "x -> z2 -> y", "x -> y"]
 
 
 def test_paths_between_orch():
-    got = [str(p) for p in paths_between(F.orch(), "u", "z", 3)]
+    got = [str(p) for p in paths_between(fixture("orch"), "u", "z", 3)]
     assert got == ["u -> y -> z"]
-    assert paths_between(F.orch(), "u", "z", 2) == []
+    assert paths_between(fixture("orch"), "u", "z", 2) == []
 
 
 def test_paths_between_self_is_empty_on_acyclic():
-    for s in (F.b7(), F.chain4(), F.orch()):
+    for s in (fixture("b7"), fixture("chain4"), fixture("orch")):
         for e in s.universe:
             assert paths_between(s, e, e) == []
 
 
 def test_paths_validation():
     with pytest.raises(ValueError):
-        paths_between(F.orch(), "u", "z", 0)
+        paths_between(fixture("orch"), "u", "z", 0)
 
 
-def test_global_transitivity_subsumes_local_to_4():
+def _local_transitivity_cases():
+    """Every relation with n <= 3, the transitive classes with n <= 4
+    (loops allowed) and the fixtures."""
+    yield from all_relations(3)
     for n in range(1, 5):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
-            assert is_locally_transitive(s).holds, s
+        yield from models_up_to_iso(n, ["T"])
+    yield from all_fixtures()
+
+
+def test_local_transitivity_matches_path_enumeration():
+    # verdict, witness path and triple, transitive relations included
+    for s in _local_transitivity_cases():
+        assert is_locally_transitive(s) == _locally_transitive_by_paths(s), s
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(max_n=6))
+def test_local_transitivity_matches_path_enumeration_on_random_relations(s):
+    assert is_locally_transitive(s) == _locally_transitive_by_paths(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,7 +102,7 @@ def test_global_transitivity_subsumes_local_to_4():
 def test_violations_persist_under_edge_additions(data):
     # a locally non-transitive witness stays violating when edges are
     # added anywhere else in the structure
-    base = F.chain4_gap()
+    base = fixture("chain4_gap")
     v = is_locally_transitive(base)
     assert not v.holds
     witness_nodes = [e.label for e in v.path.nodes]
