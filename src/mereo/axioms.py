@@ -20,6 +20,15 @@ ingredienses (x sums or bounds no other), and for the DOLLAR pair also
 those of the elements whose overlaps lie within x's.  The literal
 definitions in sums are the finders' oracles.
 
+Sixteen codes share five kernels, one per quantifier shape: mutual
+parts (ANTIS, AS); a mask of x within a cover of y, y not above x (SSP,
+SSP_OV, SSP_EXT, PPP); equal masks (the four EXT codes); a pair without
+a sum (C_BSUM, E_BSUM); and sum/supremum disagreement over the subsets
+of x's ingredienses (SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
+factory builds a code's checker once, at import, as a closure: a lambda
+or partial calling a shared kernel would add a Python call to every
+check, and a search checks thousands of structures of a few elements.
+
 A failed check carries a witness: the first violating assignment under
 universe order and subset encoding order, as a tuple of elements
 followed by subsets.  Re-evaluating the axiom body on the witness
@@ -115,6 +124,9 @@ class Verdict(_Record):
 # are element indices or ("subset", mask) pairs, converted to ElementId and
 # Subset by check_axiom.
 
+Checker = Callable[[ParthoodStructure], Optional[tuple]]
+
+
 def _irr(s):
     for x in range(s.n):
         if s.rows[x] >> x & 1:
@@ -122,20 +134,17 @@ def _irr(s):
     return None
 
 
-def _antis(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if x != y and s.rows[x] >> y & 1 and s.rows[y] >> x & 1:
-                return (x, y)
-    return None
-
-
-def _as(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if s.rows[x] >> y & 1 and s.rows[y] >> x & 1:
-                return (x, y)
-    return None
+def _mutual_parts(*, distinct: bool) -> Checker:
+    """First (x, y) with x P y and y P x, y != x when distinct: the
+    lowest y in rows[x] & parts_in[x]."""
+    def find(s):
+        rows, parts = s.rows, s.parts_in
+        for x in range(s.n):
+            both = rows[x] & parts[x] & ~(distinct << x)
+            if both:
+                return (x, (both & -both).bit_length() - 1)
+        return None
+    return find
 
 
 def transitivity_gap(s: ParthoodStructure,
@@ -217,20 +226,21 @@ def _wsp(s):
     return None
 
 
-def _ssp(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if not s.ing_up[x] >> y & 1 and not s.ing_of[x] & ~s.ov_of[y]:
-                return (x, y)
-    return None
-
-
-def _ssp_ov(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if not s.ov_of[x] & ~s.ov_of[y] and not s.ing_up[x] >> y & 1:
-                return (x, y)
-    return None
+def _within_cover(masks: str, covers: str) -> Checker:
+    """First (x, y) with masks[x] nonempty and within covers[y], and y
+    not above x (x is no ingrediens of y)."""
+    def find(s):
+        ms, cs, up = getattr(s, masks), getattr(s, covers), s.ing_up
+        for x, mx in enumerate(ms):
+            rest = mx and s.full & ~up[x]       # the y not above x
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if not mx & ~cs[y]:
+                    return (x, y)
+                rest ^= low
+        return None
+    return find
 
 
 def _ssp_plus(s):
@@ -241,17 +251,6 @@ def _ssp_plus(s):
                 continue
             rest = ing[x] & ~s.ov_of[y]
             if not any(not rest & ~ing[z] for z in _bits(rest)):
-                return (x, y)
-    return None
-
-
-def _ppp(s):
-    for x in range(s.n):
-        px = s.parts_in[x]
-        if not px:
-            continue
-        for y in range(s.n):
-            if not px & ~s.parts_in[y] and not s.ing_up[x] >> y & 1:
                 return (x, y)
     return None
 
@@ -297,31 +296,17 @@ def _u_sup(s):
     return None
 
 
-def _ext_pp(s):
-    for x in range(s.n):
-        px = s.parts_in[x]
-        if not px:
-            continue
-        for y in range(s.n):
-            if x != y and px == s.parts_in[y]:
-                return (x, y)
-    return None
-
-
-def _ext_ing(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if x != y and s.ing_of[x] == s.ing_of[y]:
-                return (x, y)
-    return None
-
-
-def _ext_ov(s):
-    for x in range(s.n):
-        for y in range(s.n):
-            if x != y and s.ov_of[x] == s.ov_of[y]:
-                return (x, y)
-    return None
+def _equal_masks(masks: str) -> Checker:
+    """First (x, y), y != x, with masks[x] nonempty and equal to masks[y].
+    No element before x shares its mask, so y is the next one after x
+    that does."""
+    def find(s):
+        ms = getattr(s, masks)
+        for x, mx in enumerate(ms):
+            if mx and ms.count(mx) > 1:
+                return (x, ms.index(mx, x + 1))
+        return None
+    return find
 
 
 # The x-major finders below visit, for each x, only the submasks m of a
@@ -397,53 +382,29 @@ def _diamond(s):
     return found
 
 
-def _sum_sub_sup(s):
-    ub, ov = subset_tables(s)
-    for x in range(s.n):
-        ix, up = s.ing_of[x], s.ing_up[x]
-        mask = ix & -ix
-        while mask:
-            if not ix & ~ov[mask] and ub[mask] & ~up:
-                return (x, ("subset", mask))
-            mask = (mask - ix) & ix
-    return None
-
-
-def _sup_not_sum(s, with_empty: bool):
-    """First (x, m) with x a supremum but not a sum of m; the empty
-    subset is visited only when with_empty."""
-    ub, ov = subset_tables(s)
-    for x in range(s.n):
-        ix, up = s.ing_of[x], s.ing_up[x]
-        mask = 0 if with_empty else ix & -ix
-        while True:
-            if not ub[mask] & ~up and ix & ~ov[mask]:
-                return (x, ("subset", mask))
-            mask = (mask - ix) & ix
-            if not mask:
-                break
-    return None
-
-
-def _sup_sub_sum(s):
-    return _sup_not_sum(s, True)
-
-
-def _dagger(s):
-    return _sup_not_sum(s, False)
-
-
-def _ddagger(s):
-    # the empty set never has a sum, and is exempt from the supremum side
-    ub, ov = subset_tables(s)
-    for x in range(s.n):
-        ix, up = s.ing_of[x], s.ing_up[x]
-        mask = ix & -ix
-        while mask:
-            if (not ix & ~ov[mask]) != (not ub[mask] & ~up):
-                return (x, ("subset", mask))
-            mask = (mask - ix) & ix
-    return None
+def _sum_sup_disagreement(*, sum_not_sup: bool = False,
+                          sup_not_sum: bool = False,
+                          with_empty: bool = False) -> Checker:
+    """First (x, m), m within ing_of[x], where x sums m but is no
+    supremum of it (if sum_not_sup) or is a supremum of m but does not
+    sum it (if sup_not_sum); the empty subset is visited only when
+    with_empty.  The supremum side is read only where it can fail."""
+    def find(s):
+        ub, ov = subset_tables(s)
+        for x in range(s.n):
+            ix, up = s.ing_of[x], s.ing_up[x]
+            mask = 0 if with_empty else ix & -ix
+            while True:
+                if not ix & ~ov[mask]:              # x sums mask
+                    if sum_not_sup and ub[mask] & ~up:
+                        return (x, ("subset", mask))
+                elif sup_not_sum and not ub[mask] & ~up:
+                    return (x, ("subset", mask))
+                mask = (mask - ix) & ix
+                if not mask:
+                    break
+        return None
+    return find
 
 
 def _c_prod(s):
@@ -456,23 +417,19 @@ def _c_prod(s):
     return None
 
 
-def _c_bsum(s):
-    up, ov = s.ing_up, s.ov_of
-    for x in range(s.n):
-        for y in range(s.n):
-            ub = up[x] & up[y]
-            if ub and not sums_in(s, ub, ov[x] | ov[y]):
-                return (x, y)
-    return None
-
-
-def _e_bsum(s):
-    up, ov = s.ing_up, s.ov_of
-    for x in range(s.n):
-        for y in range(s.n):
-            if not sums_in(s, up[x] & up[y], ov[x] | ov[y]):
-                return (x, y)
-    return None
+def _pair_without_sum(*, bounded: bool) -> Checker:
+    """First (x, y) whose pair {x, y} has no sum, among the pairs with a
+    common upper bound if bounded.  The pair is symmetric and x sums
+    {x}, so the first failing pair has x < y."""
+    def find(s):
+        up, ov = s.ing_up, s.ov_of
+        for x in range(s.n):
+            for y in range(x + 1, s.n):
+                ub = up[x] & up[y]
+                if (ub or not bounded) and not sums_in(s, ub, ov[x] | ov[y]):
+                    return (x, y)
+        return None
+    return find
 
 
 def _e_sum(s):
@@ -492,9 +449,6 @@ def _unity(s):
 
 # -- catalog ------------------------------------------------------------------
 
-Checker = Callable[[ParthoodStructure], Optional[tuple]]
-
-
 # The one dataclass in the package: perfbench/tracing.py finds catalog
 # entries with dataclasses.is_dataclass and wraps each checker through
 # dataclasses.replace.
@@ -508,35 +462,35 @@ class AxiomInfo:
 
 _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.IRR, "nothing is a part of itself", 0, _irr),
-    AxiomInfo(AxiomId.ANTIS, "no two distinct objects are parts of each other", 0, _antis),
-    AxiomInfo(AxiomId.AS, "parthood is asymmetric", 0, _as),
+    AxiomInfo(AxiomId.ANTIS, "no two distinct objects are parts of each other", 0, _mutual_parts(distinct=True)),
+    AxiomInfo(AxiomId.AS, "parthood is asymmetric", 0, _mutual_parts(distinct=False)),
     AxiomInfo(AxiomId.T, "parthood is transitive", 1, _t),
     AxiomInfo(AxiomId.AC, "the part digraph has no cycles", 1, _ac),
     AxiomInfo(AxiomId.NO_ZERO, "non-degenerate universes have no zero", 0, _no_zero),
     AxiomInfo(AxiomId.EXISTS_EXT, "non-degenerate universes have an exterior pair", 1, _exists_ext),
     AxiomInfo(AxiomId.WSP, "every proper part is supplemented by an exterior part", 1, _wsp),
-    AxiomInfo(AxiomId.SSP, "every non-ingrediens is supplemented by an exterior ingrediens", 1, _ssp),
-    AxiomInfo(AxiomId.SSP_OV, "overlap-monotone pairs are ingredienses", 1, _ssp_ov),
-    AxiomInfo(AxiomId.SSP_EXT, "exteriority-antitone pairs are ingredienses", 1, _ssp_ov),
+    AxiomInfo(AxiomId.SSP, "every non-ingrediens is supplemented by an exterior ingrediens", 1, _within_cover("ing_of", "ov_of")),
+    AxiomInfo(AxiomId.SSP_OV, "overlap-monotone pairs are ingredienses", 1, _within_cover("ov_of", "ov_of")),
+    AxiomInfo(AxiomId.SSP_EXT, "exteriority-antitone pairs are ingredienses", 1, _within_cover("ov_of", "ov_of")),
     AxiomInfo(AxiomId.SSP_PLUS, "supplementation with a greatest remainder", 1, _ssp_plus),
-    AxiomInfo(AxiomId.PPP, "sharing all proper parts of a composite forces ingrediens", 1, _ppp),
+    AxiomInfo(AxiomId.PPP, "sharing all proper parts of a composite forces ingrediens", 1, _within_cover("parts_in", "parts_in")),
     AxiomInfo(AxiomId.U_SUM, "a set has at most one sum", 2, _u_sum),
     AxiomInfo(AxiomId.S_SUM, "the only sum of a singleton is its member", 1, _s_sum),
     AxiomInfo(AxiomId.U_SUP, "a set has at most one supremum", 2, _u_sup),
-    AxiomInfo(AxiomId.EXT_PP, "composites with the same proper parts are equal", 0, _ext_pp),
-    AxiomInfo(AxiomId.EXT_ING, "objects with the same ingredienses are equal", 0, _ext_ing),
-    AxiomInfo(AxiomId.EXT_OV, "objects overlapping the same things are equal", 1, _ext_ov),
-    AxiomInfo(AxiomId.EXT_EXT, "objects exterior to the same things are equal", 1, _ext_ov),
+    AxiomInfo(AxiomId.EXT_PP, "composites with the same proper parts are equal", 0, _equal_masks("parts_in")),
+    AxiomInfo(AxiomId.EXT_ING, "objects with the same ingredienses are equal", 0, _equal_masks("ing_of")),
+    AxiomInfo(AxiomId.EXT_OV, "objects overlapping the same things are equal", 1, _equal_masks("ov_of")),
+    AxiomInfo(AxiomId.EXT_EXT, "objects exterior to the same things are equal", 1, _equal_masks("ov_of")),
     AxiomInfo(AxiomId.DOLLAR_EXT, "x sums S iff exteriority to x is exteriority to all of S", 2, _dollar),
     AxiomInfo(AxiomId.DOLLAR_OV, "x sums S iff overlapping x is overlapping some of S", 2, _dollar),
     AxiomInfo(AxiomId.DIAMOND, "a sum and a supremum of the same set are equal", 2, _diamond),
-    AxiomInfo(AxiomId.SUM_SUB_SUP, "every sum is a supremum", 2, _sum_sub_sup),
-    AxiomInfo(AxiomId.SUP_SUB_SUM, "every supremum is a sum", 2, _sup_sub_sum),
-    AxiomInfo(AxiomId.DAGGER, "every supremum of a nonempty set is its sum", 2, _dagger),
-    AxiomInfo(AxiomId.DDAGGER, "sum and supremum coincide on nonempty sets", 2, _ddagger),
+    AxiomInfo(AxiomId.SUM_SUB_SUP, "every sum is a supremum", 2, _sum_sup_disagreement(sum_not_sup=True)),
+    AxiomInfo(AxiomId.SUP_SUB_SUM, "every supremum is a sum", 2, _sum_sup_disagreement(sup_not_sum=True, with_empty=True)),
+    AxiomInfo(AxiomId.DAGGER, "every supremum of a nonempty set is its sum", 2, _sum_sup_disagreement(sup_not_sum=True)),
+    AxiomInfo(AxiomId.DDAGGER, "sum and supremum coincide on nonempty sets", 2, _sum_sup_disagreement(sum_not_sup=True, sup_not_sum=True)),
     AxiomInfo(AxiomId.C_PROD, "overlapping pairs have a product", 1, _c_prod),
-    AxiomInfo(AxiomId.C_BSUM, "pairs below a common object have a sum", 1, _c_bsum),
-    AxiomInfo(AxiomId.E_BSUM, "every pair has a sum", 1, _e_bsum),
+    AxiomInfo(AxiomId.C_BSUM, "pairs below a common object have a sum", 1, _pair_without_sum(bounded=True)),
+    AxiomInfo(AxiomId.E_BSUM, "every pair has a sum", 1, _pair_without_sum(bounded=False)),
     AxiomInfo(AxiomId.E_SUM, "every nonempty subset has a sum", 2, _e_sum),
     AxiomInfo(AxiomId.UNITY, "a greatest element exists", 0, _unity),
 ]

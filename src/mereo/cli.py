@@ -288,7 +288,8 @@ _cmd_sum = _subset_query(sum_of, "sum", "sum")
 _cmd_sup = _subset_query(sup_of, "sup", "supremum")
 
 
-_ALG_OPS = ("product", "difference", "complement", "bsum")
+_ALG_OPS = {"product": product, "difference": difference,
+            "complement": complement, "bsum": binary_sum}
 
 
 def _cmd_alg(args, out) -> int:
@@ -298,14 +299,7 @@ def _cmd_alg(args, out) -> int:
     if len(labels) != need:
         raise CatalogError(f"{args.op} needs {need} argument(s)")
     try:
-        if args.op == "product":
-            res = product(s, *labels)
-        elif args.op == "difference":
-            res = difference(s, *labels)
-        elif args.op == "complement":
-            res = complement(s, labels[0])
-        else:
-            res = binary_sum(s, *labels)
+        res = _ALG_OPS[args.op](s, *labels)
     except UniquenessFault as fault:
         if args.json:
             _emit(out, _dumps({"structure": name, "op": args.op,

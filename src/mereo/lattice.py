@@ -135,9 +135,8 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
                     rhs = z.join(z.meet(x, y), z.meet(x, w))
                     if lhs != rhs:
                         is_distributive = False
-                        if witness is None:
-                            witness = (z.elements[x], z.elements[y],
-                                       z.elements[w])
+                        witness = (z.elements[x], z.elements[y],
+                                   z.elements[w])
                         break
                 if not is_distributive:
                     break
@@ -200,6 +199,6 @@ def tarski_agrees(cm: TheoryVerdict,
                   report: Optional[LatticeReport]) -> bool:
     """tarski_check given s's classical mereology verdict and its
     zero_report.  The adjunction has at least two elements, so it is
-    non-degenerate."""
-    rhs = report is not None and report.is_boolean and report.is_complete
+    non-degenerate, and a Boolean report is a lattice, so complete."""
+    rhs = report is not None and report.is_boolean
     return cm.holds == rhs

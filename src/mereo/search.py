@@ -72,7 +72,9 @@ SEARCH_MAX = 7
 
 class SearchSpec(_Record):
     """Models of at most `max_n` elements where the `ambient` codes are
-    assumed (they drive generation), `require` hold and `forbid` fail."""
+    assumed, `require` hold and `forbid` fail.  The ambient and required
+    codes together choose the walk that generates candidates; the forbid
+    codes are checked on what it yields."""
 
     __slots__ = ("max_n", "ambient", "require", "forbid", "up_to_iso")
 

@@ -9,7 +9,7 @@ direct edge counts as the trivial path.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .axioms import _find_cycle, transitivity_gap
 from .core import ElementId, ElementLike, ParthoodStructure, _bits
@@ -72,33 +72,18 @@ def is_acyclic(s: ParthoodStructure) -> AcyclicityVerdict:
 
 
 def _simple_paths(s: ParthoodStructure, x: int, y: int,
-                  max_len: int) -> list[tuple[int, ...]]:
+                  max_len: int) -> Iterator[tuple[int, ...]]:
     """Simple part-paths from x to y with at most max_len nodes, in
-    lexicographic node order."""
-    out: list[tuple[int, ...]] = []
-    path = [x]
-    seen = 1 << x
-
-    def walk():
-        nonlocal seen
-        here = path[-1]
-        for nxt in _bits(s.rows[here]):
+    lexicographic node order, each yielded as the walk reaches it."""
+    def walk(path, seen):
+        for nxt in _bits(s.rows[path[-1]]):
             if nxt == y:
-                out.append(tuple(path) + (y,))
-                continue
-            if seen >> nxt & 1 or len(path) + 2 > max_len:
-                continue
-            path.append(nxt)
-            seen |= 1 << nxt
-            walk()
-            path.pop()
-            seen &= ~(1 << nxt)
+                yield path + (y,)
+            elif not seen >> nxt & 1 and len(path) + 2 <= max_len:
+                yield from walk(path + (nxt,), seen | 1 << nxt)
 
-    if x == y:
-        return []
-    if max_len >= 2:
-        walk()
-    return out
+    if x != y and max_len >= 2:
+        yield from walk((x,), 1 << x)
 
 
 def paths_between(s: ParthoodStructure, x: ElementLike, y: ElementLike,
@@ -119,7 +104,8 @@ def is_locally_transitive(s: ParthoodStructure) -> LocalTransitivityVerdict:
     restricted to the path's node set is transitive.
 
     A transitive relation holds at once: every restriction of it is
-    transitive.  Any other relation lists each pair's paths."""
+    transitive.  Any other relation walks each pair's paths in turn and
+    stops at the first whose node set has a gap."""
     if transitivity_gap(s, s.full) is None:
         return LocalTransitivityVerdict(True)
     for x in range(s.n):

@@ -229,10 +229,12 @@ def test_as_and_ssp_imply_wsp_all_relations():
 
 
 def test_antis_implies_ext_ing_and_unique_suprema_all_relations():
+    # two suprema of one set are ingredienses of each other; conversely,
+    # distinct mutual parts x and y are both suprema of {x, y}
     for s in sweep(4):
         if holds(s, "ANTIS"):
             assert holds(s, "EXT_ING")
-            assert holds(s, "U_SUP")
+        assert holds(s, "ANTIS") == holds(s, "U_SUP")
 
 
 def test_sup_sub_sum_needs_nondegenerate_universe():
@@ -385,8 +387,92 @@ def _sup_not_sum(s, x, mask):
     return is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask)
 
 
-# The pair-quantified finders, as seed-style scans: exteriority by
-# intersecting ing_of rows, sums by the literal candidate lists.
+# The pair-quantified finders, as seed-style scans: parthood by reading
+# rows, exteriority by intersecting ing_of rows, sums by the literal
+# candidate lists.
+
+def _ref_mutual_parts(distinct):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if distinct and x == y:
+                    continue
+                if s.rows[x] >> y & 1 and s.rows[y] >> x & 1:
+                    return (x, y)
+        return None
+    return find
+
+
+def _parts(s, x):
+    return [u for u in range(s.n) if s.rows[u] >> x & 1]
+
+
+def _overlappers(s, x):
+    return [u for u in range(s.n) if s.ing_of[u] & s.ing_of[x]]
+
+
+def _ref_ssp_ov(s):
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if all(s.ing_of[u] & s.ing_of[y] for u in _overlappers(s, x)):
+                return (x, y)
+    return None
+
+
+def _ref_ssp_ext(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if all(not ing[u] & ing[x] for u in range(s.n)
+                   if not ing[u] & ing[y]):
+                return (x, y)
+    return None
+
+
+def _ref_ppp(s):
+    for x in range(s.n):
+        px = _parts(s, x)
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if px and all(s.rows[u] >> y & 1 for u in px):
+                return (x, y)
+    return None
+
+
+def _ref_extensional(same):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if x != y and same(s, x, y):
+                    return (x, y)
+        return None
+    return find
+
+
+def _same_proper_parts(s, x, y):
+    px = _parts(s, x)
+    return bool(px) and px == _parts(s, y)
+
+
+def _same_ingredienses(s, x, y):
+    return ([u for u in range(s.n) if u == x or s.rows[u] >> x & 1]
+            == [u for u in range(s.n) if u == y or s.rows[u] >> y & 1])
+
+
+def _same_overlappers(s, x, y):
+    return _overlappers(s, x) == _overlappers(s, y)
+
+
+def _same_exteriors(s, x, y):
+    ing = s.ing_of
+    return all((not ing[u] & ing[x]) == (not ing[u] & ing[y])
+               for u in range(s.n))
+
 
 def _ref_exists_ext(s):
     if s.n < 2:
@@ -468,10 +554,19 @@ _REFERENCE = {
         lambda s, x, m: is_sum_mask(s, x, m)
         != (m != 0 and is_sup_mask(s, x, m)), 0),
     AxiomId.E_SUM: _ref_e_sum,
+    AxiomId.ANTIS: _ref_mutual_parts(True),
+    AxiomId.AS: _ref_mutual_parts(False),
     AxiomId.EXISTS_EXT: _ref_exists_ext,
     AxiomId.WSP: _ref_wsp,
     AxiomId.SSP: _ref_ssp,
+    AxiomId.SSP_OV: _ref_ssp_ov,
+    AxiomId.SSP_EXT: _ref_ssp_ext,
     AxiomId.SSP_PLUS: _ref_ssp_plus,
+    AxiomId.PPP: _ref_ppp,
+    AxiomId.EXT_PP: _ref_extensional(_same_proper_parts),
+    AxiomId.EXT_ING: _ref_extensional(_same_ingredienses),
+    AxiomId.EXT_OV: _ref_extensional(_same_overlappers),
+    AxiomId.EXT_EXT: _ref_extensional(_same_exteriors),
     AxiomId.S_SUM: _ref_s_sum,
     AxiomId.C_BSUM: _ref_pair_sum(True),
     AxiomId.E_BSUM: _ref_pair_sum(False),

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mereo import (
     ParthoodStructure, holds, is_acyclic, is_locally_transitive,
-    models_up_to_iso, paths_between,
+    models_up_to_iso, paths_between, weakparts,
 )
 
 from conftest import all_fixtures, all_relations, fixture, structures
@@ -95,6 +95,35 @@ def test_local_transitivity_matches_path_enumeration():
 @given(structures(max_n=6))
 def test_local_transitivity_matches_path_enumeration_on_random_relations(s):
     assert is_locally_transitive(s) == _locally_transitive_by_paths(s)
+
+
+def _complete_but_one(n):
+    """Every pair on n elements, loops included, except (n-2) P (n-1)."""
+    full = (1 << n) - 1
+    rows = [full] * n
+    rows[n - 2] &= ~(1 << (n - 1))
+    return ParthoodStructure([f"e{i}" for i in range(n)], rows)
+
+
+def test_first_failing_path_ends_the_walk(monkeypatch):
+    # the pair (e0, e1) has thousands of paths; the walk reaches one with
+    # the gap e7 P e0 P e8 within a few row scans and stops there
+    s = _complete_but_one(9)
+    calls = 0
+    real_bits = weakparts._bits
+
+    def counting_bits(mask):
+        nonlocal calls
+        calls += 1
+        return real_bits(mask)
+
+    monkeypatch.setattr(weakparts, "_bits", counting_bits)
+    got = is_locally_transitive(s)
+    monkeypatch.undo()
+    assert got == _locally_transitive_by_paths(s)
+    assert [e.label for e in got.path.nodes] == [
+        "e0", "e2", "e3", "e4", "e5", "e6", "e8", "e7", "e1"]
+    assert calls <= 2 * s.n
 
 
 @settings(max_examples=60, deadline=None)
