@@ -57,17 +57,37 @@ class ParseError(MereologyError):
 # -- structure files ----------------------------------------------------------
 
 def parse_structure(text: str) -> ParthoodStructure:
+    """The structure a structure file's text describes.
+
+    `part:` lines, almost every line of a file, are tested first, and each
+    of their labels costs one dict lookup; the undeclared label is named
+    only when a lookup fails.  Raises ParseError with the line number of
+    the first fault."""
     labels: Optional[list[str]] = None
     index: dict[str, int] = {}
     rows: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("part:"):
+            if labels is None:
+                raise ParseError(line_no, "part line before elements line")
+            sides = line[5:].split("<")
+            if len(sides) != 2:
+                raise ParseError(line_no, "expected 'part: A < B'")
+            part, whole = sides[0].strip(), sides[1].strip()
+            if not part or not whole:
+                raise ParseError(line_no, "expected 'part: A < B'")
+            try:
+                rows[index[part]] |= 1 << index[whole]
+            except KeyError as exc:
+                raise ParseError(line_no, f"undeclared label "
+                                 f"{exc.args[0]!r}") from None
+        elif not line or line[0] == "#":
             continue
-        if line.startswith("elements:"):
+        elif line.startswith("elements:"):
             if labels is not None:
                 raise ParseError(line_no, "duplicate elements line")
-            labels = line[len("elements:"):].split()
+            labels = line[9:].split()
             if not labels:
                 raise ParseError(line_no, "elements line needs labels")
             index = {label: i for i, label in enumerate(labels)}
@@ -79,20 +99,6 @@ def parse_structure(text: str) -> ParthoodStructure:
             if any("," in l for l in labels):
                 raise ParseError(line_no, "labels may not contain ','")
             rows = [0] * len(labels)
-        elif line.startswith("part:"):
-            if labels is None:
-                raise ParseError(line_no, "part line before elements line")
-            body = line[len("part:"):]
-            sides = body.split("<")
-            if len(sides) != 2:
-                raise ParseError(line_no, "expected 'part: A < B'")
-            part, whole = sides[0].strip(), sides[1].strip()
-            if not part or not whole:
-                raise ParseError(line_no, "expected 'part: A < B'")
-            for label in (part, whole):
-                if label not in index:
-                    raise ParseError(line_no, f"undeclared label {label!r}")
-            rows[index[part]] |= 1 << index[whole]
         else:
             raise ParseError(line_no, f"unrecognised line {line!r}")
     if labels is None:
@@ -123,8 +129,9 @@ def serialize(s: ParthoodStructure) -> str:
 def load_structure(path: str) -> tuple[str, ParthoodStructure]:
     if path == "-":
         return "-", parse_structure(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    # bytes decoded at once; splitlines takes \r\n and \r as text mode would
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".txt"):
         name = name[:-4]
@@ -487,10 +494,13 @@ def _cmd_dot(args, out) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The `mereo` parser, built on first use and shared by every `main`
-    call.  It holds only constant defaults (no output stream, nothing
-    mutable), so one call's result never depends on an earlier call's."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The `mereo` parser and its subparsers by command name, built on
+    first use and shared by every `main` call.  They hold only constant
+    defaults (no output stream, nothing mutable), so one call's result
+    never depends on an earlier call's.  The name map is built with the
+    parser, so clearing the cache replaces both."""
     parser = argparse.ArgumentParser(
         prog="mereo",
         description="finite-model checks for parthood structures")
@@ -569,7 +579,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="draw the raw relation instead of covering edges")
     p.set_defaults(func=_cmd_dot)
 
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The namespace of one command line, from one argparse pass.
+
+    The nested parse scans argv with the top-level parser and then the
+    tail again with the subparser.  When argv starts with a command name
+    its subparser parses the tail directly; with no arguments left over,
+    that is the namespace the nested parse gives.  Otherwise (no command
+    first, or arguments left over) the top-level parser parses the whole
+    line, so `-h`, unknown commands and unrecognised arguments get its
+    usage and messages."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -577,12 +607,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
     Reports and `--help` text go to `out` (default: stdout); usage and
     error messages go to stderr.  The argument parser is built once per
-    process, so `main` is cheap and safe to call repeatedly in-process.
+    process and parses each command line in one argparse pass, so `main`
+    is cheap and safe to call repeatedly in-process.
     """
     out = out or sys.stdout
     try:
         with contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
+            args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

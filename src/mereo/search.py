@@ -25,7 +25,10 @@ minimal-size witnesses and enumeration is deterministic.
 Generation prunes by structural constraints where it can: transitive
 relations are walked row by row, lazily and in ascending order, each
 row drawn only from the values that keep the decided rows transitive
-(_transitive_masks); and irreflexivity empties the diagonal.
+(_transitive_masks); and irreflexivity empties the diagonal.  Up to
+isomorphism under T alone, that walk also skips each subtree where a
+decided row's least relabelled top row, is_canonical's block bound, is
+below the top row, since none of its relations is canonical.
 Up-to-isomorphism searches over strict partial orders walk the
 isomorphism classes themselves, built from the classes one element
 smaller by adding a new maximal element over each down-set, skipping
@@ -323,7 +326,8 @@ def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
             yield mask
 
 
-def _transitive_masks(n: int, irreflexive: bool) -> Iterator[int]:
+def _transitive_masks(n: int, irreflexive: bool,
+                      top_bound: bool = False) -> Iterator[int]:
     """All transitive relations on n elements, ascending and lazily;
     diagonal empty if irreflexive.
 
@@ -334,6 +338,14 @@ def _transitive_masks(n: int, irreflexive: bool) -> Iterator[int]:
     contains the row of every decided element it contains (i P d and
     d P z force i P z).  So each pair of rows is checked once, when the
     later of the two is decided.
+
+    With top_bound, a value r of row i is also dropped, with every
+    relation below it, when least(i) = (2^k - 1) | [i P i] 2^(n-1), k
+    the successors of i other than itself, is below the top row (r
+    itself for i = n-1).  That is is_canonical's block bound: some
+    relabelling sending i to the top label gives a smaller encoding, so
+    only non-canonical relations are dropped, and an up-to-isomorphism
+    walk keeps its canonical members in the same order.
     """
     full = (1 << n) - 1
     rows = [0] * n
@@ -358,7 +370,11 @@ def _transitive_masks(n: int, irreflexive: bool) -> Iterator[int]:
                 break
             above ^= low
         else:
-            if i == 0:
+            if top_bound and ((1 << (r & ~(1 << i)).bit_count()) - 1
+                              | (r >> i & 1) << (n - 1)) \
+                    < (rows[n - 1] if i < n - 1 else r):
+                pass                # least(i) below the top row: skip
+            elif i == 0:
                 yield prefix[1] | r
             else:
                 rows[i] = r
@@ -585,13 +601,14 @@ def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
     """The canonical structures an up-to-isomorphism search walks at size
     n, shared by every search in the process: the memoised poset classes
     under T and IRR, the orderly walk without T, and the canonical
-    members of the labelled transitive walk under T alone."""
+    members of the labelled transitive walk under T alone, walked with
+    its top-row bound."""
     if has_t and has_irr:
         return _SharedWalk(n, lambda: iter(_poset_classes(n)))
     if not has_t:
         return _SharedWalk(n, lambda: _canonical_masks(n, has_irr))
-    return _SharedWalk(n, lambda: (m for m in _transitive_masks(n, False)
-                                   if is_canonical(n, m)))
+    return _SharedWalk(n, lambda: (m for m in _transitive_masks(
+        n, False, top_bound=True) if is_canonical(n, m)))
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),

@@ -3,7 +3,8 @@ the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, and the choice of walk, by the codes as
 named; in mereo.lattice, completeness, by asking for the join of every
 subset; in mereo.weakparts, local transitivity, by listing every
-part-path of every pair.
+part-path of every pair; in mereo.cli, structure files, by testing each
+line's kind in file order and each label's declaration before its use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 from typing import Optional
 
 from mereo.axioms import AxiomId, axiom_id, transitivity_gap
+from mereo.cli import ParseError
+from mereo.core import ParthoodStructure
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
 
@@ -84,3 +87,50 @@ def _locally_transitive_by_paths(s) -> LocalTransitivityVerdict:
                     triple = tuple(s.universe[k] for k in gap)
                     return LocalTransitivityVerdict(False, path, triple)
     return LocalTransitivityVerdict(True)
+
+
+def _parse_structure_lines(text: str) -> ParthoodStructure:
+    """The structure a structure file's text describes, each line tested
+    for blank, comment, elements and part in that order and each label
+    looked up as declared before it is used: the oracle for
+    cli.parse_structure."""
+    labels: Optional[list[str]] = None
+    index: dict[str, int] = {}
+    rows: list[int] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("elements:"):
+            if labels is not None:
+                raise ParseError(line_no, "duplicate elements line")
+            labels = line[len("elements:"):].split()
+            if not labels:
+                raise ParseError(line_no, "elements line needs labels")
+            index = {label: i for i, label in enumerate(labels)}
+            if len(index) != len(labels):
+                raise ParseError(line_no, "duplicate label")
+            if any("<" in l for l in labels):
+                raise ParseError(line_no, "labels may not contain '<'")
+            if any("," in l for l in labels):
+                raise ParseError(line_no, "labels may not contain ','")
+            rows = [0] * len(labels)
+        elif line.startswith("part:"):
+            if labels is None:
+                raise ParseError(line_no, "part line before elements line")
+            body = line[len("part:"):]
+            sides = body.split("<")
+            if len(sides) != 2:
+                raise ParseError(line_no, "expected 'part: A < B'")
+            part, whole = sides[0].strip(), sides[1].strip()
+            if not part or not whole:
+                raise ParseError(line_no, "expected 'part: A < B'")
+            for label in (part, whole):
+                if label not in index:
+                    raise ParseError(line_no, f"undeclared label {label!r}")
+            rows[index[part]] |= 1 << index[whole]
+        else:
+            raise ParseError(line_no, f"unrecognised line {line!r}")
+    if labels is None:
+        raise ParseError(1, "missing elements line")
+    return ParthoodStructure(labels, rows)

@@ -7,15 +7,17 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mereo import ParthoodStructure
 from mereo.cli import (
-    ParseError, _build_parser, _covering_pairs, main, parse_structure,
-    serialize,
+    ParseError, _build_parser, _covering_pairs, load_structure, main,
+    parse_structure, serialize,
 )
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture, structures
+from oracles import _parse_structure_lines
 
 
 def run_cli(*argv):
@@ -84,6 +86,61 @@ def test_round_trip_all_fixture_files(fixture_files):
 @given(structures(max_n=5))
 def test_round_trip_random_structures(s):
     assert parse_structure(serialize(s)) == s
+
+
+def _parsed(parse, text):
+    """The labels and rows parse makes of text, or the line number and
+    message of its ParseError."""
+    try:
+        s = parse(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+    return s._labels, s.rows
+
+
+# declared, undeclared, empty, and labels an elements line must refuse
+_LABELS = st.sampled_from(["a", "b", "c", "ab", "q", "z", "", "a,b", "a<b",
+                           "<"])
+_PART_LINES = st.builds(
+    "part:{}{}{}{}".format, st.sampled_from(["", " ", "  "]), _LABELS,
+    st.sampled_from([" < ", " < ", "<", " ", " < x < ", " << "]), _LABELS)
+_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t", "# a comment", "  # part: a < b",
+                     "<", "elements", "part", "what: ever", "elements:"]),
+    st.lists(_LABELS, max_size=4).map(
+        lambda labels: "elements: " + " ".join(labels)),
+    _PART_LINES)
+_STRUCTURE_FILES = st.builds(
+    lambda head, lines, endings: "".join(
+        line + end for line, end in zip(head + lines, endings)),
+    st.sampled_from([[], ["elements: a b c"], ["elements: a b ab c"]]),
+    st.lists(_LINES, max_size=8),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]),
+             min_size=9, max_size=9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_STRUCTURE_FILES)
+@example("elements: a b\npart: q < z\n")     # the part side is named first
+@example("# c\r\n\r\nelements: a b\r\npart: a < b\r\n")
+def test_parser_matches_the_line_by_line_oracle(text):
+    assert _parsed(parse_structure, text) \
+        == _parsed(_parse_structure_lines, text)
+
+
+def test_files_read_as_bytes_parse_as_text_mode_reads(tmp_path,
+                                                      fixture_files):
+    # text mode turns \r\n and \r into \n; splitlines takes all three
+    for path in fixture_files:
+        text = path.read_text(encoding="utf-8")
+        for end in ("\n", "\r\n", "\r"):
+            copy = tmp_path / path.name
+            copy.write_bytes(text.replace("\n", end).encode("utf-8"))
+            with open(copy, encoding="utf-8") as fh:
+                want = _parse_structure_lines(fh.read())
+            name, s = load_structure(str(copy))
+            assert name == path.stem and s == want
+            assert s._labels == want._labels
 
 
 # -- commands ------------------------------------------------------------------
@@ -574,3 +631,61 @@ def test_cached_parser_answers_as_a_fresh_one(capsys):
     assert set(codes) == {0, 1, 2}
     assert "error: unknown theory code" in forwards[lines[-2]][2]
     assert "required: --theory" in forwards[lines[-3]][2]
+
+
+def _error_lines():
+    """Command lines whose errors and help come from argparse, or that
+    spell options the way argparse also accepts."""
+    w4 = fx("w4")
+    return [
+        ("check", w4, "--theory", "T3", "--bogus"),
+        ("chek", w4),
+        ("-h", "check"),
+        ("check", "-h"),
+        (),
+        ("check", w4, "--theory=T3"),
+        ("check", w4, "--the", "T3"),
+        ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "x"),
+        ("alg", w4, "--op", "join", "--args", "o1,o2"),
+        ("check", "--theory", "T3", "--", w4),
+    ]
+
+
+def test_direct_dispatch_answers_as_the_nested_parse(capsys, monkeypatch):
+    errors = _error_lines()
+    lines = _cli_lines() + errors
+    parser = _build_parser()[0]
+    whole = []
+    parse_args = parser.parse_args
+
+    def counted(argv):
+        whole.append(tuple(argv))
+        return parse_args(argv)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+
+    def run():
+        results = []
+        for argv in lines:
+            code, out = run_cli(*argv)
+            results.append((code, out, capsys.readouterr().err))
+        return results
+
+    direct = run()
+    # only these reach the top-level parser: no command first, or
+    # arguments the command's parser leaves over
+    assert set(whole) == {("--help",), errors[0], errors[1], errors[2], ()}
+    _build_parser()[1].clear()      # every line now takes the nested parse
+    try:
+        nested = run()
+    finally:
+        _build_parser.cache_clear()
+    assert len(whole) == 5 + len(lines)
+    assert direct == nested
+    answers = direct[-len(errors):]
+    assert [code for code, _, _ in answers] == [2, 2, 0, 0, 2, 0, 0, 2, 2, 0]
+    assert answers[0][2].endswith(
+        "mereo: error: unrecognized arguments: --bogus\n")
+    assert "invalid choice: 'chek'" in answers[1][2]
+    assert answers[2][1].startswith("usage: mereo [-h]")
+    assert answers[3][1].startswith("usage: mereo check ")

@@ -824,6 +824,15 @@ def test_transitive_walk_is_lazy():
         == [0, 1, 2, 3, 4]
 
 
+def test_top_row_bound_drops_only_non_canonical_relations():
+    for n in range(1, 6):
+        bounded = list(_transitive_masks(n, False, True))
+        assert [m for m in bounded if is_canonical(n, m)] \
+            == [m for m in _transitive_masks(n, False) if is_canonical(n, m)]
+    # at n=5 it keeps 34,179 of the 154,303 transitive relations
+    assert len(bounded) < sum(1 for _ in _transitive_masks(5, False)) / 4
+
+
 def test_orderly_generation_is_lazy(monkeypatch):
     # collecting and sorting the n=6 classes would take far more calls
     calls = 0
