@@ -20,11 +20,12 @@ ingredienses (x sums or bounds no other), and for the DOLLAR pair also
 those of the elements whose overlaps lie within x's.  The literal
 definitions in sums are the finders' oracles.
 
-Sixteen codes share five kernels, one per quantifier shape: mutual
+Eighteen codes share six kernels, one per quantifier shape: mutual
 parts (ANTIS, AS); a mask of x within a cover of y, y not above x (SSP,
-SSP_OV, SSP_EXT, PPP); equal masks (the four EXT codes); a pair without
-a sum (C_BSUM, E_BSUM); and sum/supremum disagreement over the subsets
-of x's ingredienses (SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
+SSP_OV, SSP_EXT, PPP); equal masks (the four EXT codes); two sums or
+two suprema of one subset (U_SUM, U_SUP); a pair without a sum (C_BSUM,
+E_BSUM); and sum/supremum disagreement over the subsets of x's
+ingredienses (SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
 factory builds a code's checker once, at import, as a closure: a lambda
 or partial calling a shared kernel would add a Python call to every
 check, and a search checks thousands of structures of a few elements.
@@ -198,10 +199,6 @@ def _find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _ac(s):
-    return _find_cycle(s)
-
-
 def _no_zero(s):
     if s.n < 2:
         return None
@@ -255,24 +252,22 @@ def _ssp_plus(s):
     return None
 
 
-def _two_lowest(cands: int, mask: int):
-    """Witness of non-uniqueness: the two lowest candidates, or None."""
-    rest = cands & (cands - 1)
-    if not rest:
+def _two_candidates(*, sups: bool) -> Checker:
+    """First (x, y, m), mask-major, with x < y the two lowest sums of m
+    (suprema if sups); both are common upper bounds of m, so masks with
+    fewer than two are skipped."""
+    def find(s):
+        ub, ov = subset_tables(s)
+        for mask in range(1, s.full + 1):
+            u = ub[mask]
+            if u & (u - 1):
+                cands = sups_in(s, u) if sups else sums_in(s, u, ov[mask])
+                rest = cands & (cands - 1)
+                if rest:
+                    return ((cands & -cands).bit_length() - 1,
+                            (rest & -rest).bit_length() - 1, ("subset", mask))
         return None
-    return ((cands & -cands).bit_length() - 1,
-            (rest & -rest).bit_length() - 1, ("subset", mask))
-
-
-def _u_sum(s):
-    ub, ov = subset_tables(s)
-    for mask in range(1, s.full + 1):
-        u = ub[mask]
-        if u & (u - 1):                 # a sum is an upper bound
-            found = _two_lowest(sums_in(s, u, ov[mask]), mask)
-            if found:
-                return found
-    return None
+    return find
 
 
 def _s_sum(s):
@@ -282,17 +277,6 @@ def _s_sum(s):
         for y in range(s.n):
             if x != y and up[y] >> x & 1 and not ing[x] & ~ov[y]:
                 return (x, y)
-    return None
-
-
-def _u_sup(s):
-    ub, _ = subset_tables(s)
-    for mask in range(1, s.full + 1):
-        u = ub[mask]
-        if u & (u - 1):                 # a supremum is an upper bound
-            found = _two_lowest(sups_in(s, u), mask)
-            if found:
-                return found
     return None
 
 
@@ -465,7 +449,7 @@ _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.ANTIS, "no two distinct objects are parts of each other", 0, _mutual_parts(distinct=True)),
     AxiomInfo(AxiomId.AS, "parthood is asymmetric", 0, _mutual_parts(distinct=False)),
     AxiomInfo(AxiomId.T, "parthood is transitive", 1, _t),
-    AxiomInfo(AxiomId.AC, "the part digraph has no cycles", 1, _ac),
+    AxiomInfo(AxiomId.AC, "the part digraph has no cycles", 1, _find_cycle),
     AxiomInfo(AxiomId.NO_ZERO, "non-degenerate universes have no zero", 0, _no_zero),
     AxiomInfo(AxiomId.EXISTS_EXT, "non-degenerate universes have an exterior pair", 1, _exists_ext),
     AxiomInfo(AxiomId.WSP, "every proper part is supplemented by an exterior part", 1, _wsp),
@@ -474,9 +458,9 @@ _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.SSP_EXT, "exteriority-antitone pairs are ingredienses", 1, _within_cover("ov_of", "ov_of")),
     AxiomInfo(AxiomId.SSP_PLUS, "supplementation with a greatest remainder", 1, _ssp_plus),
     AxiomInfo(AxiomId.PPP, "sharing all proper parts of a composite forces ingrediens", 1, _within_cover("parts_in", "parts_in")),
-    AxiomInfo(AxiomId.U_SUM, "a set has at most one sum", 2, _u_sum),
+    AxiomInfo(AxiomId.U_SUM, "a set has at most one sum", 2, _two_candidates(sups=False)),
     AxiomInfo(AxiomId.S_SUM, "the only sum of a singleton is its member", 1, _s_sum),
-    AxiomInfo(AxiomId.U_SUP, "a set has at most one supremum", 2, _u_sup),
+    AxiomInfo(AxiomId.U_SUP, "a set has at most one supremum", 2, _two_candidates(sups=True)),
     AxiomInfo(AxiomId.EXT_PP, "composites with the same proper parts are equal", 0, _equal_masks("parts_in")),
     AxiomInfo(AxiomId.EXT_ING, "objects with the same ingredienses are equal", 0, _equal_masks("ing_of")),
     AxiomInfo(AxiomId.EXT_OV, "objects overlapping the same things are equal", 1, _equal_masks("ov_of")),

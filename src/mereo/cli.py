@@ -140,9 +140,7 @@ def load_structure(path: str) -> tuple[str, ParthoodStructure]:
 
 # -- report rendering ---------------------------------------------------------
 
-def _witness_text(witness: Optional[tuple]) -> str:
-    if not witness:
-        return ""
+def _witness_text(witness: tuple) -> str:
     return "(" + ", ".join(str(w) for w in witness) + ")"
 
 
@@ -216,6 +214,23 @@ def _emit(out, text: str):
 
 # -- subcommands ---------------------------------------------------------------
 
+def _comma_list(spec: str) -> list[str]:
+    """The nonblank items of a comma-separated option value, stripped."""
+    return [item.strip() for item in spec.split(",") if item.strip()]
+
+
+def _axiom_list(spec: str, option: str) -> tuple[AxiomId, ...]:
+    codes = tuple(axiom_id(c) for c in _comma_list(spec))
+    if not codes:
+        raise CatalogError(f"{option} names no axiom codes")
+    return codes
+
+
+def _size_within_cap(option: str, n: int) -> None:
+    if not 1 <= n <= SEARCH_MAX:
+        raise CatalogError(f"{option} must be within 1..{SEARCH_MAX}")
+
+
 def _cmd_check(args, out) -> int:
     name, s = load_structure(args.file)
     tid = theory_id(args.theory)
@@ -262,51 +277,48 @@ def _cmd_axioms(args, out) -> int:
     return 0 if all(v.holds for v in verdicts) else 1
 
 
-def _parse_set(s: ParthoodStructure, spec: str) -> Subset:
-    labels = [l.strip() for l in spec.split(",") if l.strip()]
-    return s.subset(*labels)
+def _subset_report(args, out, query, key: str, word: str) -> int:
+    """Print the sum or supremum candidates of the --set subset."""
+    name, s = load_structure(args.file)
+    subset = s.subset(*_comma_list(args.set))
+    res = query(s, subset)
+    if args.json:
+        _emit(out, _dumps({"structure": name, "query": key,
+                           "set": list(subset.labels()),
+                           "candidates": [e.label for e in res.candidates],
+                           "unique": res.unique}))
+    elif not res.candidates:
+        _emit(out, f"no {word}")
+    elif res.unique:
+        _emit(out, f"{word}: {res.candidates[0].label}")
+    else:
+        _emit(out, f"{word} candidates: "
+              + ", ".join(e.label for e in res.candidates)
+              + " (not unique)")
+    return 0 if res.candidates else 1
 
 
-def _subset_query(query, key: str, word: str):
-    """A command printing the sum or supremum candidates of a subset."""
-    def command(args, out) -> int:
-        name, s = load_structure(args.file)
-        subset = _parse_set(s, args.set)
-        res = query(s, subset)
-        if args.json:
-            _emit(out, _dumps({"structure": name, "query": key,
-                               "set": list(subset.labels()),
-                               "candidates": [e.label
-                                              for e in res.candidates],
-                               "unique": res.unique}))
-        elif not res.candidates:
-            _emit(out, f"no {word}")
-        elif res.unique:
-            _emit(out, f"{word}: {res.candidates[0].label}")
-        else:
-            _emit(out, f"{word} candidates: "
-                  + ", ".join(e.label for e in res.candidates)
-                  + " (not unique)")
-        return 0 if res.candidates else 1
-    return command
+def _cmd_sum(args, out) -> int:
+    return _subset_report(args, out, sum_of, "sum", "sum")
 
 
-_cmd_sum = _subset_query(sum_of, "sum", "sum")
-_cmd_sup = _subset_query(sup_of, "sup", "supremum")
+def _cmd_sup(args, out) -> int:
+    return _subset_report(args, out, sup_of, "sup", "supremum")
 
 
-_ALG_OPS = {"product": product, "difference": difference,
-            "complement": complement, "bsum": binary_sum}
+_ALG_OPS = ("product", "difference", "complement", "bsum")
 
 
 def _cmd_alg(args, out) -> int:
     name, s = load_structure(args.file)
-    labels = [l.strip() for l in args.args.split(",") if l.strip()]
+    labels = _comma_list(args.args)
     need = 1 if args.op == "complement" else 2
     if len(labels) != need:
         raise CatalogError(f"{args.op} needs {need} argument(s)")
+    op = {"product": product, "difference": difference,
+          "complement": complement, "bsum": binary_sum}[args.op]
     try:
-        res = _ALG_OPS[args.op](s, *labels)
+        res = op(s, *labels)
     except UniquenessFault as fault:
         if args.json:
             _emit(out, _dumps({"structure": name, "op": args.op,
@@ -328,8 +340,7 @@ def _cmd_alg(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    if not 1 <= args.n <= SEARCH_MAX:
-        raise CatalogError(f"--n must be within 1..{SEARCH_MAX}")
+    _size_within_cap("--n", args.n)
     constraints = theory_axioms(args.theory)
     models = enumerate_models(args.n, constraints, up_to_iso=args.up_to_iso)
     if args.count_only:
@@ -354,16 +365,8 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _axiom_list(spec: str, required: str = "") -> tuple[AxiomId, ...]:
-    codes = tuple(axiom_id(c.strip()) for c in spec.split(",") if c.strip())
-    if required and not codes:
-        raise CatalogError(f"{required} names no axiom codes")
-    return codes
-
-
 def _cmd_implies(args, out) -> int:
-    if not 1 <= args.max_n <= SEARCH_MAX:
-        raise CatalogError(f"--max-n must be within 1..{SEARCH_MAX}")
+    _size_within_cap("--max-n", args.max_n)
     ambient = () if args.ambient is None \
         else _axiom_list(args.ambient, "--ambient")
     hypothesis = _axiom_list(getattr(args, "from"), "--from")
@@ -402,30 +405,27 @@ def _cmd_lattice(args, out) -> int:
     ok_order = report is not None
     agreed = (tarski_agrees(check_theory(s, TheoryId.CM), report)
               if args.tarski else None)
+    laws = [] if not report else [
+        ("lattice", report.is_lattice),
+        ("distributive", report.is_distributive),
+        ("complemented", report.is_complemented),
+        ("boolean", report.is_boolean),
+        ("complete", report.is_complete)]
     if args.json:
         doc = {"structure": name, "order": ok_order}
         if report:
-            doc.update({"lattice": report.is_lattice,
-                        "distributive": report.is_distributive,
-                        "complemented": report.is_complemented,
-                        "boolean": report.is_boolean,
-                        "complete": report.is_complete,
-                        "witness": _witness_json(report.witness)})
+            doc.update(laws)
+            doc["witness"] = _witness_json(report.witness)
         if args.tarski:
             doc["tarski"] = "agree" if agreed else "disagree"
         _emit(out, _dumps(doc))
     else:
         _emit(out, f"structure: {name} (+0: {s.n + 1} elements)"
               if ok_order else f"structure: {name} (not a strict order)")
-        if report:
-            for key, val in [("lattice", report.is_lattice),
-                             ("distributive", report.is_distributive),
-                             ("complemented", report.is_complemented),
-                             ("boolean", report.is_boolean),
-                             ("complete", report.is_complete)]:
-                _emit(out, f"{key}: {'yes' if val else 'no'}")
-            if report.witness:
-                _emit(out, f"witness: {_witness_text(report.witness)}")
+        for key, val in laws:
+            _emit(out, f"{key}: {'yes' if val else 'no'}")
+        if report and report.witness:
+            _emit(out, f"witness: {_witness_text(report.witness)}")
         if args.tarski:
             _emit(out, f"tarski: {'agree' if agreed else 'disagree'}")
     if args.tarski:

@@ -693,10 +693,4 @@ def verify_implication(ambient: Sequence[AxiomLike],
     Exhausted with nothing found is a bounded confirmation of the
     implication; a find is a refutation with a concrete witness.
     """
-    spec = SearchSpec(
-        max_n=max_n,
-        ambient=tuple(axiom_id(a) for a in ambient),
-        require=tuple(axiom_id(a) for a in hypothesis),
-        forbid=(axiom_id(conclusion),),
-    )
-    return find_model(spec)
+    return find_model(SearchSpec(max_n, ambient, hypothesis, (conclusion,)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mereo import ParthoodStructure
+from mereo import ParthoodStructure, cli
 from mereo.cli import (
     ParseError, _build_parser, _covering_pairs, load_structure, main,
     parse_structure, serialize,
@@ -198,6 +198,46 @@ def test_alg_outputs():
     assert code == 2
 
 
+def test_sum_sup_and_alg_call_the_library_through_the_cli_module(
+        monkeypatch):
+    # the commands look the operations up when they run, so a function
+    # replaced in mereo.cli (as the benchmark tracer does) is the one
+    # called
+    names = ("sum_of", "sup_of", "product", "difference", "complement",
+             "binary_sum")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    b7 = fx("b7")
+    assert run_cli("sum", b7, "--set", "a,b") == (0, "sum: ab\n")
+    assert run_cli("sup", b7, "--set", "a,b") == (0, "supremum: ab\n")
+    for op, args, result in (("product", "ab,bc", "b"),
+                             ("difference", "abc,a", "bc"),
+                             ("complement", "a", "bc"),
+                             ("bsum", "a,c", "ac")):
+        assert run_cli("alg", b7, "--op", op, "--args", args) \
+            == (0, f"{op}: {result}\n")
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_alg_op_choices_in_help_and_errors(capsys):
+    choices = ("product", "difference", "complement", "bsum")
+    code, out = run_cli("alg", "--help")
+    assert code == 0
+    assert out.startswith("usage: mereo alg ")
+    assert " --op {product,difference,complement,bsum} " in out
+    code, out = run_cli("alg", fx("b7"), "--op", "join", "--args", "a,b")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    # quoted up to Python 3.13, bare from 3.14
+    quoted = ", ".join(f"'?{c}'?" for c in choices)
+    assert re.search(r"^mereo alg: error: argument --op: invalid choice: "
+                     rf"'join' \(choose from {quoted}\)$", err, re.M)
+
+
 def test_enumerate_count():
     code, out = run_cli("enumerate", "--n", "3", "--theory", "CM",
                         "--count-only", "--up-to-iso")
@@ -221,6 +261,22 @@ def test_enumerate_mem_and_mcm_at_the_command_line_cap():
         code, out = run_cli("enumerate", "--n", "7", "--theory", theory,
                             "--up-to-iso", "--count-only")
         assert code == 0 and out.strip() == classes
+
+
+@pytest.mark.parametrize("option, value", [("--n", "0"), ("--n", "8"),
+                                           ("--max-n", "0"),
+                                           ("--max-n", "8"),
+                                           ("--max-n", "-1")])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_search_sizes_outside_the_cap_are_usage_errors(option, value, mode,
+                                                       capsys):
+    if option == "--n":
+        argv = ("enumerate", "--n", value, "--theory", "SPO")
+    else:
+        argv = ("implies", "--ambient", "T", "--from", "U_SUM", "--to",
+                "SSP", "--max-n", value)
+    assert run_cli(*argv, *mode) == (2, "")
+    assert capsys.readouterr().err == f"error: {option} must be within 1..7\n"
 
 
 def test_enumerate_structures_parse_back():
@@ -382,6 +438,26 @@ def test_localtrans_outputs():
     assert code == 1
     assert "witness path: x -> z1 -> z2 -> y" in out
     assert "witness triple: (x, z1, z2)" in out
+
+
+def test_localtrans_reports_a_cycle(tmp_path):
+    cyclic = tmp_path / "cyc.txt"
+    cyclic.write_text("elements: a b c d\npart: a < b\npart: b < c\n"
+                      "part: c < a\npart: c < d\n")
+    code, out = run_cli("localtrans", str(cyclic))
+    assert code == 1
+    assert out == ("structure: cyc\nacyclic: no\ncycle: [a, b, c]\n"
+                   "locally-transitive: yes\n")
+    code, out = run_cli("localtrans", str(cyclic), "--json")
+    assert code == 1
+    assert json.loads(out)["cycle"] == ["a", "b", "c"]
+
+
+def test_a_structure_is_read_from_stdin_as_dash(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURE_DIR / "c2.txt")
+                                                  .read_text()))
+    assert run_cli("check", "-", "--theory", "SPO") == (
+        0, "structure: -\ntheory: SPO [T, IRR]\nresult: holds\n")
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,42 @@ def test_domain_errors():
         with pytest.raises(DomainError, match="foreign elements"):
             ParthoodStructure(["a", "b"], rows)
 
+
+def test_resolution_refusals():
+    w4, b7 = fixture("w4"), fixture("b7")
+    for x, message in ((4, "index 4 out of range"),
+                       (-1, "index -1 out of range"),
+                       (1.5, "cannot resolve element 1.5"),
+                       (None, "cannot resolve element None")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            w4.index(x)
+    # a Subset of another structure: by its mask, else by its members
+    with pytest.raises(DomainError,
+                       match="^subset mentions foreign elements$"):
+        w4.subset_mask(b7.subset("ab", "ac", "abc"))
+    with pytest.raises(DomainError, match="^element a not in universe$"):
+        w4.subset_mask(b7.subset("a", "b"))
+    with pytest.raises(DomainError,
+                       match="^subset mask mentions foreign elements$"):
+        w4.subset_mask(1 << 4)
+    with pytest.raises(DomainError,
+                       match="^subset mask mentions foreign elements$"):
+        w4.subset_from_mask(1 << 4)
+    for pair in (("c", "a"), ("a", "c")):
+        with pytest.raises(DomainError, match="^undeclared label 'c'$"):
+            ParthoodStructure.build(["a", "b"], [pair])
+
+
+def test_subsets_in_encoding_order_and_membership():
+    w4 = fixture("w4")
+    subsets = list(w4.subsets())
+    assert [s.mask for s in subsets] == list(range(16))
+    assert [str(s) for s in subsets[:6]] == [
+        "{}", "{1}", "{o1}", "{1, o1}", "{o2}", "{1, o2}"]
+    s = w4.subset("o1", "1")
+    assert w4.element("o1") in s and w4.element("1") in s
+    assert w4.element("o2") not in s
+    assert fixture("b7").element("a") not in s
 
 # -- labels built on first use -------------------------------------------------
 

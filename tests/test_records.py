@@ -17,12 +17,15 @@ from mereo import (
     AcyclicityVerdict, AxiomId, CatalogError, ElementId, LatticeReport,
     LocalTransitivityVerdict, ParthoodStructure, PartPath, SearchResult,
     SearchSpec, Subset, SumQueryResult, SupQueryResult, TheoryId,
-    TheoryVerdict, Verdict,
+    TheoryVerdict, Verdict, check_axiom, check_theory, is_acyclic,
+    is_locally_transitive,
 )
 from mereo.axioms import AxiomInfo
 from mereo.search import enumerate_models
 from mereo.sums import subset_tables
 from mereo.theories import theory_axioms
+
+from conftest import fixture
 
 A, B = ElementId(0, "a"), ElementId(1, "b")
 A_REPR = "ElementId(index=0, label='a')"
@@ -214,6 +217,24 @@ def test_search_spec_refusals_in_order():
                        match="forbid code T, IRR is also in ambient"):
         SearchSpec(3, ["IRR", "T"], (), ["T", "IRR"])
 
+
+def test_verdicts_print_as_one_line():
+    w4, c2 = fixture("w4"), fixture("c2")
+    cyclic = ParthoodStructure.build(["a", "b", "c"],
+                                     [("a", "b"), ("b", "c"), ("c", "a")])
+    # the Verdict forms, the first as in the README
+    assert str(check_axiom(w4, "SUP_SUB_SUM")) \
+        == "SUP_SUB_SUM: fails, witness (1, {o1, o2})"
+    assert str(check_axiom(w4, "T")) == "T: holds"
+    assert str(check_axiom(c2, "EXISTS_EXT")) == "EXISTS_EXT: fails"
+    assert str(check_theory(w4, "T3")) == "T3: holds"
+    assert str(check_theory(c2, "CM")) == "CM: fails at U_SUM"
+    assert str(is_acyclic(w4)) == "acyclic"
+    assert str(is_acyclic(cyclic)) == "cyclic, witness [a, b, c]"
+    assert str(is_locally_transitive(w4)) == "locally transitive"
+    assert str(is_locally_transitive(fixture("chain4_gap"))) == (
+        "not locally transitive on path [x -> z1 -> z2 -> y], "
+        "triple (x, z1, z2)")
 
 def test_axiom_info_is_the_only_dataclass():
     # AxiomInfo stays a dataclass: perfbench/tracing.py wraps each

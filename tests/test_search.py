@@ -12,7 +12,7 @@ from mereo import (
     satisfies, theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
-from mereo.axioms import CATALOG_ORDER
+from mereo.axioms import CATALOG_ORDER, CatalogError, axiom_id
 from mereo.search import (
     _all_masks, _canonical_masks, _down_sets, _poset_classes,
     _transitive_masks, _twin_masks, enumerate_model_masks,
@@ -297,6 +297,28 @@ def test_search_spec_validation():
     with pytest.raises(ValueError, match="T is also in ambient"):
         verify_implication(["T"], ["WSP"], "T", max_n=2)
 
+
+def test_verify_implication_resolves_each_code_once(monkeypatch):
+    seen = []
+
+    def counted(a):
+        seen.append(a)
+        return axiom_id(a)
+
+    monkeypatch.setattr(search, "axiom_id", counted)
+    verify_implication(["T"], ["WSP", "irr"], "S_SUM", max_n=2)
+    by_verify = list(seen)
+    seen.clear()
+    find_model(SearchSpec(2, ["T"], ["WSP", "irr"], ["S_SUM"]))
+    assert by_verify == seen
+    # unknown codes are refused ambient first, then hypotheses, then the
+    # conclusion
+    for args, bad in (((["NO1"], ["NO2"], "NO3"), "NO1"),
+                      ((["T"], ["WSP", "NO2"], "NO3"), "NO2"),
+                      ((["T"], ["WSP"], "NO3"), "NO3")):
+        with pytest.raises(CatalogError,
+                           match=f"^unknown axiom code '{bad}'$"):
+            verify_implication(*args, max_n=2)
 
 def test_verify_implication_confirms_and_refutes():
     ok = verify_implication(["T"], ["WSP"], "S_SUM", max_n=4)
