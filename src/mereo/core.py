@@ -158,6 +158,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_grid(n: int, mask: int) -> None:
+    """Refuse a universe size outside 1..MAX_UNIVERSE_SIZE, or a relation
+    encoding with a set cell outside the n x n grid (or a negative one)."""
+    if not 1 <= n <= MAX_UNIVERSE_SIZE:
+        raise DomainError(
+            f"universe size {n} outside 1..{MAX_UNIVERSE_SIZE}")
+    if mask >> (n * n):         # nonzero for a negative mask too
+        raise DomainError("relation mask mentions cells outside the "
+                          f"{n} x {n} grid")
+
+
 class ParthoodStructure:
     """A finite universe with an explicit binary part-of relation.
 
@@ -249,12 +260,8 @@ class ParthoodStructure:
     def from_mask(cls, n: int, mask: int,
                   labels: Optional[Sequence[str]] = None) -> "ParthoodStructure":
         """Build from the row-major relation encoding (bit i*n+j = i P j)."""
-        if not 1 <= n <= MAX_UNIVERSE_SIZE:
-            raise DomainError(
-                f"universe size {n} outside 1..{MAX_UNIVERSE_SIZE}")
-        if mask < 0 or mask >> (n * n):
-            raise DomainError("relation mask mentions cells outside the "
-                              f"{n} x {n} grid")
+        if not 1 <= n <= MAX_UNIVERSE_SIZE or mask >> (n * n):
+            _check_grid(n, mask)    # raises; the inline test spares a call
         if labels is None:
             labels = DEFAULT_LABELS[:n]
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]

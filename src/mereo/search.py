@@ -4,9 +4,11 @@ Structures are identified with the row-major encoding of their relation
 (bit i*n+j set iff element i is a part of element j).  The canonical
 form of a structure is its encoding minimised over all n! permutations
 of the universe.  canonical_form computes it exactly without trying
-every permutation: it labels elements from the most significant row
-down, keeps only the choices that reach the least row at each level,
-refines an ordered partition of the still unlabelled elements after
+every permutation: the sinks (elements with an empty row) take the top
+labels together, as one cell of an ordered partition, since every
+minimal labelling puts them there; it then labels the other elements
+from the most significant row down, keeps only the choices that reach
+the least row at each level, refines every cell of the partition after
 each choice, and tries one element per class of twins (McKay & Piperno,
 Practical graph isomorphism II, adapted to this minimal encoding).
 is_canonical, which only has to find one smaller relabelling, keeps a
@@ -65,7 +67,7 @@ from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import DomainError, ParthoodStructure, _Record, _set
+from .core import DomainError, ParthoodStructure, _Record, _check_grid, _set
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -114,12 +116,14 @@ class SearchResult(_Record):
 
 # -- canonical forms ----------------------------------------------------------
 
-def _twin_masks(n: int, succ: list[int]) -> list[int]:
-    """twins[x]: the elements y such that swapping x and y is an
-    automorphism of the relation (x included)."""
+def _twin_masks(n: int, succ: list[int], among: int) -> list[int]:
+    """twins[x], for x in the set among: the members y of among such that
+    swapping x and y is an automorphism of the relation (x included).
+    twins[x] is {x} for x outside among."""
     twins = [1 << x for x in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
+    pool = [x for x in range(n) if among >> x & 1]
+    for i, x in enumerate(pool):
+        for y in pool[i + 1:]:
             sx = succ[x]
             if (sx >> x ^ sx >> y) & 1:
                 sx ^= 1 << x | 1 << y
@@ -136,31 +140,62 @@ def canonical_form(n: int, mask: int) -> int:
     """Minimal relation encoding over all universe permutations.
 
     Equal to the minimum over all n! relabellings, but found row by row,
-    from the most significant row (label n-1) down.  A branch is an ordered
-    partition of the elements into cells, each owning a contiguous range of
-    labels; elements already labelled are singleton cells at the top.  The
-    top free label goes to some element x of the cell that owns it, and x's
-    row can be no less than its successors packed at the bottom of every
-    cell.  Only the choices that reach the least such row over all branches
-    survive, and each survivor refines every cell into x's successors (low
-    labels) and the rest (high labels), which is exactly the set of
-    labellings attaining that row.  Candidates that are twins (their swap is
-    an automorphism) lead to equal encodings, so one per twin class is
-    tried.  The level minima are the rows of the result.
+    from the most significant row down.  A branch is an ordered partition
+    of the elements into cells, each owning a contiguous range of labels.
+
+    The sinks, the elements with an empty row, go first, into one cell
+    spanning the top h labels.  (An element whose only successor is
+    itself is not a sink.)  Wherever a non-sink is labelled its row is
+    nonzero, and wherever a sink is labelled its row is 0, so the minimum
+    puts the h sinks at the top h labels, where every order of them
+    gives the same h zero rows.  The labellings that reach the minimum so
+    far are therefore exactly those of the partition [non-sinks, sinks],
+    and the rows are found from label n-h-1 down.  If every element is a
+    sink, the form is 0.
+
+    At each label, the owner is the cell whose label range holds it;
+    above it are the elements labelled already, as singleton cells, and
+    the cells the sinks have been refined into.  The label
+    goes to some element x of the owner, and x's row can be no less than
+    its successors packed at the bottom of every cell, the owner less x
+    included, plus its loop.  Only the choices that reach the least such
+    row over all branches survive, and each survivor refines every cell,
+    those above the owner too, into x's successors (low labels) and the
+    rest (high labels), which is exactly the set of labellings attaining
+    that row.  Candidates that are twins (their swap is an automorphism)
+    lead to equal encodings, so one per twin class is tried.  Only
+    non-sinks are candidates, and a sink is never the twin of a non-sink
+    (their swap would move a nonempty row to the sink's place), so twins
+    are sought among the non-sinks only.  The level minima are the rows
+    of the result.
+
+    Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE or a mask
+    with a cell outside the n x n grid.
     """
+    _check_grid(n, mask)
+    if not mask:
+        return 0
     full = (1 << n) - 1
     succ = [mask >> (x * n) & full for x in range(n)]
-    twins = _twin_masks(n, succ)
-    branches = [[(0, full)]]        # cells as (first label, members), low first
+    sinks = sum(1 << x for x, s in enumerate(succ) if not s)
+    rest = full ^ sinks
+    twins = _twin_masks(n, succ, rest)
+    top = n - sinks.bit_count()         # the sinks take labels top..n-1
+    # cells as (first label, members), low first
+    branches = [[(0, rest), (top, sinks)] if sinks else [(0, rest)]]
     out = 0
-    for label in range(n - 1, -1, -1):
-        # live branches share cell boundaries (equal rows fix the split
-        # sizes), so the owner has one index in all of them
-        k = len(branches[0]) - n + label    # the owner; above it, labelled
+    for label in range(top - 1, -1, -1):
+        # the owner is the last cell starting at or below label; live
+        # branches share cell boundaries (equal rows fix the split
+        # sizes), so it has one index in all of them
+        lead = branches[0]
+        k = len(lead) - 1
+        while lead[k][0] > label:
+            k -= 1
         best = -1
         picks = []
         for cells in branches:
-            start, owner = cells[k]
+            owner = cells[k][1]
             tried = 0
             free = owner
             while free:
@@ -171,13 +206,10 @@ def canonical_form(n: int, mask: int) -> int:
                 x = low.bit_length() - 1
                 tried |= twins[x]
                 s = succ[x]
-                row = (((1 << (s & (owner ^ low)).bit_count()) - 1) << start
-                       | (s & low and 1 << label))
-                for first, members in cells[:k]:
-                    row |= ((1 << (s & members).bit_count()) - 1) << first
-                for first, members in cells[k + 1:]:
-                    if s & members:
-                        row |= 1 << first
+                others = s & ~low
+                row = s & low and 1 << label
+                for first, members in cells:
+                    row |= ((1 << (others & members).bit_count()) - 1) << first
                 if row < best or best < 0:
                     best = row
                     picks = [(cells, low, s)]
@@ -191,6 +223,7 @@ def canonical_form(n: int, mask: int) -> int:
             if owner != low:
                 split.append((start, owner ^ low))
             split.append((label, low))
+            split += cells[k + 1:]
             refined = []
             for first, members in split:
                 inner = members & s
@@ -200,7 +233,7 @@ def canonical_form(n: int, mask: int) -> int:
                                     members ^ inner))
                 else:
                     refined.append((first, members))
-            branches.append(refined + cells[k + 1:])
+            branches.append(refined)
     return out
 
 
@@ -263,9 +296,12 @@ def is_canonical(n: int, mask: int) -> bool:
     Each step decides exactly what the literal scan over all n!
     relabellings would, so the result is the same on every input.
     Blocks are taken in element order, the bound of each computed as it
-    is reached.  Raises DomainError for n outside 1..IS_CANONICAL_MAX.
+    is reached.  Raises DomainError for n outside 1..IS_CANONICAL_MAX or
+    a mask with a cell outside the n x n grid.
     """
     blocks = _perm_row_tables(n)
+    if mask >> (n * n):
+        _check_grid(n, mask)    # raises; the inline test spares a call
     full = (1 << n) - 1
     succ = [mask >> (x * n) & full for x in range(n)]
     top = succ[::-1]
@@ -456,7 +492,7 @@ def _poset_classes(n: int) -> tuple[int, ...]:
 
         maximal = [(rank(parts_in[y]), 1 << y) for y in range(m)
                    if not rows[y]]
-        twins = {t for t in _twin_masks(m, rows) if t & (t - 1)}
+        twins = {t for t in _twin_masks(m, rows, full) if t & (t - 1)}
         for down in _down_sets(parts_in):
             new = rank(down)
             if any(r > new and not down & y for r, y in maximal):

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mereo import (
@@ -107,7 +107,7 @@ def _twin_pruned_poset_classes(n):
         rows = [parent >> (i * m) & full for i in range(m)]
         parts_in = [sum(1 << z for z in range(m) if rows[z] >> x & 1)
                     for x in range(m)]
-        twins = {t for t in _twin_masks(m, rows) if t & (t - 1)}
+        twins = {t for t in _twin_masks(m, rows, full) if t & (t - 1)}
         for down in _down_sets(parts_in):
             if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
                    for t in twins):
@@ -370,10 +370,10 @@ def test_ranked_extension_matches_twin_pruned_reference():
 
 
 @st.composite
-def labelled_strict_orders(draw, max_n=7):
+def labelled_strict_orders(draw, min_n=1, max_n=7):
     # the transitive closure of a random relation on a random linear
     # order of the elements is a strict partial order
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     order = draw(st.permutations(range(n)))
     rows = [0] * n
     for i in range(n):
@@ -413,7 +413,7 @@ def test_poset_classes_canonicalise_each_class_about_once(monkeypatch):
 
 def test_census_counts_match_oeis():
     # A000112: unlabelled posets; A006455: naturally labelled posets
-    unlabelled = [1, 2, 5, 16, 63, 318, 2045]
+    unlabelled = [1, 2, 5, 16, 63, 318, 2045, 16999]
     for n, want in enumerate(unlabelled, start=1):
         assert len(_poset_classes(n)) == want
         assert count_models(n, SPO) == want
@@ -455,6 +455,19 @@ def test_canonical_form_matches_scan_on_posets_and_transitive():
             assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
     for mask in _transitive_masks(4, False):
         assert canonical_form(4, mask) == _canonical_form_scan(4, mask)
+    # the classes with two or more maximal elements, which are the sinks
+    # placed in one cell at the top labels.  The scan is the same on
+    # every relabelling, so it runs once per class; at n=7, where it
+    # takes about 8 ms, on every 16th class
+    for n in range(2, 8):
+        full = (1 << n) - 1
+        classes = [c for c in _poset_classes(n)
+                   if sum(not c >> (x * n) & full for x in range(n)) > 1]
+        for i, c in enumerate(classes):
+            if n < 7 or i % 16 == 0:
+                assert _canonical_form_scan(n, c) == c
+            for p in _fixed_relabellings(n):
+                assert canonical_form(n, _relabel(n, c, p)) == c
 
 
 def test_canonical_form_matches_scan_on_tie_heavy_inputs():
@@ -476,6 +489,52 @@ def test_canonical_form_matches_scan_on_tie_heavy_inputs():
             for p in _fixed_relabellings(n):
                 mask = _relabel(n, base, p)
                 assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
+
+
+@st.composite
+def large_orders_with_loops(draw):
+    n, mask = draw(labelled_strict_orders(min_n=9, max_n=12))
+    loops = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    mask |= sum(1 << (x * n + x) for x in range(n) if loops >> x & 1)
+    return n, mask, draw(st.permutations(range(n)))
+
+
+# four minimal elements under eight maximal ones, each over its own
+# down-set: eight sinks, no two of them twins, which labelled one at a
+# time would open up to 8! branches
+_WIDE_12 = sum(1 << (x * 12 + 4 + j)
+               for j, down in enumerate((1, 2, 4, 8, 3, 6, 12, 9))
+               for x in range(4) if down >> x & 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_orders_with_loops())
+@example((12, _WIDE_12, list(range(11, -1, -1))))
+def test_canonical_form_is_a_relabelling_invariant_minimum_beyond_the_scan(
+        case):
+    # n = 9..12, where the n! scan cannot run
+    n, mask, p = case
+    canon = canonical_form(n, mask)
+    assert canon <= mask
+    assert canonical_form(n, canon) == canon
+    assert canonical_form(n, _relabel(n, mask, p)) == canon
+
+
+def test_twin_masks_pair_only_the_given_elements():
+    for n in range(1, 4):
+        full = (1 << n) - 1
+        for mask in range(1 << (n * n)):
+            succ = [mask >> (x * n) & full for x in range(n)]
+            for among in range(1 << n):
+                want = [1 << x for x in range(n)]
+                for x, y in itertools.combinations(range(n), 2):
+                    swap = list(range(n))
+                    swap[x], swap[y] = y, x
+                    if (among >> x & among >> y & 1
+                            and _relabel(n, mask, swap) == mask):
+                        want[x] |= 1 << y
+                        want[y] |= 1 << x
+                assert _twin_masks(n, succ, among) == want
 
 
 @st.composite
@@ -536,6 +595,10 @@ def _tie_heavy_relations(n):
         cycle | loops,
         rel((i, i ^ 1) for i in range(n - n % 2)),          # disjoint 2-cycles
         rel((i, j) for i in range(n) for j in range(i + 1, n)),  # tournament
+        # elements whose only successor is themselves, next to sinks
+        rel((i, i) for i in range(n // 2)),
+        rel((i, i) for i in range(0, n, 3))
+        | rel((i, i - k) for i in range(2, n, 3) for k in (1, 2)),
     ]
 
 
@@ -604,6 +667,18 @@ def test_is_canonical_refuses_sizes_without_tables(monkeypatch):
             is_canonical(n, 0)
     after = search._perm_row_tables.cache_info()
     assert after.currsize == before.currsize
+
+
+def test_canonical_kernels_refuse_input_outside_the_grid():
+    for kernel in (canonical_form, is_canonical):
+        for mask in (16, -1):
+            with pytest.raises(DomainError, match="^relation mask mentions "
+                               "cells outside the 2 x 2 grid$"):
+                kernel(2, mask)
+    for n in (0, 13):
+        with pytest.raises(DomainError,
+                           match=f"^universe size {n} outside 1..12$"):
+            canonical_form(n, 0)
 
 
 def test_orderly_generation_matches_canonical_filter():
