@@ -20,10 +20,10 @@ the relation given at construction, so filling it never changes an
 answer, and a search candidate that is never reported never builds its
 labels.  All queries are pure.
 
-A structure can also be made from the five derived masks of an earlier
-build of the same relation (`_masks`, `_from_masks`), with nothing
-checked or derived again, as the shared up-to-isomorphism walks of
-`search` do.
+A structure can also be made from the five derived mask tuples of an
+earlier build of the same relation (`_fields`, `_from_fields`), with
+nothing checked, derived or copied, as the shared up-to-isomorphism
+walks of `search` do.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ MAX_UNIVERSE_SIZE = 12
 DEFAULT_LABELS = "abcdefghijkl"
 
 # The default label tuple of each size, shared by the structures made
-# from kept masks.
+# from kept mask tuples.
 _DEFAULT_LABEL_TUPLES = tuple(tuple(DEFAULT_LABELS[:n])
                               for n in range(MAX_UNIVERSE_SIZE + 1))
 
@@ -267,40 +267,35 @@ class ParthoodStructure:
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
         return cls(labels, rows)
 
-    def _masks(self) -> tuple[int, ...]:
-        """The derived masks rows, parts_in, ing_of, ing_up and ov_of, in
-        that order: 5n values, each below 2^n, that _from_masks reads back."""
-        return self.rows + self.parts_in + self.ing_of + self.ing_up + self.ov_of
+    def _fields(self) -> tuple[tuple[int, ...], ...]:
+        """The derived mask tuples rows, parts_in, ing_of, ing_up and
+        ov_of, in that order, that _from_fields reads back."""
+        return self.rows, self.parts_in, self.ing_of, self.ing_up, self.ov_of
 
     @classmethod
-    def _from_masks(cls, n: int, masks: Iterable[int],
-                    labels: Optional[tuple[str, ...]] = None
-                    ) -> "ParthoodStructure":
-        """A fresh structure from the 5n values of _masks of a structure of
-        size n with these labels (default labels if None).  Nothing is
-        checked or derived: the masks were, when that structure was
-        built."""
-        masks = tuple(masks)
+    def _from_fields(cls, n: int, fields: Sequence[tuple[int, ...]],
+                     labels: Optional[tuple[str, ...]] = None
+                     ) -> "ParthoodStructure":
+        """A fresh structure sharing the five tuples of _fields of a
+        structure of size n with these labels (default labels if None).
+        Nothing is checked, derived or copied: the tuples are immutable,
+        and were checked when that structure was built."""
         s = cls.__new__(cls)
         s.n = n
         s.full = (1 << n) - 1
         s._labels = _DEFAULT_LABEL_TUPLES[n] if labels is None else labels
         s._universe = None
         s._label_index = None
-        s.rows = masks[:n]
-        s.parts_in = masks[n:2 * n]
-        s.ing_of = masks[2 * n:3 * n]
-        s.ing_up = masks[3 * n:4 * n]
-        s.ov_of = masks[4 * n:]
+        s.rows, s.parts_in, s.ing_of, s.ing_up, s.ov_of = fields
         s._subset_tables = None
         return s
 
     def __reduce__(self):
-        """Pickle and copy the labels and the five derived masks.  What is
-        filled on first use is left out (kept subset tables may be
-        memoryviews, which do not pickle) and is filled again when next
-        read."""
-        return self._from_masks, (self.n, self._masks(), self._labels)
+        """Pickle and copy the labels and the five derived mask tuples.
+        What is filled on first use is left out (kept subset tables may
+        be memoryviews, which do not pickle) and is filled again when
+        next read."""
+        return self._from_fields, (self.n, self._fields(), self._labels)
 
     @property
     def universe(self) -> tuple[ElementId, ...]:

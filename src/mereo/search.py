@@ -44,9 +44,10 @@ all 2^(n*n) relations.
 Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
 a later search calls is_canonical only past the classes an earlier one
-found, and makes each class's structure from kept masks instead of
-building it (_iso_candidates; _SharedWalk says what is kept and what
-it costs).  Labelled walks are not shared.
+found, and makes each class's structure from kept field tuples
+instead of building it, within a byte budget per walk (_iso_candidates;
+_SharedWalk says what is kept and what it costs).  Labelled walks are
+not shared.
 The walk is chosen from what the constraints entail, not only from the
 codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
 of strict partial orders guarantees AS, AC and ANTIS as well as T and
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -538,6 +540,32 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return has_t, has_irr, residual
 
 
+# What one shared walk may keep, in bytes: the field tuples of its
+# classes and their packed subset tables, as _SharedWalk counts them.
+# The largest benchmark walk, every relation at n=4, keeps about 2 MB.
+WALK_BUDGET_BYTES = 8 << 20
+
+
+def _pack_tables(n: int, tables) -> tuple[Sequence[int], Sequence[int]]:
+    """A pair of subset tables packed read-only: bytes up to n=8, a
+    read-only view of an array('H') above."""
+    if n <= 8:
+        return bytes(tables[0]), bytes(tables[1])
+    return tuple(memoryview(array("H", t)).toreadonly() for t in tables)
+
+
+def _kept_bytes(value) -> int:
+    """The size of value by sys.getsizeof: a tuple with its items, less
+    the small ints every process shares, and a view with its array."""
+    size = sys.getsizeof(value)
+    if isinstance(value, tuple):
+        size += sum(_kept_bytes(v) for v in value
+                    if not isinstance(v, int) or v > 256)
+    elif isinstance(value, memoryview):
+        size += sys.getsizeof(value.obj)
+    return size
+
+
 class _SharedWalk:
     """One lazy walk of canonical encodings at size n, kept as it is read
     so that every consumer in the process reads the same classes: only
@@ -547,51 +575,57 @@ class _SharedWalk:
 
     Iterating yields structures, each a fresh object.  The consumer that
     finds a class gets the structure built (and checked) from its
-    encoding, and appends that structure's 5n derived masks to _packed,
-    one array of bytes (two bytes a value above n=8); a later consumer
-    gets a structure made from that slice.
+    encoding, and _classes keeps that structure's five field tuples
+    (_fields); a later consumer gets a structure sharing them, which
+    costs one __new__ and the slot assignments.  The tuples are
+    immutable, and what a structure fills on first use is its own.
 
-    _tables holds one slot per class found, in order, so its length is
-    the number of classes found.  A slot is None until a consumer has
+    _tables holds one slot per kept class: None until a consumer has
     read the class's subset tables, then the pair (ub, ov) packed
-    read-only, bytes up to n=8 and a read-only view of an array('H')
-    above.  Each structure a consumer gets carries the kept pair, if
-    there is one; when the consumer asks for the next class, the pair it
-    filled is packed into the slot, if that is still empty.  So the
-    tables a search's forbid check builds are kept too, and a consumer
-    that stops early or raises keeps nothing.
+    read-only (_pack_tables).  Each structure a consumer gets carries
+    the kept pair, if there is one; when the consumer asks for the next
+    class, the pair it filled is packed into the slot, if that is still
+    empty.  So a consumer that stops early or raises keeps nothing.
 
-    A class costs 5n bytes of masks (10n above n=8) plus one list slot,
-    plus its packed tables, 2^n values each, once a search has read them.
+    By sys.getsizeof (_kept_bytes), a class costs 5(40 + 8n) + 96 bytes
+    (456 at n=4, and 140n more for its ints above n=8) and its packed
+    tables 2(2^n + 33) + 56 (154 at n=4).  _bytes counts what is kept,
+    within WALK_BUDGET_BYTES as read when the walk is made.  Past it, no
+    class or table is kept: the consumer that reached it takes over the
+    live walk, later ones restart it past the kept classes, and each
+    builds every structure from there on.
 
-    Nothing is released: the store grows with the classes the deepest
-    search consumed.  If the walk raises, the classes already found
-    stay; the next consumer to pass the end starts the walk afresh and
-    skips len(_tables) values, so a failed walk never reads as a
-    finished one.  One thread is assumed: the walk is a generator, and
-    two threads advancing it at once would fail.
+    If the walk raises, the classes already found stay; the next
+    consumer to pass the end starts the walk afresh and skips the kept
+    classes, so a failed walk never reads as a finished one.  One thread
+    is assumed: the walk is a generator, and two threads advancing it at
+    once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_packed", "_tables", "_walk", "_done")
+    __slots__ = ("_n", "_start", "_classes", "_tables", "_walk", "_done",
+                 "_bytes", "_budget", "_costs")
 
     def __init__(self, n: int, start):
         self._n = n
         self._start = start     # () -> a fresh walk from its first value
-        self._packed = array("B" if n <= 8 else "H")
+        self._classes: list[tuple[tuple[int, ...], ...]] = []
         self._tables: list[Optional[tuple[Sequence[int], Sequence[int]]]] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
+        self._bytes = 0
+        self._budget = WALK_BUDGET_BYTES
+        # a class's five tuples, each value its own int above 256, with
+        # its slots in both lists; and a pair of packed tables
+        self._costs = (_kept_bytes((((1 << n) - 1,) * n,) * 5) + 16,
+                       _kept_bytes(_pack_tables(n, ([0] * (1 << n),) * 2)))
 
-    def _advance(self) -> Optional[ParthoodStructure]:
-        """Keep the walk's next class and return its structure, built
-        from the encoding; None once the walk is over."""
-        if self._done:
-            return None
+    def _next_mask(self) -> Optional[int]:
+        """The walk's next encoding; None once the walk is over."""
         if self._walk is None:
-            self._walk = itertools.islice(self._start(), len(self._tables),
+            self._walk = itertools.islice(self._start(), len(self._classes),
                                           None)
         try:
-            m = next(self._walk)
+            return next(self._walk)
         except StopIteration:
             self._done = True
             self._walk = None
@@ -599,37 +633,43 @@ class _SharedWalk:
         except BaseException:
             self._walk = None
             raise
-        s = ParthoodStructure.from_mask(self._n, m)
-        self._packed.extend(s._masks())
-        self._tables.append(None)
-        return s
 
     def __iter__(self) -> Iterator[ParthoodStructure]:
         n = self._n
-        width = 5 * n
-        packed = self._packed
+        classes = self._classes
         tables = self._tables
-        if n <= 8:
-            pack = bytes
-        else:
-            def pack(values):
-                return memoryview(array("H", values)).toreadonly()
-        from_masks = ParthoodStructure._from_masks
+        from_fields = ParthoodStructure._from_fields
+        from_mask = ParthoodStructure.from_mask
+        class_bytes, table_bytes = self._costs
         i = 0
         while True:
-            if i < len(tables):
-                start = i * width
-                s = from_masks(n, packed[start:start + width])
+            if i < len(classes):
+                s = from_fields(n, classes[i])
                 s._subset_tables = tables[i]
+            elif self._done:
+                return
+            elif self._bytes + class_bytes > self._budget:
+                break
             else:
-                s = self._advance()
-                if s is None:
+                m = self._next_mask()
+                if m is None:
                     return
+                s = from_mask(n, m)
+                classes.append(s._fields())
+                tables.append(None)
+                self._bytes += class_bytes
             yield s
-            if tables[i] is None and s._subset_tables is not None:
-                ub, ov = s._subset_tables
-                tables[i] = pack(ub), pack(ov)
+            if tables[i] is None and s._subset_tables is not None \
+                    and self._bytes + table_bytes <= self._budget:
+                tables[i] = _pack_tables(n, s._subset_tables)
+                self._bytes += table_bytes
             i += 1
+        # past the budget: the rest of the walk, unshared
+        walk, self._walk = self._walk, None
+        if walk is None:
+            walk = itertools.islice(self._start(), i, None)
+        for m in walk:
+            yield from_mask(n, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -660,7 +700,11 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     walk of _iso_candidates, so a search that stops early leaves the
     rest of it undone.  Labelled walks (all relations, or the transitive
     ones) run lazily per search and build every candidate.
+
+    Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE before any
+    walk starts.
     """
+    _check_grid(n, 0)
     has_t, has_irr, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:

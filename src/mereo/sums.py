@@ -94,18 +94,22 @@ def subset_tables(s: ParthoodStructure) \
 def sums_in(s: ParthoodStructure, ub_m: int, ov_m: int) -> int:
     """The sums of a subset with entry (ub_m, ov_m), as a mask."""
     ing, gaps, out = s.ing_of, ~ov_m, 0
-    for x in _bits(ub_m):
-        if not ing[x] & gaps:
-            out |= 1 << x
+    while ub_m:
+        low = ub_m & -ub_m
+        if not ing[low.bit_length() - 1] & gaps:
+            out |= low
+        ub_m ^= low
     return out
 
 
 def sups_in(s: ParthoodStructure, ub_m: int) -> int:
     """The suprema of a subset with upper bounds ub_m, as a mask."""
-    up, out = s.ing_up, 0
-    for x in _bits(ub_m):
-        if not ub_m & ~up[x]:
-            out |= 1 << x
+    up, out, rest = s.ing_up, 0, ub_m
+    while rest:
+        low = rest & -rest
+        if not ub_m & ~up[low.bit_length() - 1]:
+            out |= low
+        rest ^= low
     return out
 
 

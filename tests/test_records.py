@@ -193,7 +193,7 @@ def test_structures_with_filled_caches_pickle_and_copy(protocol):
                   copy.copy(s), copy.deepcopy(s)):
             assert type(y) is ParthoodStructure and y == s
             assert repr(y) == repr(s) and hash(y) == hash(s)
-            assert y._masks() == s._masks()
+            assert y._fields() == s._fields()
             # the caches filled on first use are filled again
             assert subset_tables(y) == tuple(map(list, subset_tables(s)))
             assert y.element(s._labels[-1]) == s.element(s._labels[-1])

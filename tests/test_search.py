@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -985,19 +986,44 @@ def _assert_built_afresh(s, n, mask):
 
 
 def _assert_store_aligned(walk, n, want):
-    """The walk keeps a prefix of the classes want, in order: the masks
-    of each, and one table slot each, holding None or that class's
-    subset tables."""
-    width = 5 * n
-    kept = len(walk._tables)
+    """The walk keeps a prefix of the classes want, in order: the five
+    field tuples of each, and one table slot each, holding None or that
+    class's subset tables; and what it counts as kept is all it keeps,
+    within its budget."""
+    kept = len(walk._classes)
     assert kept <= len(want)
-    assert len(walk._packed) == width * kept
+    assert len(walk._tables) == kept
     for i, mask in enumerate(want[:kept]):
-        packed = walk._packed[i * width:(i + 1) * width]
-        _assert_built_afresh(ParthoodStructure._from_masks(n, packed), n,
+        fields = walk._classes[i]
+        assert [type(f) for f in fields] == [tuple] * 5
+        _assert_built_afresh(ParthoodStructure._from_fields(n, fields), n,
                              mask)
         if walk._tables[i] is not None:
             _assert_kept_tables(walk._tables[i], n, mask)
+    # above n=8 the walk counts every value as an int of its own
+    assert _store_bytes(walk) <= walk._bytes <= walk._budget
+    assert n > 8 or _store_bytes(walk) == walk._bytes
+
+
+def _store_bytes(walk):
+    """What the walk keeps, recounted by sys.getsizeof: each class's
+    tuples, with the ints above the small ones a process shares, and its
+    slot in both lists; each packed table, with the array under a
+    view."""
+    size = 0
+    for fields in walk._classes:
+        size += sys.getsizeof(fields) + 16
+        for f in fields:
+            size += sys.getsizeof(f) + sum(sys.getsizeof(v)
+                                           for v in f if v > 256)
+    for pair in walk._tables:
+        if pair is not None:
+            size += sys.getsizeof(pair)
+            for table in pair:
+                size += sys.getsizeof(table)
+                if isinstance(table, memoryview):
+                    size += sys.getsizeof(table.obj)
+    return size
 
 
 def _assert_kept_tables(tables, n, mask):
@@ -1051,7 +1077,7 @@ def test_interleaved_consumers_see_one_sequence(constraints):
             live |= bool(chunk)
     assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
     # the consumer that found a class built it; the others made it from
-    # the kept masks, each a structure of its own
+    # the kept field tuples, each a structure of its own
     for m, structures in zip(want, zip(*seen)):
         assert len({id(s) for s in structures}) == 3
         for s in structures:
@@ -1225,12 +1251,126 @@ def test_searches_over_one_walk_share_no_structure():
     theirs = list(enumerate_models(3, ()))
     assert [a.rows for a in ours] == [b.rows for b in theirs]
     assert all(a is not b for a, b in zip(ours, theirs))
+    # they share the immutable field tuples the first build made
+    assert all(a._fields()[i] is b._fields()[i]
+               for a, b in zip(ours, theirs) for i in range(5))
     for a in ours:
         sums.subset_tables(a)
         a.universe
     for b in theirs:
         assert b._subset_tables is None
         assert b._universe is None
+
+
+@pytest.fixture
+def walk_budget(monkeypatch):
+    """Set the byte budget of the walks made from here on; the walks
+    made under it are dropped afterwards."""
+    def set_budget(budget):
+        monkeypatch.setattr(search, "WALK_BUDGET_BYTES", budget)
+        search._iso_candidates.cache_clear()
+    yield set_budget
+    search._iso_candidates.cache_clear()
+
+
+@pytest.mark.parametrize("budget", [0, 1500, 4000])
+@pytest.mark.parametrize("key", [k for k in _ISO_KEYS if k[0] <= 4])
+def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
+    n = key[0]
+    codes = _generating_codes(key)
+    searches = [codes, codes + ["U_SUM"]]
+    search._iso_candidates.cache_clear()
+    want = [enumerate_model_masks(n, c) for c in searches]
+    walk_budget(budget)
+    walk = search._iso_candidates(*key)
+    assert walk._budget == budget
+    for _ in range(2):
+        assert [enumerate_model_masks(n, c) for c in searches] == want
+        _assert_store_aligned(walk, n, _unshared_iso_walk(n, codes))
+
+
+def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
+                                                            walk_budget):
+    n = 4
+    classes = _unshared_iso_walk(n, ())
+    search._iso_candidates.cache_clear()
+    calls = _counted_is_canonical(monkeypatch)
+    want = enumerate_model_masks(n, ["U_SUM"])
+    cold = calls[0]
+    # U_SUM reads every class's tables: about 80 classes fit
+    walk_budget(50_000)
+    walk = search._iso_candidates(n, False, False)
+    calls[0] = 0
+    got = []
+    for s in enumerate_models(n, ["U_SUM"]):
+        assert walk._bytes <= 50_000
+        got.append(s.relation_mask)
+    assert got == want
+    kept = len(walk._classes)
+    assert 0 < kept < len(classes)
+    # the budget may leave room for a last class but not its tables
+    assert None not in walk._tables[:-1]
+    _assert_store_aligned(walk, n, classes)
+    # the search that reached the budget walked on from where it was
+    assert calls[0] == cold
+    # a later one restarts the walk and builds each class past the store
+    builds = [0]
+    init = ParthoodStructure.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParthoodStructure, "__init__", counted)
+    table_builds = _count_table_builds(monkeypatch)
+    calls[0] = 0
+    kept_bytes = walk._bytes
+    assert enumerate_model_masks(n, ["U_SUM"]) == want
+    assert calls[0] == cold
+    assert builds[0] == len(classes) - kept
+    assert table_builds[0] == builds[0] + walk._tables.count(None)
+    assert (len(walk._classes), walk._bytes) == (kept, kept_bytes)
+    _assert_store_aligned(walk, n, classes)
+
+
+@pytest.mark.parametrize("budget", [0, 3000])
+def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
+        budget, walk_budget):
+    n = 4
+    want = _unshared_iso_walk(n, ("IRR",))
+    walk_budget(budget)
+    walk = search._iso_candidates(n, False, True)
+    streams = [iter(walk) for _ in range(3)]
+    seen = [[] for _ in streams]
+    live = True
+    while live:
+        live = False
+        for k, it in enumerate(streams):
+            chunk = list(itertools.islice(it, k + 1))
+            seen[k] += [s.relation_mask for s in chunk]
+            live |= bool(chunk)
+    assert seen == [want] * 3
+    assert len(walk._classes) == min(len(want), budget // 456)
+    _assert_store_aligned(walk, n, want)
+
+
+_GENERATING = [(), ("T",), ("IRR",), ("T", "IRR")]
+
+
+@pytest.mark.parametrize("up_to_iso", [True, False])
+@pytest.mark.parametrize("codes", _GENERATING)
+@pytest.mark.parametrize("n", [-1, 0, 13])
+def test_enumeration_refuses_sizes_outside_the_cap_before_walking(
+        n, codes, up_to_iso, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk was started")
+
+    for name in ("_iso_candidates", "_poset_classes", "_canonical_masks",
+                 "_transitive_masks", "_all_masks"):
+        monkeypatch.setattr(search, name, no_walk)
+    with pytest.raises(DomainError,
+                       match=rf"universe size {n} outside 1\.\.12$"):
+        count_models(n, codes, up_to_iso)
 
 
 def test_claims_agree_forwards_backwards_and_cold():
