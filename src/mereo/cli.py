@@ -106,23 +106,25 @@ def parse_structure(text: str) -> ParthoodStructure:
     return ParthoodStructure(labels, rows)
 
 
-def _label_pairs(s: ParthoodStructure) -> list[list[str]]:
-    """The [part, whole] label pairs of the relation, part-major and each
-    part's wholes ascending, the order of `s.pairs()`."""
-    labels = s._labels
+def _label_pairs(s: ParthoodStructure, parts: Sequence[str],
+                 wholes: Sequence[str]) -> list[str]:
+    """parts[x] + wholes[y] for each pair x P y of the relation,
+    part-major and each part's wholes ascending, the order of
+    `s.pairs()`."""
     pairs = []
-    for i, r in enumerate(s.rows):
-        part = labels[i]
+    for x, r in enumerate(s.rows):
+        part = parts[x]
         while r:
             low = r & -r
-            pairs.append([part, labels[low.bit_length() - 1]])
+            pairs.append(part + wholes[low.bit_length() - 1])
             r ^= low
     return pairs
 
 
 def serialize(s: ParthoodStructure) -> str:
-    lines = ["elements: " + " ".join(s._labels)]
-    lines += [f"part: {p} < {w}" for p, w in _label_pairs(s)]
+    labels = s._labels
+    lines = ["elements: " + " ".join(labels)]
+    lines += _label_pairs(s, ["part: " + l + " < " for l in labels], labels)
     return "\n".join(lines) + "\n"
 
 
@@ -161,21 +163,20 @@ def _verdict_json(v: Verdict):
             "witness": _witness_json(v.witness)}
 
 
-def _model_doc(s: ParthoodStructure):
-    return {"elements": list(s._labels), "parts": _label_pairs(s)}
-
-
 _escape = json.encoder.encode_basestring_ascii
 
 
 def _dumps(doc, newline: str = "\n") -> str:
     """The text of `json.dumps(doc, indent=2)` for a document of list,
-    tuple, str-keyed dict, str, int, bool and None; any other value, float
-    included, raises TypeError.  CPython's `json` falls back to its
-    pure-Python encoder whenever `indent` is set; this writer makes one
-    string per container instead, and escapes the str items of a list
-    without a call.  `newline` is the line break and indent that precede
-    the document's closing bracket."""
+    tuple, str-keyed dict, str, int, bool, None and ParthoodStructure, a
+    structure written as its model document {"elements": [labels],
+    "parts": [[part, whole], ...]}; any other value, float included,
+    raises TypeError.  CPython's `json` falls back to its pure-Python
+    encoder whenever `indent` is set; this writer makes one string per
+    container instead, escapes the str items of a list without a call,
+    and escapes a structure's labels once each, writing its pairs from
+    them (_label_pairs).  `newline` is the line break and indent that
+    precede the document's closing bracket."""
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
@@ -194,6 +195,19 @@ def _dumps(doc, newline: str = "\n") -> str:
                                 f"{type(key).__name__}")
             items.append(_escape(key) + ": " + _dumps(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(doc, ParthoodStructure):
+        inner = newline + "  "
+        item = inner + "  "
+        cell = item + "  "
+        labels = [_escape(l) for l in doc._labels]
+        pairs = _label_pairs(doc, ["[" + cell + l + "," + cell for l in labels],
+                             [l + item + "]" for l in labels])
+        # n >= 1: only the parts may be empty
+        return ("{" + inner + '"elements": [' + item
+                + ("," + item).join(labels) + inner + "]," + inner
+                + '"parts": ' + ("[" + item + ("," + item).join(pairs)
+                                 + inner + "]" if pairs else "[]")
+                + newline + "}")
     if isinstance(doc, str):
         return _escape(doc)
     if doc is None:
@@ -354,7 +368,7 @@ def _cmd_enumerate(args, out) -> int:
         return 0
     if args.json:
         _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
-                           "models": [_model_doc(m) for m in models]}))
+                           "models": list(models)}))
         return 0
     first = True
     for m in models:
@@ -387,8 +401,7 @@ def _cmd_implies(args, out) -> int:
                "max_n": args.max_n,
                "explored": res.explored,
                "exhausted": res.exhausted,
-               "countermodel": None if res.found is None
-               else _model_doc(res.found)}
+               "countermodel": res.found}
         _emit(out, _dumps(doc))
         return 1 if res.found else 0
     if res.found is None:

@@ -62,6 +62,7 @@ read, so a rejected candidate never builds them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import sys
@@ -335,9 +336,10 @@ def _all_masks(n: int, irreflexive: bool) -> Iterator[int]:
     return (m for m in range(1 << (n * n)) if not m & diagonal)
 
 
-def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
-    """The canonical relation encodings, ascending and lazily; diagonal
-    empty if irreflexive.
+def _canonical_masks(n: int, irreflexive: bool,
+                     after: int = -1) -> Iterator[int]:
+    """The canonical relation encodings above after, ascending and
+    lazily; diagonal empty if irreflexive.
 
     Orderly generation (Read, Every one a winner, 1978, in complement
     form): setting the lowest empty cell of a canonical encoding other
@@ -346,17 +348,21 @@ def _canonical_masks(n: int, irreflexive: bool) -> Iterator[int]:
     node whose lowest empty cell is z are its canonical copies with one
     cell k < z cleared.  Every encoding below the child at k keeps the
     node's cells from k up, so a post-order walk taking children from
-    the highest k down yields ascending order.
+    the highest k down yields ascending order.  No encoding in a subtree
+    is above its root, so a child at or below after is skipped, subtree
+    and all, without an is_canonical call.
     """
     bits = [1 << (i * n + j) for i in range(n) for j in range(n)
             if not (irreflexive and i == j)]
-    stack = [(sum(bits), len(bits))]    # (node, its untried cells below)
+    root = sum(bits)
+    # (node, its untried cells below)
+    stack = [(root, len(bits))] if root > after else []
     while stack:
         mask, k = stack.pop()
         while k:
             k -= 1
             child = mask ^ bits[k]
-            if is_canonical(n, child):
+            if child > after and is_canonical(n, child):
                 stack.append((mask, k))
                 stack.append((child, k))
                 break
@@ -593,11 +599,13 @@ class _SharedWalk:
     within WALK_BUDGET_BYTES as read when the walk is made.  Past it, no
     class or table is kept: the consumer that reached it takes over the
     live walk, later ones restart it past the kept classes, and each
-    builds every structure from there on.
+    builds every structure from there on.  start(after) walks only the
+    encodings above after, the last kept class's (-1 for none), so a
+    restart checks nothing the kept classes cover.
 
     If the walk raises, the classes already found stay; the next
-    consumer to pass the end starts the walk afresh and skips the kept
-    classes, so a failed walk never reads as a finished one.  One thread
+    consumer to pass the end restarts the walk past the kept classes,
+    so a failed walk never reads as a finished one.  One thread
     is assumed: the walk is a generator, and two threads advancing it at
     once would fail.
     """
@@ -607,7 +615,7 @@ class _SharedWalk:
 
     def __init__(self, n: int, start):
         self._n = n
-        self._start = start     # () -> a fresh walk from its first value
+        self._start = start     # after -> the walk past encoding after
         self._classes: list[tuple[tuple[int, ...], ...]] = []
         self._tables: list[Optional[tuple[Sequence[int], Sequence[int]]]] = []
         self._walk: Optional[Iterator[int]] = None
@@ -622,8 +630,7 @@ class _SharedWalk:
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""
         if self._walk is None:
-            self._walk = itertools.islice(self._start(), len(self._classes),
-                                          None)
+            self._walk = self._restart()
         try:
             return next(self._walk)
         except StopIteration:
@@ -666,10 +673,14 @@ class _SharedWalk:
             i += 1
         # past the budget: the rest of the walk, unshared
         walk, self._walk = self._walk, None
-        if walk is None:
-            walk = itertools.islice(self._start(), i, None)
-        for m in walk:
+        for m in walk or self._restart():
             yield from_mask(n, m)
+
+    def _restart(self) -> Iterator[int]:
+        """The walk past the last kept class."""
+        classes = self._classes
+        return self._start(ParthoodStructure._from_fields(
+            self._n, classes[-1]).relation_mask if classes else -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -680,11 +691,15 @@ def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
     members of the labelled transitive walk under T alone, walked with
     its top-row bound."""
     if has_t and has_irr:
-        return _SharedWalk(n, lambda: iter(_poset_classes(n)))
+        def posets(after):
+            classes = _poset_classes(n)
+            return iter(classes[bisect.bisect_right(classes, after):])
+        return _SharedWalk(n, posets)
     if not has_t:
-        return _SharedWalk(n, lambda: _canonical_masks(n, has_irr))
-    return _SharedWalk(n, lambda: (m for m in _transitive_masks(
-        n, False, top_bound=True) if is_canonical(n, m)))
+        return _SharedWalk(n, lambda after: _canonical_masks(n, has_irr,
+                                                             after))
+    return _SharedWalk(n, lambda after: (m for m in _transitive_masks(
+        n, False, top_bound=True) if m > after and is_canonical(n, m)))
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),

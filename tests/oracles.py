@@ -4,7 +4,9 @@ every set cell of the encoding, and the choice of walk, by the codes as
 named; in mereo.lattice, completeness, by asking for the join of every
 subset; in mereo.weakparts, local transitivity, by listing every
 part-path of every pair; in mereo.cli, structure files, by testing each
-line's kind in file order and each label's declaration before its use.
+line's kind in file order and each label's declaration before its use,
+and the model document `--json` writes for a structure, from its
+ElementId pairs.
 """
 
 from __future__ import annotations
@@ -134,3 +136,11 @@ def _parse_structure_lines(text: str) -> ParthoodStructure:
     if labels is None:
         raise ParseError(1, "missing elements line")
     return ParthoodStructure(labels, rows)
+
+
+def _model_doc(s: ParthoodStructure) -> dict:
+    """The model document of a structure, {"elements": [labels], "parts":
+    [[part, whole], ...]} in the order of `s.pairs()`, built from its
+    ElementIds: the oracle for cli._dumps on a structure."""
+    return {"elements": [e.label for e in s.universe],
+            "parts": [[p.label, w.label] for p, w in s.pairs()]}

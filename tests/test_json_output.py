@@ -1,6 +1,8 @@
 """`--json` output is written by `cli._dumps`, which must give the text of
-`json.dumps(doc, indent=2)`; `_model_doc` and `serialize` read labels
-off the rows in the order of `ParthoodStructure.pairs()`."""
+`json.dumps(doc, indent=2)`, with each structure in a document written as
+its model document (the oracle `_model_doc`).  `_dumps` escapes each
+label of a structure once; it and `serialize` read labels off the rows in
+the order of `ParthoodStructure.pairs()`."""
 
 import io
 import json
@@ -11,13 +13,14 @@ from hypothesis import strategies as st
 
 from mereo import ParthoodStructure, TheoryId
 from mereo import cli
-from mereo.cli import _dumps, _model_doc, main, serialize
+from mereo.cli import _dumps, main, serialize
 
 from conftest import FIXTURE_DIR, all_relations
+from oracles import _model_doc
 
 
 def indented(doc):
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, default=_model_doc)
 
 
 # -- the writer against json --------------------------------------------------
@@ -57,6 +60,27 @@ def test_dumps_edge_cases(doc):
     assert _dumps(doc) == indented(doc)
 
 
+@st.composite
+def structures(draw):
+    """A structure of 1 to 12 elements with labels drawn from TEXT: the
+    empty relation, the full one or any other."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(TEXT, min_size=n, max_size=n, unique=True))
+    full = (1 << n) - 1
+    rows = draw(st.one_of(
+        st.just([0] * n), st.just([full] * n),
+        st.lists(st.integers(0, full), min_size=n, max_size=n)))
+    return ParthoodStructure(labels, rows)
+
+
+@settings(deadline=None)
+@given(structures(), st.integers(0, 2))
+def test_dumps_writes_a_structure_as_its_model_document(s, depth):
+    newline = "\n" + "  " * depth
+    want = json.dumps(_model_doc(s), indent=2).replace("\n", newline)
+    assert _dumps(s, newline) == want
+
+
 @pytest.mark.parametrize("doc", [
     1.5, float("nan"), {1, 2}, frozenset(), b"x", object(),
     [1, 2.0], {"a": [{"b": {3}}]}, {1: "a"}, {None: 1},
@@ -76,7 +100,8 @@ def run(argv):
 
 def run_both(argv, monkeypatch):
     """The run of a command line and the run of it with `json.dumps(doc,
-    indent=2)` writing the document, which must agree."""
+    indent=2)` writing the document, a structure in it as its
+    `_model_doc`, which must agree."""
     ours = run(argv)
     with monkeypatch.context() as m:
         m.setattr(cli, "_dumps", indented)
@@ -128,10 +153,20 @@ def test_json_commands_on_escaped_labels(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("theory", [t.value for t in TheoryId])
 def test_json_enumerate_up_to_iso(theory, monkeypatch):
-    for n in range(1, 6):
+    for n in range(1, 7 if theory == "SPO" else 6):
         code, out = run_both(("enumerate", "--n", str(n), "--theory", theory,
                               "--up-to-iso", "--json"), monkeypatch)
         assert code == 0 and json.loads(out)["n"] == n
+    if theory == "SPO":
+        # A000112(6): the strict partial orders on 6 elements
+        assert len(json.loads(out)["models"]) == 318
+
+
+def test_json_enumerate_with_no_models(monkeypatch):
+    code, out = run_both(("enumerate", "--n", "2", "--theory", "GM",
+                          "--up-to-iso", "--json"), monkeypatch)
+    assert code == 0 and json.loads(out)["models"] == []
+    assert '\n  "models": []\n}\n' in out
 
 
 def test_json_enumerate_labelled_and_count_only(monkeypatch):
@@ -153,11 +188,6 @@ def test_json_implies_found_and_exhausted(monkeypatch):
 
 # -- the label-pair walk against the ElementId construction ------------------
 
-def old_model_doc(s):
-    return {"elements": [e.label for e in s.universe],
-            "parts": [[p.label, w.label] for p, w in s.pairs()]}
-
-
 def old_serialize(s):
     lines = ["elements: " + " ".join(e.label for e in s.universe)]
     lines += [f"part: {p.label} < {w.label}" for p, w in s.pairs()]
@@ -177,7 +207,7 @@ def test_label_pairs_match_the_element_id_construction():
     count = 0
     for s in label_cases():
         fresh = ParthoodStructure(s._labels, s.rows)
-        assert _model_doc(fresh) == old_model_doc(s)
+        assert _dumps(fresh) == indented(_model_doc(s))
         assert serialize(fresh) == old_serialize(s)
         assert fresh._universe is None          # no ElementId was built
         count += 1

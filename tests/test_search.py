@@ -688,6 +688,12 @@ def test_orderly_generation_matches_canonical_filter():
             want = [m for m in _all_masks(n, irreflexive)
                     if _is_canonical_scan(n, m)]
             assert list(_canonical_masks(n, irreflexive)) == want
+            if n > 3:
+                continue
+            # a walk past an encoding is the rest of the walk
+            for after in [-1] + want + [want[-1] + 1]:
+                assert list(_canonical_masks(n, irreflexive, after)) \
+                    == [m for m in want if m > after]
 
 
 def _is_transitive(n, mask):
@@ -949,12 +955,16 @@ def test_orderly_generation_is_lazy(monkeypatch):
 
 # -- up-to-iso walks shared across the searches of a process ------------------
 
-def _counted_is_canonical(monkeypatch, fail_after=None):
+def _counted_is_canonical(monkeypatch, fail_after=None, masks=None):
+    """Count the is_canonical calls, and list their encodings in masks
+    if given."""
     calls = [0]
     scan = search.is_canonical
 
     def counted(n, mask):
         calls[0] += 1
+        if masks is not None:
+            masks.append(mask)
         if fail_after is not None and calls[0] > fail_after:
             raise RuntimeError("stopped mid-walk")
         return scan(n, mask)
@@ -1186,7 +1196,7 @@ def test_tables_above_eight_elements_are_kept_as_read_only_shorts():
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
-    walk = search._SharedWalk(n, lambda: iter(want))
+    walk = search._SharedWalk(n, lambda after: (m for m in want if m > after))
     for s in walk:
         sums.subset_tables(s)
     second = list(walk)
@@ -1294,9 +1304,10 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     n = 4
     classes = _unshared_iso_walk(n, ())
     search._iso_candidates.cache_clear()
-    calls = _counted_is_canonical(monkeypatch)
+    checked = []
+    calls = _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
-    cold = calls[0]
+    cold, cold_checked = calls[0], checked[:]
     # U_SUM reads every class's tables: about 80 classes fit
     walk_budget(50_000)
     walk = search._iso_candidates(n, False, False)
@@ -1313,7 +1324,8 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     _assert_store_aligned(walk, n, classes)
     # the search that reached the budget walked on from where it was
     assert calls[0] == cold
-    # a later one restarts the walk and builds each class past the store
+    # a later one restarts the walk past the last kept class, checks only
+    # the encodings above it, and builds each class past the store
     builds = [0]
     init = ParthoodStructure.__init__
 
@@ -1323,14 +1335,40 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
 
     monkeypatch.setattr(ParthoodStructure, "__init__", counted)
     table_builds = _count_table_builds(monkeypatch)
-    calls[0] = 0
+    checked.clear()
     kept_bytes = walk._bytes
     assert enumerate_model_masks(n, ["U_SUM"]) == want
-    assert calls[0] == cold
+    last = classes[kept - 1]
+    assert checked == [m for m in cold_checked if m > last]
+    assert 0 < len(checked) < cold
     assert builds[0] == len(classes) - kept
     assert table_builds[0] == builds[0] + walk._tables.count(None)
     assert (len(walk._classes), walk._bytes) == (kept, kept_bytes)
     _assert_store_aligned(walk, n, classes)
+
+
+@pytest.mark.parametrize("budget", [1000, 4000])
+@pytest.mark.parametrize("key", [k for k in _ISO_KEYS if k[0] <= 4])
+def test_a_restarted_walk_checks_nothing_the_kept_classes_cover(
+        key, budget, monkeypatch, walk_budget):
+    n = key[0]
+    codes = _generating_codes(key)
+    search._iso_candidates.cache_clear()
+    checked = []
+    _counted_is_canonical(monkeypatch, masks=checked)
+    want = enumerate_model_masks(n, codes)
+    cold_checked = checked[:]
+    walk_budget(budget)
+    walk = search._iso_candidates(*key)
+    assert enumerate_model_masks(n, codes) == want
+    kept = len(walk._classes)
+    assert kept == min(len(want), budget // walk._costs[0])
+    checked.clear()
+    assert enumerate_model_masks(n, codes) == want
+    # no encoding at or below the last kept class is checked again
+    last = want[kept - 1]
+    assert checked == [m for m in cold_checked if m > last]
+    _assert_store_aligned(walk, n, _unshared_iso_walk(n, codes))
 
 
 @pytest.mark.parametrize("budget", [0, 3000])
