@@ -14,11 +14,12 @@ Practical graph isomorphism II, adapted to this minimal encoding).
 is_canonical, which only has to find one smaller relabelling, keeps a
 per-n table for each permutation (the element sent to each label, and a
 2^n-entry map relabelling a row), grouped by the element sent to the top
-label.  The least top row a block can reach is known from that
-element's successor count and loop alone, so a block whose bound is
-below the encoding's top row rejects at once, one above it is skipped
-whole, and only tied blocks are compared with the encoding row by row
-from the most significant, where most permutations cost one lookup.
+label.  The least top row a block can reach is read from a table by
+that element's row, so a block whose bound is below the encoding's top
+row rejects at once, one above it is skipped whole, and in a tied block
+only the permutations that reach the bound, listed per row, are
+compared with the encoding, from the second row down, where most cost
+one lookup.  The orderly walk hands it the rows it already holds.
 It takes 1 to 8 elements.  The literal n! scans that define both are
 test oracles, kept outside the package.  Output is ordered by increasing
 universe size, then increasing canonical encoding, so searches return
@@ -241,86 +242,116 @@ def canonical_form(n: int, mask: int) -> int:
 
 
 # The largest universe is_canonical takes: its tables hold n! row maps of
-# 2^n entries each, which at n=8 take 2.3 s and 90 MB to build and at
-# n=9 would take about 1.5 GB.
+# 2^n entries each, which at n=8 take 1.5-1.8 s to build, in a process
+# peaking at 113 MB (2-core Intel Xeon, Python 3.11.7), and at n=9 would
+# take over 1.5 GB.
 IS_CANONICAL_MAX = 8
 
 
+# A permutation p in those tables: the elements it sends to labels n-2
+# down to 0, and its map row -> p(row).
+_Perm = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @functools.lru_cache(maxsize=None)
-def _perm_row_tables(n: int) -> tuple[tuple[tuple[tuple[int, ...],
-                                                  tuple[int, ...]], ...],
+def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...],
+                                            tuple[tuple[_Perm, ...], ...]],
                                       ...]:
-    """Block x, for each element x: for each permutation p of range(n)
-    that sends x to label n-1, the identity excepted, the element that p
-    sends to each label from n-1 down, and the map row -> p(row) over all
-    2^n rows (bit j of a row is element j).
+    """Block x, for each element x, of the permutations p of range(n)
+    that send x to label n-1, the identity excepted: the pair (least,
+    ties), each indexed by a row v (bit j of a row is element j).
+
+    least[v] = (2^k - 1) | [x in v] 2^(n-1), k the members of v other
+    than x, is the least p(v) in the block, and ties[v] lists, in
+    permutation order, the permutations with p(v) = least[v]: each as
+    the elements it sends to labels n-2 down to 0, and the map
+    row -> p(row) over all 2^n rows.  p(v) = least[v] iff p sends the
+    other members of v to labels 0..k-1, since the bits of k distinct
+    labels below n-1 sum to at least 2^k - 1, with equality only there.
+    So p is listed under the 2n rows made of the elements it sends to
+    its k lowest labels, k = 0..n-1, with and without x.
 
     Refuses n outside 1..IS_CANONICAL_MAX before building anything.
     """
     if not 1 <= n <= IS_CANONICAL_MAX:
         raise DomainError(f"is_canonical takes 1 to {IS_CANONICAL_MAX} "
                           f"elements, not {n}")
-    blocks = [[] for _ in range(n)]
+    size = 1 << n
+    loop_bit = n - 1
+    leasts = [tuple((1 << v.bit_count() - (v >> x & 1)) - 1
+                    | (v >> x & 1) << loop_bit for v in range(size))
+              for x in range(n)]
+    ties = [[[] for _ in range(size)] for _ in range(n)]
     perms = itertools.permutations(range(n))
     next(perms)                                 # the identity
     for p in perms:
         sources = [0] * n
-        for x, label in enumerate(p):
-            sources[n - 1 - label] = x
-        rowmap = [0] * (1 << n)
-        for row in range(1, 1 << n):
+        for y, label in enumerate(p):
+            sources[n - 1 - label] = y
+        rowmap = [0] * size
+        for row in range(1, size):
             low = row & -row
             rowmap[row] = rowmap[row ^ low] | 1 << p[low.bit_length() - 1]
-        blocks[sources[0]].append((tuple(sources), tuple(rowmap)))
-    return tuple(tuple(block) for block in blocks)
+        x = sources[0]
+        entry = (tuple(sources[1:]), tuple(rowmap))
+        block = ties[x]
+        lowest = 0              # the elements p sends to its k lowest labels
+        for k in range(n):
+            block[lowest].append(entry)
+            block[lowest | 1 << x].append(entry)
+            lowest |= 1 << sources[n - 1 - k]
+    return tuple((least, tuple(map(tuple, block)))
+                 for least, block in zip(leasts, ties))
 
 
-def is_canonical(n: int, mask: int) -> bool:
+def is_canonical(n: int, mask: int,
+                 rows: Optional[Sequence[int]] = None) -> bool:
     """True iff no relabelling gives a smaller encoding.
 
     Under p, the row at label L of the image is p applied to the row of
     the element p sends to L.  Encodings compare from the most
     significant row, label n-1, so the permutations are taken in blocks
     by the element x they send there.  Every image in block x has p(row
-    of x) at the top; that row holds bit n-1 iff x P x, and one bit for
-    each of the k other successors of x, at distinct labels below n-1,
-    so it is at least least(x) = (2^k - 1) | [x P x] 2^(n-1), and the
-    permutation that packs those successors into labels 0..k-1 attains
-    it.  So against the top row t of mask itself:
+    of x) at the top, which is at least least(x) = (2^k - 1) | [x P x]
+    2^(n-1), k the successors of x other than x, and reaches it exactly
+    under the block's permutations that send those successors to labels
+    0..k-1 (_perm_row_tables).  So against the top row t of mask itself:
 
-    - least(x) < t: that permutation gives an image smaller than mask
+    - least(x) < t: those permutations give an image smaller than mask
       in its top row, so mask is not canonical;
     - least(x) > t: every image in block x is larger than mask in its
       top row, so none of its (n-1)! permutations can be smaller;
-    - least(x) = t: the block is compared with mask row by row from the
-      most significant, so most permutations are decided by one table
-      lookup.
+    - least(x) = t: only the permutations that reach least(x) tie the
+      top row, every other one being larger there; those are compared
+      with mask row by row from label n-2 down, so most are decided by
+      one table lookup.
 
     Each step decides exactly what the literal scan over all n!
     relabellings would, so the result is the same on every input.
-    Blocks are taken in element order, the bound of each computed as it
-    is reached.  Raises DomainError for n outside 1..IS_CANONICAL_MAX or
-    a mask with a cell outside the n x n grid.
+    Blocks are taken in element order, the bound of each read with one
+    index as it is reached.  rows, if given, are the rows of mask
+    (rows[x] the successors of x), which the caller vouches for: the
+    orderly walk holds them already.  Raises DomainError for n outside
+    1..IS_CANONICAL_MAX, or, when rows are not given, a mask with a cell
+    outside the n x n grid.
     """
     blocks = _perm_row_tables(n)
-    if mask >> (n * n):
-        _check_grid(n, mask)    # raises; the inline test spares a call
-    full = (1 << n) - 1
-    succ = [mask >> (x * n) & full for x in range(n)]
-    top = succ[::-1]
-    t = top[0]
-    loop_bit = n - 1
-    for x, block in enumerate(blocks):
-        s = succ[x]
-        loop = s >> x & 1
-        least = (1 << s.bit_count() - loop) - 1 | loop << loop_bit
-        if least != t:
-            if least < t:
+    if rows is None:
+        if mask >> (n * n):
+            _check_grid(n, mask)    # raises; the inline test spares a call
+        full = (1 << n) - 1
+        rows = [mask >> (x * n) & full for x in range(n)]
+    t = rows[-1]
+    below = rows[-2::-1]                # the rows at labels n-2 down to 0
+    for s, (least, ties) in zip(rows, blocks):
+        bound = least[s]
+        if bound != t:
+            if bound < t:
                 return False
             continue
-        for sources, rowmap in block:
-            for want, y in zip(top, sources):
-                got = rowmap[succ[y]]
+        for sources, rowmap in ties[s]:
+            for want, y in zip(below, sources):
+                got = rowmap[rows[y]]
                 if got != want:
                     if got < want:
                         return False
@@ -350,21 +381,31 @@ def _canonical_masks(n: int, irreflexive: bool,
     node's cells from k up, so a post-order walk taking children from
     the highest k down yields ascending order.  No encoding in a subtree
     is above its root, so a child at or below after is skipped, subtree
-    and all, without an is_canonical call.
+    and all, without an is_canonical call.  Each node keeps its rows, and
+    a child's are its parent's with one bit cleared, handed to
+    is_canonical with the child.
     """
-    bits = [1 << (i * n + j) for i in range(n) for j in range(n)
-            if not (irreflexive and i == j)]
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if not (irreflexive and i == j)]
+    bits = [1 << (i * n + j) for i, j in cells]
     root = sum(bits)
-    # (node, its untried cells below)
-    stack = [(root, len(bits))] if root > after else []
+    full = (1 << n) - 1
+    root_rows = [full ^ (irreflexive << i) for i in range(n)]
+    # (node, its rows, its untried cells below)
+    stack = [(root, root_rows, len(bits))] if root > after else []
     while stack:
-        mask, k = stack.pop()
+        mask, rows, k = stack.pop()
         while k:
             k -= 1
             child = mask ^ bits[k]
-            if child > after and is_canonical(n, child):
-                stack.append((mask, k))
-                stack.append((child, k))
+            if child <= after:
+                continue
+            i, j = cells[k]
+            child_rows = rows.copy()
+            child_rows[i] ^= 1 << j
+            if is_canonical(n, child, child_rows):
+                stack.append((mask, rows, k))
+                stack.append((child, child_rows, k))
                 break
         else:
             yield mask

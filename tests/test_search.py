@@ -557,14 +557,49 @@ def test_canonical_form_is_exact_and_relabelling_invariant(case):
 
 # -- row-table is_canonical and orderly generation against the scans -----------
 
+def _rows(n, mask):
+    full = (1 << n) - 1
+    return [mask >> (x * n) & full for x in range(n)]
+
+
 def test_is_canonical_matches_scan_on_small_relations_and_posets():
     for n in range(1, 5):
         for mask in range(1 << (n * n)):
-            assert is_canonical(n, mask) == _is_canonical_scan(n, mask)
+            want = _is_canonical_scan(n, mask)
+            assert is_canonical(n, mask) == want
+            assert is_canonical(n, mask, _rows(n, mask)) == want
     # canonical inputs make both sides try every permutation
     for mask in _order_compatible_posets(5):
         for m in (mask, canonical_form(5, mask)):
             assert is_canonical(5, m) == _is_canonical_scan(5, m)
+
+
+def test_perm_row_tables_list_the_permutations_that_reach_each_bound():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+
+        def image(p, v):
+            return sum(1 << p[y] for y in range(n) if v >> y & 1)
+
+        def entry(p):
+            return (tuple(p.index(label) for label in range(n - 2, -1, -1)),
+                    tuple(image(p, row) for row in range(1 << n)))
+
+        blocks = search._perm_row_tables(n)
+        assert len(blocks) == n
+        for x, (least, ties) in enumerate(blocks):
+            block = [p for p in perms if p[x] == n - 1]
+            # the identity, which leaves every encoding as it is, is not
+            # listed
+            listed = [p for p in block if p != perms[0]]
+            assert len(least) == len(ties) == 1 << n
+            for v in range(1 << n):
+                loop = v >> x & 1
+                assert least[v] == ((1 << v.bit_count() - loop) - 1
+                                    | loop << (n - 1))
+                assert least[v] == min(image(p, v) for p in block)
+                assert list(ties[v]) == [entry(p) for p in listed
+                                         if image(p, v) == least[v]]
 
 
 @st.composite
@@ -578,7 +613,9 @@ def larger_relations(draw):
 def test_is_canonical_matches_scan_on_random_relations(case):
     n, mask = case
     for m in (mask, canonical_form(n, mask)):
-        assert is_canonical(n, m) == _is_canonical_scan(n, m)
+        want = _is_canonical_scan(n, m)
+        assert is_canonical(n, m) == want
+        assert is_canonical(n, m, _rows(n, m)) == want
 
 
 def _tie_heavy_relations(n):
@@ -694,6 +731,29 @@ def test_orderly_generation_matches_canonical_filter():
             for after in [-1] + want + [want[-1] + 1]:
                 assert list(_canonical_masks(n, irreflexive, after)) \
                     == [m for m in want if m > after]
+
+
+def test_orderly_walk_hands_is_canonical_the_rows_of_each_child(
+        monkeypatch):
+    scan = search.is_canonical
+    calls = []
+
+    def checked(n, mask, *rows):
+        assert len(rows) == 1 and list(rows[0]) == _rows(n, mask)
+        calls.append(mask)
+        return scan(n, mask, *rows)
+
+    monkeypatch.setattr(search, "is_canonical", checked)
+    for n in range(1, 5):
+        for irreflexive in (False, True):
+            calls.clear()
+            classes = list(_canonical_masks(n, irreflexive))
+            # every class but the root is the child of one call
+            assert len(calls) >= len(classes) - 1
+            if n == 4:
+                # handing rows on changes no call: the walk's counts
+                assert (len(calls), len(classes)) \
+                    == ((409, 218) if irreflexive else (4806, 3044))
 
 
 def _is_transitive(n, mask):
@@ -942,12 +1002,12 @@ def test_orderly_generation_is_lazy(monkeypatch):
     calls = 0
     scan = search.is_canonical
 
-    def counted(n, mask):
+    def counted(n, mask, *rows):
         nonlocal calls
         calls += 1
         if calls > 2000:
             raise AssertionError("orderly generation is not lazy")
-        return scan(n, mask)
+        return scan(n, mask, *rows)
 
     monkeypatch.setattr(search, "is_canonical", counted)
     assert next(_canonical_masks(6, False)) == 0
@@ -961,13 +1021,13 @@ def _counted_is_canonical(monkeypatch, fail_after=None, masks=None):
     calls = [0]
     scan = search.is_canonical
 
-    def counted(n, mask):
+    def counted(n, mask, *rows):
         calls[0] += 1
         if masks is not None:
             masks.append(mask)
         if fail_after is not None and calls[0] > fail_after:
             raise RuntimeError("stopped mid-walk")
-        return scan(n, mask)
+        return scan(n, mask, *rows)
 
     monkeypatch.setattr(search, "is_canonical", counted)
     return calls
