@@ -292,9 +292,8 @@ class ParthoodStructure:
 
     def __reduce__(self):
         """Pickle and copy the labels and the five derived mask tuples.
-        What is filled on first use is left out (kept subset tables may
-        be memoryviews, which do not pickle) and is filled again when
-        next read."""
+        What is filled on first use is left out, and is filled again
+        when next read."""
         return self._from_fields, (self.n, self._fields(), self._labels)
 
     @property

@@ -46,9 +46,9 @@ Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
 a later search calls is_canonical only past the classes an earlier one
 found, and makes each class's structure from kept field tuples
-instead of building it, within a byte budget per walk (_iso_candidates;
-_SharedWalk says what is kept and what it costs).  Labelled walks are
-not shared.
+instead of building it, within a byte budget per walk, and none above
+IS_CANONICAL_MAX elements (_iso_candidates; _SharedWalk says what is
+kept and what it costs).  Labelled walks are not shared.
 The walk is chosen from what the constraints entail, not only from the
 codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
 of strict partial orders guarantees AS, AC and ANTIS as well as T and
@@ -67,11 +67,11 @@ import bisect
 import functools
 import itertools
 import sys
-from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import DomainError, ParthoodStructure, _Record, _check_grid, _set
+from .core import (MAX_UNIVERSE_SIZE, DomainError, ParthoodStructure,
+                   _Record, _check_grid, _set)
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -92,6 +92,8 @@ class SearchSpec(_Record):
                  forbid: Iterable[AxiomLike] = (), up_to_iso: bool = True):
         if max_n < 1:
             raise ValueError("max_n must be at least 1")
+        if max_n > MAX_UNIVERSE_SIZE:
+            raise ValueError(f"max_n must be at most {MAX_UNIVERSE_SIZE}")
         ambient = tuple(axiom_id(a) for a in ambient)
         require = tuple(axiom_id(a) for a in require)
         forbid = tuple(axiom_id(a) for a in forbid)
@@ -425,17 +427,20 @@ def _transitive_masks(n: int, irreflexive: bool,
     later of the two is decided.
 
     With top_bound, a value r of row i is also dropped, with every
-    relation below it, when least(i) = (2^k - 1) | [i P i] 2^(n-1), k
-    the successors of i other than itself, is below the top row (r
-    itself for i = n-1).  That is is_canonical's block bound: some
-    relabelling sending i to the top label gives a smaller encoding, so
-    only non-canonical relations are dropped, and an up-to-isomorphism
-    walk keeps its canonical members in the same order.
+    relation below it, when least(i), read at r from block i of
+    _perm_row_tables, is below the top row (r itself for i = n-1).
+    That is is_canonical's block bound: some relabelling sending i to
+    the top label gives a smaller encoding, so only non-canonical
+    relations are dropped, and an up-to-isomorphism walk keeps its
+    canonical members in the same order.  So top_bound, like
+    is_canonical, takes 1 to IS_CANONICAL_MAX elements.
     """
     full = (1 << n) - 1
     rows = [0] * n
     uppers = [0] * n
     prefix = [0] * (n + 1)      # prefix[i]: encoding of the rows above i
+    if top_bound:
+        leasts = [least for least, _ in _perm_row_tables(n)]
 
     def upper_of(i: int) -> int:
         upper = full ^ (1 << i) if irreflexive else full
@@ -455,9 +460,8 @@ def _transitive_masks(n: int, irreflexive: bool,
                 break
             above ^= low
         else:
-            if top_bound and ((1 << (r & ~(1 << i)).bit_count()) - 1
-                              | (r >> i & 1) << (n - 1)) \
-                    < (rows[n - 1] if i < n - 1 else r):
+            if top_bound and leasts[i][r] < (rows[n - 1] if i < n - 1
+                                             else r):
                 pass                # least(i) below the top row: skip
             elif i == 0:
                 yield prefix[1] | r
@@ -587,30 +591,11 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return has_t, has_irr, residual
 
 
-# What one shared walk may keep, in bytes: the field tuples of its
-# classes and their packed subset tables, as _SharedWalk counts them.
-# The largest benchmark walk, every relation at n=4, keeps about 2 MB.
+# What one shared walk of up to IS_CANONICAL_MAX elements may keep, in
+# bytes: the field tuples of its classes and their subset tables, as
+# _SharedWalk counts them.  The largest benchmark walk, every relation
+# at n=4, keeps about 2 MB.
 WALK_BUDGET_BYTES = 8 << 20
-
-
-def _pack_tables(n: int, tables) -> tuple[Sequence[int], Sequence[int]]:
-    """A pair of subset tables packed read-only: bytes up to n=8, a
-    read-only view of an array('H') above."""
-    if n <= 8:
-        return bytes(tables[0]), bytes(tables[1])
-    return tuple(memoryview(array("H", t)).toreadonly() for t in tables)
-
-
-def _kept_bytes(value) -> int:
-    """The size of value by sys.getsizeof: a tuple with its items, less
-    the small ints every process shares, and a view with its array."""
-    size = sys.getsizeof(value)
-    if isinstance(value, tuple):
-        size += sum(_kept_bytes(v) for v in value
-                    if not isinstance(v, int) or v > 256)
-    elif isinstance(value, memoryview):
-        size += sys.getsizeof(value.obj)
-    return size
 
 
 class _SharedWalk:
@@ -629,20 +614,29 @@ class _SharedWalk:
 
     _tables holds one slot per kept class: None until a consumer has
     read the class's subset tables, then the pair (ub, ov) packed
-    read-only (_pack_tables).  Each structure a consumer gets carries
-    the kept pair, if there is one; when the consumer asks for the next
-    class, the pair it filled is packed into the slot, if that is still
-    empty.  So a consumer that stops early or raises keeps nothing.
+    read-only into two bytes objects.  Each structure a consumer gets
+    carries the kept pair, if there is one; when the consumer asks for
+    the next class, the pair it filled is packed into the slot, if that
+    is still empty.  So a consumer that stops early or raises keeps
+    nothing.
 
-    By sys.getsizeof (_kept_bytes), a class costs 5(40 + 8n) + 96 bytes
-    (456 at n=4, and 140n more for its ints above n=8) and its packed
-    tables 2(2^n + 33) + 56 (154 at n=4).  _bytes counts what is kept,
-    within WALK_BUDGET_BYTES as read when the walk is made.  Past it, no
-    class or table is kept: the consumer that reached it takes over the
-    live walk, later ones restart it past the kept classes, and each
-    builds every structure from there on.  start(after) walks only the
-    encodings above after, the last kept class's (-1 for none), so a
-    restart checks nothing the kept classes cover.
+    _bytes counts what is kept, by sys.getsizeof, within the budget
+    read when the walk is made.  Up to IS_CANONICAL_MAX elements the
+    budget is WALK_BUDGET_BYTES, and every kept value is one of the ints
+    below 256 that every process shares, so a class costs 5(40 + 8n) +
+    96 bytes (456 at n=4) and its tables, whose entries fit a byte,
+    2(2^n + 33) + 56 (154 at n=4).  Past the budget, no class or table
+    is kept: the consumer that reached it takes over the live walk,
+    later ones restart it past the kept classes, and each builds every
+    structure from there on.  start(after) walks only the encodings
+    above after, the last kept class's (-1 for none), so a restart
+    checks nothing the kept classes cover.
+
+    Above IS_CANONICAL_MAX elements the budget is 0 and nothing is
+    kept.  The only walk that runs there is the census of strict partial
+    orders, whose classes the budget would hold 2.4% of at n=9 (4,378
+    of 183,231), and whose values and table entries would fit neither
+    the shared ints nor a byte.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -658,15 +652,17 @@ class _SharedWalk:
         self._n = n
         self._start = start     # after -> the walk past encoding after
         self._classes: list[tuple[tuple[int, ...], ...]] = []
-        self._tables: list[Optional[tuple[Sequence[int], Sequence[int]]]] = []
+        self._tables: list[Optional[tuple[bytes, bytes]]] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
         self._bytes = 0
-        self._budget = WALK_BUDGET_BYTES
-        # a class's five tuples, each value its own int above 256, with
-        # its slots in both lists; and a pair of packed tables
-        self._costs = (_kept_bytes((((1 << n) - 1,) * n,) * 5) + 16,
-                       _kept_bytes(_pack_tables(n, ([0] * (1 << n),) * 2)))
+        self._budget = WALK_BUDGET_BYTES if n <= IS_CANONICAL_MAX else 0
+        # a class's five tuples, with its slots in both lists; and a pair
+        # of packed tables
+        fields = ((0,) * n,) * 5
+        pair = (bytes(1 << n),) * 2
+        self._costs = (sum(map(sys.getsizeof, (fields, *fields))) + 16,
+                       sum(map(sys.getsizeof, (pair, *pair))))
 
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""
@@ -709,7 +705,7 @@ class _SharedWalk:
             yield s
             if tables[i] is None and s._subset_tables is not None \
                     and self._bytes + table_bytes <= self._budget:
-                tables[i] = _pack_tables(n, s._subset_tables)
+                tables[i] = tuple(map(bytes, s._subset_tables))
                 self._bytes += table_bytes
             i += 1
         # past the budget: the rest of the walk, unshared

@@ -77,9 +77,9 @@ def subset_tables(s: ParthoodStructure) \
 
     Both tables are built by doubling over the elements, 2^n entries
     each, once per structure: the result is kept in the structure's
-    `_subset_tables` slot, where a shared up-to-isomorphism walk may
-    have set them already, packed read-only.  Entry m equals
-    `subset_entry(s, m)`.
+    `_subset_tables` slot, where a shared up-to-isomorphism walk of at
+    most eight elements may have set them already, packed read-only
+    into two bytes objects.  Entry m equals `subset_entry(s, m)`.
     """
     tables = s._subset_tables
     if tables is None:

@@ -7,7 +7,6 @@ at most n, up to isomorphism.
 """
 
 import io
-import itertools
 import time
 from contextlib import contextmanager
 
@@ -24,6 +23,7 @@ from mereo.search import enumerate_model_masks
 from mereo.sums import difference, product, product_by_cases
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture
+from oracles import _canonical_form_scan
 
 
 @contextmanager
@@ -215,19 +215,6 @@ def test_c07_super_supplementation_suite():
 NAIVE_CM_COUNTS = {1: 1, 2: 0, 3: 1, 4: 0}
 
 
-def _naive_canon(n, mask):
-    best = None
-    for p in itertools.permutations(range(n)):
-        out = 0
-        for i in range(n):
-            for j in range(n):
-                if mask >> (i * n + j) & 1:
-                    out |= 1 << (p[i] * n + p[j])
-        if best is None or out < best:
-            best = out
-    return best
-
-
 def test_c08_boolean_correspondence():
     with criterion("8 Boolean-lattice correspondence and model census"):
         t0 = time.monotonic()
@@ -247,7 +234,7 @@ def test_c08_boolean_correspondence():
             for mask in range(1 << (n * n)):
                 s = ParthoodStructure.from_mask(n, mask)
                 if satisfies(s, cm):
-                    classes.add(_naive_canon(n, mask))
+                    classes.add(_canonical_form_scan(n, mask))
             assert len(classes) == want, n
         assert time.monotonic() - t0 < 600.0
 

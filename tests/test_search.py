@@ -32,12 +32,8 @@ def naive_class_count(n, keep):
     for mask in range(1 << (n * n)):
         s = ParthoodStructure.from_mask(n, mask)
         if keep(s):
-            classes.add(_naive_canon(n, mask))
+            classes.add(_canonical_form_scan(n, mask))
     return len(classes)
-
-
-def _naive_canon(n, mask):
-    return min(_relabel(n, mask, p) for p in itertools.permutations(range(n)))
 
 
 def _relabel(n, mask, p):
@@ -1070,29 +1066,25 @@ def _assert_store_aligned(walk, n, want):
                              mask)
         if walk._tables[i] is not None:
             _assert_kept_tables(walk._tables[i], n, mask)
-    # above n=8 the walk counts every value as an int of its own
-    assert _store_bytes(walk) <= walk._bytes <= walk._budget
-    assert n > 8 or _store_bytes(walk) == walk._bytes
+    assert _store_bytes(walk) == walk._bytes <= walk._budget
 
 
 def _store_bytes(walk):
     """What the walk keeps, recounted by sys.getsizeof: each class's
-    tuples, with the ints above the small ones a process shares, and its
-    slot in both lists; each packed table, with the array under a
-    view."""
+    tuples, whose values are small ints a process shares, and its slot
+    in both lists; each pair of packed tables."""
     size = 0
     for fields in walk._classes:
         size += sys.getsizeof(fields) + 16
         for f in fields:
-            size += sys.getsizeof(f) + sum(sys.getsizeof(v)
-                                           for v in f if v > 256)
+            assert all(0 <= v < 256 for v in f)
+            size += sys.getsizeof(f)
     for pair in walk._tables:
         if pair is not None:
             size += sys.getsizeof(pair)
             for table in pair:
+                assert type(table) is bytes
                 size += sys.getsizeof(table)
-                if isinstance(table, memoryview):
-                    size += sys.getsizeof(table.obj)
     return size
 
 
@@ -1251,20 +1243,34 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
     assert count_models(n, ["U_SUM"] + _generating_codes(key)) == first
 
 
-def test_tables_above_eight_elements_are_kept_as_read_only_shorts():
+def test_a_walk_above_eight_elements_keeps_nothing():
     # a chain and an antichain on nine elements: table entries above 255
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
     walk = search._SharedWalk(n, lambda after: (m for m in want if m > after))
-    for s in walk:
-        sums.subset_tables(s)
-    second = list(walk)
-    assert [s.relation_mask for s in second] == want
-    for m, s in zip(want, second):
-        assert isinstance(s._subset_tables[0], memoryview)
-        _assert_kept_tables(s._subset_tables, n, m)
-    _assert_store_aligned(walk, n, want)
+    assert walk._budget == 0
+    seen = []
+    for _ in range(2):
+        got = []
+        for s in walk:
+            _assert_built_afresh(s, n, want[len(got)])
+            sums.subset_tables(s)   # tables a walk with room would keep
+            got.append(s)
+        assert [s.relation_mask for s in got] == want
+        assert (walk._classes, walk._tables, walk._bytes) == ([], [], 0)
+        seen += got
+    assert len({id(s) for s in seen}) == 2 * len(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walk_costs_are_one_class_and_one_table_pair_by_getsizeof(n):
+    full = ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
+    walk = search._SharedWalk(n, lambda after: iter(()))
+    walk._classes.append(full._fields())
+    walk._tables.append(tuple(map(bytes, sums.subset_tables(full))))
+    assert _store_bytes(walk) == sum(walk._costs)
+    assert walk._budget == search.WALK_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
@@ -1460,15 +1466,29 @@ _GENERATING = [(), ("T",), ("IRR",), ("T", "IRR")]
 @pytest.mark.parametrize("n", [-1, 0, 13])
 def test_enumeration_refuses_sizes_outside_the_cap_before_walking(
         n, codes, up_to_iso, monkeypatch):
+    _forbid_walks(monkeypatch)
+    with pytest.raises(DomainError,
+                       match=rf"universe size {n} outside 1\.\.12$"):
+        count_models(n, codes, up_to_iso)
+
+
+def _forbid_walks(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk was started")
 
     for name in ("_iso_candidates", "_poset_classes", "_canonical_masks",
                  "_transitive_masks", "_all_masks"):
         monkeypatch.setattr(search, name, no_walk)
-    with pytest.raises(DomainError,
-                       match=rf"universe size {n} outside 1\.\.12$"):
-        count_models(n, codes, up_to_iso)
+
+
+@pytest.mark.parametrize("codes", _GENERATING)
+def test_a_search_past_the_cap_is_refused_before_walking(codes, monkeypatch):
+    _forbid_walks(monkeypatch)
+    with pytest.raises(ValueError, match=r"^max_n must be at most 12$"):
+        SearchSpec(max_n=13, ambient=codes)
+    with pytest.raises(ValueError, match=r"^max_n must be at most 12$"):
+        verify_implication(codes, ["WSP"], "SSP", max_n=13)
+    assert SearchSpec(max_n=12, ambient=codes).max_n == 12
 
 
 def test_claims_agree_forwards_backwards_and_cold():
