@@ -133,7 +133,15 @@ def load_structure(path: str) -> tuple[str, ParthoodStructure]:
         return "-", parse_structure(sys.stdin.read())
     # bytes decoded at once; splitlines takes \r\n and \r as text mode would
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line parse_structure would number: the lines before the
+        # bad byte, plus its own
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line_no, f"not UTF-8 (byte 0x{data[exc.start]:02x})"
+                         ) from None
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".txt"):
         name = name[:-4]
@@ -334,23 +342,17 @@ def _cmd_alg(args, out) -> int:
     try:
         res = op(s, *labels)
     except UniquenessFault as fault:
-        if args.json:
-            _emit(out, _dumps({"structure": name, "op": args.op,
-                               "args": labels, "result": None,
-                               "ambiguous":
-                               [e.label for e in fault.candidates]}))
-        else:
-            _emit(out, f"{args.op}: ambiguous ("
-                  + ", ".join(e.label for e in fault.candidates) + ")")
-        return 1
-    if args.json:
-        _emit(out, _dumps({"structure": name, "op": args.op,
-                           "args": labels,
-                           "result": None if res is None else res.label,
-                           "ambiguous": None}))
+        result, ambiguous = None, [e.label for e in fault.candidates]
     else:
-        _emit(out, f"{args.op}: {'absent' if res is None else res.label}")
-    return 0
+        result, ambiguous = None if res is None else res.label, None
+    if args.json:
+        _emit(out, _dumps({"structure": name, "op": args.op, "args": labels,
+                           "result": result, "ambiguous": ambiguous}))
+    else:
+        text = (f"ambiguous ({', '.join(ambiguous)})" if ambiguous is not None
+                else "absent" if result is None else result)
+        _emit(out, f"{args.op}: {text}")
+    return 0 if ambiguous is None else 1
 
 
 def _cmd_enumerate(args, out) -> int:

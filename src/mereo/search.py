@@ -46,9 +46,10 @@ Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
 a later search calls is_canonical only past the classes an earlier one
 found, and makes each class's structure from kept field tuples
-instead of building it, within a byte budget per walk, and none above
-IS_CANONICAL_MAX elements (_iso_candidates; _SharedWalk says what is
-kept and what it costs).  Labelled walks are not shared.
+instead of building it, up to a class cap per walk that a byte budget
+sets when the walk is made, and none above IS_CANONICAL_MAX elements
+(_iso_candidates; _SharedWalk says what a class reserves).  Labelled
+walks are not shared.
 The walk is chosen from what the constraints entail, not only from the
 codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
 of strict partial orders guarantees AS, AC and ANTIS as well as T and
@@ -592,9 +593,9 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 
 # What one shared walk of up to IS_CANONICAL_MAX elements may keep, in
-# bytes: the field tuples of its classes and their subset tables, as
-# _SharedWalk counts them.  The largest benchmark walk, every relation
-# at n=4, keeps about 2 MB.
+# bytes: the field tuples of its classes and their subset tables, which
+# _SharedWalk turns into a class cap.  The largest benchmark walk, every
+# relation at n=4, keeps 3,044 classes against a cap of 13,751.
 WALK_BUDGET_BYTES = 8 << 20
 
 
@@ -620,23 +621,21 @@ class _SharedWalk:
     is still empty.  So a consumer that stops early or raises keeps
     nothing.
 
-    _bytes counts what is kept, by sys.getsizeof, within the budget
-    read when the walk is made.  Up to IS_CANONICAL_MAX elements the
-    budget is WALK_BUDGET_BYTES, and every kept value is one of the ints
-    below 256 that every process shares, so a class costs 5(40 + 8n) +
-    96 bytes (456 at n=4) and its tables, whose entries fit a byte,
-    2(2^n + 33) + 56 (154 at n=4).  Past the budget, no class or table
-    is kept: the consumer that reached it takes over the live walk,
-    later ones restart it past the kept classes, and each builds every
-    structure from there on.  start(after) walks only the encodings
-    above after, the last kept class's (-1 for none), so a restart
-    checks nothing the kept classes cover.
-
-    Above IS_CANONICAL_MAX elements the budget is 0 and nothing is
-    kept.  The only walk that runs there is the census of strict partial
-    orders, whose classes the budget would hold 2.4% of at n=9 (4,378
-    of 183,231), and whose values and table entries would fit neither
-    the shared ints nor a byte.
+    The walk keeps at most _cap classes, worked out when it is made: each
+    kept class reserves room for its tables, so a pair filled later
+    always fits and the kept bytes stay within WALK_BUDGET_BYTES whatever
+    the consumers read.  Up to IS_CANONICAL_MAX elements every kept value
+    is one of the ints below 256 that every process shares, and every
+    table entry fits a byte, so by sys.getsizeof a class costs
+    5(40 + 8n) + 96 bytes and its tables 2(2^n + 33) + 56: 610 together
+    at n=4, a cap of 13,751.  Past the cap, no class is kept: the
+    consumer that reached it takes over the live walk, later ones
+    restart it past the kept classes, and each builds every structure
+    from there on.  start(after) walks only the encodings above after,
+    the last kept class's (-1 for none), so a restart checks nothing the
+    kept classes cover.  Above IS_CANONICAL_MAX elements the cap is 0:
+    the only walk there is the census of strict partial orders, whose
+    values and table entries fit neither the shared ints nor a byte.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -646,7 +645,7 @@ class _SharedWalk:
     """
 
     __slots__ = ("_n", "_start", "_classes", "_tables", "_walk", "_done",
-                 "_bytes", "_budget", "_costs")
+                 "_cap")
 
     def __init__(self, n: int, start):
         self._n = n
@@ -655,14 +654,12 @@ class _SharedWalk:
         self._tables: list[Optional[tuple[bytes, bytes]]] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
-        self._bytes = 0
-        self._budget = WALK_BUDGET_BYTES if n <= IS_CANONICAL_MAX else 0
-        # a class's five tuples, with its slots in both lists; and a pair
+        # a class's five tuples, with its slots in both lists, and a pair
         # of packed tables
         fields = ((0,) * n,) * 5
         pair = (bytes(1 << n),) * 2
-        self._costs = (sum(map(sys.getsizeof, (fields, *fields))) + 16,
-                       sum(map(sys.getsizeof, (pair, *pair))))
+        size = sum(map(sys.getsizeof, (fields, *fields, pair, *pair))) + 16
+        self._cap = WALK_BUDGET_BYTES // size if n <= IS_CANONICAL_MAX else 0
 
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""
@@ -684,7 +681,7 @@ class _SharedWalk:
         tables = self._tables
         from_fields = ParthoodStructure._from_fields
         from_mask = ParthoodStructure.from_mask
-        class_bytes, table_bytes = self._costs
+        cap = self._cap
         i = 0
         while True:
             if i < len(classes):
@@ -692,7 +689,7 @@ class _SharedWalk:
                 s._subset_tables = tables[i]
             elif self._done:
                 return
-            elif self._bytes + class_bytes > self._budget:
+            elif i >= cap:
                 break
             else:
                 m = self._next_mask()
@@ -701,14 +698,11 @@ class _SharedWalk:
                 s = from_mask(n, m)
                 classes.append(s._fields())
                 tables.append(None)
-                self._bytes += class_bytes
             yield s
-            if tables[i] is None and s._subset_tables is not None \
-                    and self._bytes + table_bytes <= self._budget:
+            if tables[i] is None and s._subset_tables is not None:
                 tables[i] = tuple(map(bytes, s._subset_tables))
-                self._bytes += table_bytes
             i += 1
-        # past the budget: the rest of the walk, unshared
+        # past the cap: the rest of the walk, unshared
         walk, self._walk = self._walk, None
         for m in walk or self._restart():
             yield from_mask(n, m)

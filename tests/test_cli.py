@@ -143,6 +143,26 @@ def test_files_read_as_bytes_parse_as_text_mode_reads(tmp_path,
             assert s._labels == want._labels
 
 
+@pytest.mark.parametrize("data,line_no", [
+    (b"elements: a b\npart: a < \xff\n", 2),
+    (b"\xfe", 1),
+    # a line ends at \r and \r\n too; the sequence is cut after its lead
+    (b"# \xc3\xa9\r\r\nelements: a b\rpart: a < \xe2\x82\n", 4),
+])
+def test_a_file_that_is_not_utf8_is_a_parse_error(data, line_no, tmp_path,
+                                                  capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_structure(str(bad))
+    assert exc.value.line_no == line_no
+    code, out = run_cli("check", str(bad), "--theory", "SPO")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: line {line_no}: not UTF-8 (byte 0x")
+    assert "Traceback" not in err
+
+
 # -- commands ------------------------------------------------------------------
 
 def fx(name):

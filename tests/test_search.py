@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1052,12 +1054,13 @@ def _assert_built_afresh(s, n, mask):
 
 
 def _assert_store_aligned(walk, n, want):
-    """The walk keeps a prefix of the classes want, in order: the five
-    field tuples of each, and one table slot each, holding None or that
-    class's subset tables; and what it counts as kept is all it keeps,
-    within its budget."""
+    """The walk keeps a prefix of the classes want, in order, at most its
+    cap: the five field tuples of each, and one table slot each, holding
+    None or that class's subset tables; and what it keeps, with room for
+    every empty slot's tables, is within the budget."""
     kept = len(walk._classes)
     assert kept <= len(want)
+    assert kept <= walk._cap
     assert len(walk._tables) == kept
     for i, mask in enumerate(want[:kept]):
         fields = walk._classes[i]
@@ -1066,7 +1069,8 @@ def _assert_store_aligned(walk, n, want):
                              mask)
         if walk._tables[i] is not None:
             _assert_kept_tables(walk._tables[i], n, mask)
-    assert _store_bytes(walk) == walk._bytes <= walk._budget
+    assert _store_bytes(walk) <= walk._cap * _per_class(n) \
+        <= search.WALK_BUDGET_BYTES
 
 
 def _store_bytes(walk):
@@ -1086,6 +1090,16 @@ def _store_bytes(walk):
                 assert type(table) is bytes
                 size += sys.getsizeof(table)
     return size
+
+
+def _per_class(n):
+    """One class with its tables, recounted by sys.getsizeof: the full
+    relation's, on n <= 8 elements."""
+    full = ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
+    walk = search._SharedWalk(n, lambda after: iter(()))
+    walk._classes.append(full._fields())
+    walk._tables.append(tuple(map(bytes, sums.subset_tables(full))))
+    return _store_bytes(walk)
 
 
 def _assert_kept_tables(tables, n, mask):
@@ -1249,7 +1263,7 @@ def test_a_walk_above_eight_elements_keeps_nothing():
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
     walk = search._SharedWalk(n, lambda after: (m for m in want if m > after))
-    assert walk._budget == 0
+    assert walk._cap == 0
     seen = []
     for _ in range(2):
         got = []
@@ -1258,19 +1272,18 @@ def test_a_walk_above_eight_elements_keeps_nothing():
             sums.subset_tables(s)   # tables a walk with room would keep
             got.append(s)
         assert [s.relation_mask for s in got] == want
-        assert (walk._classes, walk._tables, walk._bytes) == ([], [], 0)
+        assert (walk._classes, walk._tables) == ([], [])
         seen += got
     assert len({id(s) for s in seen}) == 2 * len(want)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_walk_costs_are_one_class_and_one_table_pair_by_getsizeof(n):
-    full = ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
     walk = search._SharedWalk(n, lambda after: iter(()))
-    walk._classes.append(full._fields())
-    walk._tables.append(tuple(map(bytes, sums.subset_tables(full))))
-    assert _store_bytes(walk) == sum(walk._costs)
-    assert walk._budget == search.WALK_BUDGET_BYTES
+    if n <= 8:
+        assert walk._cap == search.WALK_BUDGET_BYTES // _per_class(n)
+    else:
+        assert walk._cap == 0
 
 
 @pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
@@ -1359,7 +1372,7 @@ def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
     want = [enumerate_model_masks(n, c) for c in searches]
     walk_budget(budget)
     walk = search._iso_candidates(*key)
-    assert walk._budget == budget
+    assert walk._cap == budget // _per_class(n)
     for _ in range(2):
         assert [enumerate_model_masks(n, c) for c in searches] == want
         _assert_store_aligned(walk, n, _unshared_iso_walk(n, codes))
@@ -1374,19 +1387,19 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     calls = _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
     cold, cold_checked = calls[0], checked[:]
-    # U_SUM reads every class's tables: about 80 classes fit
+    # U_SUM reads every class's tables: 81 classes fit
     walk_budget(50_000)
     walk = search._iso_candidates(n, False, False)
     calls[0] = 0
     got = []
     for s in enumerate_models(n, ["U_SUM"]):
-        assert walk._bytes <= 50_000
+        assert _store_bytes(walk) <= 50_000
         got.append(s.relation_mask)
     assert got == want
     kept = len(walk._classes)
-    assert 0 < kept < len(classes)
-    # the budget may leave room for a last class but not its tables
-    assert None not in walk._tables[:-1]
+    assert kept == walk._cap == 81
+    # each kept class had room for its tables
+    assert None not in walk._tables
     _assert_store_aligned(walk, n, classes)
     # the search that reached the budget walked on from where it was
     assert calls[0] == cold
@@ -1402,14 +1415,14 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     monkeypatch.setattr(ParthoodStructure, "__init__", counted)
     table_builds = _count_table_builds(monkeypatch)
     checked.clear()
-    kept_bytes = walk._bytes
+    kept_bytes = _store_bytes(walk)
     assert enumerate_model_masks(n, ["U_SUM"]) == want
     last = classes[kept - 1]
     assert checked == [m for m in cold_checked if m > last]
     assert 0 < len(checked) < cold
     assert builds[0] == len(classes) - kept
     assert table_builds[0] == builds[0] + walk._tables.count(None)
-    assert (len(walk._classes), walk._bytes) == (kept, kept_bytes)
+    assert (len(walk._classes), _store_bytes(walk)) == (kept, kept_bytes)
     _assert_store_aligned(walk, n, classes)
 
 
@@ -1428,7 +1441,7 @@ def test_a_restarted_walk_checks_nothing_the_kept_classes_cover(
     walk = search._iso_candidates(*key)
     assert enumerate_model_masks(n, codes) == want
     kept = len(walk._classes)
-    assert kept == min(len(want), budget // walk._costs[0])
+    assert kept == min(len(want), walk._cap)
     checked.clear()
     assert enumerate_model_masks(n, codes) == want
     # no encoding at or below the last kept class is checked again
@@ -1454,8 +1467,51 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
             seen[k] += [s.relation_mask for s in chunk]
             live |= bool(chunk)
     assert seen == [want] * 3
-    assert len(walk._classes) == min(len(want), budget // 456)
+    assert len(walk._classes) == min(len(want), walk._cap)
     _assert_store_aligned(walk, n, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_and_u_sum_models(key):
+    """The classes of the walk at key, found without a shared walk, and
+    those of them that satisfy U_SUM."""
+    n = key[0]
+    want = _unshared_iso_walk(n, _generating_codes(key))
+    return want, [m for m in want
+                  if satisfies(ParthoodStructure.from_mask(n, m), ["U_SUM"])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from([k for k in _ISO_KEYS if k[0] <= 4]),
+       budget=st.integers(0, 60_000),
+       u_sum=st.lists(st.booleans(), min_size=3, max_size=3),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 150)),
+                      max_size=12))
+def test_any_interleaving_of_consumers_under_any_budget(key, budget, u_sum,
+                                                        steps):
+    # consumer k is a plain walk or a U_SUM search, which reads the tables
+    # of every class it is handed; each advances by the drawn steps, then
+    # all run to the end in turn
+    n = key[0]
+    codes = _generating_codes(key)
+    want, want_u_sum = _walk_and_u_sum_models(key)
+    search._iso_candidates.cache_clear()
+    try:
+        with mock.patch.object(search, "WALK_BUDGET_BYTES", budget):
+            walk = search._iso_candidates(*key)
+            streams = [enumerate_models(n, codes + ["U_SUM"]) if u
+                       else iter(walk) for u in u_sum]
+            seen = [[] for _ in streams]
+            for k, count in steps + [(k, None) for k in range(3)]:
+                seen[k] += [s.relation_mask
+                            for s in itertools.islice(streams[k], count)]
+                assert _store_bytes(walk) <= budget
+            assert seen == [want_u_sum if u else want for u in u_sum]
+            _assert_store_aligned(walk, n, want)
+            if any(u_sum):
+                assert None not in walk._tables
+    finally:
+        search._iso_candidates.cache_clear()
 
 
 _GENERATING = [(), ("T",), ("IRR",), ("T", "IRR")]
