@@ -128,20 +128,25 @@ def serialize(s: ParthoodStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_structure(path: str) -> tuple[str, ParthoodStructure]:
-    if path == "-":
-        return "-", parse_structure(sys.stdin.read())
-    # bytes decoded at once; splitlines takes \r\n and \r as text mode would
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode(data: bytes) -> str:
+    """The bytes of a structure file as text, or a ParseError at the
+    line of the first byte that is not UTF-8."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line parse_structure would number: the lines before the
         # bad byte, plus its own
         line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(line_no, f"not UTF-8 (byte 0x{data[exc.start]:02x})"
                          ) from None
+
+
+def load_structure(path: str) -> tuple[str, ParthoodStructure]:
+    # bytes decoded at once; splitlines takes \r\n and \r as text mode would
+    if path == "-":
+        return "-", parse_structure(_decode(sys.stdin.buffer.read()))
+    with open(path, "rb") as fh:
+        text = _decode(fh.read())
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".txt"):
         name = name[:-4]

@@ -22,8 +22,9 @@ labels.  All queries are pure.
 
 A structure can also be made from the five derived mask tuples of an
 earlier build of the same relation (`_fields`, `_from_fields`), with
-nothing checked, derived or copied, as the shared up-to-isomorphism
-walks of `search` do.
+nothing checked, derived or copied: a shared up-to-isomorphism walk of
+`search` hands each search such a copy of a class that passes its
+checks, with the subset tables kept for it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ MAX_UNIVERSE_SIZE = 12
 
 DEFAULT_LABELS = "abcdefghijkl"
 
-# The default label tuple of each size, shared by the structures made
-# from kept mask tuples.
+# The default label tuple of each size, shared by every structure that
+# from_mask or _from_fields makes with default labels.
 _DEFAULT_LABEL_TUPLES = tuple(tuple(DEFAULT_LABELS[:n])
                               for n in range(MAX_UNIVERSE_SIZE + 1))
 
@@ -189,8 +190,9 @@ class ParthoodStructure:
     Labels are stored as their `str()` forms, which must be pairwise
     distinct; `universe` and the label index are built from them on
     first use.  `_subset_tables` holds the pair of read-only integer
-    sequences `sums.subset_tables` returns: None until that fills it or
-    a shared up-to-isomorphism walk sets the tables it kept.
+    sequences `sums.subset_tables` returns, two bytes objects up to
+    eight elements: None until that fills it or a shared
+    up-to-isomorphism walk sets the tables it kept.
     """
 
     __slots__ = (
@@ -204,10 +206,11 @@ class ParthoodStructure:
         if not 1 <= n <= MAX_UNIVERSE_SIZE:
             raise DomainError(
                 f"universe size {n} outside 1..{MAX_UNIVERSE_SIZE}")
-        # a str (from_mask's default) is already a sequence of str labels
-        labels = tuple(labels if isinstance(labels, str) else map(str, labels))
-        if len(set(labels)) != n:
-            raise DomainError("labels must be pairwise distinct")
+        # from_mask's default labels are shared, and distinct already
+        if labels is not _DEFAULT_LABEL_TUPLES[n]:
+            labels = tuple(map(str, labels))
+            if len(set(labels)) != n:
+                raise DomainError("labels must be pairwise distinct")
         if len(rows) != n:
             raise DomainError("relation table must have one row per element")
         full = (1 << n) - 1
@@ -263,7 +266,7 @@ class ParthoodStructure:
         if not 1 <= n <= MAX_UNIVERSE_SIZE or mask >> (n * n):
             _check_grid(n, mask)    # raises; the inline test spares a call
         if labels is None:
-            labels = DEFAULT_LABELS[:n]
+            labels = _DEFAULT_LABEL_TUPLES[n]
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
         return cls(labels, rows)
 

@@ -45,21 +45,22 @@ all 2^(n*n) relations.
 Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither):
 a later search calls is_canonical only past the classes an earlier one
-found, and makes each class's structure from kept field tuples
-instead of building it, up to a class cap per walk that a byte budget
-sets when the walk is made, and none above IS_CANONICAL_MAX elements
-(_iso_candidates; _SharedWalk says what a class reserves).  Labelled
-walks are not shared.
+found, and runs its checks on the structure the walk keeps for each
+class, so only a class that passes costs it a structure, a fresh copy
+sharing the kept one's field tuples and tables.  A walk keeps classes
+up to a cap that a byte budget sets when the walk is made, and none
+above IS_CANONICAL_MAX elements (_iso_candidates; _SharedWalk says what
+a class reserves).  Labelled walks are not shared.
 The walk is chosen from what the constraints entail, not only from the
 codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
 of strict partial orders guarantees AS, AC and ANTIS as well as T and
 IRR.  Remaining constraint axioms are checked on the survivors, each
 code once, in an order fixed once per search: their checkers are read
 from the catalog and sorted cheapest first when a walk starts, not for
-every candidate.  Each search checks its own structures, and a model is
-handed on as the structure its check ran on, with the subset tables
-that check built or the walk handed it.  Labels are built only when
-read, so a rejected candidate never builds them.
+every candidate.  Each search runs its own checks, and hands on each
+model as a fresh structure with the subset tables its checks built or
+found.  Labels are built only when read, so a rejected candidate never
+builds them.
 """
 
 from __future__ import annotations
@@ -593,49 +594,59 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 
 # What one shared walk of up to IS_CANONICAL_MAX elements may keep, in
-# bytes: the field tuples of its classes and their subset tables, which
+# bytes: the structures of its classes and their subset tables, which
 # _SharedWalk turns into a class cap.  The largest benchmark walk, every
-# relation at n=4, keeps 3,044 classes against a cap of 13,751.
+# relation at n=4, keeps 3,044 classes against a cap of 13,066.
 WALK_BUDGET_BYTES = 8 << 20
+
+
+def _passing(structures: Iterable[ParthoodStructure],
+             finders) -> Iterator[ParthoodStructure]:
+    """The structures that every finder passes, in order."""
+    for s in structures:
+        for find in finders:
+            if find(s) is not None:
+                break
+        else:
+            yield s
 
 
 class _SharedWalk:
     """One lazy walk of canonical encodings at size n, kept as it is read
     so that every consumer in the process reads the same classes: only
-    the consumer that passes the end advances the walk and builds the
-    structure, and only the first to read a class's subset tables builds
-    those.
+    the consumer that passes the end advances the walk and builds a
+    class's structure, and only the first check to read a class's subset
+    tables builds those.
 
-    Iterating yields structures, each a fresh object.  The consumer that
-    finds a class gets the structure built (and checked) from its
-    encoding, and _classes keeps that structure's five field tuples
-    (_fields); a later consumer gets a structure sharing them, which
-    costs one __new__ and the slot assignments.  The tuples are
-    immutable, and what a structure fills on first use is its own.
-
-    _tables holds one slot per kept class: None until a consumer has
-    read the class's subset tables, then the pair (ub, ov) packed
-    read-only into two bytes objects.  Each structure a consumer gets
-    carries the kept pair, if there is one; when the consumer asks for
-    the next class, the pair it filled is packed into the slot, if that
-    is still empty.  So a consumer that stops early or raises keeps
-    nothing.
+    _kept holds one structure per class found, built with from_mask by
+    the consumer that found it and never handed out.  checked(finders)
+    runs a consumer's checks on each kept structure, so a class they
+    reject costs no structure; a class that passes is yielded as a fresh
+    _from_fields copy, sharing the kept structure's field tuples and
+    carrying its tables, if it has them.  Tables a check builds on a
+    kept structure stay there at once.  A consumer's checks on the copy
+    may build tables too (find_model's forbid check does): when the
+    consumer asks for the next class, they go to the kept structure if
+    it still has none.  Every table up to IS_CANONICAL_MAX elements is
+    a read-only bytes object, so the copies and the kept structure may
+    share them; what else a copy fills on first use is its own.
 
     The walk keeps at most _cap classes, worked out when it is made: each
     kept class reserves room for its tables, so a pair filled later
     always fits and the kept bytes stay within WALK_BUDGET_BYTES whatever
-    the consumers read.  Up to IS_CANONICAL_MAX elements every kept value
-    is one of the ints below 256 that every process shares, and every
-    table entry fits a byte, so by sys.getsizeof a class costs
-    5(40 + 8n) + 96 bytes and its tables 2(2^n + 33) + 56: 610 together
-    at n=4, a cap of 13,751.  Past the cap, no class is kept: the
-    consumer that reached it takes over the live walk, later ones
-    restart it past the kept classes, and each builds every structure
-    from there on.  start(after) walks only the encodings above after,
-    the last kept class's (-1 for none), so a restart checks nothing the
-    kept classes cover.  Above IS_CANONICAL_MAX elements the cap is 0:
-    the only walk there is the census of strict partial orders, whose
-    values and table entries fit neither the shared ints nor a byte.
+    the consumers read.  Up to IS_CANONICAL_MAX elements every kept
+    value is one of the ints below 256 that every process shares, and
+    the labels are the shared default tuple, so by sys.getsizeof a class
+    costs its structure, five tuples of n ints, a pair of 2^n-byte
+    tables and a list slot: 642 bytes at n=4, a cap of 13,066.  Past the
+    cap, no class is kept: the consumer that reached it takes over the
+    live walk, later ones restart it past the kept classes, and each
+    builds, checks and hands on every structure from there on.
+    start(after) walks only the encodings above after, the last kept
+    class's (-1 for none), so a restart checks nothing the kept classes
+    cover.  Above IS_CANONICAL_MAX elements the cap is 0: the only walk
+    there is the census of strict partial orders, whose values and
+    table entries fit neither the shared ints nor a byte.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -644,22 +655,22 @@ class _SharedWalk:
     once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_classes", "_tables", "_walk", "_done",
-                 "_cap")
+    __slots__ = ("_n", "_start", "_kept", "_walk", "_done", "_cap")
 
     def __init__(self, n: int, start):
         self._n = n
         self._start = start     # after -> the walk past encoding after
-        self._classes: list[tuple[tuple[int, ...], ...]] = []
-        self._tables: list[Optional[tuple[bytes, bytes]]] = []
+        self._kept: list[ParthoodStructure] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
-        # a class's five tuples, with its slots in both lists, and a pair
-        # of packed tables
-        fields = ((0,) * n,) * 5
+        # a kept structure, its five tuples and its slot in _kept, and a
+        # pair of tables
+        zeros = (0,) * n
+        sample = ParthoodStructure._from_fields(n, (zeros,) * 5)
         pair = (bytes(1 << n),) * 2
-        size = sum(map(sys.getsizeof, (fields, *fields, pair, *pair))) + 16
-        self._cap = WALK_BUDGET_BYTES // size if n <= IS_CANONICAL_MAX else 0
+        size = sum(map(sys.getsizeof, (sample, *(zeros,) * 5, pair, *pair)))
+        self._cap = (WALK_BUDGET_BYTES // (size + 8)
+                     if n <= IS_CANONICAL_MAX else 0)
 
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""
@@ -676,17 +687,21 @@ class _SharedWalk:
             raise
 
     def __iter__(self) -> Iterator[ParthoodStructure]:
+        return self.checked(())
+
+    def checked(self, finders) -> Iterator[ParthoodStructure]:
+        """A fresh structure for each class of the walk that every
+        finder passes, in walk order; the finders run on the kept
+        structures."""
         n = self._n
-        classes = self._classes
-        tables = self._tables
-        from_fields = ParthoodStructure._from_fields
-        from_mask = ParthoodStructure.from_mask
+        kept = self._kept
+        copy = ParthoodStructure._from_fields
+        build = ParthoodStructure.from_mask
         cap = self._cap
         i = 0
         while True:
-            if i < len(classes):
-                s = from_fields(n, classes[i])
-                s._subset_tables = tables[i]
+            if i < len(kept):
+                s = kept[i]
             elif self._done:
                 return
             elif i >= cap:
@@ -695,23 +710,27 @@ class _SharedWalk:
                 m = self._next_mask()
                 if m is None:
                     return
-                s = from_mask(n, m)
-                classes.append(s._fields())
-                tables.append(None)
-            yield s
-            if tables[i] is None and s._subset_tables is not None:
-                tables[i] = tuple(map(bytes, s._subset_tables))
+                s = build(n, m)
+                kept.append(s)
             i += 1
+            for find in finders:
+                if find(s) is not None:
+                    break
+            else:
+                t = copy(n, s._fields())
+                t._subset_tables = s._subset_tables
+                yield t
+                if s._subset_tables is None:
+                    s._subset_tables = t._subset_tables
         # past the cap: the rest of the walk, unshared
         walk, self._walk = self._walk, None
-        for m in walk or self._restart():
-            yield from_mask(n, m)
+        yield from _passing((build(n, m) for m in walk or self._restart()),
+                            finders)
 
     def _restart(self) -> Iterator[int]:
         """The walk past the last kept class."""
-        classes = self._classes
-        return self._start(ParthoodStructure._from_fields(
-            self._n, classes[-1]).relation_mask if classes else -1)
+        kept = self._kept
+        return self._start(kept[-1].relation_mask if kept else -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -739,13 +758,15 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
 
     One representative per isomorphism class when up_to_iso, the one
     with the canonical (minimal) encoding; ordered by increasing
-    encoding.  Each candidate is a fresh structure, checked against the
-    residual axioms, and a model is handed on as that same structure,
-    with whatever subset tables the check filled; its labels are filled
-    only if read.  Up to isomorphism the candidates come from the shared
-    walk of _iso_candidates, so a search that stops early leaves the
-    rest of it undone.  Labelled walks (all relations, or the transitive
-    ones) run lazily per search and build every candidate.
+    encoding.  Every model is a fresh structure, with the subset tables
+    its checks against the residual axioms filled or found; its labels
+    are filled only if read.  Up to isomorphism the candidates come
+    from the shared walk of _iso_candidates, which runs the checks on
+    the structure it keeps for each class and hands on a fresh copy of
+    it, with its tables, only for a class that passes; a search that
+    stops early leaves the rest of the walk undone.  Labelled walks (all
+    relations, or the transitive ones) run lazily per search, build
+    every candidate and hand on the models they check.
 
     Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE before any
     walk starts.
@@ -754,17 +775,11 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     has_t, has_irr, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:
-        candidates = _iso_candidates(n, has_t, has_irr)
+        yield from _iso_candidates(n, has_t, has_irr).checked(finders)
     else:
         walk = _transitive_masks if has_t else _all_masks
-        candidates = (ParthoodStructure.from_mask(n, m)
-                      for m in walk(n, has_irr))
-    for s in candidates:
-        for find in finders:
-            if find(s) is not None:
-                break
-        else:
-            yield s
+        yield from _passing((ParthoodStructure.from_mask(n, m)
+                             for m in walk(n, has_irr)), finders)
 
 
 def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),

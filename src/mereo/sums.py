@@ -19,6 +19,7 @@ literal definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from .core import (
@@ -76,19 +77,46 @@ def subset_tables(s: ParthoodStructure) \
       u Ov x <-> u Ov m   iff  ov[m] == ov_of[x]
 
     Both tables are built by doubling over the elements, 2^n entries
-    each, once per structure: the result is kept in the structure's
-    `_subset_tables` slot, where a shared up-to-isomorphism walk of at
-    most eight elements may have set them already, packed read-only
-    into two bytes objects.  Entry m equals `subset_entry(s, m)`.
+    each, once per structure, and kept in the structure's
+    `_subset_tables` slot, where a shared up-to-isomorphism walk may
+    have set them already.  Up to eight elements every entry fits a
+    byte, and the tables are two bytes objects, each doubled by one
+    `bytes.translate` through the byte map of an element's mask; above,
+    they are two lists.  Entry m equals `subset_entry(s, m)`.
     """
     tables = s._subset_tables
     if tables is None:
-        ub, ov = [s.full], [0]
-        for up, reach in zip(s.ing_up, s.ov_of):
-            ub += [u & up for u in ub]
-            ov += [o | reach for o in ov]
+        if s.full < 256:
+            ub, ov = bytes((s.full,)), bytes(1)
+            for up, reach in zip(s.ing_up, s.ov_of):
+                ub += ub.translate(_and_map(up))
+                ov += ov.translate(_or_map(reach))
+        else:
+            ub, ov = [s.full], [0]
+            for up, reach in zip(s.ing_up, s.ov_of):
+                ub += [u & up for u in ub]
+                ov += [o | reach for o in ov]
         tables = s._subset_tables = (ub, ov)
     return tables
+
+
+# Byte b of _EVERY_BYTE is b, and mask * _EACH_BYTE repeats the byte
+# mask 256 times, so one integer operation makes a whole byte map.  A
+# mask is below 256, so each cache below holds at most 256 maps.
+_EVERY_BYTE = int.from_bytes(bytes(range(256)), "little")
+_EACH_BYTE = int.from_bytes(bytes([1]) * 256, "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _and_map(mask: int) -> bytes:
+    """The byte map b -> b & mask, for bytes.translate."""
+    return (_EVERY_BYTE & mask * _EACH_BYTE).to_bytes(256, "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _or_map(mask: int) -> bytes:
+    """The byte map b -> b | mask, for bytes.translate."""
+    return (_EVERY_BYTE | mask * _EACH_BYTE).to_bytes(256, "little")
 
 
 def sums_in(s: ParthoodStructure, ub_m: int, ov_m: int) -> int:

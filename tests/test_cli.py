@@ -143,12 +143,22 @@ def test_files_read_as_bytes_parse_as_text_mode_reads(tmp_path,
             assert s._labels == want._labels
 
 
-@pytest.mark.parametrize("data,line_no", [
+_NOT_UTF8 = pytest.mark.parametrize("data,line_no", [
     (b"elements: a b\npart: a < \xff\n", 2),
     (b"\xfe", 1),
     # a line ends at \r and \r\n too; the sequence is cut after its lead
     (b"# \xc3\xa9\r\r\nelements: a b\rpart: a < \xe2\x82\n", 4),
 ])
+
+
+def _stdin(monkeypatch, data):
+    """Make stdin a text stream over data, as a process's stdin is."""
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         errors="surrogateescape"))
+
+
+@_NOT_UTF8
 def test_a_file_that_is_not_utf8_is_a_parse_error(data, line_no, tmp_path,
                                                   capsys):
     bad = tmp_path / "bad.txt"
@@ -474,10 +484,26 @@ def test_localtrans_reports_a_cycle(tmp_path):
 
 
 def test_a_structure_is_read_from_stdin_as_dash(monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURE_DIR / "c2.txt")
-                                                  .read_text()))
+    _stdin(monkeypatch, (FIXTURE_DIR / "c2.txt").read_bytes())
     assert run_cli("check", "-", "--theory", "SPO") == (
         0, "structure: -\ntheory: SPO [T, IRR]\nresult: holds\n")
+
+
+@_NOT_UTF8
+def test_stdin_that_is_not_utf8_is_a_parse_error(data, line_no, monkeypatch,
+                                                 capsys):
+    # the text stream decodes with surrogateescape, as under the C
+    # locale, so only the bytes show what is not UTF-8
+    _stdin(monkeypatch, data)
+    with pytest.raises(ParseError) as exc:
+        load_structure("-")
+    assert exc.value.line_no == line_no
+    _stdin(monkeypatch, data)
+    code, out = run_cli("check", "-", "--theory", "SPO")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: line {line_no}: not UTF-8 (byte 0x")
+    assert "Traceback" not in err
 
 
 def test_parse_error_exit_code(tmp_path):

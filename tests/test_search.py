@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from mereo import (
     AxiomId, DomainError, ParthoodStructure, SearchSpec, TheoryId,
-    canonical_form, count_models, enumerate_models, find_model, is_canonical,
-    satisfies, theory_axioms, verify_implication,
+    canonical_form, check_axiom, count_models, enumerate_models, find_model,
+    is_canonical, satisfies, theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
 from mereo.axioms import CATALOG_ORDER, CatalogError, axiom_id
@@ -1053,53 +1053,69 @@ def _assert_built_afresh(s, n, mask):
     assert s._subset_tables is None
 
 
+def _kept(walk):
+    """The structures the walk keeps, one per class in walk order: every
+    read of the walk's store goes through here."""
+    return walk._kept
+
+
+def _kept_tables(walk):
+    """The subset tables of each kept class, None where none are kept."""
+    return [s._subset_tables for s in _kept(walk)]
+
+
 def _assert_store_aligned(walk, n, want):
     """The walk keeps a prefix of the classes want, in order, at most its
-    cap: the five field tuples of each, and one table slot each, holding
-    None or that class's subset tables; and what it keeps, with room for
-    every empty slot's tables, is within the budget."""
-    kept = len(walk._classes)
-    assert kept <= len(want)
-    assert kept <= walk._cap
-    assert len(walk._tables) == kept
-    for i, mask in enumerate(want[:kept]):
-        fields = walk._classes[i]
+    cap: a structure of each, equal to a fresh build, with its default
+    labels shared and unread, holding None or that class's subset
+    tables; and what it keeps, with room for every missing pair of
+    tables, is within the budget."""
+    kept = _kept(walk)
+    assert len(kept) <= len(want)
+    assert len(kept) <= walk._cap
+    for s, mask in zip(kept, want):
+        fields = s._fields()
         assert [type(f) for f in fields] == [tuple] * 5
         _assert_built_afresh(ParthoodStructure._from_fields(n, fields), n,
                              mask)
-        if walk._tables[i] is not None:
-            _assert_kept_tables(walk._tables[i], n, mask)
+        assert s._labels is core._DEFAULT_LABEL_TUPLES[n]
+        assert s._universe is None and s._label_index is None
+        if s._subset_tables is not None:
+            _assert_kept_tables(s._subset_tables, n, mask)
     assert _store_bytes(walk) <= walk._cap * _per_class(n) \
         <= search.WALK_BUDGET_BYTES
 
 
-def _store_bytes(walk):
-    """What the walk keeps, recounted by sys.getsizeof: each class's
-    tuples, whose values are small ints a process shares, and its slot
-    in both lists; each pair of packed tables."""
-    size = 0
-    for fields in walk._classes:
-        size += sys.getsizeof(fields) + 16
-        for f in fields:
-            assert all(0 <= v < 256 for v in f)
-            size += sys.getsizeof(f)
-    for pair in walk._tables:
-        if pair is not None:
-            size += sys.getsizeof(pair)
-            for table in pair:
-                assert type(table) is bytes
-                size += sys.getsizeof(table)
+def _class_bytes(s):
+    """What keeping s costs, recounted by sys.getsizeof: the structure
+    and its slot in a list, each of its tuples, whose values are small
+    ints a process shares, like its full mask and its default labels;
+    its pair of packed tables, if it has them."""
+    size = sys.getsizeof(s) + 8
+    assert 0 <= s.full < 256
+    for f in s._fields():
+        assert all(0 <= v < 256 for v in f)
+        size += sys.getsizeof(f)
+    pair = s._subset_tables
+    if pair is not None:
+        size += sys.getsizeof(pair)
+        for table in pair:
+            assert type(table) is bytes
+            size += sys.getsizeof(table)
     return size
+
+
+def _store_bytes(walk):
+    """What the walk keeps, recounted by sys.getsizeof."""
+    return sum(map(_class_bytes, _kept(walk)))
 
 
 def _per_class(n):
     """One class with its tables, recounted by sys.getsizeof: the full
     relation's, on n <= 8 elements."""
     full = ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
-    walk = search._SharedWalk(n, lambda after: iter(()))
-    walk._classes.append(full._fields())
-    walk._tables.append(tuple(map(bytes, sums.subset_tables(full))))
-    return _store_bytes(walk)
+    sums.subset_tables(full)
+    return _class_bytes(full)
 
 
 def _assert_kept_tables(tables, n, mask):
@@ -1107,7 +1123,7 @@ def _assert_kept_tables(tables, n, mask):
     tables of a fresh build of the encoding."""
     want = sums.subset_tables(ParthoodStructure.from_mask(n, mask))
     for got, ref in zip(tables, want):
-        assert list(got) == ref
+        assert list(got) == list(ref)
         with pytest.raises(TypeError):
             got[0] = 0
 
@@ -1152,10 +1168,11 @@ def test_interleaved_consumers_see_one_sequence(constraints):
             seen[k] += chunk
             live |= bool(chunk)
     assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
-    # the consumer that found a class built it; the others made it from
-    # the kept field tuples, each a structure of its own
-    for m, structures in zip(want, zip(*seen)):
-        assert len({id(s) for s in structures}) == 3
+    # the consumer that found a class built the walk's structure for it;
+    # each consumer got a copy of that structure, a structure of its own
+    kept = _kept(search._iso_candidates(*key))
+    for m, k, structures in zip(want, kept, zip(*seen)):
+        assert len({id(s) for s in structures + (k,)}) == 4
         for s in structures:
             _assert_built_afresh(s, n, m)
     assert enumerate_model_masks(n, constraints) == want
@@ -1171,13 +1188,13 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, constraints)
     walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
-    assert 0 < len(walk._tables) < len(want)
+    assert 0 < len(_kept(walk)) < len(want)
     _assert_store_aligned(walk, n, want)
     monkeypatch.undo()
     assert enumerate_model_masks(n, constraints) == want
     _assert_store_aligned(walk, n, want)
     assert enumerate_model_masks(n, constraints) == want
-    assert len(walk._tables) == len(want)
+    assert len(_kept(walk)) == len(want)
 
 
 _ISO_KEYS = [
@@ -1201,8 +1218,9 @@ def test_second_pass_structures_equal_fresh_builds(key):
     want = _unshared_iso_walk(n, _generating_codes(key))
     assert [s.relation_mask for s in first] == want
     assert len(second) == len(want)
-    for m, s, t in zip(want, first, second):
-        assert t is not s
+    for m, s, t, k in zip(want, first, second, _kept(walk)):
+        assert t is not s and k is not s and k is not t
+        _assert_built_afresh(s, n, m)
         _assert_built_afresh(t, n, m)
     _assert_store_aligned(walk, n, want)
 
@@ -1244,13 +1262,13 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
     first = count_models(n, ["U_SUM"] + _generating_codes(key))
     walk = search._iso_candidates(*key)
     want = _unshared_iso_walk(n, _generating_codes(key))
-    assert len(walk._tables) == len(want)
-    assert all(tables is not None for tables in walk._tables)
+    assert len(_kept(walk)) == len(want)
+    assert None not in _kept_tables(walk)
     second = list(walk)
     assert len(second) == len(want)
     for i, (m, s) in enumerate(zip(want, second)):
         tables = s._subset_tables
-        assert tables is walk._tables[i]
+        assert tables is _kept_tables(walk)[i]
         assert sums.subset_tables(s) is tables
         _assert_kept_tables(tables, n, m)
     _assert_store_aligned(walk, n, want)
@@ -1272,7 +1290,7 @@ def test_a_walk_above_eight_elements_keeps_nothing():
             sums.subset_tables(s)   # tables a walk with room would keep
             got.append(s)
         assert [s.relation_mask for s in got] == want
-        assert (walk._classes, walk._tables) == ([], [])
+        assert _kept(walk) == []
         seen += got
     assert len({id(s) for s in seen}) == 2 * len(want)
 
@@ -1299,39 +1317,66 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, codes)
     walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
-    kept = len(walk._tables)
+    kept = len(_kept(walk))
     assert 0 < kept < len(classes)
-    # the consumer checked U_SUM on every class it was handed
-    assert None not in walk._tables
+    # the consumer checked U_SUM on every class the walk kept
+    assert None not in _kept_tables(walk)
     _assert_store_aligned(walk, n, classes)
     monkeypatch.undo()
     builds = _count_table_builds(monkeypatch)
     assert enumerate_model_masks(n, codes) == want
     _assert_store_aligned(walk, n, classes)
-    assert None not in walk._tables
+    assert None not in _kept_tables(walk)
     # after the restart, only the classes past the raise built tables
-    assert builds[0] == len(walk._tables) - kept == len(classes) - kept
+    assert builds[0] == len(_kept(walk)) - kept == len(classes) - kept
 
 
 def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
+    # tables a forbid check builds on the model it is handed wait until
+    # the search asks for the next class, so a search that stops keeps
+    # none for its last class
     search._iso_candidates.cache_clear()
     spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
     found = find_model(spec).found
     walk = search._iso_candidates(4, False, False)
     want = _unshared_iso_walk(4, ())
     last = want.index(found.relation_mask)
-    assert last == len(walk._tables) - 1
+    assert last == len(_kept(walk)) - 1
     # DAGGER read the tables of every explored model before the last one
     explored = [i for i, m in enumerate(want[:last + 1])
                 if satisfies(ParthoodStructure.from_mask(4, m), ["ANTIS"])]
-    assert all(walk._tables[i] is not None for i in explored[:-1])
-    assert explored[-1] == last and walk._tables[last] is None
+    tables = _kept_tables(walk)
+    assert all(tables[i] is not None for i in explored[:-1])
+    assert explored[-1] == last and tables[last] is None
     # the same search stops there again; a search that passes it keeps them
     assert find_model(spec).found == found
-    assert walk._tables[last] is None
+    assert _kept_tables(walk)[last] is None
     count_models(4, ["ANTIS", "U_SUM"])
-    _assert_kept_tables(walk._tables[last], 4, found.relation_mask)
+    _assert_kept_tables(_kept_tables(walk)[last], 4, found.relation_mask)
     _assert_store_aligned(walk, 4, want)
+
+
+def test_tables_the_walk_checks_build_are_kept_at_once():
+    # the required DAGGER runs on the walk's kept structures, so their
+    # tables stay there even for the class where the search stops, and
+    # the model it hands on carries them
+    search._iso_candidates.cache_clear()
+    spec = SearchSpec(max_n=4, require=("DAGGER",), forbid=("ANTIS",))
+    result = find_model(spec)
+    found = result.found
+    assert (found.n, result.explored) == (2, 8)
+    walk = search._iso_candidates(2, False, False)
+    want = _unshared_iso_walk(2, ())
+    assert len(_kept(walk)) == want.index(found.relation_mask) + 1
+    assert None not in _kept_tables(walk)
+    assert found._subset_tables is _kept_tables(walk)[-1]
+    _assert_store_aligned(walk, 2, want)
+    # a consumer that is handed a class and never resumes keeps them too
+    search._iso_candidates.cache_clear()
+    walk = search._iso_candidates(3, False, False)
+    model = next(walk.checked(axioms.violation_finders(["U_SUM"])))
+    assert _kept_tables(walk)[-1] is model._subset_tables is not None
+    _assert_store_aligned(walk, 3, _unshared_iso_walk(3, ()))
 
 
 def test_searches_over_one_walk_share_no_structure():
@@ -1387,7 +1432,7 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     calls = _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
     cold, cold_checked = calls[0], checked[:]
-    # U_SUM reads every class's tables: 81 classes fit
+    # U_SUM reads every class's tables: 77 classes fit
     walk_budget(50_000)
     walk = search._iso_candidates(n, False, False)
     calls[0] = 0
@@ -1396,10 +1441,10 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
         assert _store_bytes(walk) <= 50_000
         got.append(s.relation_mask)
     assert got == want
-    kept = len(walk._classes)
-    assert kept == walk._cap == 81
+    kept = len(_kept(walk))
+    assert kept == walk._cap == 77
     # each kept class had room for its tables
-    assert None not in walk._tables
+    assert None not in _kept_tables(walk)
     _assert_store_aligned(walk, n, classes)
     # the search that reached the budget walked on from where it was
     assert calls[0] == cold
@@ -1421,8 +1466,8 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     assert checked == [m for m in cold_checked if m > last]
     assert 0 < len(checked) < cold
     assert builds[0] == len(classes) - kept
-    assert table_builds[0] == builds[0] + walk._tables.count(None)
-    assert (len(walk._classes), _store_bytes(walk)) == (kept, kept_bytes)
+    assert table_builds[0] == builds[0] + _kept_tables(walk).count(None)
+    assert (len(_kept(walk)), _store_bytes(walk)) == (kept, kept_bytes)
     _assert_store_aligned(walk, n, classes)
 
 
@@ -1440,7 +1485,7 @@ def test_a_restarted_walk_checks_nothing_the_kept_classes_cover(
     walk_budget(budget)
     walk = search._iso_candidates(*key)
     assert enumerate_model_masks(n, codes) == want
-    kept = len(walk._classes)
+    kept = len(_kept(walk))
     assert kept == min(len(want), walk._cap)
     checked.clear()
     assert enumerate_model_masks(n, codes) == want
@@ -1467,51 +1512,139 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
             seen[k] += [s.relation_mask for s in chunk]
             live |= bool(chunk)
     assert seen == [want] * 3
-    assert len(walk._classes) == min(len(want), walk._cap)
+    assert len(_kept(walk)) == min(len(want), walk._cap)
     _assert_store_aligned(walk, n, want)
 
 
+# Residual codes a consumer may check, none of which changes the walk a
+# search picks; the first four read the subset tables of every structure
+# they check.
+_RESIDUAL_POOL = ("U_SUM", "DAGGER", "E_SUM", "DIAMOND", "ANTIS", "SSP",
+                  "C_PROD")
+_READS_TABLES = frozenset(_RESIDUAL_POOL[:4])
+
+
 @functools.lru_cache(maxsize=None)
-def _walk_and_u_sum_models(key):
+def _walk_verdicts(key):
     """The classes of the walk at key, found without a shared walk, and
-    those of them that satisfy U_SUM."""
+    for each code of the pool those of them it holds on, by check_axiom
+    on a fresh build."""
     n = key[0]
     want = _unshared_iso_walk(n, _generating_codes(key))
-    return want, [m for m in want
-                  if satisfies(ParthoodStructure.from_mask(n, m), ["U_SUM"])]
+    structures = [ParthoodStructure.from_mask(n, m) for m in want]
+    holds = {code: {s.relation_mask for s in structures
+                    if check_axiom(s, code).holds}
+             for code in _RESIDUAL_POOL}
+    return want, holds
+
+
+def _consumer(walk, n, codes, residual, forbid):
+    """Each model of a search over the walk checking the residual codes
+    (a plain walk if there are none), with whether the forbid code holds
+    on it, checked on the model as find_model checks its forbid codes."""
+    models = enumerate_models(n, codes + residual) if residual else iter(walk)
+    finders = axioms.violation_finders([forbid] if forbid else [])
+    for s in models:
+        yield s, [find(s) is None for find in finders]
 
 
 @settings(max_examples=60, deadline=None)
+@example(key=(3, False, False), budget=60_000,
+         consumers=[([], "U_SUM"), (["ANTIS"], None), (["SSP"], "DAGGER")],
+         steps=[(0, 5), (2, 3), (1, 40)])
 @given(key=st.sampled_from([k for k in _ISO_KEYS if k[0] <= 4]),
        budget=st.integers(0, 60_000),
-       u_sum=st.lists(st.booleans(), min_size=3, max_size=3),
+       consumers=st.lists(st.tuples(
+           st.lists(st.sampled_from(_RESIDUAL_POOL), max_size=2, unique=True),
+           st.one_of(st.none(), st.sampled_from(_RESIDUAL_POOL))),
+           min_size=3, max_size=3),
        steps=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 150)),
                       max_size=12))
-def test_any_interleaving_of_consumers_under_any_budget(key, budget, u_sum,
-                                                        steps):
-    # consumer k is a plain walk or a U_SUM search, which reads the tables
-    # of every class it is handed; each advances by the drawn steps, then
-    # all run to the end in turn
+def test_any_interleaving_of_consumers_under_any_budget(key, budget,
+                                                        consumers, steps):
+    # consumer k checks a drawn set of residual codes on the walk and a
+    # drawn forbid code on each model it is handed; each advances by the
+    # drawn steps, then all run to the end in turn
     n = key[0]
     codes = _generating_codes(key)
-    want, want_u_sum = _walk_and_u_sum_models(key)
+    want, holds = _walk_verdicts(key)
     search._iso_candidates.cache_clear()
     try:
         with mock.patch.object(search, "WALK_BUDGET_BYTES", budget):
             walk = search._iso_candidates(*key)
-            streams = [enumerate_models(n, codes + ["U_SUM"]) if u
-                       else iter(walk) for u in u_sum]
+            streams = [_consumer(walk, n, codes, residual, forbid)
+                       for residual, forbid in consumers]
             seen = [[] for _ in streams]
             for k, count in steps + [(k, None) for k in range(3)]:
-                seen[k] += [s.relation_mask
-                            for s in itertools.islice(streams[k], count)]
+                seen[k] += itertools.islice(streams[k], count)
                 assert _store_bytes(walk) <= budget
-            assert seen == [want_u_sum if u else want for u in u_sum]
+            for (residual, forbid), got in zip(consumers, seen):
+                models = [m for m in want
+                          if all(m in holds[c] for c in residual)]
+                assert [s.relation_mask for s, _ in got] == models
+                assert [verdicts for _, verdicts in got] == [
+                    [m in holds[forbid]] if forbid else [] for m in models]
+            # each model is a structure of its own, none of them kept
+            handed = [s for got in seen for s, _ in got]
+            kept = _kept(walk)
+            assert len({id(s) for s in handed + kept}) \
+                == len(handed) + len(kept)
+            for s in handed:
+                if s._subset_tables is not None:
+                    _assert_kept_tables(s._subset_tables, n, s.relation_mask)
             _assert_store_aligned(walk, n, want)
-            if any(u_sum):
-                assert None not in walk._tables
+            # a consumer whose first check reads tables keeps every class's
+            if any(set(residual) <= _READS_TABLES if residual
+                   else forbid in _READS_TABLES
+                   for residual, forbid in consumers):
+                assert None not in _kept_tables(walk)
     finally:
         search._iso_candidates.cache_clear()
+
+
+def test_a_handed_out_structure_is_never_the_kept_one_nor_another_consumers():
+    search._iso_candidates.cache_clear()
+    walk = search._iso_candidates(3, False, False)
+    ours = enumerate_models(3, ["U_SUM"])
+    theirs = iter(walk)
+    seen = [[], []]
+    for k in itertools.cycle((0, 1, 1)):
+        s = next((ours, theirs)[k], None)
+        if s is None:
+            break
+        seen[k].append(s)
+    seen[0] += ours
+    seen[1] += theirs
+    assert [s.relation_mask for s in seen[1]] == _unshared_iso_walk(3, ())
+    assert len(seen[0]) == count_models(3, ["U_SUM"]) > 0
+    handed = seen[0] + seen[1]
+    kept = _kept(walk)
+    assert len({id(s) for s in handed + kept}) == len(handed) + len(kept)
+    # the copies share the kept field tuples and tables
+    by_mask = {k.relation_mask: k for k in kept}
+    for s in handed:
+        k = by_mask[s.relation_mask]
+        assert all(a is b for a, b in zip(s._fields(), k._fields()))
+    for s in seen[0]:
+        assert s._subset_tables is by_mask[s.relation_mask]._subset_tables
+
+
+def test_a_repeated_search_copies_only_the_classes_that_pass(monkeypatch):
+    search._iso_candidates.cache_clear()
+    assert count_models(4, ["U_SUM"]) == 25
+    builds = _count_builds(monkeypatch)
+    copies = [0]
+    from_fields = ParthoodStructure._from_fields
+
+    def counted(cls, *args):
+        copies[0] += 1
+        return from_fields(*args)
+
+    monkeypatch.setattr(ParthoodStructure, "_from_fields",
+                        classmethod(counted))
+    assert count_models(4, ["U_SUM"]) == 25
+    # 3,044 classes checked, 25 structures made, none built
+    assert (builds[0], copies[0]) == (0, 25)
 
 
 _GENERATING = [(), ("T",), ("IRR",), ("T", "IRR")]

@@ -12,7 +12,9 @@ from mereo import (
 )
 from mereo.cli import main
 from mereo.core import ParthoodStructure, _bits
-from mereo.sums import subset_tables, sum_candidates, sup_candidates
+from mereo.sums import (
+    subset_entry, subset_tables, sum_candidates, sup_candidates,
+)
 
 from conftest import (
     FIXTURE_DIR, FIXTURE_NAMES, all_fixtures, all_relations, fixture,
@@ -192,6 +194,16 @@ def test_subset_tables_match_literal_candidates_on_all_small_relations():
 @given(structures_maybe_with_zero(max_n=6))
 def test_subset_tables_match_literal_candidates_on_random_relations(s):
     _assert_tables_match_candidates(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures_maybe_with_zero(max_n=10))
+def test_subset_tables_are_bytes_up_to_eight_elements_and_fold_each_subset(s):
+    # the bytes are doubled through byte maps, the lists element by element
+    tables = subset_tables(s)
+    assert {type(table) for table in tables} == {
+        bytes if s.n <= 8 else list}
+    assert list(zip(*tables)) == [subset_entry(s, m) for m in range(1 << s.n)]
 
 
 def test_subset_tables_are_built_once_per_structure():
