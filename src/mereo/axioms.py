@@ -241,13 +241,19 @@ def _within_cover(masks: str, covers: str) -> Checker:
 
 
 def _ssp_plus(s):
-    ing = s.ing_of
+    # rest, x's ingredienses exterior to y, has a greatest member iff it
+    # meets the & of ing_up over rest; an empty rest has none
+    ing, up, ov = s.ing_of, s.ing_up, s.ov_of
     for x in range(s.n):
         for y in range(s.n):
-            if s.ing_up[x] >> y & 1:
+            if up[x] >> y & 1:
                 continue
-            rest = ing[x] & ~s.ov_of[y]
-            if not any(not rest & ~ing[z] for z in _bits(rest)):
+            greatest = rest = ing[x] & ~ov[y]
+            while rest:
+                low = rest & -rest
+                greatest &= up[low.bit_length() - 1]
+                rest ^= low
+            if not greatest:
                 return (x, y)
     return None
 

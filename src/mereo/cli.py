@@ -144,6 +144,8 @@ def _decode(data: bytes) -> str:
 def load_structure(path: str) -> tuple[str, ParthoodStructure]:
     # bytes decoded at once; splitlines takes \r\n and \r as text mode would
     if path == "-":
+        if sys.stdin is None:           # the process started with it closed
+            raise OSError("standard input is closed")
         return "-", parse_structure(_decode(sys.stdin.buffer.read()))
     with open(path, "rb") as fh:
         text = _decode(fh.read())
@@ -377,12 +379,10 @@ def _cmd_enumerate(args, out) -> int:
         _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
                            "models": list(models)}))
         return 0
-    first = True
-    for m in models:
-        if not first:
+    for i, m in enumerate(models):
+        if i:
             _emit(out, "")
         out.write(serialize(m))
-        first = False
     return 0
 
 

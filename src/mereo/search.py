@@ -3,64 +3,42 @@
 Structures are identified with the row-major encoding of their relation
 (bit i*n+j set iff element i is a part of element j).  The canonical
 form of a structure is its encoding minimised over all n! permutations
-of the universe.  canonical_form computes it exactly without trying
-every permutation: the sinks (elements with an empty row) take the top
-labels together, as one cell of an ordered partition, since every
-minimal labelling puts them there; it then labels the other elements
-from the most significant row down, keeps only the choices that reach
-the least row at each level, refines every cell of the partition after
-each choice, and tries one element per class of twins (McKay & Piperno,
-Practical graph isomorphism II, adapted to this minimal encoding).
-is_canonical, which only has to find one smaller relabelling, keeps a
-per-n table for each permutation (the element sent to each label, and a
-2^n-entry map relabelling a row), grouped by the element sent to the top
-label.  The least top row a block can reach is read from a table by
-that element's row, so a block whose bound is below the encoding's top
-row rejects at once, one above it is skipped whole, and in a tied block
-only the permutations that reach the bound, listed per row, are
-compared with the encoding, from the second row down, where most cost
-one lookup.  The orderly walk hands it the rows it already holds.
-It takes 1 to 8 elements.  The literal n! scans that define both are
-test oracles, kept outside the package.  Output is ordered by increasing
-universe size, then increasing canonical encoding, so searches return
-minimal-size witnesses and enumeration is deterministic.
+of the universe.  canonical_form finds it by refining an ordered
+partition, the sinks taking the top labels as one cell; is_canonical,
+which only has to find one smaller relabelling, reads per-n tables of
+the permutations grouped by the element sent to the top label (1 to 8
+elements).  Their docstrings give the methods; the literal n! scans
+that define both are test oracles, kept outside the package.  Output is
+ordered by increasing universe size, then increasing canonical
+encoding, so searches return minimal-size witnesses and enumeration is
+deterministic.
 
-Generation prunes by structural constraints where it can: transitive
+Generation prunes by structural constraints where it can.  Transitive
 relations are walked row by row, lazily and in ascending order, each
 row drawn only from the values that keep the decided rows transitive
-(_transitive_masks); and irreflexivity empties the diagonal.  Up to
-isomorphism under T alone, that walk also skips each subtree where a
-decided row's least relabelled top row, is_canonical's block bound, is
-below the top row, since none of its relations is canonical.
-Up-to-isomorphism searches over strict partial orders walk the
-isomorphism classes themselves, built from the classes one element
-smaller by adding a new maximal element over each down-set, skipping
-the down-sets that leave the new element outranked by another maximal
-element, so each class is canonicalised about once (_poset_classes,
-memoised per size: 428 canonical forms for the 405 classes up to n=6,
-20,855 for 16,999 at n=8).  Up-to-isomorphism searches
-without transitivity generate only canonical encodings, by an orderly
-walk down from the full relation (_canonical_masks), instead of testing
-all 2^(n*n) relations.
+(_transitive_masks); irreflexivity empties the diagonal; and up to
+isomorphism under T alone the walk skips each subtree where a decided
+row puts is_canonical's block bound below the top row.  Strict partial
+orders are walked as their isomorphism classes, each built from a class
+one element smaller by a new maximal element over a down-set.  The
+down-sets are listed with their ranks, twin-pruned as they are listed
+(_down_sets), and one that leaves the new element outranked by another
+maximal element is skipped, so each class is canonicalised about once
+(_poset_classes, memoised per size: 428 canonical forms for the 405
+classes up to n=6, 20,855 for 16,999 at n=8).  Without transitivity an
+orderly walk down from the full relation generates only canonical
+encodings (_canonical_masks).
+
 Each up-to-isomorphism walk is shared by every search in the process,
-one per universe size and generating axioms (T, IRR, both or neither):
-a later search calls is_canonical only past the classes an earlier one
-found, and runs its checks on the structure the walk keeps for each
-class, so only a class that passes costs it a structure, a fresh copy
-sharing the kept one's field tuples and tables.  A walk keeps classes
-up to a cap that a byte budget sets when the walk is made, and none
-above IS_CANONICAL_MAX elements (_iso_candidates; _SharedWalk says what
-a class reserves).  Labelled walks are not shared.
-The walk is chosen from what the constraints entail, not only from the
-codes named: AS, AC and WSP each entail IRR (_ENTAILS_IRR), and a walk
-of strict partial orders guarantees AS, AC and ANTIS as well as T and
-IRR.  Remaining constraint axioms are checked on the survivors, each
-code once, in an order fixed once per search: their checkers are read
-from the catalog and sorted cheapest first when a walk starts, not for
-every candidate.  Each search runs its own checks, and hands on each
-model as a fresh structure with the subset tables its checks built or
-found.  Labels are built only when read, so a rejected candidate never
-builds them.
+one per universe size and generating axioms (T, IRR, both or neither),
+and keeps its classes within a byte budget (_iso_candidates,
+_SharedWalk); labelled walks are not shared.  The walk is chosen from
+what the constraints entail: AS, AC and WSP each entail IRR
+(_ENTAILS_IRR), and a walk of strict partial orders guarantees AS, AC
+and ANTIS as well as T and IRR.  The other codes are checked on what it
+yields, each once, cheapest first in an order fixed when a walk starts,
+and each model is handed on as a fresh structure with the subset tables
+its checks built or found.  Labels are built only when read.
 """
 
 from __future__ import annotations
@@ -129,7 +107,11 @@ def _twin_masks(n: int, succ: list[int], among: int) -> list[int]:
     swapping x and y is an automorphism of the relation (x included).
     twins[x] is {x} for x outside among."""
     twins = [1 << x for x in range(n)]
-    pool = [x for x in range(n) if among >> x & 1]
+    pool = []
+    while among:
+        low = among & -among
+        pool.append(low.bit_length() - 1)
+        among ^= low
     for i, x in enumerate(pool):
         for y in pool[i + 1:]:
             sx = succ[x]
@@ -137,8 +119,10 @@ def _twin_masks(n: int, succ: list[int], among: int) -> list[int]:
                 sx ^= 1 << x | 1 << y
             if sx != succ[y]:
                 continue
-            if all((succ[w] >> x ^ succ[w] >> y) & 1 == 0
-                   for w in range(n) if w != x and w != y):
+            for w in range(n):
+                if (succ[w] >> x ^ succ[w] >> y) & 1 and w != x and w != y:
+                    break
+            else:
                 twins[x] |= 1 << y
                 twins[y] |= 1 << x
     return twins
@@ -185,7 +169,10 @@ def canonical_form(n: int, mask: int) -> int:
         return 0
     full = (1 << n) - 1
     succ = [mask >> (x * n) & full for x in range(n)]
-    sinks = sum(1 << x for x, s in enumerate(succ) if not s)
+    sinks = 0
+    for x, s in enumerate(succ):
+        if not s:
+            sinks |= 1 << x
     rest = full ^ sinks
     twins = _twin_masks(n, succ, rest)
     top = n - sinks.bit_count()         # the sinks take labels top..n-1
@@ -217,13 +204,17 @@ def canonical_form(n: int, mask: int) -> int:
                 others = s & ~low
                 row = s & low and 1 << label
                 for first, members in cells:
-                    row |= ((1 << (others & members).bit_count()) - 1) << first
+                    common = others & members
+                    if common:
+                        row |= ((1 << common.bit_count()) - 1) << first
                 if row < best or best < 0:
                     best = row
                     picks = [(cells, low, s)]
                 elif row == best:
                     picks.append((cells, low, s))
         out |= best << (label * n)
+        if not label:
+            break
         branches = []
         for cells, low, s in picks:
             start, owner = cells[k]
@@ -482,19 +473,27 @@ def _transitive_masks(n: int, irreflexive: bool,
         r = (r - uppers[i]) & uppers[i]
 
 
-def _down_sets(parts_in: Sequence[int]) -> list[int]:
-    """Every down-set (a set holding the parts of each member) of a strict
-    partial order given by parts_in[x], the parts of x; the empty set
-    first.
-
-    Elements are added in an order listing parts before wholes (a part
-    has fewer parts than its whole), so x can join exactly the down-sets
-    already found that hold all of its parts.
+def _down_sets(parts_in: Sequence[int], twins: Sequence[int],
+               n: int) -> list[tuple[int, int, int]]:
+    """The down-sets (sets holding the parts of each member) of a strict
+    order on n-1 elements, parts_in[x] the parts of x, that take the
+    lowest members of each class of twins (twins[x]), the empty set first,
+    as (down, rank, column): rank sums n*n + |parts_in[z]| over the
+    members z, so orders as (|down|, the sum of those |parts_in[z]|), and
+    column has bit x*n + n-1 for each member x.  Elements join parts
+    before wholes, twins lowest first (a part has fewer parts than its
+    whole, a twin as many), so x joins exactly the down-sets found so far
+    that hold its parts and lower twins, and no other is ever extended.
     """
-    downs = [0]
-    for x in sorted(range(len(parts_in)),
-                    key=lambda x: parts_in[x].bit_count()):
-        downs += [d | 1 << x for d in downs if not parts_in[x] & ~d]
+    top = n - 1
+    downs = [(0, 0, 0)]
+    for x in sorted(range(top), key=lambda x: parts_in[x].bit_count()):
+        need = parts_in[x] | twins[x] & ((1 << x) - 1)
+        bit = 1 << x
+        weight = n * n + parts_in[x].bit_count()
+        cell = 1 << (x * n + top)
+        downs += [(d | bit, r + weight, c | cell) for d, r, c in downs
+                  if not need & ~d]
     return downs
 
 
@@ -510,7 +509,7 @@ def _poset_classes(n: int) -> tuple[int, ...]:
     included, and the children are canonicalised and deduplicated.
     Twins (elements whose swap is an automorphism) are interchangeable,
     so of the down-sets that take k members of a class of twins only the
-    one taking the k lowest is extended.
+    one taking the k lowest is extended (_down_sets lists no other).
 
     Most children are not built at all: a maximal element y ranks
     (|parts(y)|, the sum of |parts(z)| over the parts z of y), and a
@@ -533,31 +532,27 @@ def _poset_classes(n: int) -> tuple[int, ...]:
         return (0,)
     m = n - 1
     full = (1 << m) - 1
-    top = 1 << m
     children = set()
     for parent in _poset_classes(m):
         rows = [parent >> (i * m) & full for i in range(m)]
-        parts_in = [sum(1 << z for z in range(m) if rows[z] >> x & 1)
-                    for x in range(m)]
-        sizes = [p.bit_count() for p in parts_in]
-
-        def rank(down):
-            return down.bit_count(), sum(sizes[z] for z in range(m)
-                                         if down >> z & 1)
-
-        maximal = [(rank(parts_in[y]), 1 << y) for y in range(m)
-                   if not rows[y]]
-        twins = {t for t in _twin_masks(m, rows, full) if t & (t - 1)}
-        for down in _down_sets(parts_in):
-            new = rank(down)
-            if any(r > new and not down & y for r, y in maximal):
-                continue
-            if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
-                   for t in twins):
-                continue
-            children.add(canonical_form(n, sum(
-                (r | top if down >> i & 1 else r) << (i * n)
-                for i, r in enumerate(rows))))
+        base = 0                        # the parent widened to n columns
+        parts_in = [0] * m
+        for i, r in enumerate(rows):
+            base |= r << (i * n)
+            while r:
+                low = r & -r
+                parts_in[low.bit_length() - 1] |= 1 << i
+                r ^= low
+        maximal = [(sum(n * n + parts_in[z].bit_count() for z in range(m)
+                        if parts_in[y] >> z & 1), 1 << y)  # _down_sets' rank
+                   for y in range(m) if not rows[y]]
+        for down, rank, column in _down_sets(
+                parts_in, _twin_masks(m, rows, full), n):
+            for r, y in maximal:
+                if r > rank and not down & y:
+                    break
+            else:
+                children.add(canonical_form(n, base | column))
     return tuple(sorted(children))
 
 
@@ -593,10 +588,9 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return has_t, has_irr, residual
 
 
-# What one shared walk of up to IS_CANONICAL_MAX elements may keep, in
-# bytes: the structures of its classes and their subset tables, which
-# _SharedWalk turns into a class cap.  The largest benchmark walk, every
-# relation at n=4, keeps 3,044 classes against a cap of 13,066.
+# What one shared walk of up to IS_CANONICAL_MAX elements may keep of its
+# classes' structures and tables, in bytes, made a class cap by
+# _SharedWalk: 13,066 at n=4, where the walk of all relations has 3,044.
 WALK_BUDGET_BYTES = 8 << 20
 
 

@@ -1,7 +1,8 @@
 """Literal definitions the kernels are tested against: in mereo.search,
 the canonical forms, by applying every one of the n! relabellings to
-every set cell of the encoding, and the choice of walk, by the codes as
-named; in mereo.lattice, completeness, by asking for the join of every
+every set cell of the encoding, the down-sets of a strict partial order,
+each with no twin pruning or rank, and the choice of walk, by the codes
+as named; in mereo.lattice, completeness, by asking for the join of every
 subset; in mereo.weakparts, local transitivity, by listing every
 part-path of every pair; in mereo.cli, structure files, by testing each
 line's kind in file order and each label's declaration before its use,
@@ -52,6 +53,23 @@ def _is_canonical_scan(n: int, mask: int) -> bool:
         if _remap(mask, cmap) < mask:
             return False
     return True
+
+
+def _plain_down_sets(parts_in) -> list[int]:
+    """Every down-set (a set holding the parts of each member) of a strict
+    partial order given by parts_in[x], the parts of x; the empty set
+    first: the oracle for search._down_sets, which lists only those that
+    take the lowest members of each class of twins, with their ranks.
+
+    Elements are added in an order listing parts before wholes (a part
+    has fewer parts than its whole), so x can join exactly the down-sets
+    already found that hold all of its parts.
+    """
+    downs = [0]
+    for x in sorted(range(len(parts_in)),
+                    key=lambda x: parts_in[x].bit_count()):
+        downs += [d | 1 << x for d in downs if not parts_in[x] & ~d]
+    return downs
 
 
 def _literal_split_constraints(constraints):

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mereo import (
     CATALOG_ORDER, AxiomId, CatalogError, ParthoodStructure, Subset,
@@ -595,6 +596,28 @@ def test_subset_finders_match_literal_scans_on_all_small_relations():
 @given(structures_maybe_with_zero(max_n=6))
 def test_subset_finders_match_literal_scans_on_random_relations(s):
     _assert_finders_match_reference(s)
+
+
+@st.composite
+def sparse_relations(draw, min_n, max_n):
+    """Random relations on min_n..max_n elements, each pair present with
+    chance 1/2, 1/4 or 1/8; half of them transitively closed."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    mask = (1 << (n * n)) - 1
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        mask &= draw(st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
+    if draw(st.booleans()):
+        mask = _closure(n, mask)
+    return ParthoodStructure.from_mask(n, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_relations(7, 9))
+@example(fixture("b7"))                 # holds SSP_PLUS: every pair scanned
+def test_ssp_plus_matches_literal_scan_at_seven_to_nine_elements(s):
+    # the finder folds the common upper bounds of each remainder; the
+    # scan tests each member of it as the greatest
+    assert CATALOG[AxiomId.SSP_PLUS].find_violation(s) == _ref_ssp_plus(s)
 
 
 def test_subset_finders_match_literal_scans_on_fixtures():

@@ -506,6 +506,15 @@ def test_stdin_that_is_not_utf8_is_a_parse_error(data, line_no, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_closed_stdin_is_an_input_error(monkeypatch, capsys):
+    # Python sets sys.stdin to None when the process starts with it closed
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out = run_cli("check", "-", "--theory", "SPO")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: standard input is closed\n"
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("elements: a\npart: a < b\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -23,7 +24,7 @@ from mereo.search import (
 from conftest import fixture
 from oracles import (
     _canonical_form_scan, _is_canonical_scan, _literal_split_constraints,
-    _perm_cell_maps, _remap,
+    _perm_cell_maps, _plain_down_sets, _remap,
 )
 
 
@@ -93,6 +94,14 @@ def _order_compatible_posets(n):
 
 # -- reference: one-point extension with twin pruning only --------------------
 
+def _parent_order(m, parent):
+    """The rows and parts_in of the class parent on m elements."""
+    full = (1 << m) - 1
+    rows = [parent >> (i * m) & full for i in range(m)]
+    return rows, [sum(1 << z for z in range(m) if rows[z] >> x & 1)
+                  for x in range(m)]
+
+
 def _twin_pruned_poset_classes(n):
     """The poset classes at n as the one-point extension found them
     before children were ranked: every class at n-1 extended over every
@@ -103,11 +112,9 @@ def _twin_pruned_poset_classes(n):
     full = (1 << m) - 1
     children = set()
     for parent in _twin_pruned_poset_classes(m):
-        rows = [parent >> (i * m) & full for i in range(m)]
-        parts_in = [sum(1 << z for z in range(m) if rows[z] >> x & 1)
-                    for x in range(m)]
+        rows, parts_in = _parent_order(m, parent)
         twins = {t for t in _twin_masks(m, rows, full) if t & (t - 1)}
-        for down in _down_sets(parts_in):
+        for down in _plain_down_sets(parts_in):
             if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
                    for t in twins):
                 continue
@@ -368,6 +375,39 @@ def test_ranked_extension_matches_twin_pruned_reference():
         assert _poset_classes(n) == _twin_pruned_poset_classes(n)
 
 
+def test_down_sets_are_the_twin_pruned_down_sets_with_their_ranks():
+    # in the plain generator's order, each with the pair (size, summed
+    # part counts) packed in one int and its cells in column n-1
+    for n in range(2, 8):
+        m = n - 1
+        for parent in _poset_classes(m):
+            rows, parts_in = _parent_order(m, parent)
+            twins = _twin_masks(m, rows, (1 << m) - 1)
+            want = []
+            for down in _plain_down_sets(parts_in):
+                if any(t & ((1 << (down & t).bit_length()) - 1) != down & t
+                       for t in twins):
+                    continue
+                members = [x for x in range(m) if down >> x & 1]
+                rank = sum(n * n + parts_in[x].bit_count() for x in members)
+                column = sum(1 << (x * n + m) for x in members)
+                want.append((down, rank, column))
+            assert _down_sets(parts_in, twins, n) == want
+
+
+def _class_digest(n):
+    return hashlib.sha256(
+        ",".join(map(str, _poset_classes(n))).encode()).hexdigest()
+
+
+def test_poset_class_lists_are_pinned():
+    # the class tuples themselves, not only their counts (n=9 is in CI)
+    assert _class_digest(7) == ("86a4dc375fcd25fe49320d4bc2e8659e"
+                                "4f07281865f9e52b868decdc31845c1a")
+    assert _class_digest(8) == ("423703e6d03dd178234e75dfb8db2051"
+                                "0df9a6830b7d5c206d071428466260b2")
+
+
 @st.composite
 def labelled_strict_orders(draw, min_n=1, max_n=7):
     # the transitive closure of a random relation on a random linear
@@ -519,21 +559,55 @@ def test_canonical_form_is_a_relabelling_invariant_minimum_beyond_the_scan(
     assert canonical_form(n, _relabel(n, mask, p)) == canon
 
 
+def _assert_twin_masks_match_swaps(n, mask, among):
+    # twins are the pairs in among whose swap relabels mask to itself
+    full = (1 << n) - 1
+    succ = [mask >> (x * n) & full for x in range(n)]
+    want = [1 << x for x in range(n)]
+    for x, y in itertools.combinations(range(n), 2):
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        if among >> x & among >> y & 1 and _relabel(n, mask, swap) == mask:
+            want[x] |= 1 << y
+            want[y] |= 1 << x
+    assert _twin_masks(n, succ, among) == want
+
+
 def test_twin_masks_pair_only_the_given_elements():
     for n in range(1, 4):
-        full = (1 << n) - 1
         for mask in range(1 << (n * n)):
-            succ = [mask >> (x * n) & full for x in range(n)]
             for among in range(1 << n):
-                want = [1 << x for x in range(n)]
-                for x, y in itertools.combinations(range(n), 2):
-                    swap = list(range(n))
-                    swap[x], swap[y] = y, x
-                    if (among >> x & among >> y & 1
-                            and _relabel(n, mask, swap) == mask):
-                        want[x] |= 1 << y
-                        want[y] |= 1 << x
-                assert _twin_masks(n, succ, among) == want
+                _assert_twin_masks_match_swaps(n, mask, among)
+
+
+@st.composite
+def relations_with_twins(draw, min_n=4, max_n=7):
+    """A relation on n elements blown up from a relation on n-1 kinds,
+    elements of one kind related as their kinds are (a pair of distinct
+    ones as the kind to itself, a loop as the kind's loop), so that they
+    are twins, with up to two cells flipped after; and a set of the
+    elements, half the time all of them."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    k = n - 1
+    kind = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    between = draw(st.integers(0, (1 << (k * k)) - 1))
+    loops = draw(st.integers(0, (1 << k) - 1))
+    mask = 0
+    for x in range(n):
+        for y in range(n):
+            if (loops >> kind[x] if x == y
+                    else between >> (kind[x] * k + kind[y])) & 1:
+                mask |= 1 << (x * n + y)
+    for cell in draw(st.lists(st.integers(0, n * n - 1), max_size=2)):
+        mask ^= 1 << cell
+    full = (1 << n) - 1
+    return n, mask, full if draw(st.booleans()) else draw(st.integers(0, full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations_with_twins())
+def test_twin_masks_match_swap_relabelling_beyond_three_elements(case):
+    _assert_twin_masks_match_swaps(*case)
 
 
 @st.composite
