@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .axioms import AxiomId, holds
-from .core import ElementId, MereologyError, ParthoodStructure, _bits
-from .core import _Record, _set
+from .core import (DomainError, ElementId, MereologyError,
+                   ParthoodStructure, _bits, _Record, _set)
 from .theories import TheoryId, TheoryVerdict, check_theory
 
 
@@ -103,11 +103,13 @@ def adjoin_zero(s: ParthoodStructure,
     if not (holds(s, AxiomId.T) and holds(s, AxiomId.IRR)):
         raise OrderError(
             "zero adjunction needs a transitive irreflexive relation")
+    taken = {e.label for e in s.universe}
     if zero_label is None:
         zero_label = DEFAULT_ZERO_LABEL
-        taken = {e.label for e in s.universe}
         while zero_label in taken:
             zero_label += "'"
+    elif str(zero_label) in taken:
+        raise DomainError(f"zero label {zero_label!r} is already an element")
     return ZeroedStructure(s, zero_label)
 
 

@@ -6,12 +6,12 @@ form of a structure is its encoding minimised over all n! permutations
 of the universe.  canonical_form finds it by refining an ordered
 partition, the sinks taking the top labels as one cell; is_canonical,
 which only has to find one smaller relabelling, reads per-n tables of
-the permutations grouped by the element sent to the top label (1 to 8
-elements).  Their docstrings give the methods; the literal n! scans
-that define both are test oracles, kept outside the package.  Output is
-ordered by increasing universe size, then increasing canonical
-encoding, so searches return minimal-size witnesses and enumeration is
-deterministic.
+the permutations grouped by the element sent to the top label up to six
+elements, and defers to canonical_form above.  Their docstrings give
+the methods; the literal n! scans that define both are test oracles,
+kept outside the package.  Output is ordered by increasing universe
+size, then increasing canonical encoding, so searches return
+minimal-size witnesses and enumeration is deterministic.
 
 Generation prunes by structural constraints where it can.  Transitive
 relations are walked row by row, lazily and in ascending order, each
@@ -50,8 +50,8 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import (MAX_UNIVERSE_SIZE, DomainError, ParthoodStructure,
-                   _Record, _check_grid, _set)
+from .core import (MAX_UNIVERSE_SIZE, ParthoodStructure, _Record,
+                   _check_grid, _set)
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -236,46 +236,41 @@ def canonical_form(n: int, mask: int) -> int:
     return out
 
 
-# The largest universe is_canonical takes: its tables hold n! row maps of
-# 2^n entries each, which at n=8 take 1.5-1.8 s to build, in a process
-# peaking at 113 MB (2-core Intel Xeon, Python 3.11.7), and at n=9 would
-# take over 1.5 GB.
-IS_CANONICAL_MAX = 8
-
-
-# A permutation p in those tables: the elements it sends to labels n-2
-# down to 0, and its map row -> p(row).
-_Perm = tuple[tuple[int, ...], tuple[int, ...]]
+# The largest universe is_canonical reads permutation tables for: they
+# beat canonical_form on the n=6 walk under T alone (8.6-9.8 s against
+# 42-51 s), but lose on every walk at n=7 and 8, and the n=8 ones take
+# seconds and 113 MB to build (2-core Intel Xeon, Python 3.11.7).
+IS_CANONICAL_MAX = 6
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...],
-                                            tuple[tuple[_Perm, ...], ...]],
-                                      ...]:
+def _leasts(n: int) -> tuple[tuple[int, ...], ...]:
+    """least[x][v] = (2^k - 1) | [x in v] 2^(n-1), k the members of row
+    v other than x: the least p(v) over the permutations p that send x
+    to label n-1, as k distinct labels below n-1 sum to at least 2^k - 1,
+    with equality iff p sends those members to labels 0..k-1."""
+    return tuple(tuple((1 << v.bit_count() - (v >> x & 1)) - 1
+                       | (v >> x & 1) << n - 1 for v in range(1 << n))
+                 for x in range(n))
+
+
+# A permutation p in those tables: the elements it sends to labels n-2
+# down to 0, and its map row -> p(row); and a block of them.
+_Perm = tuple[tuple[int, ...], tuple[int, ...]]
+_Block = tuple[tuple[int, ...], tuple[tuple[_Perm, ...], ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_row_tables(n: int) -> tuple[_Block, ...]:
     """Block x, for each element x, of the permutations p of range(n)
     that send x to label n-1, the identity excepted: the pair (least,
-    ties), each indexed by a row v (bit j of a row is element j).
-
-    least[v] = (2^k - 1) | [x in v] 2^(n-1), k the members of v other
-    than x, is the least p(v) in the block, and ties[v] lists, in
-    permutation order, the permutations with p(v) = least[v]: each as
-    the elements it sends to labels n-2 down to 0, and the map
-    row -> p(row) over all 2^n rows.  p(v) = least[v] iff p sends the
-    other members of v to labels 0..k-1, since the bits of k distinct
-    labels below n-1 sum to at least 2^k - 1, with equality only there.
-    So p is listed under the 2n rows made of the elements it sends to
-    its k lowest labels, k = 0..n-1, with and without x.
-
-    Refuses n outside 1..IS_CANONICAL_MAX before building anything.
-    """
-    if not 1 <= n <= IS_CANONICAL_MAX:
-        raise DomainError(f"is_canonical takes 1 to {IS_CANONICAL_MAX} "
-                          f"elements, not {n}")
+    ties), least = _leasts(n)[x] and ties[v], for each row v (bit j of a
+    row is element j), the p with p(v) = least[v] in permutation order,
+    each as the elements it sends to labels n-2 down to 0 and its map
+    row -> p(row) over all 2^n rows.  So p is listed under the 2n rows
+    made of the elements it sends to its k lowest labels, k = 0..n-1,
+    with and without x."""
     size = 1 << n
-    loop_bit = n - 1
-    leasts = [tuple((1 << v.bit_count() - (v >> x & 1)) - 1
-                    | (v >> x & 1) << loop_bit for v in range(size))
-              for x in range(n)]
     ties = [[[] for _ in range(size)] for _ in range(n)]
     perms = itertools.permutations(range(n))
     next(perms)                                 # the identity
@@ -295,8 +290,7 @@ def _perm_row_tables(n: int) -> tuple[tuple[tuple[int, ...],
             block[lowest].append(entry)
             block[lowest | 1 << x].append(entry)
             lowest |= 1 << sources[n - 1 - k]
-    return tuple((least, tuple(map(tuple, block)))
-                 for least, block in zip(leasts, ties))
+    return tuple(zip(_leasts(n), (tuple(map(tuple, b)) for b in ties)))
 
 
 def is_canonical(n: int, mask: int,
@@ -308,9 +302,10 @@ def is_canonical(n: int, mask: int,
     significant row, label n-1, so the permutations are taken in blocks
     by the element x they send there.  Every image in block x has p(row
     of x) at the top, which is at least least(x) = (2^k - 1) | [x P x]
-    2^(n-1), k the successors of x other than x, and reaches it exactly
-    under the block's permutations that send those successors to labels
-    0..k-1 (_perm_row_tables).  So against the top row t of mask itself:
+    2^(n-1), k the successors of x other than x (_leasts), and reaches
+    it exactly under the block's permutations that send those
+    successors to labels 0..k-1 (_perm_row_tables).  So against the top
+    row t of mask itself:
 
     - least(x) < t: those permutations give an image smaller than mask
       in its top row, so mask is not canonical;
@@ -324,12 +319,15 @@ def is_canonical(n: int, mask: int,
     Each step decides exactly what the literal scan over all n!
     relabellings would, so the result is the same on every input.
     Blocks are taken in element order, the bound of each read with one
-    index as it is reached.  rows, if given, are the rows of mask
-    (rows[x] the successors of x), which the caller vouches for: the
-    orderly walk holds them already.  Raises DomainError for n outside
-    1..IS_CANONICAL_MAX, or, when rows are not given, a mask with a cell
-    outside the n x n grid.
+    index as it is reached.  Above IS_CANONICAL_MAX elements, where no
+    table is built, the result is canonical_form(n, mask) == mask.
+    rows, if given, are the rows of mask (rows[x] the successors of x),
+    which the caller vouches for: the orderly walk holds them already.
+    Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE, or, when rows
+    are not given, a mask with a cell outside the n x n grid.
     """
+    if not 1 <= n <= IS_CANONICAL_MAX:
+        return canonical_form(n, mask) == mask
     blocks = _perm_row_tables(n)
     if rows is None:
         if mask >> (n * n):
@@ -420,20 +418,18 @@ def _transitive_masks(n: int, irreflexive: bool,
     later of the two is decided.
 
     With top_bound, a value r of row i is also dropped, with every
-    relation below it, when least(i), read at r from block i of
-    _perm_row_tables, is below the top row (r itself for i = n-1).
-    That is is_canonical's block bound: some relabelling sending i to
-    the top label gives a smaller encoding, so only non-canonical
-    relations are dropped, and an up-to-isomorphism walk keeps its
-    canonical members in the same order.  So top_bound, like
-    is_canonical, takes 1 to IS_CANONICAL_MAX elements.
+    relation below it, when least(i), read at r from _leasts(n)[i], is
+    below the top row (r itself for i = n-1).  That is is_canonical's
+    block bound: some relabelling sending i to the top label gives a
+    smaller encoding, so only non-canonical relations are dropped, and
+    an up-to-isomorphism walk keeps its canonical members in the same
+    order.
     """
     full = (1 << n) - 1
     rows = [0] * n
     uppers = [0] * n
     prefix = [0] * (n + 1)      # prefix[i]: encoding of the rows above i
-    if top_bound:
-        leasts = [least for least, _ in _perm_row_tables(n)]
+    leasts = _leasts(n) if top_bound else None
 
     def upper_of(i: int) -> int:
         upper = full ^ (1 << i) if irreflexive else full
@@ -588,7 +584,7 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return has_t, has_irr, residual
 
 
-# What one shared walk of up to IS_CANONICAL_MAX elements may keep of its
+# What one shared walk of up to eight elements may keep of its
 # classes' structures and tables, in bytes, made a class cap by
 # _SharedWalk: 13,066 at n=4, where the walk of all relations has 3,044.
 WALK_BUDGET_BYTES = 8 << 20
@@ -621,15 +617,15 @@ class _SharedWalk:
     kept structure stay there at once.  A consumer's checks on the copy
     may build tables too (find_model's forbid check does): when the
     consumer asks for the next class, they go to the kept structure if
-    it still has none.  Every table up to IS_CANONICAL_MAX elements is
-    a read-only bytes object, so the copies and the kept structure may
-    share them; what else a copy fills on first use is its own.
+    it still has none.  Every table up to eight elements is a read-only
+    bytes object, so the copies and the kept structure may share them;
+    what else a copy fills on first use is its own.
 
     The walk keeps at most _cap classes, worked out when it is made: each
     kept class reserves room for its tables, so a pair filled later
     always fits and the kept bytes stay within WALK_BUDGET_BYTES whatever
-    the consumers read.  Up to IS_CANONICAL_MAX elements every kept
-    value is one of the ints below 256 that every process shares, and
+    the consumers read.  Up to eight elements every kept value is one
+    of the ints below 256 that every process shares, and
     the labels are the shared default tuple, so by sys.getsizeof a class
     costs its structure, five tuples of n ints, a pair of 2^n-byte
     tables and a list slot: 642 bytes at n=4, a cap of 13,066.  Past the
@@ -638,9 +634,10 @@ class _SharedWalk:
     builds, checks and hands on every structure from there on.
     start(after) walks only the encodings above after, the last kept
     class's (-1 for none), so a restart checks nothing the kept classes
-    cover.  Above IS_CANONICAL_MAX elements the cap is 0: the only walk
-    there is the census of strict partial orders, whose values and
-    table entries fit neither the shared ints nor a byte.
+    cover.  The cap is 0 where the universe mask no longer fits a byte,
+    the test sums.subset_tables makes: above eight elements, whatever
+    the walk, values and table entries fit neither the shared ints nor
+    a byte.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -664,7 +661,7 @@ class _SharedWalk:
         pair = (bytes(1 << n),) * 2
         size = sum(map(sys.getsizeof, (sample, *(zeros,) * 5, pair, *pair)))
         self._cap = (WALK_BUDGET_BYTES // (size + 8)
-                     if n <= IS_CANONICAL_MAX else 0)
+                     if (1 << n) - 1 < 256 else 0)   # subset_tables' test
 
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""

@@ -228,11 +228,12 @@ def difference(s: ParthoodStructure, x: ElementLike,
 
 
 def complement(s: ParthoodStructure, x: ElementLike) -> Optional[ElementId]:
-    """difference(unity, x); absent without a unity or for x = unity."""
+    """difference(unity, x), every element an ingrediens of the unity;
+    absent without a unity or for x = unity."""
     u = s.unity()
     if u is None or u.index == s.index(x):
         return None
-    return difference(s, u, x)
+    return _unique_sum(s, s.full & ~s.ov_of[s.index(x)], "difference")
 
 
 def binary_sum(s: ParthoodStructure, x: ElementLike,

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from mereo import (
-    OrderError, ParthoodStructure, adjoin_zero, check_theory, enumerate_models,
-    holds, lattice_report, models_up_to_iso, satisfies, tarski_check,
-    theory_axioms,
+    DomainError, OrderError, ParthoodStructure, adjoin_zero, check_theory,
+    enumerate_models, holds, lattice_report, models_up_to_iso, satisfies,
+    tarski_check, theory_axioms,
 )
 from mereo.lattice import zero_report
 
@@ -43,6 +43,16 @@ def test_zero_label_avoids_collision():
     s = ParthoodStructure.build(["0", "x"], [("0", "x")])
     z = adjoin_zero(s)
     assert z.elements[-1].label == "0'"
+
+
+def test_zero_label_naming_an_element_is_refused():
+    # labels compare as their str forms, as in ParthoodStructure
+    s = ParthoodStructure.build(["a", "b", "ab", "1"],
+                                [("a", "ab"), ("b", "ab")])
+    for label in ("a", "ab", 1):
+        with pytest.raises(DomainError, match="already an element"):
+            adjoin_zero(s, label)
+    assert adjoin_zero(s, "z").elements[-1].label == "z"
 
 
 def test_round_trip_base_recovery():

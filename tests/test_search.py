@@ -660,6 +660,8 @@ def test_perm_row_tables_list_the_permutations_that_reach_each_bound():
         blocks = search._perm_row_tables(n)
         assert len(blocks) == n
         for x, (least, ties) in enumerate(blocks):
+            # the bound the top-row walk reads too
+            assert least is search._leasts(n)[x]
             block = [p for p in perms if p[x] == n - 1]
             # the identity, which leaves every encoding as it is, is not
             # listed
@@ -765,18 +767,35 @@ def test_is_canonical_matches_scan_on_tie_heavy_inputs():
     assert ("accepted", True, True) in paths
 
 
-def test_is_canonical_refuses_sizes_without_tables(monkeypatch):
-    # a refusal must come before any table is built: were it missing,
-    # building n=9 would take about 1.5 GB, so fail fast instead
+def test_is_canonical_builds_no_table_above_six_elements(monkeypatch):
+    # above IS_CANONICAL_MAX is_canonical defers to canonical_form: the
+    # n=8 tables took seconds and 113 MB to build, and n=9 about 1.5 GB
     def no_tables(*args):
         raise AssertionError("a permutation table was built")
     monkeypatch.setattr(search.itertools, "permutations", no_tables)
-    before = search._perm_row_tables.cache_info()
-    for n in (0, 9):
-        with pytest.raises(DomainError, match="1 to 8"):
+    before = search._perm_row_tables.cache_info().currsize
+    for n in (0, 13):
+        with pytest.raises(DomainError,
+                           match=f"^universe size {n} outside 1..12$"):
             is_canonical(n, 0)
-    after = search._perm_row_tables.cache_info()
-    assert after.currsize == before.currsize
+    for n in range(search.IS_CANONICAL_MAX + 1, 13):
+        for base in _tie_heavy_relations(n):
+            # every relabelling has the canonical form of base
+            canon = canonical_form(n, base)
+            assert is_canonical(n, canon, _rows(n, canon))
+            for p in _fixed_relabellings(n):
+                mask = _relabel(n, base, p)
+                assert is_canonical(n, mask) == (mask == canon)
+    # the first classes of the n=7 walks that call is_canonical
+    n = 7
+    walks = [_canonical_masks(n, False), _canonical_masks(n, True),
+             (m for m in _transitive_masks(n, False, top_bound=True)
+              if is_canonical(n, m))]
+    for walk in walks:
+        first = list(itertools.islice(walk, 200))
+        assert len(first) == 200 and first == sorted(set(first))
+        assert all(canonical_form(n, m) == m for m in first)
+    assert search._perm_row_tables.cache_info().currsize == before
 
 
 def test_canonical_kernels_refuse_input_outside_the_grid():

@@ -82,6 +82,27 @@ def test_complement_examples():
     assert complement(fixture("x6"), "a") is None      # no unity at all
 
 
+def test_complement_is_one_query_that_agrees_with_difference(monkeypatch):
+    # complement reads its sum itself, so a traced run counts one query
+    # for it, and a fault still names the difference
+    def no_difference(*args):
+        raise AssertionError("complement called sums.difference")
+    monkeypatch.setattr(sys.modules["mereo.sums"], "difference",
+                        no_difference)
+    for s in all_relations(3):
+        u = s.unity()
+        for i in range(s.n):
+            got = _outcome(complement, s, i)
+            if u is None or u.index == i:
+                assert got is None
+            else:
+                assert got == _outcome(difference, s, u, i), (s, i)
+    # no relation on three elements gives a complement several sums
+    s = ParthoodStructure.from_mask(4, 2202)
+    assert _outcome(complement, s, 2) == _outcome(difference, s, 3, 2) \
+        == ("fault", "difference", s.universe[:2])
+
+
 def test_binary_sum_examples():
     assert binary_sum(fixture("b7"), "a", "b").label == "ab"
     assert binary_sum(fixture("w4"), "o1", "o2") is None
