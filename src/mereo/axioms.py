@@ -399,10 +399,11 @@ def _sum_sup_disagreement(*, sum_not_sup: bool = False,
 
 def _c_prod(s):
     ing = s.ing_of
+    have = set(ing)
     for x in range(s.n):
         for y in range(s.n):
             common = ing[x] & ing[y]
-            if common and not any(ing[z] == common for z in range(s.n)):
+            if common and common not in have:
                 return (x, y)
     return None
 

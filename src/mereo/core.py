@@ -191,8 +191,8 @@ class ParthoodStructure:
     distinct; `universe` and the label index are built from them on
     first use.  `_subset_tables` holds the pair of read-only integer
     sequences `sums.subset_tables` returns, two bytes objects up to
-    eight elements: None until that fills it or a shared
-    up-to-isomorphism walk sets the tables it kept.
+    eight elements and two lists of ints above: None until that fills it
+    or a shared up-to-isomorphism walk sets the tables it kept.
     """
 
     __slots__ = (

@@ -142,6 +142,19 @@ def structures_maybe_with_zero(draw, max_n=5):
     return ParthoodStructure([e.label for e in s.universe], rows)
 
 
+@st.composite
+def sparse_relations(draw, min_n, max_n):
+    """Random relations on min_n..max_n elements, each pair present with
+    chance 1/2, 1/4 or 1/8; half of them transitively closed."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    mask = (1 << (n * n)) - 1
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        mask &= draw(st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
+    if draw(st.booleans()):
+        mask = _closure(n, mask)
+    return ParthoodStructure.from_mask(n, mask)
+
+
 @pytest.fixture(scope="session")
 def fixture_files():
     return sorted(FIXTURE_DIR.glob("*.txt"))

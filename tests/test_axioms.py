@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mereo import (
     CATALOG_ORDER, AxiomId, CatalogError, ParthoodStructure, Subset,
@@ -16,7 +15,7 @@ from mereo.sums import (
 )
 
 from conftest import (
-    _closure, all_fixtures, all_relations, fixture,
+    _closure, all_fixtures, all_relations, fixture, sparse_relations,
     structures_maybe_with_zero,
 )
 
@@ -529,6 +528,20 @@ def _ref_s_sum(s):
     return None
 
 
+def _ref_c_prod(s):
+    """First (x, y) that overlap while no z has exactly their common
+    ingredienses as its own."""
+    def ingredienses(x):
+        return {u for u in range(s.n) if s.ing(u, x)}
+    for x in range(s.n):
+        for y in range(s.n):
+            common = ingredienses(x) & ingredienses(y)
+            if common and not any(ingredienses(z) == common
+                                  for z in range(s.n)):
+                return (x, y)
+    return None
+
+
 def _ref_pair_sum(bounded):
     def find(s):
         for x in range(s.n):
@@ -569,6 +582,7 @@ _REFERENCE = {
     AxiomId.EXT_OV: _ref_extensional(_same_overlappers),
     AxiomId.EXT_EXT: _ref_extensional(_same_exteriors),
     AxiomId.S_SUM: _ref_s_sum,
+    AxiomId.C_PROD: _ref_c_prod,
     AxiomId.C_BSUM: _ref_pair_sum(True),
     AxiomId.E_BSUM: _ref_pair_sum(False),
 }
@@ -598,19 +612,6 @@ def test_subset_finders_match_literal_scans_on_random_relations(s):
     _assert_finders_match_reference(s)
 
 
-@st.composite
-def sparse_relations(draw, min_n, max_n):
-    """Random relations on min_n..max_n elements, each pair present with
-    chance 1/2, 1/4 or 1/8; half of them transitively closed."""
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    mask = (1 << (n * n)) - 1
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        mask &= draw(st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
-    if draw(st.booleans()):
-        mask = _closure(n, mask)
-    return ParthoodStructure.from_mask(n, mask)
-
-
 @settings(max_examples=200, deadline=None)
 @given(sparse_relations(7, 9))
 @example(fixture("b7"))                 # holds SSP_PLUS: every pair scanned
@@ -618,6 +619,14 @@ def test_ssp_plus_matches_literal_scan_at_seven_to_nine_elements(s):
     # the finder folds the common upper bounds of each remainder; the
     # scan tests each member of it as the greatest
     assert CATALOG[AxiomId.SSP_PLUS].find_violation(s) == _ref_ssp_plus(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_relations(4, 12))
+def test_c_prod_matches_literal_scan_at_four_to_twelve_elements(s):
+    # the finder looks each pair's common ingredienses up in the set of
+    # ingrediens masks; the scan compares them with every element's
+    assert CATALOG[AxiomId.C_PROD].find_violation(s) == _ref_c_prod(s)
 
 
 def test_subset_finders_match_literal_scans_on_fixtures():

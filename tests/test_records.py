@@ -164,8 +164,9 @@ def test_pickle_round_trip(make, fields, text, protocol):
 
 
 def _filled_structures():
-    """A structure with its labels read and its subset tables built, and
-    one a shared walk handed out with the tables it kept, as bytes."""
+    """A structure with its labels read and its subset tables built, one
+    a shared walk handed out with the tables it kept, as bytes, and one
+    of nine elements with its tables built, as lists."""
     s = ParthoodStructure.build(["é", 'q"x', "c"], [("é", "q\"x")])
     s.element("c")
     subset_tables(s)
@@ -175,7 +176,11 @@ def _filled_structures():
         subset_tables(t)
     kept = list(enumerate_models(3, spo, up_to_iso=True))[-1]
     assert isinstance(kept._subset_tables[0], bytes)
-    return [s, kept]
+    # each element a part of the next
+    large = ParthoodStructure.from_mask(
+        9, sum(1 << (9 * i + i + 1) for i in range(8)))
+    assert isinstance(subset_tables(large)[0], list)
+    return [s, kept, large]
 
 
 @PROTOCOLS

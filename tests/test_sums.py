@@ -3,12 +3,13 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mereo import (
-    SumQueryResult, SupQueryResult, TheoryId, UniquenessFault, binary_sum,
-    check_all, check_theory, complement, difference, holds, is_sum, is_sup,
-    models_up_to_iso, product, product_by_cases, satisfies, sum_of, sup_of,
-    theory_axioms,
+    DomainError, SumQueryResult, SupQueryResult, TheoryId, UniquenessFault,
+    binary_sum, check_all, check_theory, complement, difference, holds,
+    is_sum, is_sup, models_up_to_iso, product, product_by_cases, satisfies,
+    sum_of, sup_of, theory_axioms,
 )
 from mereo.cli import main
 from mereo.core import ParthoodStructure, _bits
@@ -18,8 +19,8 @@ from mereo.sums import (
 
 from conftest import (
     FIXTURE_DIR, FIXTURE_NAMES, all_fixtures, all_relations, fixture,
-    o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets, structures,
-    structures_maybe_with_zero,
+    o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets, sparse_relations,
+    structures, structures_maybe_with_zero,
 )
 
 
@@ -80,6 +81,15 @@ def test_complement_examples():
     assert complement(b7, "abc") is None
     assert complement(w4, "o1") is None
     assert complement(fixture("x6"), "a") is None      # no unity at all
+
+
+@pytest.mark.parametrize("name", ["x6", "b7"])
+def test_complement_refuses_a_foreign_element_with_or_without_a_unity(name):
+    s = fixture(name)
+    assert (s.unity() is None) == (name == "x6")
+    for x in ("bogus", 99):
+        with pytest.raises(DomainError):
+            complement(s, x)
 
 
 def test_complement_is_one_query_that_agrees_with_difference(monkeypatch):
@@ -217,14 +227,34 @@ def test_subset_tables_match_literal_candidates_on_random_relations(s):
     _assert_tables_match_candidates(s)
 
 
-@settings(max_examples=60, deadline=None)
-@given(structures_maybe_with_zero(max_n=10))
-def test_subset_tables_are_bytes_up_to_eight_elements_and_fold_each_subset(s):
-    # the bytes are doubled through byte maps, the lists element by element
+def _assert_tables_fold_each_subset(s):
     tables = subset_tables(s)
-    assert {type(table) for table in tables} == {
-        bytes if s.n <= 8 else list}
+    if s.n <= 8:
+        assert {type(table) for table in tables} == {bytes}
+    else:
+        assert {type(table) for table in tables} == {list}
+        assert {type(entry) for table in tables for entry in table} == {int}
     assert list(zip(*tables)) == [subset_entry(s, m) for m in range(1 << s.n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures_maybe_with_zero(max_n=10), sparse_relations(9, 12)))
+def test_subset_tables_are_bytes_up_to_eight_elements_and_fold_each_subset(s):
+    # one byte plane up to eight elements, two joined into ints above;
+    # every mask, 0 and the universe included
+    _assert_tables_fold_each_subset(s)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_subset_tables_of_the_empty_and_full_relations(n):
+    empty = ParthoodStructure.from_mask(n, 0)
+    full = ParthoodStructure.from_mask(n, (1 << n * n) - 1)
+    for s in (empty, full):
+        _assert_tables_fold_each_subset(s)
+    # each element bounds only itself, and every element bounds everything
+    assert subset_tables(empty)[0][1 << (n - 1)] == 1 << (n - 1)
+    assert subset_tables(full)[0][empty.full] == empty.full
+    assert subset_tables(full)[1][1] == empty.full
 
 
 def test_subset_tables_are_built_once_per_structure():
