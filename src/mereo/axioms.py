@@ -168,34 +168,35 @@ def _t(s):
 
 
 def _find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:
-    """Shortest part-cycle through the lowest-index element on one, if any."""
+    """Shortest part-cycle through the lowest-index element on one, if any.
+
+    From each start the search goes breadth first, one level at a time,
+    and stops at the first level holding an element with an edge back to
+    start; the lowest such element closes the cycle, traced back along
+    the search tree to start."""
     n = s.n
+    rows = s.rows
     for start in range(n):
-        if s.rows[start] >> start & 1:
+        if rows[start] >> start & 1:
             return (start,)
+        back = s.parts_in[start]    # the elements with an edge to start
         prev = [-1] * n
         seen = 1 << start
         queue = [start]
-        while queue:
+        while queue and back:
             nxt = []
             for u in queue:
-                for v in _bits(s.rows[u] & ~seen):
+                for v in _bits(rows[u] & ~seen):
                     seen |= 1 << v
                     prev[v] = u
                     nxt.append(v)
-            queue = nxt
-        # any reached v with an edge back to start closes a cycle
-        best = None
-        for v in range(n):
-            if v != start and seen >> v & 1 and s.rows[v] >> start & 1:
-                path = [v]
+            hit = seen & back   # start is not in back, nor any earlier level
+            if hit:
+                path = [(hit & -hit).bit_length() - 1]
                 while path[-1] != start:
                     path.append(prev[path[-1]])
-                path.reverse()
-                if best is None or len(path) < len(best):
-                    best = path
-        if best is not None:
-            return tuple(best)
+                return tuple(reversed(path))
+            queue = nxt
     return None
 
 

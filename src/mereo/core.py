@@ -252,11 +252,12 @@ class ParthoodStructure:
         index = {str(l): i for i, l in enumerate(labels)}
         rows = [0] * len(labels)
         for part, whole in parts:
-            if part not in index:
+            p, w = index.get(str(part)), index.get(str(whole))
+            if p is None:
                 raise DomainError(f"undeclared label {part!r}")
-            if whole not in index:
+            if w is None:
                 raise DomainError(f"undeclared label {whole!r}")
-            rows[index[part]] |= 1 << index[whole]
+            rows[p] |= 1 << w
         return cls(labels, rows)
 
     @classmethod

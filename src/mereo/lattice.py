@@ -3,10 +3,10 @@
 A parthood structure whose relation is a strict partial order induces
 the partial order "is an ingrediens of"; adjoining a fresh bottom
 element beneath everything yields a bounded poset whose lattice laws
-are then checked by scanning for bounds -- meets and joins are found
-by scanning candidates, never computed through the sum machinery, so
-these verdicts are an independent cross-check of it.  Completeness
-follows from the lattice laws.
+are then checked.  Each pair's meet and join is found once, by scanning
+for bounds, never through the sum machinery, and every law reads that
+one meet table and one join table, so these verdicts are an independent
+cross-check of the sums.  Completeness follows from the lattice laws.
 
 The one correspondence verified here: a structure models classical
 mereology exactly when its zero adjunction is a non-degenerate complete
@@ -110,53 +110,17 @@ def adjoin_zero(s: ParthoodStructure,
             zero_label += "'"
     elif str(zero_label) in taken:
         raise DomainError(f"zero label {zero_label!r} is already an element")
-    return ZeroedStructure(s, zero_label)
+    return ZeroedStructure(s, str(zero_label))
 
 
 def lattice_report(z: ZeroedStructure) -> LatticeReport:
     n = z.n
-    witness: Optional[tuple] = None
-
-    is_lattice = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if z.meet(i, j) is None or z.join(i, j) is None:
-                is_lattice = False
-                if witness is None:
-                    witness = (z.elements[i], z.elements[j])
-                break
-        if not is_lattice:
-            break
-
-    is_distributive = is_lattice
-    if is_lattice:
-        for x in range(n):
-            for y in range(n):
-                for w in range(n):
-                    lhs = z.meet(x, z.join(y, w))
-                    rhs = z.join(z.meet(x, y), z.meet(x, w))
-                    if lhs != rhs:
-                        is_distributive = False
-                        witness = (z.elements[x], z.elements[y],
-                                   z.elements[w])
-                        break
-                if not is_distributive:
-                    break
-            if not is_distributive:
-                break
-
-    is_complemented = is_lattice
-    if is_lattice:
-        bottom = z.zero_index
-        top = z.join_of_set(z.full)
-        for x in range(n):
-            if not any(z.meet(x, y) == bottom and z.join(x, y) == top
-                       for y in range(n)):
-                is_complemented = False
-                if witness is None:
-                    witness = (z.elements[x],)
-                break
-
+    span = range(n)
+    els = z.elements
+    # Each pair's meet and join is found once, by scanning for bounds, and
+    # every law reads these tables.  Row i starts as [i] * n, since i is
+    # its own meet and join; pairs i < j fill the rest in order.
+    #
     # Completeness is the lattice verdict.  The adjunction is finite with
     # the zero as its bottom.  If every pair has a join, every nonempty
     # subset has one, by joining in its members one at a time, and the
@@ -165,13 +129,33 @@ def lattice_report(z: ZeroedStructure) -> LatticeReport:
     # pair's two elements bound that set from above, so its join lies in
     # it and is its greatest member.  An incomplete adjunction keeps the
     # lattice laws' failing pair as its witness.
+    meet = [[i] * n for i in span]
+    join = [[i] * n for i in span]
+    for i in span:
+        for j in range(i + 1, n):
+            m, u = z.meet(i, j), z.join(i, j)
+            if m is None or u is None:
+                return LatticeReport(False, False, False, False, False,
+                                     (els[i], els[j]))
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = u
+
+    # the witness is the first failing assignment of the first law to fail
+    bad = next(((x, y, w) for x in span for y in span for w in span
+                if meet[x][join[y][w]] != join[meet[x][y]][meet[x][w]]),
+               None)
+    bottom, top = z.zero_index, z.join_of_set(z.full)
+    lone = next(((x,) for x in span
+                 if not any(meet[x][y] == bottom and join[x][y] == top
+                            for y in span)), None)
+    first = bad or lone
     return LatticeReport(
-        is_lattice=is_lattice,
-        is_distributive=is_distributive,
-        is_complemented=is_complemented,
-        is_boolean=is_lattice and is_distributive and is_complemented,
-        is_complete=is_lattice,
-        witness=witness,
+        is_lattice=True,
+        is_distributive=bad is None,
+        is_complemented=lone is None,
+        is_boolean=first is None,
+        is_complete=True,
+        witness=None if first is None else tuple(els[k] for k in first),
     )
 
 

@@ -129,6 +129,19 @@ def all_relations(max_n):
             yield ParthoodStructure.from_mask(n, mask)
 
 
+_COMPOSITES = ["".join(c) for k in (2, 3, 4)
+               for c in itertools.combinations("abcd", k)]
+
+
+def _inclusion_family(rng, n, atoms):
+    """The given atoms and n - len(atoms) composites of abcd under strict
+    inclusion, in shuffled order."""
+    labels = list(atoms) + rng.sample(_COMPOSITES, n - len(atoms))
+    rng.shuffle(labels)
+    return ParthoodStructure.build(labels, [
+        (x, y) for x in labels for y in labels if set(x) < set(y)])
+
+
 @st.composite
 def structures_maybe_with_zero(draw, max_n=5):
     """Random relations, half of them transitively closed; about half get

@@ -2,8 +2,11 @@
 the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, the down-sets of a strict partial order,
 each with no twin pruning or rank, and the choice of walk, by the codes
-as named; in mereo.lattice, completeness, by asking for the join of every
-subset; in mereo.weakparts, local transitivity, by listing every
+as named; in mereo.axioms, the shortest part-cycle, by a full
+breadth-first search from each start and a pass over every path back
+to it; in mereo.lattice, completeness, by asking for the join of every
+subset, and the lattice report, by finding each law's bounds again
+wherever it needs them; in mereo.weakparts, local transitivity, by listing every
 part-path of every pair; in mereo.cli, structure files, by testing each
 line's kind in file order and each label's declaration before its use,
 and the model document `--json` writes for a structure, from its
@@ -18,7 +21,8 @@ from typing import Optional
 
 from mereo.axioms import AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
-from mereo.core import ParthoodStructure
+from mereo.core import ParthoodStructure, _bits
+from mereo.lattice import LatticeReport, ZeroedStructure
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
 
@@ -89,6 +93,97 @@ def _first_joinless_mask(z) -> Optional[int]:
         if z.join_of_set(mask) is None:
             return mask
     return None
+
+
+def _ref_find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:
+    """Shortest part-cycle through the lowest-index element on one, if any,
+    by a full breadth-first search from each start and then a pass over
+    every element with an edge back to it: the oracle for _find_cycle."""
+    n = s.n
+    for start in range(n):
+        if s.rows[start] >> start & 1:
+            return (start,)
+        prev = [-1] * n
+        seen = 1 << start
+        queue = [start]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in _bits(s.rows[u] & ~seen):
+                    seen |= 1 << v
+                    prev[v] = u
+                    nxt.append(v)
+            queue = nxt
+        # any reached v with an edge back to start closes a cycle
+        best = None
+        for v in range(n):
+            if v != start and seen >> v & 1 and s.rows[v] >> start & 1:
+                path = [v]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                if best is None or len(path) < len(best):
+                    best = path
+        if best is not None:
+            return tuple(best)
+    return None
+
+
+def _ref_lattice_report(z: ZeroedStructure) -> LatticeReport:
+    """lattice_report before its meet and join tables: each law finds
+    the bounds it needs again, five per distributivity triple and two
+    per complement candidate; the oracle for lattice_report."""
+    n = z.n
+    witness: Optional[tuple] = None
+
+    is_lattice = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if z.meet(i, j) is None or z.join(i, j) is None:
+                is_lattice = False
+                if witness is None:
+                    witness = (z.elements[i], z.elements[j])
+                break
+        if not is_lattice:
+            break
+
+    is_distributive = is_lattice
+    if is_lattice:
+        for x in range(n):
+            for y in range(n):
+                for w in range(n):
+                    lhs = z.meet(x, z.join(y, w))
+                    rhs = z.join(z.meet(x, y), z.meet(x, w))
+                    if lhs != rhs:
+                        is_distributive = False
+                        witness = (z.elements[x], z.elements[y],
+                                   z.elements[w])
+                        break
+                if not is_distributive:
+                    break
+            if not is_distributive:
+                break
+
+    is_complemented = is_lattice
+    if is_lattice:
+        bottom = z.zero_index
+        top = z.join_of_set(z.full)
+        for x in range(n):
+            if not any(z.meet(x, y) == bottom and z.join(x, y) == top
+                       for y in range(n)):
+                is_complemented = False
+                if witness is None:
+                    witness = (z.elements[x],)
+                break
+
+    return LatticeReport(
+        is_lattice=is_lattice,
+        is_distributive=is_distributive,
+        is_complemented=is_complemented,
+        is_boolean=is_lattice and is_distributive and is_complemented,
+        is_complete=is_lattice,
+        witness=witness,
+    )
 
 
 def _locally_transitive_by_paths(s) -> LocalTransitivityVerdict:

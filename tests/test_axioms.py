@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,8 +14,8 @@ from mereo.sums import (
 )
 
 from conftest import (
-    _closure, all_fixtures, all_relations, fixture, sparse_relations,
-    structures_maybe_with_zero,
+    _closure, _inclusion_family, all_fixtures, all_relations, fixture,
+    sparse_relations, structures_maybe_with_zero,
 )
 
 
@@ -637,19 +636,6 @@ def test_subset_finders_match_literal_scans_on_fixtures():
 # -- DOLLAR and DIAMOND at the benchmark's catalog sizes ----------------------
 # Their finders visit, per element, only the subsets that can witness a
 # failure there; the literal scans visit every (element, subset) pair.
-
-_COMPOSITES = ["".join(c) for k in (2, 3, 4)
-               for c in itertools.combinations("abcd", k)]
-
-
-def _inclusion_family(rng, n, atoms):
-    """The given atoms and n - len(atoms) composites of abcd under strict
-    inclusion, in shuffled order."""
-    labels = list(atoms) + rng.sample(_COMPOSITES, n - len(atoms))
-    rng.shuffle(labels)
-    return ParthoodStructure.build(labels, [
-        (x, y) for x in labels for y in labels if set(x) < set(y)])
-
 
 def _raw_relation(rng, n, closed):
     """Each ordered pair of distinct elements with chance 0.16, plus a

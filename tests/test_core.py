@@ -86,6 +86,7 @@ def test_domain_errors():
     with pytest.raises(DomainError, match="distinct"):
         ParthoodStructure.build([1, "1"])
     assert ParthoodStructure([1, 2], [0b10, 0]).index("1") == 0
+
     # the row count is checked before any row's bits, and a foreign bit
     # (or a negative row) is refused in whichever row it sits
     with pytest.raises(DomainError, match="one row per element"):
@@ -95,6 +96,19 @@ def test_domain_errors():
     for rows in ([0b100, 0], [0, 0b100], [0, -1]):
         with pytest.raises(DomainError, match="foreign elements"):
             ParthoodStructure(["a", "b"], rows)
+
+
+def test_build_looks_pair_labels_up_as_strings():
+    # pair labels resolve as the strings the labels are stored as, as in
+    # the constructor; a label that names no element is still refused
+    s = ParthoodStructure.build([1, 2], [(1, 2)])
+    assert s == ParthoodStructure([1, 2], [0b10, 0])
+    assert s.part("1", "2") and not s.part("2", "1")
+    assert ParthoodStructure.build(["1", "2"], [(1, "2")]) == s
+    with pytest.raises(DomainError, match="undeclared label 3"):
+        ParthoodStructure.build([1, 2], [(3, 2)])
+    with pytest.raises(DomainError, match="undeclared label 'c'"):
+        ParthoodStructure.build([1, 2], [(1, "c")])
 
 
 def test_resolution_refusals():

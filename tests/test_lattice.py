@@ -3,14 +3,14 @@ import random
 import pytest
 
 from mereo import (
-    DomainError, OrderError, ParthoodStructure, adjoin_zero, check_theory,
-    enumerate_models, holds, lattice_report, models_up_to_iso, satisfies,
-    tarski_check, theory_axioms,
+    DomainError, ElementId, OrderError, ParthoodStructure, adjoin_zero,
+    check_theory, enumerate_models, holds, lattice_report, models_up_to_iso,
+    satisfies, tarski_check, theory_axioms,
 )
 from mereo.lattice import zero_report
 
-from conftest import _closure, all_fixtures, fixture
-from oracles import _first_joinless_mask
+from conftest import _closure, _inclusion_family, all_fixtures, fixture
+from oracles import _first_joinless_mask, _ref_lattice_report
 
 
 def test_adjoin_zero_shapes():
@@ -53,6 +53,8 @@ def test_zero_label_naming_an_element_is_refused():
         with pytest.raises(DomainError, match="already an element"):
             adjoin_zero(s, label)
     assert adjoin_zero(s, "z").elements[-1].label == "z"
+    # and the zero's label is stored as its str form, as every label is
+    assert adjoin_zero(s, 5).elements[-1] == ElementId(4, "5")
 
 
 def test_round_trip_base_recovery():
@@ -211,3 +213,45 @@ def test_incomplete_adjunctions_fail_the_lattice_laws_first():
             assert not r.is_lattice, s
             assert r.witness is not None and len(r.witness) == 2, s
     assert incomplete > 0
+
+
+# -- the report from one meet and join table, against the law-by-law scan ----
+
+def _inclusion_families():
+    """Seeded 4-atom inclusion families, 25 of each size from 4 to 12."""
+    rng = random.Random(35)
+    for n in range(4, 13):
+        for _ in range(25):
+            yield _inclusion_family(rng, n, "abcd")
+
+
+def _report_inputs():
+    """Every poset class to 6 elements, 1,800 seeded strict orders of 7 to
+    12 elements, the inclusion families and the fixtures that are strict
+    orders."""
+    for n in range(1, 7):
+        yield from models_up_to_iso(n, ["T", "IRR"])
+    rng = random.Random(35)
+    for n in range(7, 13):
+        for _ in range(300):
+            yield _random_strict_order(rng, n)
+    yield from _inclusion_families()
+    for s in all_fixtures():
+        if holds(s, "T") and holds(s, "IRR"):
+            yield s
+
+
+def test_lattice_report_matches_law_by_law_scan():
+    patterns = {}
+    for s in _report_inputs():
+        z = adjoin_zero(s)
+        r = lattice_report(z)
+        ref = _ref_lattice_report(z)
+        assert r == ref, s     # field by field, witness included
+        key = (r.is_lattice, r.is_distributive, r.is_complemented)
+        patterns[key] = patterns.get(key, 0) + 1
+    # the lattice laws fail first, or distributivity, complementation,
+    # both or neither fails
+    assert set(patterns) == {
+        (False, False, False), (True, True, True), (True, True, False),
+        (True, False, True), (True, False, False)}, patterns

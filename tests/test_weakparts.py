@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +8,10 @@ from mereo import (
     ParthoodStructure, holds, is_acyclic, is_locally_transitive,
     models_up_to_iso, paths_between, weakparts,
 )
+from mereo.axioms import _find_cycle
 
 from conftest import all_fixtures, all_relations, fixture, structures
-from oracles import _locally_transitive_by_paths
+from oracles import _locally_transitive_by_paths, _ref_find_cycle
 
 
 def test_acyclicity_examples():
@@ -31,6 +34,31 @@ def test_acyclic_covers_loops_and_mutual_parts():
         assert is_acyclic(s).holds <= holds(s, "AS")
         if holds(s, "IRR") and holds(s, "T"):
             assert is_acyclic(s).holds
+
+
+def _assert_cycle_matches_full_search(s):
+    cycle = _ref_find_cycle(s)
+    assert _find_cycle(s) == cycle, s
+    v = is_acyclic(s)
+    assert v.holds == (cycle is None), s
+    if cycle is not None:
+        assert v.cycle == tuple(s.universe[i] for i in cycle), s
+
+
+def test_find_cycle_matches_full_search():
+    # every relation to 3 elements, then seeded random relations of 4 to
+    # 12 elements, sparse to dense and loop-free, so that cycles close at
+    # varied levels
+    for s in all_relations(3):
+        _assert_cycle_matches_full_search(s)
+    rng = random.Random(35)
+    for n in range(4, 13):
+        for _ in range(200):
+            p = rng.uniform(0.02, 0.3)
+            mask = sum(1 << cell for cell in range(n * n)
+                       if cell % (n + 1) and rng.random() < p)
+            _assert_cycle_matches_full_search(
+                ParthoodStructure.from_mask(n, mask))
 
 
 def test_local_transitivity_examples():
