@@ -515,110 +515,191 @@ def _cmd_dot(args, out) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser]]:
-    """The `mereo` parser and its subparsers by command name, built on
-    first use and shared by every `main` call.  They hold only constant
-    defaults (no output stream, nothing mutable), so one call's result
-    never depends on an earlier call's.  The name map is built with the
-    parser, so clearing the cache replaces both."""
+                             dict[str, argparse.ArgumentParser],
+                             dict[str, Optional[tuple]]]:
+    """The `mereo` parser, its subparsers by command name and each
+    command's grammar for `_exact_namespace`, built on first use and
+    shared by every `main` call.  They hold only constant defaults (no
+    output stream, nothing mutable), so one call's result never depends
+    on an earlier call's.  A grammar is read off the `Action`s that the
+    command's `add_argument` calls return, so each option is declared
+    once, and the three are built together, so clearing the cache
+    replaces them all."""
     parser = argparse.ArgumentParser(
         prog="mereo",
         description="finite-model checks for parthood structures")
     sub = parser.add_subparsers(dest="command", required=True)
+    declared: dict[str, list] = {}
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+    def command(name, func, help):
+        """Add the command's subparser; return its add_argument, which
+        also records each action with its kind."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        actions = declared[name] = []
 
-    p = sub.add_parser("check", help="check a theory against a structure")
-    p.add_argument("file")
-    p.add_argument("--theory", required=True,
-                   help="|".join(t.value for t in TheoryId))
-    add_json(p)
-    p.set_defaults(func=_cmd_check)
+        def arg(*names, action="store", **kwargs):
+            actions.append((action, p.add_argument(*names, action=action,
+                                                   **kwargs)))
+        return arg
 
-    p = sub.add_parser("axioms", help="evaluate the axiom catalog")
-    p.add_argument("file")
-    p.add_argument("--only", help="comma-separated axiom codes")
-    add_json(p)
-    p.set_defaults(func=_cmd_axioms)
+    def add_json(arg):
+        arg("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("sum", help="sum candidates of a subset")
-    p.add_argument("file")
-    p.add_argument("--set", required=True, help="comma-separated labels")
-    add_json(p)
-    p.set_defaults(func=_cmd_sum)
+    arg = command("check", _cmd_check, "check a theory against a structure")
+    arg("file")
+    arg("--theory", required=True, help="|".join(t.value for t in TheoryId))
+    add_json(arg)
 
-    p = sub.add_parser("sup", help="supremum candidates of a subset")
-    p.add_argument("file")
-    p.add_argument("--set", required=True, help="comma-separated labels")
-    add_json(p)
-    p.set_defaults(func=_cmd_sup)
+    arg = command("axioms", _cmd_axioms, "evaluate the axiom catalog")
+    arg("file")
+    arg("--only", help="comma-separated axiom codes")
+    add_json(arg)
 
-    p = sub.add_parser("alg", help="algebraic operation")
-    p.add_argument("file")
-    p.add_argument("--op", required=True, choices=_ALG_OPS)
-    p.add_argument("--args", required=True, help="comma-separated labels")
-    add_json(p)
-    p.set_defaults(func=_cmd_alg)
+    arg = command("sum", _cmd_sum, "sum candidates of a subset")
+    arg("file")
+    arg("--set", required=True, help="comma-separated labels")
+    add_json(arg)
 
-    p = sub.add_parser("enumerate", help="enumerate models of a theory")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theory", required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--up-to-iso", action="store_true")
-    add_json(p)
-    p.set_defaults(func=_cmd_enumerate)
+    arg = command("sup", _cmd_sup, "supremum candidates of a subset")
+    arg("file")
+    arg("--set", required=True, help="comma-separated labels")
+    add_json(arg)
 
-    p = sub.add_parser("implies",
-                       help="bounded countermodel search for an implication")
-    p.add_argument("--ambient", help="comma-separated axiom codes")
-    p.add_argument("--from", required=True, dest="from",
-                   help="comma-separated hypothesis codes")
-    p.add_argument("--to", required=True, help="conclusion code")
-    p.add_argument("--max-n", type=int, default=SEARCH_MAX)
-    add_json(p)
-    p.set_defaults(func=_cmd_implies)
+    arg = command("alg", _cmd_alg, "algebraic operation")
+    arg("file")
+    arg("--op", required=True, choices=_ALG_OPS)
+    arg("--args", required=True, help="comma-separated labels")
+    add_json(arg)
 
-    p = sub.add_parser("lattice", help="lattice laws of the zero adjunction")
-    p.add_argument("file")
-    p.add_argument("--tarski", action="store_true",
-                   help="compare against classical-mereology membership")
-    add_json(p)
-    p.set_defaults(func=_cmd_lattice)
+    arg = command("enumerate", _cmd_enumerate, "enumerate models of a theory")
+    arg("--n", type=int, required=True)
+    arg("--theory", required=True)
+    arg("--count-only", action="store_true")
+    arg("--up-to-iso", action="store_true")
+    add_json(arg)
 
-    p = sub.add_parser("localtrans",
-                       help="acyclicity and local transitivity verdicts")
-    p.add_argument("file")
-    add_json(p)
-    p.set_defaults(func=_cmd_localtrans)
+    arg = command("implies", _cmd_implies,
+                  "bounded countermodel search for an implication")
+    arg("--ambient", help="comma-separated axiom codes")
+    arg("--from", required=True, dest="from",
+        help="comma-separated hypothesis codes")
+    arg("--to", required=True, help="conclusion code")
+    arg("--max-n", type=int, default=SEARCH_MAX)
+    add_json(arg)
 
-    p = sub.add_parser("dot", help="DOT export of the covering digraph")
-    p.add_argument("file")
-    p.add_argument("--full", action="store_true",
-                   help="draw the raw relation instead of covering edges")
-    p.set_defaults(func=_cmd_dot)
+    arg = command("lattice", _cmd_lattice, "lattice laws of the zero adjunction")
+    arg("file")
+    arg("--tarski", action="store_true",
+        help="compare against classical-mereology membership")
+    add_json(arg)
 
-    return parser, dict(sub.choices)
+    arg = command("localtrans", _cmd_localtrans,
+                  "acyclicity and local transitivity verdicts")
+    arg("file")
+    add_json(arg)
+
+    arg = command("dot", _cmd_dot, "DOT export of the covering digraph")
+    arg("file")
+    arg("--full", action="store_true",
+        help="draw the raw relation instead of covering edges")
+
+    commands = dict(sub.choices)
+    return parser, commands, {name: _grammar(commands[name], actions)
+                              for name, actions in declared.items()}
+
+
+def _grammar(p: argparse.ArgumentParser, declared) -> Optional[tuple]:
+    """(options, positionals, defaults, required) of one command for
+    `_exact_namespace`: its option strings to their actions, its
+    positional actions in order, the namespace its parser starts from,
+    and the actions a line must give.  None when an action is not a
+    plain store or store_true, or would have argparse convert a string
+    default; those lines are for the parser alone."""
+    options, positionals = {}, []
+    defaults = {"func": p.get_default("func")}
+    for kind, a in declared:
+        if (kind not in ("store", "store_true")
+                or kind == "store" and a.nargs is not None
+                or a.type is not None and isinstance(a.default, str)):
+            return None
+        for spelling in a.option_strings:
+            options[spelling] = a
+        if not a.option_strings:
+            positionals.append(a)
+        defaults[a.dest] = a.default
+    required = frozenset(a for _, a in declared if a.required)
+    return options, tuple(positionals), defaults, required
+
+
+def _exact_namespace(grammar: tuple,
+                     argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace the command's parser gives `argv` (without
+    `command`), or None for a line left to that parser (`_parse_args`
+    says which)."""
+    options, positionals, defaults, required = grammar
+    values = dict(defaults)
+    unfilled = iter(positionals)
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            action = next(unfilled, None)       # None: one positional too many
+        else:
+            action = options.get(token)
+            if action is not None and action.nargs != 0:
+                token = next(tokens, "-")       # "-": the value is missing
+                if token[:1] == "-":
+                    return None
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            try:
+                value = token if action.type is None else action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:                    # positionals are required too
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """The namespace of one command line, from one argparse pass.
+    """The namespace of one command line.
 
     The nested parse scans argv with the top-level parser and then the
-    tail again with the subparser.  When argv starts with a command name
-    its subparser parses the tail directly; with no arguments left over,
-    that is the namespace the nested parse gives.  Otherwise (no command
-    first, or arguments left over) the top-level parser parses the whole
-    line, so `-h`, unknown commands and unrecognised arguments get its
-    usage and messages."""
-    parser, commands = _build_parser()
+    tail again with the subparser.  When argv starts with a command name,
+    `_exact_namespace` reads the tail in one loop if each token is an
+    option the command declares, spelled exactly, or a positional that
+    does not start with `-`.  An option's value is the next token; it is
+    converted by the option's `type` and checked against its `choices`,
+    and a repeated option keeps its last value, as in argparse.  Any
+    other line goes to the command's subparser, with argparse's own
+    messages: one with a `-` token the command does not declare (`-h`,
+    `--`, `-`, an abbreviation, `--opt=value`, an unknown option), a
+    value that is missing or starts with `-`, a conversion that raises, a
+    value outside `choices`, too many or too few positionals, or a
+    required option left out.  With no arguments left over, either gives
+    the namespace the nested parse gives.  Otherwise (no command first,
+    or arguments left over) the top-level parser parses the whole line,
+    so `-h`, unknown commands and unrecognised arguments get its usage
+    and messages."""
+    parser, commands, grammars = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
+        grammar = grammars[argv[0]]
+        args = None if grammar is None else _exact_namespace(grammar, argv[1:])
+        if args is None:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                return parser.parse_args(argv)
+        args.command = argv[0]
+        return args
     return parser.parse_args(argv)
 
 
@@ -627,8 +708,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
     Reports and `--help` text go to `out` (default: stdout); usage and
     error messages go to stderr.  The argument parser is built once per
-    process and parses each command line in one argparse pass, so `main`
-    is cheap and safe to call repeatedly in-process.
+    process.  A line whose options are spelled exactly is read without an
+    argparse pass; other spellings (`-h`, `--opt=value`, abbreviations,
+    `--`, values starting with `-`) and lines in error take one, with
+    argparse's usage and messages (`_parse_args`).  So `main` is cheap
+    and safe to call repeatedly in-process.
     """
     out = out or sys.stdout
     try:

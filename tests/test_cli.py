@@ -779,6 +779,10 @@ def _error_lines():
         ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "x"),
         ("alg", w4, "--op", "join", "--args", "o1,o2"),
         ("check", "--theory", "T3", "--", w4),
+        ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "-1"),
+        ("sum", w4, "--set", "-x"),
+        ("check", w4, "--theory", "T1", "--theory", "T3"),
+        ("check", "-", "--theory", "T3"),       # w4 on standard input
     ]
 
 
@@ -798,6 +802,7 @@ def test_direct_dispatch_answers_as_the_nested_parse(capsys, monkeypatch):
     def run():
         results = []
         for argv in lines:
+            _stdin(monkeypatch, (FIXTURE_DIR / "w4.txt").read_bytes())
             code, out = run_cli(*argv)
             results.append((code, out, capsys.readouterr().err))
         return results
@@ -814,9 +819,163 @@ def test_direct_dispatch_answers_as_the_nested_parse(capsys, monkeypatch):
     assert len(whole) == 5 + len(lines)
     assert direct == nested
     answers = direct[-len(errors):]
-    assert [code for code, _, _ in answers] == [2, 2, 0, 0, 2, 0, 0, 2, 2, 0]
+    assert [code for code, _, _ in answers] == [2, 2, 0, 0, 2, 0, 0, 2, 2, 0,
+                                                2, 2, 0, 0]
     assert answers[0][2].endswith(
         "mereo: error: unrecognized arguments: --bogus\n")
     assert "invalid choice: 'chek'" in answers[1][2]
     assert answers[2][1].startswith("usage: mereo [-h]")
     assert answers[3][1].startswith("usage: mereo check ")
+    assert answers[10][2] == "error: --max-n must be within 1..7\n"
+    assert answers[11][2].endswith(
+        "mereo sum: error: argument --set: expected one argument\n")
+    assert answers[12][1] == run_cli(*lines[0])[1]
+    assert answers[13][1].startswith("structure: -\ntheory: T3 ")
+
+
+# -- the exact route -------------------------------------------------------------
+
+def _benchmark_and_readme_shapes():
+    """One line of every shape `perfbench/workloads.py` and the README
+    send."""
+    w4, b7 = fx("w4"), fx("b7")
+    return [
+        ("check", w4, "--theory", "T3"),
+        ("check", w4, "--theory", "T3", "--json"),
+        ("axioms", w4, "--json"),
+        ("axioms", w4, "--only", "SUP_SUB_SUM"),
+        ("sum", w4, "--set", "o1,o2", "--json"),
+        ("sup", w4, "--set", "o1,o2"),
+        ("alg", b7, "--op", "product", "--args", "ab,bc", "--json"),
+        ("enumerate", "--n", "3", "--theory", "SPO", "--up-to-iso", "--json"),
+        ("enumerate", "--n", "3", "--theory", "CM", "--up-to-iso",
+         "--count-only", "--json"),
+        ("implies", "--ambient", "T", "--from", "U_SUM", "--to", "SSP",
+         "--max-n", "4", "--json"),
+        ("implies", "--from", "WSP", "--to", "SSP", "--max-n", "3"),
+        ("lattice", w4, "--tarski", "--json"),
+        ("localtrans", fx("chain4_gap"), "--json"),
+        ("dot", b7),
+    ]
+
+
+def test_benchmark_and_readme_lines_make_no_argparse_pass(monkeypatch):
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    readme = [tuple(line.split()[1:]) for line, _ in _readme_command_lines()]
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in _benchmark_and_readme_shapes() + readme:
+        assert run_cli(*argv)[0] in (0, 1), argv
+    assert passes == []
+    assert run_cli("check", fx("w4"), "--theory=T3")[0] == 0
+    assert passes == ["mereo check"]
+
+
+# Values argparse converts, checks or takes as given, and tokens it reads
+# in ways the exact route leaves to it.
+_PLAIN_TOKENS = ("", "x", "3", "+5", " 5", "5_0", "T3", "SPO", "U_SUM",
+                 "product", "join", "o1,o2")
+_AWKWARD_TOKENS = ("-", "--", "-h", "--help", "-1", "-x")
+
+
+@st.composite
+def _command_lines(draw):
+    """A command followed by tokens drawn at random, or by a well-formed
+    tail with a few edits: a token deleted, an option given again with a
+    value, or a token inserted.  The tokens are the command's declared
+    option strings, their abbreviations and `--opt=value` spellings, and
+    the plain and awkward tokens above."""
+    shapes = {argv[0]: argv[1:] for argv in _benchmark_and_readme_shapes()}
+    name = draw(st.sampled_from(sorted(shapes)))
+    actions = _build_parser()[2][name][0]
+    options = sorted(actions)
+    token = st.sampled_from(
+        options + list(_PLAIN_TOKENS) + list(_AWKWARD_TOKENS)
+        + [o[:k] for o in options for k in (3, len(o) - 1)]
+        + [o + "=" + v for o in options for v in ("3", "T3")])
+    if draw(st.integers(0, 3)) == 0:
+        return [name] + draw(st.lists(token, max_size=8))
+    tokens = list(shapes[name])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("delete", "repeat", "insert")))
+        at = draw(st.integers(0, len(tokens)))
+        if edit == "delete" and tokens:
+            del tokens[min(at, len(tokens) - 1)]
+        elif edit == "repeat":          # at either end, between options
+            option = draw(st.sampled_from(options))
+            given = [option] if actions[option].nargs == 0 else [
+                option, draw(st.sampled_from(_PLAIN_TOKENS))]
+            tokens = tokens + given if draw(st.booleans()) else given + tokens
+        else:
+            tokens.insert(at, draw(token))
+    return [name] + tokens
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+@example(["check", "w4.txt", "--theory", "T1", "--theory", "T3", "--json"])
+@example(["implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "+5"])
+@example(["implies", "--from", "U_SUM", "--to", "SSP", "--max-n", " 5"])
+@example(["implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "5_0"])
+@example(["alg", "", "--op", "product", "--args", ""])
+def test_exact_route_answers_as_the_command_parser(argv):
+    _, commands, grammars = _build_parser()
+    if cli._exact_namespace(grammars[argv[0]], argv[1:]) is None:
+        return                      # left to argparse, which answers as ever
+    want, extras = commands[argv[0]].parse_known_args(argv[1:])
+    assert extras == []
+    want.command = argv[0]
+    assert vars(cli._parse_args(argv)) == vars(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "w4.txt", "--theory=T3"),
+    ("check", "w4.txt", "--the", "T3"),
+    ("check", "w4.txt", "--theory", "T3", "--"),
+    ("check", "-", "--theory", "T3"),
+    ("check", "w4.txt", "--theory", "T3", "-h"),
+    ("check", "w4.txt", "--theory"),
+    ("check", "w4.txt", "--theory", "--json"),
+    ("check", "w4.txt"),
+    ("check", "--theory", "T3"),
+    ("check", "w4.txt", "w4.txt", "--theory", "T3"),
+    ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "-1"),
+    ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "x"),
+    ("implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "5", "--n", "3"),
+    ("alg", "w4.txt", "--op", "join", "--args", "o1,o2"),
+    ("sum", "w4.txt", "--set", "-x"),
+    ("enumerate", "--n", "3", "--theory", "SPO", "x"),
+])
+def test_exact_route_leaves_other_spellings_to_argparse(argv):
+    assert cli._exact_namespace(_build_parser()[2][argv[0]], argv[1:]) is None
+
+
+def _readme_command_lines():
+    """The command lines of the README's "Command line" block, each
+    with the comment after it."""
+    text = (FIXTURE_DIR.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert len(lines) == 10 and all(l.startswith("mereo ") for l in lines)
+    return [tuple(part.strip() for part in (l + "#").split("#")[:2])
+            for l in lines]
+
+
+@pytest.mark.parametrize("line, comment", _readme_command_lines())
+def test_readme_command_lines_give_what_their_comments_say(line, comment,
+                                                            monkeypatch):
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    code, out = run_cli(*line.split()[1:])
+    status = re.search(r"\bexit (\d)", comment)
+    if status:
+        assert code == int(status.group(1))
+    else:
+        assert code in (0, 1) and out
+    for quoted in re.findall(r'"([^"]*)"', comment):
+        assert quoted in out.splitlines()
