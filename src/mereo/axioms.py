@@ -26,9 +26,11 @@ SSP_OV, SSP_EXT, PPP); equal masks (the four EXT codes); two sums or
 two suprema of one subset (U_SUM, U_SUP); a pair without a sum (C_BSUM,
 E_BSUM); and sum/supremum disagreement over the subsets of x's
 ingredienses (SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
-factory builds a code's checker once, at import, as a closure: a lambda
-or partial calling a shared kernel would add a Python call to every
-check, and a search checks thousands of structures of a few elements.
+factory builds a checker once, at import, as a closure: a lambda or
+partial calling a shared kernel would add a Python call to every check,
+and a search checks thousands of structures of a few elements.  Codes
+with one finder (SSP_OV and SSP_EXT, EXT_OV and EXT_EXT, the DOLLAR
+pair) share the same object, which check_all runs once per structure.
 
 A failed check carries a witness: the first violating assignment under
 universe order and subset encoding order, as a tuple of elements
@@ -452,6 +454,9 @@ class AxiomInfo:
     find_violation: Checker
 
 
+_ov_within_ov = _within_cover("ov_of", "ov_of")
+_equal_overlaps = _equal_masks("ov_of")
+
 _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.IRR, "nothing is a part of itself", 0, _irr),
     AxiomInfo(AxiomId.ANTIS, "no two distinct objects are parts of each other", 0, _mutual_parts(distinct=True)),
@@ -462,8 +467,8 @@ _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.EXISTS_EXT, "non-degenerate universes have an exterior pair", 1, _exists_ext),
     AxiomInfo(AxiomId.WSP, "every proper part is supplemented by an exterior part", 1, _wsp),
     AxiomInfo(AxiomId.SSP, "every non-ingrediens is supplemented by an exterior ingrediens", 1, _within_cover("ing_of", "ov_of")),
-    AxiomInfo(AxiomId.SSP_OV, "overlap-monotone pairs are ingredienses", 1, _within_cover("ov_of", "ov_of")),
-    AxiomInfo(AxiomId.SSP_EXT, "exteriority-antitone pairs are ingredienses", 1, _within_cover("ov_of", "ov_of")),
+    AxiomInfo(AxiomId.SSP_OV, "overlap-monotone pairs are ingredienses", 1, _ov_within_ov),
+    AxiomInfo(AxiomId.SSP_EXT, "exteriority-antitone pairs are ingredienses", 1, _ov_within_ov),
     AxiomInfo(AxiomId.SSP_PLUS, "supplementation with a greatest remainder", 1, _ssp_plus),
     AxiomInfo(AxiomId.PPP, "sharing all proper parts of a composite forces ingrediens", 1, _within_cover("parts_in", "parts_in")),
     AxiomInfo(AxiomId.U_SUM, "a set has at most one sum", 2, _two_candidates(sups=False)),
@@ -471,8 +476,8 @@ _CATALOG: list[AxiomInfo] = [
     AxiomInfo(AxiomId.U_SUP, "a set has at most one supremum", 2, _two_candidates(sups=True)),
     AxiomInfo(AxiomId.EXT_PP, "composites with the same proper parts are equal", 0, _equal_masks("parts_in")),
     AxiomInfo(AxiomId.EXT_ING, "objects with the same ingredienses are equal", 0, _equal_masks("ing_of")),
-    AxiomInfo(AxiomId.EXT_OV, "objects overlapping the same things are equal", 1, _equal_masks("ov_of")),
-    AxiomInfo(AxiomId.EXT_EXT, "objects exterior to the same things are equal", 1, _equal_masks("ov_of")),
+    AxiomInfo(AxiomId.EXT_OV, "objects overlapping the same things are equal", 1, _equal_overlaps),
+    AxiomInfo(AxiomId.EXT_EXT, "objects exterior to the same things are equal", 1, _equal_overlaps),
     AxiomInfo(AxiomId.DOLLAR_EXT, "x sums S iff exteriority to x is exteriority to all of S", 2, _dollar),
     AxiomInfo(AxiomId.DOLLAR_OV, "x sums S iff overlapping x is overlapping some of S", 2, _dollar),
     AxiomInfo(AxiomId.DIAMOND, "a sum and a supremum of the same set are equal", 2, _diamond),
@@ -503,16 +508,29 @@ def _to_witness(s: ParthoodStructure, raw: tuple) -> tuple:
     return tuple(out)
 
 
-def check_axiom(s: ParthoodStructure, a: AxiomLike) -> Verdict:
-    code = axiom_id(a)
-    raw = CATALOG[code].find_violation(s)
+def _verdict(s: ParthoodStructure, code: AxiomId,
+             raw: Optional[tuple]) -> Verdict:
     if raw is None:
         return Verdict(code, True, None)
     return Verdict(code, False, _to_witness(s, raw))
 
 
+def check_axiom(s: ParthoodStructure, a: AxiomLike) -> Verdict:
+    code = axiom_id(a)
+    return _verdict(s, code, CATALOG[code].find_violation(s))
+
+
 def check_all(s: ParthoodStructure) -> list[Verdict]:
-    return [check_axiom(s, code) for code in CATALOG_ORDER]
+    """check_axiom(s, code) for each code in CATALOG_ORDER, running each
+    distinct finder once: codes with one finder share its result."""
+    raws: dict[Checker, Optional[tuple]] = {}
+    verdicts = []
+    for code in CATALOG_ORDER:
+        find = CATALOG[code].find_violation
+        if find not in raws:
+            raws[find] = find(s)
+        verdicts.append(_verdict(s, code, raws[find]))
+    return verdicts
 
 
 def holds(s: ParthoodStructure, a: AxiomLike) -> bool:

@@ -25,11 +25,11 @@ Exit status: 0 verdict holds, 1 verdict fails, 2 usage or parse error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .axioms import (
@@ -181,6 +181,27 @@ def _verdict_json(v: Verdict):
 _escape = json.encoder.encode_basestring_ascii
 
 
+# One entry per label tuple and indent: `enumerate` and `implies` write
+# only default-labelled structures, one shared label tuple per size
+# (1..12), at one indent each, so a process needs at most 12 x 2 entries.
+@functools.lru_cache(maxsize=24)
+def _frame(labels: tuple[str, ...], newline: str) -> tuple:
+    """(parts, wholes, opening, separator, closing, empty) of a model
+    document with these labels whose closing brace follows `newline`:
+    each part's `[`-prefix and each whole's `]`-suffix, escaped, and the
+    text around the pairs, the `"elements"` block included."""
+    inner = newline + "  "
+    item = inner + "  "
+    cell = item + "  "
+    escaped = [_escape(l) for l in labels]
+    head = ("{" + inner + '"elements": [' + item + ("," + item).join(escaped)
+            + inner + "]," + inner + '"parts": ')
+    return (tuple("[" + cell + l + "," + cell for l in escaped),
+            tuple(l + item + "]" for l in escaped),
+            head + "[" + item, "," + item, inner + "]" + newline + "}",
+            head + "[]" + newline + "}")
+
+
 def _dumps(doc, newline: str = "\n") -> str:
     """The text of `json.dumps(doc, indent=2)` for a document of list,
     tuple, str-keyed dict, str, int, bool, None and ParthoodStructure, a
@@ -188,10 +209,12 @@ def _dumps(doc, newline: str = "\n") -> str:
     "parts": [[part, whole], ...]}; any other value, float included,
     raises TypeError.  CPython's `json` falls back to its pure-Python
     encoder whenever `indent` is set; this writer makes one string per
-    container instead, escapes the str items of a list without a call,
-    and escapes a structure's labels once each, writing its pairs from
-    them (_label_pairs).  `newline` is the line break and indent that
-    precede the document's closing bracket."""
+    container instead and escapes the str items of a list without a
+    call.  A structure's escaped labels, pair prefixes and suffixes and
+    the text around its pairs come from `_frame`, cached per label tuple
+    and indent, so each structure costs one walk over its pairs
+    (`_label_pairs`) and one join.  `newline` is the line break and
+    indent that precede the document's closing bracket."""
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
@@ -211,18 +234,11 @@ def _dumps(doc, newline: str = "\n") -> str:
             items.append(_escape(key) + ": " + _dumps(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(doc, ParthoodStructure):
-        inner = newline + "  "
-        item = inner + "  "
-        cell = item + "  "
-        labels = [_escape(l) for l in doc._labels]
-        pairs = _label_pairs(doc, ["[" + cell + l + "," + cell for l in labels],
-                             [l + item + "]" for l in labels])
+        parts, wholes, opening, separator, closing, empty = _frame(
+            doc._labels, newline)
+        pairs = _label_pairs(doc, parts, wholes)
         # n >= 1: only the parts may be empty
-        return ("{" + inner + '"elements": [' + item
-                + ("," + item).join(labels) + inner + "]," + inner
-                + '"parts": ' + ("[" + item + ("," + item).join(pairs)
-                                 + inner + "]" if pairs else "[]")
-                + newline + "}")
+        return opening + separator.join(pairs) + closing if pairs else empty
     if isinstance(doc, str):
         return _escape(doc)
     if doc is None:
@@ -513,206 +529,197 @@ def _cmd_dot(args, out) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+# One row per argument: (option strings, dest, kind, type, choices,
+# required, default, help); kind is "store" or "store_true", and a
+# positional has no option strings.
+_FILE = ((), "file", "store", None, None, True, None, None)
+_JSON = (("--json",), "json", "store_true", None, None, False, False,
+         "machine-readable output")
+_CODES = "comma-separated axiom codes"
+_LABELS = "comma-separated labels"
+
+# Every command as (name, handler, help, arguments), in the order
+# `--help` lists them: the one declaration that `_exact_namespace` reads
+# and `_build_parser` builds the argparse parser from.
+_COMMANDS = (
+    ("check", _cmd_check, "check a theory against a structure", (
+        _FILE,
+        (("--theory",), "theory", "store", None, None, True, None,
+         "|".join(t.value for t in TheoryId)),
+        _JSON)),
+    ("axioms", _cmd_axioms, "evaluate the axiom catalog", (
+        _FILE,
+        (("--only",), "only", "store", None, None, False, None, _CODES),
+        _JSON)),
+    ("sum", _cmd_sum, "sum candidates of a subset", (
+        _FILE,
+        (("--set",), "set", "store", None, None, True, None, _LABELS),
+        _JSON)),
+    ("sup", _cmd_sup, "supremum candidates of a subset", (
+        _FILE,
+        (("--set",), "set", "store", None, None, True, None, _LABELS),
+        _JSON)),
+    ("alg", _cmd_alg, "algebraic operation", (
+        _FILE,
+        (("--op",), "op", "store", None, _ALG_OPS, True, None, None),
+        (("--args",), "args", "store", None, None, True, None, _LABELS),
+        _JSON)),
+    ("enumerate", _cmd_enumerate, "enumerate models of a theory", (
+        (("--n",), "n", "store", int, None, True, None, None),
+        (("--theory",), "theory", "store", None, None, True, None, None),
+        (("--count-only",), "count_only", "store_true", None, None, False,
+         False, None),
+        (("--up-to-iso",), "up_to_iso", "store_true", None, None, False,
+         False, None),
+        _JSON)),
+    ("implies", _cmd_implies,
+     "bounded countermodel search for an implication", (
+        (("--ambient",), "ambient", "store", None, None, False, None, _CODES),
+        (("--from",), "from", "store", None, None, True, None,
+         "comma-separated hypothesis codes"),
+        (("--to",), "to", "store", None, None, True, None, "conclusion code"),
+        (("--max-n",), "max_n", "store", int, None, False, SEARCH_MAX, None),
+        _JSON)),
+    ("lattice", _cmd_lattice, "lattice laws of the zero adjunction", (
+        _FILE,
+        (("--tarski",), "tarski", "store_true", None, None, False, False,
+         "compare against classical-mereology membership"),
+        _JSON)),
+    ("localtrans", _cmd_localtrans,
+     "acyclicity and local transitivity verdicts", (_FILE, _JSON)),
+    ("dot", _cmd_dot, "DOT export of the covering digraph", (
+        _FILE,
+        (("--full",), "full", "store_true", None, None, False, False,
+         "draw the raw relation instead of covering edges"))),
+)
+
+
+def _grammar(func, arguments) -> tuple:
+    """(defaults, options, positionals, required) of one command for
+    `_exact_namespace`: the values a line starts from, its option
+    strings to their rows, its positional rows in order, and the dests a
+    line must give."""
+    defaults = {"func": func}
+    defaults.update((row[1], row[6]) for row in arguments)
+    return (defaults, {o: row for row in arguments for o in row[0]},
+            tuple(row for row in arguments if not row[0]),
+            frozenset(row[1] for row in arguments if row[5]))
+
+
+_GRAMMARS = {name: _grammar(func, arguments)
+             for name, func, _, arguments in _COMMANDS}
+
+
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser],
-                             dict[str, Optional[tuple]]]:
-    """The `mereo` parser, its subparsers by command name and each
-    command's grammar for `_exact_namespace`, built on first use and
-    shared by every `main` call.  They hold only constant defaults (no
-    output stream, nothing mutable), so one call's result never depends
-    on an earlier call's.  A grammar is read off the `Action`s that the
-    command's `add_argument` calls return, so each option is declared
-    once, and the three are built together, so clearing the cache
-    replaces them all."""
+def _build_parser():
+    """The `mereo` argparse parser and its subparsers by command name,
+    built from `_COMMANDS` for the first line `_exact_namespace` leaves
+    to argparse and shared by every later one; argparse is imported
+    only here.  They hold only constant defaults (no output stream,
+    nothing mutable), so one call's result never depends on an earlier
+    call's."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mereo",
         description="finite-model checks for parthood structures")
     sub = parser.add_subparsers(dest="command", required=True)
-    declared: dict[str, list] = {}
-
-    def command(name, func, help):
-        """Add the command's subparser; return its add_argument, which
-        also records each action with its kind."""
-        p = sub.add_parser(name, help=help)
+    for name, func, text, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
-        actions = declared[name] = []
-
-        def arg(*names, action="store", **kwargs):
-            actions.append((action, p.add_argument(*names, action=action,
-                                                   **kwargs)))
-        return arg
-
-    def add_json(arg):
-        arg("--json", action="store_true", help="machine-readable output")
-
-    arg = command("check", _cmd_check, "check a theory against a structure")
-    arg("file")
-    arg("--theory", required=True, help="|".join(t.value for t in TheoryId))
-    add_json(arg)
-
-    arg = command("axioms", _cmd_axioms, "evaluate the axiom catalog")
-    arg("file")
-    arg("--only", help="comma-separated axiom codes")
-    add_json(arg)
-
-    arg = command("sum", _cmd_sum, "sum candidates of a subset")
-    arg("file")
-    arg("--set", required=True, help="comma-separated labels")
-    add_json(arg)
-
-    arg = command("sup", _cmd_sup, "supremum candidates of a subset")
-    arg("file")
-    arg("--set", required=True, help="comma-separated labels")
-    add_json(arg)
-
-    arg = command("alg", _cmd_alg, "algebraic operation")
-    arg("file")
-    arg("--op", required=True, choices=_ALG_OPS)
-    arg("--args", required=True, help="comma-separated labels")
-    add_json(arg)
-
-    arg = command("enumerate", _cmd_enumerate, "enumerate models of a theory")
-    arg("--n", type=int, required=True)
-    arg("--theory", required=True)
-    arg("--count-only", action="store_true")
-    arg("--up-to-iso", action="store_true")
-    add_json(arg)
-
-    arg = command("implies", _cmd_implies,
-                  "bounded countermodel search for an implication")
-    arg("--ambient", help="comma-separated axiom codes")
-    arg("--from", required=True, dest="from",
-        help="comma-separated hypothesis codes")
-    arg("--to", required=True, help="conclusion code")
-    arg("--max-n", type=int, default=SEARCH_MAX)
-    add_json(arg)
-
-    arg = command("lattice", _cmd_lattice, "lattice laws of the zero adjunction")
-    arg("file")
-    arg("--tarski", action="store_true",
-        help="compare against classical-mereology membership")
-    add_json(arg)
-
-    arg = command("localtrans", _cmd_localtrans,
-                  "acyclicity and local transitivity verdicts")
-    arg("file")
-    add_json(arg)
-
-    arg = command("dot", _cmd_dot, "DOT export of the covering digraph")
-    arg("file")
-    arg("--full", action="store_true",
-        help="draw the raw relation instead of covering edges")
-
-    commands = dict(sub.choices)
-    return parser, commands, {name: _grammar(commands[name], actions)
-                              for name, actions in declared.items()}
+        for options, dest, kind, convert, choices, required, default, text \
+                in arguments:
+            kwargs = {"action": kind, "default": default, "help": text}
+            if kind == "store":
+                kwargs.update(type=convert, choices=choices)
+            if options:
+                p.add_argument(*options, dest=dest, required=required,
+                               **kwargs)
+            else:
+                p.add_argument(dest, **kwargs)
+    return parser, dict(sub.choices)
 
 
-def _grammar(p: argparse.ArgumentParser, declared) -> Optional[tuple]:
-    """(options, positionals, defaults, required) of one command for
-    `_exact_namespace`: its option strings to their actions, its
-    positional actions in order, the namespace its parser starts from,
-    and the actions a line must give.  None when an action is not a
-    plain store or store_true, or would have argparse convert a string
-    default; those lines are for the parser alone."""
-    options, positionals = {}, []
-    defaults = {"func": p.get_default("func")}
-    for kind, a in declared:
-        if (kind not in ("store", "store_true")
-                or kind == "store" and a.nargs is not None
-                or a.type is not None and isinstance(a.default, str)):
-            return None
-        for spelling in a.option_strings:
-            options[spelling] = a
-        if not a.option_strings:
-            positionals.append(a)
-        defaults[a.dest] = a.default
-    required = frozenset(a for _, a in declared if a.required)
-    return options, tuple(positionals), defaults, required
-
-
-def _exact_namespace(grammar: tuple,
-                     argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _exact_namespace(command: str, argv: Sequence[str]):
     """The namespace the command's parser gives `argv` (without
     `command`), or None for a line left to that parser (`_parse_args`
     says which)."""
-    options, positionals, defaults, required = grammar
+    defaults, options, positionals, required = _GRAMMARS[command]
     values = dict(defaults)
     unfilled = iter(positionals)
     seen = set()
     tokens = iter(argv)
     for token in tokens:
         if token[:1] != "-":
-            action = next(unfilled, None)       # None: one positional too many
+            row = next(unfilled, None)          # None: one positional too many
         else:
-            action = options.get(token)
-            if action is not None and action.nargs != 0:
+            row = options.get(token)
+            if row is not None and row[2] == "store":
                 token = next(tokens, "-")       # "-": the value is missing
                 if token[:1] == "-":
                     return None
-        if action is None:
+        if row is None:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        _, dest, kind, convert, choices = row[:5]
+        if kind == "store_true":
+            values[dest] = True
         else:
-            try:
-                value = token if action.type is None else action.type(token)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            try:                                # the table's types are int
+                value = token if convert is None else convert(token)
+            except (TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
-        seen.add(action)
+            values[dest] = value
+        seen.add(dest)
     if not required <= seen:                    # positionals are required too
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+def _parse_args(argv: Optional[Sequence[str]]):
     """The namespace of one command line.
 
-    The nested parse scans argv with the top-level parser and then the
-    tail again with the subparser.  When argv starts with a command name,
-    `_exact_namespace` reads the tail in one loop if each token is an
-    option the command declares, spelled exactly, or a positional that
-    does not start with `-`.  An option's value is the next token; it is
-    converted by the option's `type` and checked against its `choices`,
-    and a repeated option keeps its last value, as in argparse.  Any
-    other line goes to the command's subparser, with argparse's own
-    messages: one with a `-` token the command does not declare (`-h`,
-    `--`, `-`, an abbreviation, `--opt=value`, an unknown option), a
-    value that is missing or starts with `-`, a conversion that raises, a
-    value outside `choices`, too many or too few positionals, or a
-    required option left out.  With no arguments left over, either gives
-    the namespace the nested parse gives.  Otherwise (no command first,
-    or arguments left over) the top-level parser parses the whole line,
-    so `-h`, unknown commands and unrecognised arguments get its usage
-    and messages."""
-    parser, commands, grammars = _build_parser()
+    When argv starts with a command name, `_exact_namespace` reads the
+    tail in one loop, from the command's rows in `_COMMANDS`, if each
+    token is an option the command declares, spelled exactly, or a
+    positional that does not start with `-`.  An option's value is the
+    next token; it is converted by the option's type and checked against
+    its choices, and a repeated option keeps its last value, as in
+    argparse.  Any other line goes to argparse (`_build_parser`), with
+    its own usage and messages: one with a `-` token the command does
+    not declare (`-h`, `--`, `-`, an abbreviation, `--opt=value`, an
+    unknown option), a value that is missing or starts with `-`, a
+    conversion that raises, a value outside the choices, too many or too
+    few positionals, or a required option left out.  There the command's
+    subparser reads the tail, and with no arguments left over it gives
+    the namespace the exact route would.  Otherwise (no command first, or
+    arguments left over) the top-level parser parses the whole line, so
+    `-h`, unknown commands and unrecognised arguments get its usage and
+    messages."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        grammar = grammars[argv[0]]
-        args = None if grammar is None else _exact_namespace(grammar, argv[1:])
+    if argv and argv[0] in _GRAMMARS:
+        args = _exact_namespace(argv[0], argv[1:])
         if args is None:
+            parser, commands = _build_parser()
             args, extras = commands[argv[0]].parse_known_args(argv[1:])
             if extras:
                 return parser.parse_args(argv)
         args.command = argv[0]
         return args
-    return parser.parse_args(argv)
+    return _build_parser()[0].parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Run one command line and return its exit status.
 
     Reports and `--help` text go to `out` (default: stdout); usage and
-    error messages go to stderr.  The argument parser is built once per
-    process.  A line whose options are spelled exactly is read without an
-    argparse pass; other spellings (`-h`, `--opt=value`, abbreviations,
-    `--`, values starting with `-`) and lines in error take one, with
-    argparse's usage and messages (`_parse_args`).  So `main` is cheap
-    and safe to call repeatedly in-process.
+    error messages go to stderr.  A line whose options are spelled
+    exactly is read from the command table without argparse; other
+    spellings (`-h`, `--opt=value`, abbreviations, `--`, values starting
+    with `-`) and lines in error go to an argparse parser, built on the
+    first such line and kept for the process, with argparse's usage and
+    messages (`_parse_args`).  So `main` is cheap and safe to call
+    repeatedly in-process.
     """
     out = out or sys.stdout
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from mereo import (
     CATALOG_ORDER, AxiomId, CatalogError, ParthoodStructure, Subset,
     check_all, check_axiom, holds, models_up_to_iso,
 )
+from mereo import axioms
 from mereo.axioms import CATALOG, dollar_converse_holds
 from mereo.core import _bits
 from mereo.sums import (
@@ -30,6 +32,51 @@ def test_catalog_is_complete_and_ordered():
     assert CATALOG_ORDER[-1] is AxiomId.UNITY
     verdicts = check_all(fixture("w4"))
     assert [v.axiom for v in verdicts] == list(CATALOG_ORDER)
+
+
+def test_check_all_runs_each_shared_finder_once(monkeypatch):
+    # codes with one finder share the object: the DOLLAR pair is _dollar
+    shared = {}
+    for code in CATALOG_ORDER:
+        shared.setdefault(CATALOG[code].find_violation, []).append(code)
+    assert [codes for codes in shared.values() if len(codes) > 1] == [
+        [AxiomId.SSP_OV, AxiomId.SSP_EXT], [AxiomId.EXT_OV, AxiomId.EXT_EXT],
+        [AxiomId.DOLLAR_EXT, AxiomId.DOLLAR_OV]]
+    assert shared[axioms._dollar] == [AxiomId.DOLLAR_EXT, AxiomId.DOLLAR_OV]
+    calls = {find: [] for find in shared}
+
+    def counting(find):
+        def counted(s):
+            calls[find].append(s)
+            return find(s)
+        return counted
+
+    wrappers = {find: counting(find) for find in shared}
+    for code in CATALOG_ORDER:
+        info = CATALOG[code]
+        monkeypatch.setitem(CATALOG, code, dataclasses.replace(
+            info, find_violation=wrappers[info.find_violation]))
+    s = fixture("b7")
+    verdicts = check_all(s)
+    assert [len(calls[find]) for find in shared] == [1] * len(shared)
+    assert len(calls[axioms._dollar]) == 1
+    monkeypatch.undo()
+    assert verdicts == [check_axiom(s, code) for code in CATALOG_ORDER]
+
+
+def _relations_up_to_twelve(seed):
+    """Two raw and two closed relations of each size 1..12 (each pair
+    with chance 0.16, plus a loop), and each size's full relation."""
+    rng = random.Random(seed)
+    for n in range(1, 13):
+        yield ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
+        for closed in (False, False, True, True):
+            yield _raw_relation(rng, n, closed)
+
+
+def test_check_all_is_check_axiom_per_code():
+    for s in (*all_fixtures(), *_relations_up_to_twelve(37)):
+        assert check_all(s) == [check_axiom(s, c) for c in CATALOG_ORDER], s
 
 
 def test_unknown_code_raises():

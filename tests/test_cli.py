@@ -1,10 +1,13 @@
 import argparse
+import ast
 import io
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -692,6 +695,27 @@ def test_console_entry_point():
 
 # -- one parser per process ------------------------------------------------------
 
+def test_argparse_is_imported_only_for_a_line_left_to_it():
+    """In a fresh process a well-formed line leaves argparse unimported;
+    `--help`, which only argparse answers, imports it."""
+    script = ("import io, sys\n"
+              "from mereo.cli import main\n"
+              "status = main(sys.argv[1:], out=io.StringIO())\n"
+              "print(status, 'argparse' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv, want in (
+            (["check", fx("w4"), "--theory", "T3"], "0 False"),
+            (["enumerate", "--n", "3", "--theory", "CM", "--up-to-iso",
+              "--json"], "0 False"),
+            (["--help"], "0 True"),
+            (["check", fx("w4"), "--theory=T3"], "0 True")):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.stdout.strip(), proc.stderr) == (want, ""), argv
+
+
 def test_help_goes_to_out(capsys):
     for argv, usage in ((["--help"], "usage: mereo "),
                         (["check", "--help"], "usage: mereo check ")):
@@ -701,6 +725,10 @@ def test_help_goes_to_out(capsys):
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
+    """No argparse parser is built for a well-formed line; the first line
+    left to argparse builds the top-level parser and one subparser per
+    command, and no later line builds another."""
+    monkeypatch.chdir(FIXTURE_DIR.parent)
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -710,11 +738,17 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     _build_parser.cache_clear()
-    for i in range(20):
-        argv = (("check", fx("w4"), "--theory", "T3") if i % 2
-                else ("dot", fx("c2")))
-        assert run_cli(*argv)[0] == 0
-    assert built.count("mereo") == 1
+    readme = [tuple(line.split()[1:]) for line, _ in _readme_command_lines()]
+    for argv in _benchmark_and_readme_shapes() + readme:
+        assert run_cli(*argv)[0] in (0, 1), argv
+    assert built == []
+    assert run_cli("check", fx("w4"), "--theory=T3")[0] == 0
+    assert built == ["mereo"] + ["mereo " + c[0] for c in cli._COMMANDS]
+    once = list(built)
+    for argv in _error_lines() + _cli_lines():
+        _stdin(monkeypatch, (FIXTURE_DIR / "w4.txt").read_bytes())
+        run_cli(*argv)
+    assert built == once
 
 
 def _cli_lines():
@@ -811,11 +845,9 @@ def test_direct_dispatch_answers_as_the_nested_parse(capsys, monkeypatch):
     # only these reach the top-level parser: no command first, or
     # arguments the command's parser leaves over
     assert set(whole) == {("--help",), errors[0], errors[1], errors[2], ()}
-    _build_parser()[1].clear()      # every line now takes the nested parse
-    try:
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_GRAMMARS", {})     # every line takes the nested parse
         nested = run()
-    finally:
-        _build_parser.cache_clear()
     assert len(whole) == 5 + len(lines)
     assert direct == nested
     answers = direct[-len(errors):]
@@ -893,8 +925,8 @@ def _command_lines(draw):
     the plain and awkward tokens above."""
     shapes = {argv[0]: argv[1:] for argv in _benchmark_and_readme_shapes()}
     name = draw(st.sampled_from(sorted(shapes)))
-    actions = _build_parser()[2][name][0]
-    options = sorted(actions)
+    rows = cli._GRAMMARS[name][1]
+    options = sorted(rows)
     token = st.sampled_from(
         options + list(_PLAIN_TOKENS) + list(_AWKWARD_TOKENS)
         + [o[:k] for o in options for k in (3, len(o) - 1)]
@@ -909,7 +941,7 @@ def _command_lines(draw):
             del tokens[min(at, len(tokens) - 1)]
         elif edit == "repeat":          # at either end, between options
             option = draw(st.sampled_from(options))
-            given = [option] if actions[option].nargs == 0 else [
+            given = [option] if rows[option][2] == "store_true" else [
                 option, draw(st.sampled_from(_PLAIN_TOKENS))]
             tokens = tokens + given if draw(st.booleans()) else given + tokens
         else:
@@ -925,8 +957,8 @@ def _command_lines(draw):
 @example(["implies", "--from", "U_SUM", "--to", "SSP", "--max-n", "5_0"])
 @example(["alg", "", "--op", "product", "--args", ""])
 def test_exact_route_answers_as_the_command_parser(argv):
-    _, commands, grammars = _build_parser()
-    if cli._exact_namespace(grammars[argv[0]], argv[1:]) is None:
+    _, commands = _build_parser()
+    if cli._exact_namespace(argv[0], argv[1:]) is None:
         return                      # left to argparse, which answers as ever
     want, extras = commands[argv[0]].parse_known_args(argv[1:])
     assert extras == []
@@ -953,7 +985,7 @@ def test_exact_route_answers_as_the_command_parser(argv):
     ("enumerate", "--n", "3", "--theory", "SPO", "x"),
 ])
 def test_exact_route_leaves_other_spellings_to_argparse(argv):
-    assert cli._exact_namespace(_build_parser()[2][argv[0]], argv[1:]) is None
+    assert cli._exact_namespace(argv[0], argv[1:]) is None
 
 
 def _readme_command_lines():
@@ -979,3 +1011,32 @@ def test_readme_command_lines_give_what_their_comments_say(line, comment,
         assert code in (0, 1) and out
     for quoted in re.findall(r'"([^"]*)"', comment):
         assert quoted in out.splitlines()
+
+
+def test_readme_library_block_gives_what_its_comments_say():
+    """The README's "Library in one minute" block, run from README.md:
+    each expression's value is the one its comment gives."""
+    text = (FIXTURE_DIR.parent / "README.md").read_text()
+    block = text.split("## Library in one minute", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README",
+                                       "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"),
+                 namespace)
+    ext, sup, total, verdict, theory, search, counts = values
+    assert ext is True and "# True" in block
+    assert tuple(e.label for e in sup.candidates) == ("1",) and sup.unique
+    assert '# candidates ("1",), unique' in block
+    assert not total.candidates
+    assert "# no candidates" in block
+    assert not verdict.holds
+    assert cli._witness_text(verdict.witness) == "(1, {o1, o2})"
+    assert "# fails, witness (1, {o1, o2})" in block
+    assert theory.holds and "# holds" in block
+    assert search is not None and "# a model" in block
+    assert counts == [1, 0, 1, 0, 0, 0, 1]
+    assert "\n# [1, 0, 1, 0, 0, 0, 1]\n" in block

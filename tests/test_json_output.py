@@ -1,11 +1,13 @@
 """`--json` output is written by `cli._dumps`, which must give the text of
 `json.dumps(doc, indent=2)`, with each structure in a document written as
-its model document (the oracle `_model_doc`).  `_dumps` escapes each
-label of a structure once; it and `serialize` read labels off the rows in
-the order of `ParthoodStructure.pairs()`."""
+its model document (the oracle `_model_doc`).  `_dumps` writes a
+structure from a frame cached per label tuple and indent; it and
+`serialize` read labels off the rows in the order of
+`ParthoodStructure.pairs()`."""
 
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,37 @@ def test_dumps_writes_a_structure_as_its_model_document(s, depth):
     newline = "\n" + "  " * depth
     want = json.dumps(_model_doc(s), indent=2).replace("\n", newline)
     assert _dumps(s, newline) == want
+
+
+def test_frames_are_cached_per_label_tuple_and_indent():
+    """One label tuple at depths 0-2, interleaved with others, escaped and
+    non-ASCII ones among them, each also given as an equal but distinct
+    tuple: every render is the oracle's, each (labels, indent) pair
+    holds one cache entry, and the cache keeps within its bound when
+    more tuples than that are rendered."""
+    rng = random.Random(5)
+    tuples = [tuple("abc"), ("é", 'q"x', "b\\s"), (" ", "x y", "\U0001f600"),
+              ("\x00", "\u2028"), tuple("abcdefghijkl"), ("1",)]
+    cli._frame.cache_clear()
+    keys = set()
+    for i in range(120):
+        labels = tuples[0] if i % 2 else rng.choice(tuples)
+        if rng.random() < 0.5:
+            labels = tuple(list(labels))        # equal, not the same object
+        n = len(labels)
+        s = ParthoodStructure(labels, [rng.getrandbits(n) for _ in range(n)])
+        depth = i % 3
+        newline = "\n" + "  " * depth
+        want = json.dumps(_model_doc(s), indent=2).replace("\n", newline)
+        assert _dumps(s, newline) == want
+        assert _dumps({"m": [s, 1]}) == indented({"m": [s, 1]})
+        keys.update({(labels, newline), (labels, "\n    ")})
+    info = cli._frame.cache_info()
+    assert info.currsize == len(keys) <= info.maxsize
+    for k in range(2 * info.maxsize):
+        s = ParthoodStructure.from_mask(2, k % 16, (f"x{k}", "é"))
+        assert _dumps([s]) == indented([s])
+    assert cli._frame.cache_info().currsize == info.maxsize
 
 
 @pytest.mark.parametrize("doc", [
