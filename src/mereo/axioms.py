@@ -6,26 +6,23 @@ even on non-transitive relations, the subset-quantified principles
 decide every subset, and acyclicity is decided by cycle detection in
 the part digraph.
 
-The sums module owns the sum and supremum rule, which sees a subset
-only as its pair (ub, ov): its common upper bounds and the elements
-overlapping it.  The subset-quantified principles (U_SUM, U_SUP, the
-DOLLAR pair, DIAMOND, SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM)
-read every subset's pair from sums.subset_tables, built once per
-structure; S_SUM, C_BSUM, E_BSUM and the supplementation principles
-fold it from ing_up and ov_of.  Mask-major finders walk the subsets in
-encoding order.  Element-major ones (the DOLLAR pair, DIAMOND and the
-sum/supremum inclusions) visit, for each x, only the subsets that can
-witness a failure at x and test the rule inline: the subsets of its
-ingredienses (x sums or bounds no other), and for the DOLLAR pair also
-those of the elements whose overlaps lie within x's.  The literal
-definitions in sums are the finders' oracles.
+The sums module owns the sum and supremum rule.  The subset-quantified
+principles (U_SUM, U_SUP, the DOLLAR pair, DIAMOND, SUM_SUB_SUP,
+SUP_SUB_SUM, DAGGER, DDAGGER, E_SUM) read sums.subset_planes: per
+element, one int of 2^n bits whose bit m says the element sums (or is
+a supremum of) the subset m, made once per structure.  Each finder is a
+few big-int operations over them, and the lowest set bit of a plane is
+the first subset in encoding order.  S_SUM, C_BSUM, E_BSUM and the
+supplementation principles see a subset as its pair (ub, ov), its
+common upper bounds and the elements overlapping it, folded from ing_up
+and ov_of.  The literal definitions in sums are the finders' oracles.
 
 Eighteen codes share six kernels, one per quantifier shape: mutual
 parts (ANTIS, AS); a mask of x within a cover of y, y not above x (SSP,
 SSP_OV, SSP_EXT, PPP); equal masks (the four EXT codes); two sums or
 two suprema of one subset (U_SUM, U_SUP); a pair without a sum (C_BSUM,
-E_BSUM); and sum/supremum disagreement over the subsets of x's
-ingredienses (SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
+E_BSUM); and sum/supremum disagreement in one element's planes
+(SUM_SUB_SUP, SUP_SUB_SUM, DAGGER, DDAGGER).  Each
 factory builds a checker once, at import, as a closure: a lambda or
 partial calling a shared kernel would add a Python call to every check,
 and a search checks thousands of structures of a few elements.  Codes
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .core import MereologyError, ParthoodStructure, _bits, _Record, _set
-from .sums import subset_tables, sums_in, sups_in
+from .sums import _elements, meeting, subset_planes, sums_in
 
 
 class CatalogError(MereologyError):
@@ -262,20 +259,26 @@ def _ssp_plus(s):
 
 
 def _two_candidates(*, sups: bool) -> Checker:
-    """First (x, y, m), mask-major, with x < y the two lowest sums of m
-    (suprema if sups); both are common upper bounds of m, so masks with
-    fewer than two are skipped."""
+    """First (x, y, m), mask-major over the nonempty m, with x < y the
+    two lowest sums of m (suprema if sups).  A two-counter over the
+    planes marks the subsets with at least two."""
     def find(s):
-        ub, ov = subset_tables(s)
-        for mask in range(1, s.full + 1):
-            u = ub[mask]
-            if u & (u - 1):
-                cands = sups_in(s, u) if sups else sums_in(s, u, ov[mask])
-                rest = cands & (cands - 1)
-                if rest:
-                    return ((cands & -cands).bit_length() - 1,
-                            (rest & -rest).bit_length() - 1, ("subset", mask))
-        return None
+        planes = subset_planes(s, sups)
+        one = two = 0
+        for plane in planes:
+            two |= one & plane
+            one |= plane
+        two &= ~1
+        if not two:
+            return None
+        low = two & -two
+        x = 0
+        while not planes[x] & low:
+            x += 1
+        y = x + 1
+        while not planes[y] & low:
+            y += 1
+        return (x, y, ("subset", low.bit_length() - 1))
     return find
 
 
@@ -302,100 +305,64 @@ def _equal_masks(masks: str) -> Checker:
     return find
 
 
-# The x-major finders below visit, for each x, only the submasks m of a
-# support set of x that can witness a failure, ascending
-# (m = (m - w) & w for support w):
-# - DOLLAR: x sums m needs m within ing_of[x], and ov[m] = ov_of[x]
-#   needs ov_of[i] within ov_of[x] for every member i, so a mismatch has
-#   m within ing_of[x] | {i : ov_of[i] within ov_of[x]}.  m = 0 never
-#   mismatches: x does not sum it (x is its own ingrediens and overlaps
-#   no member), and ov[0] is empty while x overlaps x.  The mismatches
-#   come in the order of the full scan.
-# - DIAMOND: a failing (x, y, m) has x summing m, so m within ing_of[x].
-#   Each x stops at the least failing mask found so far and replaces it
-#   only by a smaller one, so the result is the least failing mask and
-#   the lowest x failing there, the full scan's first witness.  If x is
-#   a supremum of m, another supremum y is in ub[m], and x in ub[m]
-#   within ing_up[y] makes y an ingrediens of x; so the suprema are read
-#   only if ub[m] leaves ing_up[x] or holds another ingrediens of x.
-# - the rest: x sums or bounds m only if m is within ing_of[x], and then
-#   x is in ub[m] already.
-
-def _dollar_mismatches(s):
-    """(x, m, x sums m) for each pair where x sums m and the closure
-    condition (u Ov x iff u Ov m) disagree, x-major."""
-    _, ov = subset_tables(s)
-    ing, ov_of = s.ing_of, s.ov_of
-    for x in range(s.n):
-        ix, ovx = ing[x], ov_of[x]
-        support = ix
-        for i in range(s.n):
-            if not ov_of[i] & ~ovx:
-                support |= 1 << i
-        mask = support & -support
-        while mask:
-            o = ov[mask]
-            is_sum = not mask & ~ix and not ix & ~o
-            if is_sum != (o == ovx):
-                yield x, mask, is_sum
-            mask = (mask - support) & support
-
-
 def _dollar(s):
-    for x, mask, _ in _dollar_mismatches(s):
-        return (x, ("subset", mask))
+    """First (x, m), x-major, where "x sums m" and "u Ov x iff u Ov m"
+    disagree.  The m with ov[m] == ov_of[x] are the subsets of the
+    elements whose overlaps lie within ov_of[x] that meet ov_of[z] for
+    every z in ov_of[x]."""
+    full, ov_of = s.full, s.ov_of
+    for x, sums in enumerate(subset_planes(s)):
+        ovx = ov_of[x]
+        inside = full
+        for z in _elements(full ^ ovx):
+            inside &= ~ov_of[z]
+        wrong = sums ^ meeting(inside, ovx, ov_of)
+        if wrong:
+            return (x, ("subset", (wrong & -wrong).bit_length() - 1))
     return None
 
 
-def dollar_converse_holds(s: ParthoodStructure) -> bool:
-    """The closure-to-sum halves of the sum characterisations.
-
-    Both the overlap and the exteriority form have the same converse:
-    whenever the closure condition holds of x and S, x is a sum of S.
-    """
-    return all(is_sum for _, _, is_sum in _dollar_mismatches(s))
-
-
 def _diamond(s):
-    ub, ov = subset_tables(s)
-    found, bound = None, s.full + 1
-    for x in range(s.n):
-        bit, ix, up = 1 << x, s.ing_of[x], s.ing_up[x]
-        mask = ix & -ix
-        while mask and mask < bound:
-            u = ub[mask]
-            if not ix & ~ov[mask] and (u & ~up or (u & ix) != bit):
-                others = sups_in(s, u) & ~bit
-                if others:
-                    found = (x, (others & -others).bit_length() - 1,
-                             ("subset", mask))
-                    bound = mask
-                    break
-            mask = (mask - ix) & ix
-    return found
+    """First (x, y, m): the least m that some x sums while another y is
+    a supremum of it, the lowest such x, then the lowest such y.  one
+    and two mark the subsets with at least one and at least two
+    suprema.  No element sums the empty subset, so a failure at {0} is
+    the least."""
+    sums, sups = subset_planes(s), subset_planes(s, True)
+    one = two = 0
+    for plane in sups:
+        two |= one & plane
+        one |= plane
+    found, below = None, -1          # the masks below the least found
+    for x, (p, q) in enumerate(zip(sums, sups)):
+        fail = p & below & (one & ~q | two)
+        if fail:
+            below = (fail & -fail) - 1
+            found = x
+            if below == 1:
+                break
+    if found is None:
+        return None
+    m, y = below.bit_length(), 0
+    while y == found or not sups[y] >> m & 1:
+        y += 1
+    return (found, y, ("subset", m))
 
 
 def _sum_sup_disagreement(*, sum_not_sup: bool = False,
                           sup_not_sum: bool = False,
                           with_empty: bool = False) -> Checker:
-    """First (x, m), m within ing_of[x], where x sums m but is no
-    supremum of it (if sum_not_sup) or is a supremum of m but does not
-    sum it (if sup_not_sum); the empty subset is visited only when
-    with_empty.  The supremum side is read only where it can fail."""
+    """First (x, m), x-major, where x sums m but is no supremum of it
+    (if sum_not_sup) or is a supremum of m but does not sum it (if
+    sup_not_sum); the empty subset counts only when with_empty."""
+    skip = 0 if with_empty else 1
     def find(s):
-        ub, ov = subset_tables(s)
-        for x in range(s.n):
-            ix, up = s.ing_of[x], s.ing_up[x]
-            mask = 0 if with_empty else ix & -ix
-            while True:
-                if not ix & ~ov[mask]:              # x sums mask
-                    if sum_not_sup and ub[mask] & ~up:
-                        return (x, ("subset", mask))
-                elif sup_not_sum and not ub[mask] & ~up:
-                    return (x, ("subset", mask))
-                mask = (mask - ix) & ix
-                if not mask:
-                    break
+        for x, (p, q) in enumerate(zip(subset_planes(s),
+                                       subset_planes(s, True))):
+            wrong = ((p & ~q if sum_not_sup else 0)
+                     | (q & ~p if sup_not_sum else 0)) & ~skip
+            if wrong:
+                return (x, ("subset", (wrong & -wrong).bit_length() - 1))
         return None
     return find
 
@@ -427,11 +394,12 @@ def _pair_without_sum(*, bounded: bool) -> Checker:
 
 
 def _e_sum(s):
-    ub, ov = subset_tables(s)
-    for mask in range(1, s.full + 1):
-        if not sums_in(s, ub[mask], ov[mask]):
-            return (("subset", mask),)
-    return None
+    # the lowest zero bit above bit 0 of the union of the sum planes
+    held = 1
+    for plane in subset_planes(s):
+        held |= plane
+    mask = ((held + 1) & ~held).bit_length() - 1
+    return (("subset", mask),) if mask <= s.full else None
 
 
 def _unity(s):

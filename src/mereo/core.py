@@ -14,17 +14,17 @@ and the overlaps of that bit's element; only `ing_of` is read off the
 parts afterwards.  What only some callers read is filled
 on first use instead: the `ElementId` tuple `universe` and the label
 index, which only naming, reporting and printing need, and the
-per-subset tables (`_subset_tables`) that `sums.subset_tables` builds
-for the subset-quantified axioms.  Each depends only on the labels or
-the relation given at construction, so filling it never changes an
-answer, and a search candidate that is never reported never builds its
-labels.  All queries are pure.
+per-element subset planes (`_subset_planes`) that
+`sums.subset_planes` builds for the subset-quantified axioms.  Each
+depends only on the labels or the relation given at construction, so
+filling it never changes an answer, and a search candidate that is
+never reported never builds its labels.  All queries are pure.
 
 A structure can also be made from the five derived mask tuples of an
 earlier build of the same relation (`_fields`, `_from_fields`), with
 nothing checked, derived or copied: a shared up-to-isomorphism walk of
 `search` hands each search such a copy of a class that passes its
-checks, with the subset tables kept for it.
+checks, with the subset planes kept for it.
 """
 
 from __future__ import annotations
@@ -189,16 +189,16 @@ class ParthoodStructure:
 
     Labels are stored as their `str()` forms, which must be pairwise
     distinct; `universe` and the label index are built from them on
-    first use.  `_subset_tables` holds the pair of read-only integer
-    sequences `sums.subset_tables` returns, two bytes objects up to
-    eight elements and two lists of ints above: None until that fills it
-    or a shared up-to-isomorphism walk sets the tables it kept.
+    first use.  `_subset_planes` holds the list [sums, sups] that
+    `sums.subset_planes` fills, each entry None until it is first read
+    and then a tuple of n ints: None until that makes the list or a
+    shared up-to-isomorphism walk sets the list it kept.
     """
 
     __slots__ = (
         "n", "_labels", "_universe", "_label_index",
         "rows", "parts_in", "ing_of", "ing_up", "ov_of", "full",
-        "_subset_tables",
+        "_subset_planes",
     )
 
     def __init__(self, labels: Sequence[str], rows: Sequence[int]):
@@ -241,7 +241,7 @@ class ParthoodStructure:
         self.ing_of = tuple([p | 1 << x for x, p in enumerate(parts_in)])
         self.ing_up = tuple(ing_up)
         self.ov_of = tuple(ov_of)
-        self._subset_tables = None
+        self._subset_planes = None
 
     # -- construction -----------------------------------------------------
 
@@ -291,7 +291,7 @@ class ParthoodStructure:
         s._universe = None
         s._label_index = None
         s.rows, s.parts_in, s.ing_of, s.ing_up, s.ov_of = fields
-        s._subset_tables = None
+        s._subset_planes = None
         return s
 
     def __reduce__(self):

@@ -37,7 +37,7 @@ what the constraints entail: AS, AC and WSP each entail IRR
 (_ENTAILS_IRR), and a walk of strict partial orders guarantees AS, AC
 and ANTIS as well as T and IRR.  The other codes are checked on what it
 yields, each once, cheapest first in an order fixed when a walk starts,
-and each model is handed on as a fresh structure with the subset tables
+and each model is handed on as a fresh structure with the subset planes
 its checks built or found.  Labels are built only when read.
 """
 
@@ -585,8 +585,8 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 
 
 # What one shared walk of up to eight elements may keep of its
-# classes' structures and tables, in bytes, made a class cap by
-# _SharedWalk: 13,066 at n=4, where the walk of all relations has 3,044.
+# classes' structures and planes, in bytes, made a class cap by
+# _SharedWalk: 9,039 at n=4, where the walk of all relations has 3,044.
 WALK_BUDGET_BYTES = 8 << 20
 
 
@@ -606,38 +606,41 @@ class _SharedWalk:
     so that every consumer in the process reads the same classes: only
     the consumer that passes the end advances the walk and builds a
     class's structure, and only the first check to read a class's subset
-    tables builds those.
+    planes builds those.
 
     _kept holds one structure per class found, built with from_mask by
     the consumer that found it and never handed out.  checked(finders)
     runs a consumer's checks on each kept structure, so a class they
     reject costs no structure; a class that passes is yielded as a fresh
     _from_fields copy, sharing the kept structure's field tuples and
-    carrying its tables, if it has them.  Tables a check builds on a
-    kept structure stay there at once.  A consumer's checks on the copy
-    may build tables too (find_model's forbid check does): when the
+    its planes list, if it has one.  Planes a check builds on a kept
+    structure stay there at once.  A consumer's checks on the copy may
+    build planes too (find_model's forbid check does): when the
     consumer asks for the next class, they go to the kept structure if
-    it still has none.  Every table up to eight elements is a read-only
-    bytes object, so the copies and the kept structure may share them;
-    what else a copy fills on first use is its own.
+    it still has none.  A class's planes list is one object shared by
+    the kept structure and its copies, each entry filled once with a
+    tuple of ints that depends only on the relation, so whichever of
+    them fills it, every other reads the same planes; what else a copy
+    fills on first use is its own.
 
     The walk keeps at most _cap classes, worked out when it is made: each
-    kept class reserves room for its tables, so a pair filled later
-    always fits and the kept bytes stay within WALK_BUDGET_BYTES whatever
-    the consumers read.  Up to eight elements every kept value is one
-    of the ints below 256 that every process shares, and
-    the labels are the shared default tuple, so by sys.getsizeof a class
-    costs its structure, five tuples of n ints, a pair of 2^n-byte
-    tables and a list slot: 642 bytes at n=4, a cap of 13,066.  Past the
-    cap, no class is kept: the consumer that reached it takes over the
-    live walk, later ones restart it past the kept classes, and each
-    builds, checks and hands on every structure from there on.
-    start(after) walks only the encodings above after, the last kept
-    class's (-1 for none), so a restart checks nothing the kept classes
-    cover.  The cap is 0 where the universe mask no longer fits a byte,
-    the test sums.subset_tables makes: above eight elements, whatever
-    the walk, values and table entries fit neither the shared ints nor
-    a byte.
+    kept class reserves room for both of its planes, so planes filled
+    later always fit and the kept bytes stay within WALK_BUDGET_BYTES
+    whatever the consumers read.  Up to eight elements every mask a
+    structure holds is one of the ints below 256 that every process
+    shares, and the labels are the shared default tuple, so by
+    sys.getsizeof a class costs its structure, five tuples of n ints, a
+    list slot and its planes: the list, two tuples and 2n ints of 2^n
+    bits.  That is 928 bytes at n=4, a cap of 9,039.  Past the cap, no
+    class is kept: the consumer that reached it takes over the live
+    walk, later ones restart it past the kept classes, and each builds,
+    checks and hands on every structure from there on.  start(after)
+    walks only the encodings above after, the last kept class's (-1 for
+    none), so a restart checks nothing the kept classes cover.  The cap
+    is 0 above eight elements, where the masks are no longer the shared
+    small ints the estimate counts on; a walk there, such as the census
+    of the 183,231 strict partial orders on nine elements, reads each
+    class once, so keeping would only add to its memory.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -654,14 +657,15 @@ class _SharedWalk:
         self._kept: list[ParthoodStructure] = []
         self._walk: Optional[Iterator[int]] = None
         self._done = False
-        # a kept structure, its five tuples and its slot in _kept, and a
-        # pair of tables
+        # a kept structure, its five tuples and its slot in _kept, and
+        # its planes list holding two tuples of n planes of 2^n bits
         zeros = (0,) * n
         sample = ParthoodStructure._from_fields(n, (zeros,) * 5)
-        pair = (bytes(1 << n),) * 2
-        size = sum(map(sys.getsizeof, (sample, *(zeros,) * 5, pair, *pair)))
-        self._cap = (WALK_BUDGET_BYTES // (size + 8)
-                     if (1 << n) - 1 < 256 else 0)   # subset_tables' test
+        plane = (1 << (1 << n)) - 1
+        planes = [(plane,) * n] * 2
+        size = sum(map(sys.getsizeof, (sample, *(zeros,) * 5, planes,
+                                       *planes, *(plane,) * (2 * n))))
+        self._cap = WALK_BUDGET_BYTES // (size + 8) if n <= 8 else 0
 
     def _next_mask(self) -> Optional[int]:
         """The walk's next encoding; None once the walk is over."""
@@ -709,10 +713,10 @@ class _SharedWalk:
                     break
             else:
                 t = copy(n, s._fields())
-                t._subset_tables = s._subset_tables
+                t._subset_planes = s._subset_planes
                 yield t
-                if s._subset_tables is None:
-                    s._subset_tables = t._subset_tables
+                if s._subset_planes is None:
+                    s._subset_planes = t._subset_planes
         # past the cap: the rest of the walk, unshared
         walk, self._walk = self._walk, None
         yield from _passing((build(n, m) for m in walk or self._restart()),
@@ -749,12 +753,12 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
 
     One representative per isomorphism class when up_to_iso, the one
     with the canonical (minimal) encoding; ordered by increasing
-    encoding.  Every model is a fresh structure, with the subset tables
+    encoding.  Every model is a fresh structure, with the subset planes
     its checks against the residual axioms filled or found; its labels
     are filled only if read.  Up to isomorphism the candidates come
     from the shared walk of _iso_candidates, which runs the checks on
     the structure it keeps for each class and hands on a fresh copy of
-    it, with its tables, only for a class that passes; a search that
+    it, with its planes, only for a class that passes; a search that
     stops early leaves the rest of the walk undone.  Labelled walks (all
     relations, or the transitive ones) run lazily per search, build
     every candidate and hand on the models they check.

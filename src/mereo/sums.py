@@ -11,19 +11,17 @@ raised as UniquenessFault).
 
 This module owns the rule deciding both.  A subset enters it as its
 pair (ub, ov), its common upper bounds and the elements overlapping it,
-from `subset_entry` for one subset or `subset_tables` for all, and
-`sums_in` / `sups_in` read the sums and suprema off the pair.
-`subset_tables` doubles byte planes with `bytes.translate`, one plane
-per table up to eight elements and two above, so every size runs one
-C-speed kernel.  The
-literal definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
+from `subset_entry`, and `sums_in` / `sups_in` read the sums and
+suprema off the pair.  For every subset at once, `subset_planes` gives
+each element one int of 2^n bits, set at the subsets it sums (or is a
+supremum of), made by `meeting` from the planes of submasks: a few
+big-int operations per element, at every size.  The literal
+definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
 `sum_candidates`, `sup_candidates`) are oracles for the tests only.
 """
 
 from __future__ import annotations
 
-import functools
-import sys
 from typing import Optional, Sequence
 
 from .core import (
@@ -66,90 +64,101 @@ def subset_entry(s: ParthoodStructure, subset_mask: int) -> tuple[int, int]:
     return ub, ov
 
 
-def subset_tables(s: ParthoodStructure) \
-        -> tuple[Sequence[int], Sequence[int]]:
-    """Per-subset tables (ub, ov), indexed by subset mask m: two integer
-    sequences of 2^n entries, which callers only read.
+def subset_planes(s: ParthoodStructure, sups: bool = False) \
+        -> tuple[int, ...]:
+    """The per-element subset planes of s: one int of 2^n bits per
+    element x, whose bit m says that x sums the subset m (x is a
+    supremum of m if sups).  Callers only read them.
 
-    ub[m] is the set of common upper bounds of m under ingrediens
-    (ub[0] is the whole universe) and ov[m] the set of elements
-    overlapping some member of m (ov[0] is empty).  With them every
-    subset question is a few mask operations:
+    With SUB(S) the plane of the submasks of S, x bounds m iff
+    SUB(ing_of[x]) has m, and
 
-      x sums m            iff  ub[m] has x and ing_of[x] & ~ov[m] == 0
-      x is a sup of m     iff  ub[m] has x and ub[m] & ~ing_up[x] == 0
-      u Ov x <-> u Ov m   iff  ov[m] == ov_of[x]
+      sums[x] = meeting(ing_of[x], ing_of[x], ov_of)
+      sups[x] = SUB(ing_of[x]) & ~OR(SUB(ing_of[y]) for y not in ing_up[x])
 
-    Both tables are built by doubling over the elements, 2^n entries
-    each, once per structure, and kept in the structure's
-    `_subset_tables` slot, where a shared up-to-isomorphism walk may
-    have set them already.  Each doubling is one `bytes.translate` of a
-    byte plane through the byte map of an element's mask (`_doubled`).
-    Up to eight elements every entry fits a byte, and the tables are
-    the two bytes objects; above, each is a list of ints joined from two
-    byte planes (`_joined`).  Entry m equals `subset_entry(s, m)`.
+    x sums m iff x bounds m and m meets ov_of[z], the elements
+    overlapping z, for every ingrediens z of x; x is a supremum of m iff
+    x bounds m and no y that x is not an ingrediens of does.  Each tuple
+    is made once per structure, on first use, and kept in the list in
+    the structure's `_subset_planes` slot, where a shared
+    up-to-isomorphism walk may have set it already.  Bit m of sums[x]
+    equals `is_sum_mask(s, x, m)`, and of sups[x] `is_sup_mask(s, x, m)`.
     """
-    tables = s._subset_tables
-    if tables is None:
-        build = _doubled if s.full < 256 else _joined
-        tables = s._subset_tables = (build(s.full, s.ing_up, _and_map),
-                                     build(0, s.ov_of, _or_map))
-    return tables
+    planes = s._subset_planes
+    if planes is None:
+        planes = s._subset_planes = [None, None]
+    got = planes[sups]
+    if got is None:
+        got = planes[sups] = _sup_planes(s) if sups else _sum_planes(s)
+    return got
 
 
-def _doubled(first: int, masks: Sequence[int], byte_map) -> bytes:
-    """The 2^len(masks) bytes whose entry m folds byte_map(masks[i]) over
-    the bits i of m, starting from the byte first."""
-    plane = bytes((first,))
-    for mask in masks:
-        plane += plane.translate(byte_map(mask))
-    return plane
+def _sum_planes(s: ParthoodStructure) -> tuple[int, ...]:
+    # meeting(ing, ing, ov_of) for each ing, inlined: a call per element
+    # would add a fifth to the time of making them at four elements
+    low, high, elems, elems_high = _LOW, _HIGH, _ELEMS, _ELEMS_HIGH
+    made, ov_of = [], s.ov_of
+    for ing in s.ing_of:
+        missed = 0
+        for z in elems[ing & 255] + elems_high[ing >> 8]:
+            apart = ing & ~ov_of[z]
+            missed |= low[apart & 255] * high[apart >> 8]
+        made.append(low[ing & 255] * high[ing >> 8] & ~missed)
+    return tuple(made)
 
 
-# Two byte planes hold every entry of a table.
-assert MAX_UNIVERSE_SIZE <= 16
+def _sup_planes(s: ParthoodStructure) -> tuple[int, ...]:
+    low, high, elems, elems_high = _LOW, _HIGH, _ELEMS, _ELEMS_HIGH
+    full = s.full
+    bounds = [low[ing & 255] * high[ing >> 8] for ing in s.ing_of]
+    made = []
+    for bound, up in zip(bounds, s.ing_up):
+        missed, above = 0, full ^ up
+        for y in elems[above & 255] + elems_high[above >> 8]:
+            missed |= bounds[y]
+        made.append(bound & ~missed)
+    return tuple(made)
 
 
-def _joined(first: int, masks: Sequence[int], byte_map) -> list[int]:
-    """`_doubled` for entries of up to 16 bits, as a list of ints.
-
-    AND and OR act bit by bit, so bits 0-7 and bits 8-15 are doubled as
-    two independent byte planes, then interleaved low byte first and
-    read as 16-bit ints.  The readers get a list, not the array: with
-    array("H") tables the whole catalog of checks took 21-31% longer at
-    9 to 11 elements (2-core Xeon, Python 3.11.7).
-    """
-    # imported here, so a process that builds no table above eight
-    # elements does not load the module (about 0.15 MB of peak RSS)
-    from array import array
-    low = _doubled(first & 255, [mask & 255 for mask in masks], byte_map)
-    high = _doubled(first >> 8, [mask >> 8 for mask in masks], byte_map)
-    pairs = bytearray(2 * len(low))
-    pairs[0::2] = low
-    pairs[1::2] = high
-    table = array("H", pairs)
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table.tolist()
+def meeting(within: int, meets: int, ov_of: Sequence[int]) -> int:
+    """The plane of the subsets of within that meet ov_of[z] for every z
+    in meets: SUB(within) less SUB(within & ~ov_of[z]) for each z."""
+    low, high = _LOW, _HIGH
+    missed = 0
+    for z in _ELEMS[meets & 255] + _ELEMS_HIGH[meets >> 8]:
+        apart = within & ~ov_of[z]
+        missed |= low[apart & 255] * high[apart >> 8]
+    return low[within & 255] * high[within >> 8] & ~missed
 
 
-# Byte b of _EVERY_BYTE is b, and mask * _EACH_BYTE repeats the byte
-# mask 256 times, so one integer operation makes a whole byte map.  A
-# mask is below 256, so each cache below holds at most 256 maps.
-_EVERY_BYTE = int.from_bytes(bytes(range(256)), "little")
-_EACH_BYTE = int.from_bytes(bytes([1]) * 256, "little")
+def _elements(mask: int) -> tuple[int, ...]:
+    """The elements of mask, ascending."""
+    return _ELEMS[mask & 255] + _ELEMS_HIGH[mask >> 8]
 
 
-@functools.lru_cache(maxsize=None)
-def _and_map(mask: int) -> bytes:
-    """The byte map b -> b & mask, for bytes.translate."""
-    return (_EVERY_BYTE & mask * _EACH_BYTE).to_bytes(256, "little")
+def _by_bits(first: int, count: int) \
+        -> tuple[list[int], list[tuple[int, ...]]]:
+    """For each a below 2^count, the plane of the submasks of a << first
+    and the elements of a << first, doubled over the elements i from
+    first: the plane of a | 1 << (i - first) is that of a ORed with
+    itself shifted by 1 << i, the mask value of element i, and its
+    elements are a's and i."""
+    planes, elements = [1], [()]
+    for i in range(first, first + count):
+        planes += [p | p << (1 << i) for p in planes]
+        elements += [t + (i,) for t in elements]
+    return planes, elements
 
 
-@functools.lru_cache(maxsize=None)
-def _or_map(mask: int) -> bytes:
-    """The byte map b -> b | mask, for bytes.translate."""
-    return (_EVERY_BYTE | mask * _EACH_BYTE).to_bytes(256, "little")
+# The submasks of S are its low byte's times its high bits' as masks
+# whose low byte is 0, so SUB(S) = _LOW[S & 255] * _HIGH[S >> 8], the
+# product of the planes of the two parts: the low plane's bits lie below
+# 256 and the high one's at multiples of 256, so no two bit products
+# meet and nothing carries.  _ELEMS and _ELEMS_HIGH list the elements of
+# the same two parts, so the kernels visit a mask's elements without a
+# loop over its bits.
+_LOW, _ELEMS = _by_bits(0, 8)
+_HIGH, _ELEMS_HIGH = _by_bits(8, MAX_UNIVERSE_SIZE - 8)
 
 
 def sums_in(s: ParthoodStructure, ub_m: int, ov_m: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from mereo import ParthoodStructure
 from mereo.cli import load_structure
+from mereo.search import _poset_classes, enumerate_model_masks
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -140,6 +142,34 @@ def _inclusion_family(rng, n, atoms):
     rng.shuffle(labels)
     return ParthoodStructure.build(labels, [
         (x, y) for x in labels for y in labels if set(x) < set(y)])
+
+
+def _raw_relation(rng, n, closed):
+    """Each ordered pair of distinct elements with chance 0.16, plus a
+    loop; transitively closed when closed."""
+    mask = sum(1 << cell for cell in range(n * n)
+               if cell % (n + 1) and rng.random() < 0.16)
+    mask |= 1 << (rng.randrange(n) * (n + 1))
+    return ParthoodStructure.from_mask(n, _closure(n, mask) if closed else mask)
+
+
+def differential_structures():
+    """The classes of all relations on up to four elements, the poset
+    classes on five and six elements, and on each of 5 to 12 elements 80
+    seeded raw relations, half of them closed, and 40 seeded 4-atom
+    inclusion families: 4,501 structures."""
+    for n in range(1, 5):
+        for m in enumerate_model_masks(n, ()):
+            yield ParthoodStructure.from_mask(n, m)
+    for n in (5, 6):
+        for m in _poset_classes(n):
+            yield ParthoodStructure.from_mask(n, m)
+    rng = random.Random(38)
+    for n in range(5, 13):
+        for i in range(80):
+            yield _raw_relation(rng, n, i % 2)
+        for _ in range(40):
+            yield _inclusion_family(rng, n, "abcd")
 
 
 @st.composite

@@ -4,9 +4,12 @@ every set cell of the encoding, the down-sets of a strict partial order,
 each with no twin pruning or rank, and the choice of walk, by the codes
 as named; in mereo.axioms, the shortest part-cycle, by a full
 breadth-first search from each start and a pass over every path back
-to it; in mereo.lattice, completeness, by asking for the join of every
-subset, and the lattice report, by finding each law's bounds again
-wherever it needs them; in mereo.weakparts, local transitivity, by listing every
+to it, and the subset-quantified finders, by reading each subset's pair
+(ub, ov) off per-subset tables, walking the subsets in encoding order
+or, per element, the subsets that can witness a failure there; in
+mereo.lattice, completeness, by asking for the join of every subset,
+and the lattice report, by finding each law's bounds again wherever it
+needs them; in mereo.weakparts, local transitivity, by listing every
 part-path of every pair; in mereo.cli, structure files, by testing each
 line's kind in file order and each label's declaration before its use,
 and the model document `--json` writes for a structure, from its
@@ -23,6 +26,7 @@ from mereo.axioms import AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
 from mereo.core import ParthoodStructure, _bits
 from mereo.lattice import LatticeReport, ZeroedStructure
+from mereo.sums import sums_in, sups_in
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
 
@@ -93,6 +97,159 @@ def _first_joinless_mask(z) -> Optional[int]:
         if z.join_of_set(mask) is None:
             return mask
     return None
+
+
+def _ref_subset_tables(s: ParthoodStructure) -> tuple[list[int], list[int]]:
+    """Per-subset lists (ub, ov), indexed by subset mask m: ub[m] the
+    common upper bounds of m (the universe for m = 0), ov[m] the
+    elements overlapping some member (empty for m = 0), doubled over
+    the elements."""
+    ub, ov = [s.full], [0]
+    for up, over in zip(s.ing_up, s.ov_of):
+        ub += [u & up for u in ub]
+        ov += [o | over for o in ov]
+    return ub, ov
+
+
+def _ref_two_candidates(*, sups: bool):
+    """First (x, y, m), mask-major, with x < y the two lowest sums of m
+    (suprema if sups); both are common upper bounds of m, so masks with
+    fewer than two are skipped."""
+    def find(s):
+        ub, ov = _ref_subset_tables(s)
+        for mask in range(1, s.full + 1):
+            u = ub[mask]
+            if u & (u - 1):
+                cands = sups_in(s, u) if sups else sums_in(s, u, ov[mask])
+                rest = cands & (cands - 1)
+                if rest:
+                    return ((cands & -cands).bit_length() - 1,
+                            (rest & -rest).bit_length() - 1, ("subset", mask))
+        return None
+    return find
+
+
+# The x-major finders below visit, for each x, only the submasks m of a
+# support set of x that can witness a failure, ascending
+# (m = (m - w) & w for support w):
+# - DOLLAR: x sums m needs m within ing_of[x], and ov[m] = ov_of[x]
+#   needs ov_of[i] within ov_of[x] for every member i, so a mismatch has
+#   m within ing_of[x] | {i : ov_of[i] within ov_of[x]}.  m = 0 never
+#   mismatches: x does not sum it (x is its own ingrediens and overlaps
+#   no member), and ov[0] is empty while x overlaps x.  The mismatches
+#   come in the order of the full scan.
+# - DIAMOND: a failing (x, y, m) has x summing m, so m within ing_of[x].
+#   Each x stops at the least failing mask found so far and replaces it
+#   only by a smaller one, so the result is the least failing mask and
+#   the lowest x failing there, the full scan's first witness.  If x is
+#   a supremum of m, another supremum y is in ub[m], and x in ub[m]
+#   within ing_up[y] makes y an ingrediens of x; so the suprema are read
+#   only if ub[m] leaves ing_up[x] or holds another ingrediens of x.
+# - the rest: x sums or bounds m only if m is within ing_of[x], and then
+#   x is in ub[m] already.
+
+def _ref_dollar_mismatches(s):
+    """(x, m, x sums m) for each pair where x sums m and the closure
+    condition (u Ov x iff u Ov m) disagree, x-major."""
+    _, ov = _ref_subset_tables(s)
+    ing, ov_of = s.ing_of, s.ov_of
+    for x in range(s.n):
+        ix, ovx = ing[x], ov_of[x]
+        support = ix
+        for i in range(s.n):
+            if not ov_of[i] & ~ovx:
+                support |= 1 << i
+        mask = support & -support
+        while mask:
+            o = ov[mask]
+            is_sum = not mask & ~ix and not ix & ~o
+            if is_sum != (o == ovx):
+                yield x, mask, is_sum
+            mask = (mask - support) & support
+
+
+def _ref_dollar(s):
+    for x, mask, _ in _ref_dollar_mismatches(s):
+        return (x, ("subset", mask))
+    return None
+
+
+def dollar_converse_holds(s: ParthoodStructure) -> bool:
+    """The closure-to-sum halves of the sum characterisations.
+
+    Both the overlap and the exteriority form have the same converse:
+    whenever the closure condition holds of x and S, x is a sum of S.
+    """
+    return all(is_sum for _, _, is_sum in _ref_dollar_mismatches(s))
+
+
+def _ref_diamond(s):
+    ub, ov = _ref_subset_tables(s)
+    found, bound = None, s.full + 1
+    for x in range(s.n):
+        bit, ix, up = 1 << x, s.ing_of[x], s.ing_up[x]
+        mask = ix & -ix
+        while mask and mask < bound:
+            u = ub[mask]
+            if not ix & ~ov[mask] and (u & ~up or (u & ix) != bit):
+                others = sups_in(s, u) & ~bit
+                if others:
+                    found = (x, (others & -others).bit_length() - 1,
+                             ("subset", mask))
+                    bound = mask
+                    break
+            mask = (mask - ix) & ix
+    return found
+
+
+def _ref_sum_sup_disagreement(*, sum_not_sup: bool = False,
+                              sup_not_sum: bool = False,
+                              with_empty: bool = False):
+    """First (x, m), m within ing_of[x], where x sums m but is no
+    supremum of it (if sum_not_sup) or is a supremum of m but does not
+    sum it (if sup_not_sum); the empty subset is visited only when
+    with_empty.  The supremum side is read only where it can fail."""
+    def find(s):
+        ub, ov = _ref_subset_tables(s)
+        for x in range(s.n):
+            ix, up = s.ing_of[x], s.ing_up[x]
+            mask = 0 if with_empty else ix & -ix
+            while True:
+                if not ix & ~ov[mask]:              # x sums mask
+                    if sum_not_sup and ub[mask] & ~up:
+                        return (x, ("subset", mask))
+                elif sup_not_sum and not ub[mask] & ~up:
+                    return (x, ("subset", mask))
+                mask = (mask - ix) & ix
+                if not mask:
+                    break
+        return None
+    return find
+
+
+def _ref_e_sum(s):
+    ub, ov = _ref_subset_tables(s)
+    for mask in range(1, s.full + 1):
+        if not sums_in(s, ub[mask], ov[mask]):
+            return (("subset", mask),)
+    return None
+
+
+# The reference finder of each subset-quantified code, as catalogued.
+_REF_SUBSET_FINDERS = {
+    AxiomId.U_SUM: _ref_two_candidates(sups=False),
+    AxiomId.U_SUP: _ref_two_candidates(sups=True),
+    AxiomId.DOLLAR_EXT: _ref_dollar,
+    AxiomId.DOLLAR_OV: _ref_dollar,
+    AxiomId.DIAMOND: _ref_diamond,
+    AxiomId.SUM_SUB_SUP: _ref_sum_sup_disagreement(sum_not_sup=True),
+    AxiomId.SUP_SUB_SUM: _ref_sum_sup_disagreement(sup_not_sum=True,
+                                                   with_empty=True),
+    AxiomId.DAGGER: _ref_sum_sup_disagreement(sup_not_sum=True),
+    AxiomId.DDAGGER: _ref_sum_sup_disagreement(sum_not_sup=True,
+                                               sup_not_sum=True),
+    AxiomId.E_SUM: _ref_e_sum,
+}
 
 
 def _ref_find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:

@@ -16,14 +16,13 @@ from mereo import (
     is_sum, models_up_to_iso, satisfies, sum_of, sup_of, theory_axioms,
     verify_implication,
 )
-from mereo.axioms import dollar_converse_holds
 from mereo.cli import main as cli_main
 from mereo.cli import parse_structure, serialize
 from mereo.search import enumerate_model_masks
 from mereo.sums import difference, product, product_by_cases
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture
-from oracles import _canonical_form_scan
+from oracles import _canonical_form_scan, dollar_converse_holds
 
 
 @contextmanager

@@ -9,16 +9,18 @@ from mereo import (
     check_all, check_axiom, holds, models_up_to_iso,
 )
 from mereo import axioms
-from mereo.axioms import CATALOG, dollar_converse_holds
+from mereo.axioms import CATALOG
 from mereo.core import _bits
 from mereo.sums import (
     cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
 )
 
 from conftest import (
-    _closure, _inclusion_family, all_fixtures, all_relations, fixture,
-    sparse_relations, structures_maybe_with_zero,
+    FIXTURE_NAMES, _inclusion_family, _raw_relation, all_fixtures,
+    all_relations, differential_structures, fixture, sparse_relations,
+    structures_maybe_with_zero,
 )
+from oracles import _REF_SUBSET_FINDERS, dollar_converse_holds
 
 
 def sweep(nmax, ambient=()):
@@ -317,7 +319,6 @@ def test_wsp_does_not_entail_transitivity():
 
 
 def test_ssp_equivalences_over_strict_orders():
-    from mereo.axioms import dollar_converse_holds
     for s in sweep(5, ["T", "IRR"]):
         ssp = holds(s, "SSP")
         assert ssp == holds(s, "SSP_OV") == holds(s, "SSP_EXT")
@@ -681,17 +682,8 @@ def test_subset_finders_match_literal_scans_on_fixtures():
 
 
 # -- DOLLAR and DIAMOND at the benchmark's catalog sizes ----------------------
-# Their finders visit, per element, only the subsets that can witness a
-# failure there; the literal scans visit every (element, subset) pair.
-
-def _raw_relation(rng, n, closed):
-    """Each ordered pair of distinct elements with chance 0.16, plus a
-    loop; transitively closed when closed."""
-    mask = sum(1 << cell for cell in range(n * n)
-               if cell % (n + 1) and rng.random() < 0.16)
-    mask |= 1 << (rng.randrange(n) * (n + 1))
-    return ParthoodStructure.from_mask(n, _closure(n, mask) if closed else mask)
-
+# Their finders read every subset at once off the subset planes; the
+# literal scans visit every (element, subset) pair.
 
 def _assert_dollar_and_diamond_match_reference(s):
     dollar = _ref_dollar(s)
@@ -712,6 +704,23 @@ def test_dollar_and_diamond_match_literal_scans_at_catalog_sizes():
                       _raw_relation(rng, n, False),
                       _raw_relation(rng, n, True)):
                 _assert_dollar_and_diamond_match_reference(s)
+
+
+# -- the plane finders against the per-subset-table finders they replaced -----
+
+def test_subset_finders_match_the_table_finders_on_4501_structures():
+    # each plane finder returns the first witness the finder it replaced
+    # returns, None included, for every subset-quantified code
+    checked, failing = 0, set()
+    for s in (*differential_structures(), *all_fixtures()):
+        for code, reference in _REF_SUBSET_FINDERS.items():
+            want = reference(s)
+            assert CATALOG[code].find_violation(s) == want, (code, s)
+            if want is not None:
+                failing.add(code)
+        checked += 1
+    assert checked == 4501 + len(FIXTURE_NAMES)
+    assert failing == set(_REF_SUBSET_FINDERS)
 
 
 def test_dollar_first_witness_outside_the_ingredienses():

@@ -21,7 +21,7 @@ from mereo import (
 )
 from mereo.axioms import AxiomInfo
 from mereo.search import enumerate_models
-from mereo.sums import subset_tables
+from mereo.sums import subset_planes
 from mereo.theories import theory_axioms
 
 from conftest import fixture
@@ -164,22 +164,25 @@ def test_pickle_round_trip(make, fields, text, protocol):
 
 
 def _filled_structures():
-    """A structure with its labels read and its subset tables built, one
-    a shared walk handed out with the tables it kept, as bytes, and one
-    of nine elements with its tables built, as lists."""
+    """A structure with its labels read and both its subset planes built,
+    one a shared walk handed out with the planes list it kept, and one
+    of nine elements with its planes built, of 512 bits each."""
     s = ParthoodStructure.build(["é", 'q"x', "c"], [("é", "q\"x")])
     s.element("c")
-    subset_tables(s)
+    subset_planes(s)
+    subset_planes(s, True)
     assert s._universe is not None and s._label_index is not None
     spo = theory_axioms("SPO")
     for t in enumerate_models(3, spo, up_to_iso=True):
-        subset_tables(t)
+        subset_planes(t)
     kept = list(enumerate_models(3, spo, up_to_iso=True))[-1]
-    assert isinstance(kept._subset_tables[0], bytes)
+    assert type(kept._subset_planes) is list
+    assert type(kept._subset_planes[0]) is tuple
     # each element a part of the next
     large = ParthoodStructure.from_mask(
         9, sum(1 << (9 * i + i + 1) for i in range(8)))
-    assert isinstance(subset_tables(large)[0], list)
+    assert subset_planes(large)[-1].bit_length() > 256
+    assert subset_planes(large, True)[-1].bit_length() > 256
     return [s, kept, large]
 
 
@@ -194,8 +197,8 @@ def test_structures_with_filled_caches_pickle_and_copy(protocol):
             assert repr(y) == repr(s) and hash(y) == hash(s)
             assert y._fields() == s._fields()
             # the caches filled on first use are filled again
-            assert (tuple(map(list, subset_tables(y)))
-                    == tuple(map(list, subset_tables(s))))
+            assert subset_planes(y) == subset_planes(s)
+            assert subset_planes(y, True) == subset_planes(s, True)
             assert y.element(s._labels[-1]) == s.element(s._labels[-1])
 
 

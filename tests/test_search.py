@@ -1143,7 +1143,7 @@ def _assert_built_afresh(s, n, mask):
     want = ParthoodStructure.from_mask(n, mask)
     for slot in _SLOTS:
         assert getattr(s, slot) == getattr(want, slot), slot
-    assert s._subset_tables is None
+    assert s._subset_planes is None
 
 
 def _kept(walk):
@@ -1152,17 +1152,18 @@ def _kept(walk):
     return walk._kept
 
 
-def _kept_tables(walk):
-    """The subset tables of each kept class, None where none are kept."""
-    return [s._subset_tables for s in _kept(walk)]
+def _kept_planes(walk):
+    """The subset planes list of each kept class, None where none is
+    kept."""
+    return [s._subset_planes for s in _kept(walk)]
 
 
 def _assert_store_aligned(walk, n, want):
     """The walk keeps a prefix of the classes want, in order, at most its
     cap: a structure of each, equal to a fresh build, with its default
     labels shared and unread, holding None or that class's subset
-    tables; and what it keeps, with room for every missing pair of
-    tables, is within the budget."""
+    planes; and what it keeps, with room for every planes entry still
+    missing, is within the budget."""
     kept = _kept(walk)
     assert len(kept) <= len(want)
     assert len(kept) <= walk._cap
@@ -1173,8 +1174,8 @@ def _assert_store_aligned(walk, n, want):
                              mask)
         assert s._labels is core._DEFAULT_LABEL_TUPLES[n]
         assert s._universe is None and s._label_index is None
-        if s._subset_tables is not None:
-            _assert_kept_tables(s._subset_tables, n, mask)
+        if s._subset_planes is not None:
+            _assert_kept_planes(s._subset_planes, n, mask)
     assert _store_bytes(walk) <= walk._cap * _per_class(n) \
         <= search.WALK_BUDGET_BYTES
 
@@ -1183,18 +1184,21 @@ def _class_bytes(s):
     """What keeping s costs, recounted by sys.getsizeof: the structure
     and its slot in a list, each of its tuples, whose values are small
     ints a process shares, like its full mask and its default labels;
-    its pair of packed tables, if it has them."""
+    its planes list, if it has one, with each tuple filled in it and
+    each plane int."""
     size = sys.getsizeof(s) + 8
     assert 0 <= s.full < 256
     for f in s._fields():
         assert all(0 <= v < 256 for v in f)
         size += sys.getsizeof(f)
-    pair = s._subset_tables
-    if pair is not None:
-        size += sys.getsizeof(pair)
-        for table in pair:
-            assert type(table) is bytes
-            size += sys.getsizeof(table)
+    planes = s._subset_planes
+    if planes is not None:
+        assert type(planes) is list and len(planes) == 2
+        size += sys.getsizeof(planes)
+        for entry in planes:
+            if entry is not None:
+                assert type(entry) is tuple
+                size += sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
     return size
 
 
@@ -1204,21 +1208,28 @@ def _store_bytes(walk):
 
 
 def _per_class(n):
-    """One class with its tables, recounted by sys.getsizeof: the full
-    relation's, on n <= 8 elements."""
+    """One class with both its planes, recounted by sys.getsizeof: the
+    full relation's, on n <= 8 elements, whose planes are as wide as any
+    (the full relation's elements each sum every nonempty subset and
+    bound every subset)."""
     full = ParthoodStructure.from_mask(n, (1 << (n * n)) - 1)
-    sums.subset_tables(full)
+    sums.subset_planes(full)
+    sums.subset_planes(full, True)
     return _class_bytes(full)
 
 
-def _assert_kept_tables(tables, n, mask):
-    """tables are read-only and equal, entry by entry, to the subset
-    tables of a fresh build of the encoding."""
-    want = sums.subset_tables(ParthoodStructure.from_mask(n, mask))
-    for got, ref in zip(tables, want):
-        assert list(got) == list(ref)
-        with pytest.raises(TypeError):
-            got[0] = 0
+def _assert_kept_planes(planes, n, mask):
+    """planes is a list of two entries, at least one filled, and each
+    filled one is a read-only tuple equal, plane by plane, to the same
+    planes of a fresh build of the encoding."""
+    fresh = ParthoodStructure.from_mask(n, mask)
+    assert type(planes) is list and len(planes) == 2
+    assert planes != [None, None]
+    for sups, got in enumerate(planes):
+        if got is not None:
+            assert got == sums.subset_planes(fresh, bool(sups))
+            with pytest.raises(TypeError):
+                got[0] = 0
 
 
 def test_shared_walk_calls_is_canonical_only_past_what_was_found(monkeypatch):
@@ -1319,15 +1330,16 @@ def test_second_pass_structures_equal_fresh_builds(key):
 
 
 def _count_table_builds(monkeypatch):
-    """Count the subset tables the axiom finders build, not read."""
+    """Count the subset planes the axiom finders build, not read: each
+    entry of a planes list filled."""
     builds = [0]
-    tables = axioms.subset_tables
+    planes = axioms.subset_planes
 
-    def counted(s):
-        builds[0] += s._subset_tables is None
-        return tables(s)
+    def counted(s, sups=False):
+        builds[0] += s._subset_planes is None or s._subset_planes[sups] is None
+        return planes(s, sups)
 
-    monkeypatch.setattr(axioms, "subset_tables", counted)
+    monkeypatch.setattr(axioms, "subset_planes", counted)
     return builds
 
 
@@ -1351,25 +1363,31 @@ def test_a_repeated_search_builds_no_structure(monkeypatch):
 def test_second_pass_structures_carry_the_kept_subset_tables(key):
     search._iso_candidates.cache_clear()
     n = key[0]
-    # U_SUM reads every candidate's tables, so the first search keeps all
+    # U_SUM reads every candidate's sum planes, so the first search keeps
+    # all
     first = count_models(n, ["U_SUM"] + _generating_codes(key))
     walk = search._iso_candidates(*key)
     want = _unshared_iso_walk(n, _generating_codes(key))
     assert len(_kept(walk)) == len(want)
-    assert None not in _kept_tables(walk)
+    assert None not in _kept_planes(walk)
     second = list(walk)
     assert len(second) == len(want)
     for i, (m, s) in enumerate(zip(want, second)):
-        tables = s._subset_tables
-        assert tables is _kept_tables(walk)[i]
-        assert sums.subset_tables(s) is tables
-        _assert_kept_tables(tables, n, m)
+        planes = s._subset_planes
+        assert planes is _kept_planes(walk)[i]
+        assert planes[0] is not None
+        assert sums.subset_planes(s) is planes[0]
+        _assert_kept_planes(planes, n, m)
+        # the supremum planes a copy fills go into the one shared list
+        assert sums.subset_planes(s, True) is planes[1] is not None
+        assert _kept(walk)[i]._subset_planes is planes
     _assert_store_aligned(walk, n, want)
     assert count_models(n, ["U_SUM"] + _generating_codes(key)) == first
 
 
 def test_a_walk_above_eight_elements_keeps_nothing():
-    # a chain and an antichain on nine elements: table entries above 255
+    # a chain and an antichain on nine elements: masks above 255, not the
+    # shared small ints a kept class's estimate counts on
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
@@ -1380,7 +1398,7 @@ def test_a_walk_above_eight_elements_keeps_nothing():
         got = []
         for s in walk:
             _assert_built_afresh(s, n, want[len(got)])
-            sums.subset_tables(s)   # tables a walk with room would keep
+            sums.subset_planes(s)   # planes a walk with room would keep
             got.append(s)
         assert [s.relation_mask for s in got] == want
         assert _kept(walk) == []
@@ -1413,19 +1431,19 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     kept = len(_kept(walk))
     assert 0 < kept < len(classes)
     # the consumer checked U_SUM on every class the walk kept
-    assert None not in _kept_tables(walk)
+    assert None not in _kept_planes(walk)
     _assert_store_aligned(walk, n, classes)
     monkeypatch.undo()
     builds = _count_table_builds(monkeypatch)
     assert enumerate_model_masks(n, codes) == want
     _assert_store_aligned(walk, n, classes)
-    assert None not in _kept_tables(walk)
-    # after the restart, only the classes past the raise built tables
+    assert None not in _kept_planes(walk)
+    # after the restart, only the classes past the raise built planes
     assert builds[0] == len(_kept(walk)) - kept == len(classes) - kept
 
 
 def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
-    # tables a forbid check builds on the model it is handed wait until
+    # planes a forbid check builds on the model it is handed wait until
     # the search asks for the next class, so a search that stops keeps
     # none for its last class
     search._iso_candidates.cache_clear()
@@ -1435,23 +1453,23 @@ def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
     want = _unshared_iso_walk(4, ())
     last = want.index(found.relation_mask)
     assert last == len(_kept(walk)) - 1
-    # DAGGER read the tables of every explored model before the last one
+    # DAGGER read both planes of every explored model before the last one
     explored = [i for i, m in enumerate(want[:last + 1])
                 if satisfies(ParthoodStructure.from_mask(4, m), ["ANTIS"])]
-    tables = _kept_tables(walk)
-    assert all(tables[i] is not None for i in explored[:-1])
-    assert explored[-1] == last and tables[last] is None
+    planes = _kept_planes(walk)
+    assert all(None not in planes[i] for i in explored[:-1])
+    assert explored[-1] == last and planes[last] is None
     # the same search stops there again; a search that passes it keeps them
     assert find_model(spec).found == found
-    assert _kept_tables(walk)[last] is None
+    assert _kept_planes(walk)[last] is None
     count_models(4, ["ANTIS", "U_SUM"])
-    _assert_kept_tables(_kept_tables(walk)[last], 4, found.relation_mask)
+    _assert_kept_planes(_kept_planes(walk)[last], 4, found.relation_mask)
     _assert_store_aligned(walk, 4, want)
 
 
 def test_tables_the_walk_checks_build_are_kept_at_once():
     # the required DAGGER runs on the walk's kept structures, so their
-    # tables stay there even for the class where the search stops, and
+    # planes stay there even for the class where the search stops, and
     # the model it hands on carries them
     search._iso_candidates.cache_clear()
     spec = SearchSpec(max_n=4, require=("DAGGER",), forbid=("ANTIS",))
@@ -1461,14 +1479,15 @@ def test_tables_the_walk_checks_build_are_kept_at_once():
     walk = search._iso_candidates(2, False, False)
     want = _unshared_iso_walk(2, ())
     assert len(_kept(walk)) == want.index(found.relation_mask) + 1
-    assert None not in _kept_tables(walk)
-    assert found._subset_tables is _kept_tables(walk)[-1]
+    assert None not in _kept_planes(walk)
+    assert found._subset_planes is _kept_planes(walk)[-1]
+    assert None not in found._subset_planes
     _assert_store_aligned(walk, 2, want)
     # a consumer that is handed a class and never resumes keeps them too
     search._iso_candidates.cache_clear()
     walk = search._iso_candidates(3, False, False)
     model = next(walk.checked(axioms.violation_finders(["U_SUM"])))
-    assert _kept_tables(walk)[-1] is model._subset_tables is not None
+    assert _kept_planes(walk)[-1] is model._subset_planes is not None
     _assert_store_aligned(walk, 3, _unshared_iso_walk(3, ()))
 
 
@@ -1482,10 +1501,10 @@ def test_searches_over_one_walk_share_no_structure():
     assert all(a._fields()[i] is b._fields()[i]
                for a, b in zip(ours, theirs) for i in range(5))
     for a in ours:
-        sums.subset_tables(a)
+        sums.subset_planes(a)
         a.universe
     for b in theirs:
-        assert b._subset_tables is None
+        assert b._subset_planes is None
         assert b._universe is None
 
 
@@ -1525,7 +1544,7 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     calls = _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
     cold, cold_checked = calls[0], checked[:]
-    # U_SUM reads every class's tables: 77 classes fit
+    # U_SUM reads every class's sum planes: 53 classes fit
     walk_budget(50_000)
     walk = search._iso_candidates(n, False, False)
     calls[0] = 0
@@ -1535,9 +1554,9 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
         got.append(s.relation_mask)
     assert got == want
     kept = len(_kept(walk))
-    assert kept == walk._cap == 77
-    # each kept class had room for its tables
-    assert None not in _kept_tables(walk)
+    assert kept == walk._cap == 50_000 // _per_class(n) == 53
+    # each kept class had room for its planes
+    assert None not in _kept_planes(walk)
     _assert_store_aligned(walk, n, classes)
     # the search that reached the budget walked on from where it was
     assert calls[0] == cold
@@ -1559,7 +1578,7 @@ def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
     assert checked == [m for m in cold_checked if m > last]
     assert 0 < len(checked) < cold
     assert builds[0] == len(classes) - kept
-    assert table_builds[0] == builds[0] + _kept_tables(walk).count(None)
+    assert table_builds[0] == builds[0] + _kept_planes(walk).count(None)
     assert (len(_kept(walk)), _store_bytes(walk)) == (kept, kept_bytes)
     _assert_store_aligned(walk, n, classes)
 
@@ -1610,7 +1629,7 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
 
 
 # Residual codes a consumer may check, none of which changes the walk a
-# search picks; the first four read the subset tables of every structure
+# search picks; the first four read the subset planes of every structure
 # they check.
 _RESIDUAL_POOL = ("U_SUM", "DAGGER", "E_SUM", "DIAMOND", "ANTIS", "SSP",
                   "C_PROD")
@@ -1683,14 +1702,14 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
             assert len({id(s) for s in handed + kept}) \
                 == len(handed) + len(kept)
             for s in handed:
-                if s._subset_tables is not None:
-                    _assert_kept_tables(s._subset_tables, n, s.relation_mask)
+                if s._subset_planes is not None:
+                    _assert_kept_planes(s._subset_planes, n, s.relation_mask)
             _assert_store_aligned(walk, n, want)
-            # a consumer whose first check reads tables keeps every class's
+            # a consumer whose first check reads planes keeps every class's
             if any(set(residual) <= _READS_TABLES if residual
                    else forbid in _READS_TABLES
                    for residual, forbid in consumers):
-                assert None not in _kept_tables(walk)
+                assert None not in _kept_planes(walk)
     finally:
         search._iso_candidates.cache_clear()
 
@@ -1713,13 +1732,13 @@ def test_a_handed_out_structure_is_never_the_kept_one_nor_another_consumers():
     handed = seen[0] + seen[1]
     kept = _kept(walk)
     assert len({id(s) for s in handed + kept}) == len(handed) + len(kept)
-    # the copies share the kept field tuples and tables
+    # the copies share the kept field tuples and planes list
     by_mask = {k.relation_mask: k for k in kept}
     for s in handed:
         k = by_mask[s.relation_mask]
         assert all(a is b for a, b in zip(s._fields(), k._fields()))
     for s in seen[0]:
-        assert s._subset_tables is by_mask[s.relation_mask]._subset_tables
+        assert s._subset_planes is by_mask[s.relation_mask]._subset_planes
 
 
 def test_a_repeated_search_copies_only_the_classes_that_pass(monkeypatch):

@@ -14,13 +14,14 @@ from mereo import (
 from mereo.cli import main
 from mereo.core import ParthoodStructure, _bits
 from mereo.sums import (
-    subset_entry, subset_tables, sum_candidates, sup_candidates,
+    is_sum_mask, is_sup_mask, subset_entry, subset_planes, sum_candidates,
+    sums_in, sup_candidates, sups_in,
 )
 
 from conftest import (
-    FIXTURE_DIR, FIXTURE_NAMES, all_fixtures, all_relations, fixture,
-    o_is_sum, o_is_sup, o_labels, o_pairs, o_subsets, sparse_relations,
-    structures, structures_maybe_with_zero,
+    FIXTURE_DIR, FIXTURE_NAMES, all_fixtures, all_relations,
+    differential_structures, fixture, o_is_sum, o_is_sup, o_labels, o_pairs,
+    o_subsets, sparse_relations, structures, structures_maybe_with_zero,
 )
 
 
@@ -158,7 +159,7 @@ def _subset_masks(s):
 
 
 def test_ssp_gives_sum_within_sup_and_closure_equivalences():
-    from mereo.axioms import dollar_converse_holds
+    from oracles import dollar_converse_holds
     for s in map(fixture, ("w4", "b7", "x6", "b3", "s1")):
         assert holds(s, "SSP")
         for mask in _subset_masks(s):
@@ -194,21 +195,20 @@ def test_deterministic_candidate_order():
     assert labels_of(res) == ["p", "q"]
 
 
-# -- the subset-table kernel against the literal candidate lists -------------
+# -- the subset planes against the literal candidate lists -------------------
+# The test names keep the word "tables" from the per-subset tables the
+# planes replaced.
 
-def _table_candidates(s):
-    """Per mask, the sums and the suprema read off the two tables."""
-    ub, ov = subset_tables(s)
+def _plane_candidates(s):
+    """Per mask, the sums and the suprema read off the two planes."""
+    sums, sups = subset_planes(s), subset_planes(s, True)
     for mask in range(1 << s.n):
-        yield mask, (
-            [x for x in range(s.n)
-             if ub[mask] >> x & 1 and not s.ing_of[x] & ~ov[mask]],
-            [x for x in range(s.n)
-             if ub[mask] >> x & 1 and not ub[mask] & ~s.ing_up[x]])
+        yield mask, ([x for x in range(s.n) if sums[x] >> mask & 1],
+                     [x for x in range(s.n) if sups[x] >> mask & 1])
 
 
 def _assert_tables_match_candidates(s):
-    for mask, (sums, sups) in _table_candidates(s):
+    for mask, (sums, sups) in _plane_candidates(s):
         assert sums == sum_candidates(s, mask), (s, mask)
         assert sups == sup_candidates(s, mask), (s, mask)
 
@@ -227,22 +227,29 @@ def test_subset_tables_match_literal_candidates_on_random_relations(s):
     _assert_tables_match_candidates(s)
 
 
-def _assert_tables_fold_each_subset(s):
-    tables = subset_tables(s)
-    if s.n <= 8:
-        assert {type(table) for table in tables} == {bytes}
-    else:
-        assert {type(table) for table in tables} == {list}
-        assert {type(entry) for table in tables for entry in table} == {int}
-    assert list(zip(*tables)) == [subset_entry(s, m) for m in range(1 << s.n)]
+def _assert_planes_fold_each_subset(s):
+    """Each planes entry is a tuple of n ints of at most 2^n bits, and
+    bit m of element x's planes is what the (ub, ov) rule reads off
+    subset_entry(s, m)."""
+    planes = (subset_planes(s), subset_planes(s, True))
+    for plane in planes:
+        assert type(plane) is tuple and len(plane) == s.n
+        assert {type(p) for p in plane} == {int}
+        assert all(0 <= p < 1 << (1 << s.n) for p in plane)
+    for mask in range(1 << s.n):
+        ub, ov = subset_entry(s, mask)
+        assert [p >> mask & 1 for p in planes[0]] \
+            == [sums_in(s, ub, ov) >> x & 1 for x in range(s.n)], (s, mask)
+        assert [p >> mask & 1 for p in planes[1]] \
+            == [sups_in(s, ub) >> x & 1 for x in range(s.n)], (s, mask)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(structures_maybe_with_zero(max_n=10), sparse_relations(9, 12)))
-def test_subset_tables_are_bytes_up_to_eight_elements_and_fold_each_subset(s):
-    # one byte plane up to eight elements, two joined into ints above;
-    # every mask, 0 and the universe included
-    _assert_tables_fold_each_subset(s)
+def test_subset_planes_are_int_tuples_at_every_size_and_fold_each_subset(s):
+    # the high submask planes enter above eight elements; every mask, 0
+    # and the universe included
+    _assert_planes_fold_each_subset(s)
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -250,22 +257,47 @@ def test_subset_tables_of_the_empty_and_full_relations(n):
     empty = ParthoodStructure.from_mask(n, 0)
     full = ParthoodStructure.from_mask(n, (1 << n * n) - 1)
     for s in (empty, full):
-        _assert_tables_fold_each_subset(s)
-    # each element bounds only itself, and every element bounds everything
-    assert subset_tables(empty)[0][1 << (n - 1)] == 1 << (n - 1)
-    assert subset_tables(full)[0][empty.full] == empty.full
-    assert subset_tables(full)[1][1] == empty.full
+        _assert_planes_fold_each_subset(s)
+    # each element sums and bounds only its own singleton; in the full
+    # relation each sums every nonempty subset and bounds every subset
+    assert subset_planes(empty) == subset_planes(empty, True) \
+        == tuple(1 << (1 << x) for x in range(n))
+    every = (1 << (1 << n)) - 1
+    assert subset_planes(full) == (every - 1,) * n
+    assert subset_planes(full, True) == (every,) * n
 
 
 def test_subset_tables_are_built_once_per_structure():
     labels = [e.label for e in fixture("b7").universe]
     s = ParthoodStructure(labels, fixture("b7").rows)
-    assert s._subset_tables is None
-    tables = subset_tables(s)
-    assert subset_tables(s) is tables
-    assert len(tables[0]) == len(tables[1]) == 1 << s.n
+    assert s._subset_planes is None
+    sums = subset_planes(s)
+    planes = s._subset_planes
+    assert planes == [sums, None]
+    assert subset_planes(s) is sums
+    sups = subset_planes(s, True)
+    assert s._subset_planes is planes and planes == [sums, sups]
+    assert subset_planes(s, True) is sups
+    assert len(sums) == len(sups) == s.n
     # an equal structure built afresh starts without them
-    assert ParthoodStructure(labels, fixture("b7").rows)._subset_tables is None
+    assert ParthoodStructure(labels, fixture("b7").rows)._subset_planes is None
+
+
+def test_plane_bits_equal_the_literal_sum_and_sup_definitions():
+    # every element and every mask of the differential structures and the
+    # fixtures, past eight elements too, where SUB multiplies a low and a
+    # high submask plane
+    sizes = set()
+    for s in (*differential_structures(), *all_fixtures()):
+        sums, sups = subset_planes(s), subset_planes(s, True)
+        masks = range(1 << s.n)
+        for x in range(s.n):
+            assert sums[x] == sum(is_sum_mask(s, x, m) << m for m in masks), \
+                (s, x)
+            assert sups[x] == sum(is_sup_mask(s, x, m) << m for m in masks), \
+                (s, x)
+        sizes.add(s.n)
+    assert sizes == set(range(1, 13))
 
 
 # -- the queries and the algebra against the literal candidate lists ---------
