@@ -153,9 +153,9 @@ def transitivity_gap(s: ParthoodStructure,
     universe order, with x P y and y P z but not x P z; None if the
     relation restricted to within is transitive."""
     rows = s.rows
-    for x in _bits(within):
+    for x in _elements(within):
         rx = rows[x]
-        for y in _bits(rx & within):
+        for y in _elements(rx & within):
             missing = rows[y] & within & ~rx
             if missing:
                 return (x, y, (missing & -missing).bit_length() - 1)

@@ -141,18 +141,42 @@ def _decode(data: bytes) -> str:
                          ) from None
 
 
+# One entry per distinct file content.  A process that runs several
+# commands on a file, as the benchmark's catalog workload runs 18, parses
+# it once; a one-shot process pays one lookup.  An entry holds a file's
+# bytes and a structure of at most MAX_UNIVERSE_SIZE elements with what
+# it filled on first use.
+@functools.lru_cache(maxsize=16)
+def _cached_parse(data: bytes) -> ParthoodStructure:
+    """The structure that a structure file with these bytes describes,
+    parsed on the first call for this content and shared by every later
+    one.  A ParseError, a not-UTF-8 one included, is raised again on
+    every call, as nothing is cached for it."""
+    return parse_structure(_decode(data))
+
+
 def load_structure(path: str) -> tuple[str, ParthoodStructure]:
+    """The display name of a structure file (its base name without
+    `.txt`, or `-` for standard input) and the structure it describes.
+
+    The file is read on every call, and its bytes key a bounded cache
+    (`_cached_parse`): commands on the same file content in one process
+    share one parsed structure, and with it the universe, the label
+    index and the subset planes that the structure fills on first use.
+    Structures are immutable and their queries pure, so sharing one
+    changes no output; a rewritten file has new bytes and is parsed
+    afresh."""
     # bytes decoded at once; splitlines takes \r\n and \r as text mode would
     if path == "-":
         if sys.stdin is None:           # the process started with it closed
             raise OSError("standard input is closed")
-        return "-", parse_structure(_decode(sys.stdin.buffer.read()))
+        return "-", _cached_parse(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
-        text = _decode(fh.read())
+        data = fh.read()
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".txt"):
         name = name[:-4]
-    return name, parse_structure(text)
+    return name, _cached_parse(data)
 
 
 # -- report rendering ---------------------------------------------------------
@@ -718,8 +742,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     spellings (`-h`, `--opt=value`, abbreviations, `--`, values starting
     with `-`) and lines in error go to an argparse parser, built on the
     first such line and kept for the process, with argparse's usage and
-    messages (`_parse_args`).  So `main` is cheap and safe to call
-    repeatedly in-process.
+    messages (`_parse_args`).  Commands on the same file content in one
+    process share one parsed structure, from a bounded cache keyed by
+    the file's bytes (`load_structure`); a one-shot process pays one
+    lookup.  So `main` is cheap and safe to call repeatedly in-process.
     """
     out = out or sys.stdout
     try:

@@ -4,7 +4,8 @@ every set cell of the encoding, the down-sets of a strict partial order,
 each with no twin pruning or rank, and the choice of walk, by the codes
 as named; in mereo.axioms, the shortest part-cycle, by a full
 breadth-first search from each start and a pass over every path back
-to it, and the subset-quantified finders, by reading each subset's pair
+to it, the first transitivity gap, by trying every triple, and the
+subset-quantified finders, by reading each subset's pair
 (ub, ov) off per-subset tables, walking the subsets in encoding order
 or, per element, the subsets that can witness a failure there; in
 mereo.lattice, completeness, by asking for the join of every subset,
@@ -283,6 +284,22 @@ def _ref_find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:
                     best = path
         if best is not None:
             return tuple(best)
+    return None
+
+
+def _ref_transitivity_gap(s: ParthoodStructure,
+                          within: int) -> Optional[tuple[int, int, int]]:
+    """The first triple (x, y, z) of elements of within, x-major, then y,
+    then z, with x P y and y P z but not x P z, or None, by trying every
+    triple: the oracle for transitivity_gap."""
+    members = [i for i in range(s.n) if within >> i & 1]
+    rows = s.rows
+    for x in members:
+        for y in members:
+            for z in members:
+                if (rows[x] >> y & 1 and rows[y] >> z & 1
+                        and not rows[x] >> z & 1):
+                    return (x, y, z)
     return None
 
 

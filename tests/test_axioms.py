@@ -20,7 +20,9 @@ from conftest import (
     all_relations, differential_structures, fixture, sparse_relations,
     structures_maybe_with_zero,
 )
-from oracles import _REF_SUBSET_FINDERS, dollar_converse_holds
+from oracles import (
+    _REF_SUBSET_FINDERS, _ref_transitivity_gap, dollar_converse_holds,
+)
 
 
 def sweep(nmax, ambient=()):
@@ -721,6 +723,34 @@ def test_subset_finders_match_the_table_finders_on_4501_structures():
         checked += 1
     assert checked == 4501 + len(FIXTURE_NAMES)
     assert failing == set(_REF_SUBSET_FINDERS)
+
+
+def test_transitivity_gap_matches_the_triple_loop_on_4501_structures(
+        monkeypatch):
+    # on the full set, on seeded masks of each structure, and on every
+    # path node set is_locally_transitive asks about
+    from mereo import weakparts
+    rng = random.Random(39)
+    paths = []
+
+    def recorded(s, within):
+        paths.append(within)
+        return axioms.transitivity_gap(s, within)
+
+    monkeypatch.setattr(weakparts, "transitivity_gap", recorded)
+    checked, failing, path_sets = 0, 0, 0
+    for s in (*differential_structures(), *all_fixtures()):
+        paths.clear()
+        weakparts.is_locally_transitive(s)
+        path_sets += len(paths)
+        masks = [s.full, *(rng.getrandbits(s.n) for _ in range(4)), *paths]
+        for within in masks:
+            want = _ref_transitivity_gap(s, within)
+            assert axioms.transitivity_gap(s, within) == want, (s, within)
+            checked += 1
+            failing += want is not None
+    assert checked == 5 * (4501 + len(FIXTURE_NAMES)) + path_sets
+    assert path_sets > 4501 and 0 < failing < checked
 
 
 def test_dollar_first_witness_outside_the_ingredienses():

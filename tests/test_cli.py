@@ -14,12 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mereo import ParthoodStructure, cli
+from mereo.theories import TheoryId
 from mereo.cli import (
     ParseError, _build_parser, _covering_pairs, load_structure, main,
     parse_structure, serialize,
 )
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture, structures
+from conftest import (
+    FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR, fixture, structures,
+)
 from oracles import _parse_structure_lines
 
 
@@ -691,6 +694,172 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: holds" in proc.stdout
+
+
+# -- one parsed structure per file content --------------------------------------
+
+def _file_command_lines(path, labels, json_mode):
+    """Every command that reads a structure file, on path: check under
+    each theory, axioms, sum and sup of two labels, alg with each
+    operation, lattice --tarski, localtrans, and dot (drawn --full in
+    place of --json, which dot does not take)."""
+    pair = ",".join(labels[:2])
+    lines = [("check", path, "--theory", t.value) for t in TheoryId]
+    lines += [("axioms", path), ("sum", path, "--set", pair),
+              ("sup", path, "--set", pair)]
+    lines += [("alg", path, "--op", op, "--args",
+               labels[-1] if op == "complement"
+               else labels[0] + "," + labels[-1])
+              for op in cli._ALG_OPS]
+    lines += [("lattice", path, "--tarski"), ("localtrans", path)]
+    if json_mode:
+        return ([line + ("--json",) for line in lines]
+                + [("dot", path, "--full")])
+    return lines + [("dot", path)]
+
+
+def _catalog_lines(path, labels):
+    """The 18 commands the benchmark's catalog workload runs on a file."""
+    lines = [("axioms", path, "--json")]
+    lines += [("check", path, "--theory", t.value, "--json") for t in TheoryId]
+    lines += [("lattice", path, "--tarski", "--json"),
+              ("localtrans", path, "--json"), ("dot", path),
+              ("sum", path, "--set", ",".join(labels[:2]), "--json"),
+              ("sup", path, "--set", labels[0], "--json"),
+              ("alg", path, "--op", "product", "--args",
+               ",".join(labels[-2:]), "--json")]
+    assert len(lines) == 18
+    return lines
+
+
+def test_a_cached_structure_answers_as_a_fresh_parse(capsys):
+    lines = []
+    for name in FIXTURE_NAMES:
+        labels = [e.label for e in fixture(name).universe]
+        for json_mode in (False, True):
+            lines += _file_command_lines(fx(name), labels, json_mode)
+
+    def run(order, fresh):
+        results = {}
+        for argv in order:
+            if fresh:
+                cli._cached_parse.cache_clear()
+            code, out = run_cli(*argv)
+            results[argv] = (code, out, capsys.readouterr().err)
+        return results
+
+    cli._cached_parse.cache_clear()
+    forwards = run(lines, fresh=False)
+    info = cli._cached_parse.cache_info()
+    # each fixture parsed once, every later command served from the cache
+    assert (info.misses, info.hits) == (len(FIXTURE_NAMES),
+                                        len(lines) - len(FIXTURE_NAMES))
+    assert forwards == run(lines[::-1], fresh=False)
+    assert forwards == run(lines, fresh=True)
+    assert {code for code, _, _ in forwards.values()} == {0, 1}
+    assert all(out and not err for _, out, err in forwards.values())
+
+
+def test_a_file_rewritten_in_place_is_parsed_afresh(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("elements: a b\npart: a < b\n")
+    stamp = path.stat()
+    assert run_cli("check", str(path), "--theory", "SPO")[0] == 0
+    first = load_structure(str(path))[1]
+    # same size, same times: only the bytes tell the files apart
+    path.write_text("elements: a b\npart: b < b\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert run_cli("check", str(path), "--theory", "SPO") == (
+        1, "structure: s\ntheory: SPO [T, IRR]\nresult: fails at IRR\n"
+           "witness: (b)\n")
+    assert load_structure(str(path))[1] is not first
+    path.write_text("elements: a b\npart: a < b\n")
+    assert load_structure(str(path))[1] is first
+
+
+@pytest.mark.parametrize("data", [
+    b"elements: a\npart: a < b\n", b"part: a < b\n", b"",
+    b"elements: a b\npart: a < \xff\n", b"\xfe",
+])
+def test_a_parse_error_is_raised_on_every_call_and_never_cached(
+        data, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    cli._cached_parse.cache_clear()
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ParseError) as exc:
+            load_structure(str(path))
+        errors.append((exc.value.line_no, str(exc.value)))
+        _stdin(monkeypatch, data)
+        with pytest.raises(ParseError) as exc:
+            load_structure("-")
+        errors.append((exc.value.line_no, str(exc.value)))
+        assert run_cli("check", str(path), "--theory", "SPO") == (2, "")
+        errors.append(capsys.readouterr().err)
+    assert errors == errors[:3] * 3
+    assert errors[2] == f"parse error: {errors[0][1]}\n"
+    assert cli._cached_parse.cache_info().currsize == 0
+
+
+def test_standard_input_is_read_cold_and_warm(monkeypatch):
+    data = (FIXTURE_DIR / "w4.txt").read_bytes()
+    want = run_cli("check", fx("w4"), "--theory", "T3")[1].replace(
+        "structure: w4", "structure: -")
+    cli._cached_parse.cache_clear()
+    for hits in (0, 1, 2):
+        _stdin(monkeypatch, data)
+        assert run_cli("check", "-", "--theory", "T3") == (0, want)
+        assert cli._cached_parse.cache_info()[:2] == (hits, 1)
+    # the file and standard input with the same bytes share one structure
+    _stdin(monkeypatch, data)
+    assert load_structure("-")[1] is load_structure(fx("w4"))[1]
+
+
+def test_the_catalog_commands_on_a_file_parse_and_build_it_once(monkeypatch):
+    from mereo import sums
+    calls = {"parse": 0, "init": 0, "sums": 0, "sups": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("triples8", "b7", "x6"):
+        labels = [e.label for e in fixture(name).universe]
+        cli._cached_parse.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "parse_structure",
+                          counted("parse", cli.parse_structure))
+            patch.setattr(ParthoodStructure, "__init__",
+                          counted("init", ParthoodStructure.__init__))
+            patch.setattr(sums, "_sum_planes",
+                          counted("sums", sums._sum_planes))
+            patch.setattr(sums, "_sup_planes",
+                          counted("sups", sums._sup_planes))
+            for argv in _catalog_lines(fx(name), labels):
+                assert run_cli(*argv)[0] in (0, 1), argv
+        assert calls == {"parse": 1, "init": 1, "sums": 1, "sups": 1}, name
+
+
+def test_the_parse_cache_keeps_within_its_bound(tmp_path):
+    cli._cached_parse.cache_clear()
+    size = cli._cached_parse.cache_info().maxsize
+    paths = []
+    for k in range(2 * size + 1):
+        path = tmp_path / f"s{k}.txt"
+        path.write_text(f"elements: a{k} b\npart: a{k} < b\n")
+        paths.append(str(path))
+        assert load_structure(str(path))[1].universe[0].label == f"a{k}"
+    info = cli._cached_parse.cache_info()
+    assert (info.currsize, info.misses) == (size, 2 * size + 1)
+    # the least recently used contents were dropped, the latest kept
+    load_structure(paths[-1])
+    load_structure(paths[0])
+    assert cli._cached_parse.cache_info()[:2] == (1, 2 * size + 2)
+    assert cli._cached_parse.cache_info().currsize == size
 
 
 # -- one parser per process ------------------------------------------------------
