@@ -27,7 +27,9 @@ maximal element is skipped, so each class is canonicalised about once
 (_poset_classes, memoised per size: 428 canonical forms for the 405
 classes up to n=6, 20,855 for 16,999 at n=8).  Without transitivity an
 orderly walk down from the full relation generates only canonical
-encodings (_canonical_masks).
+encodings (_canonical_masks).  Every walk yields each encoding with its
+rows as a tuple (_Rowed), the rows the walk decided or split once, and
+is_canonical under T alone and every build read them.
 
 Each up-to-isomorphism walk is shared by every search in the process,
 one per universe size and generating axioms (T, IRR, both or neither),
@@ -50,8 +52,8 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import (MAX_UNIVERSE_SIZE, ParthoodStructure, _Record,
-                   _check_grid, _set)
+from .core import (_DEFAULT_LABEL_TUPLES, MAX_UNIVERSE_SIZE,
+                   ParthoodStructure, _Record, _check_grid, _set)
 
 # Invariant sweeps default to universes of size at most 5; command-line
 # searches cap at 7.
@@ -322,7 +324,7 @@ def is_canonical(n: int, mask: int,
     index as it is reached.  Above IS_CANONICAL_MAX elements, where no
     table is built, the result is canonical_form(n, mask) == mask.
     rows, if given, are the rows of mask (rows[x] the successors of x),
-    which the caller vouches for: the orderly walk holds them already.
+    which the caller vouches for: the walks hold them already.
     Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE, or, when rows
     are not given, a mask with a cell outside the n x n grid.
     """
@@ -354,16 +356,28 @@ def is_canonical(n: int, mask: int,
 
 # -- raw generators -----------------------------------------------------------
 
-def _all_masks(n: int, irreflexive: bool) -> Iterator[int]:
-    """Every relation encoding, ascending; diagonal empty if irreflexive."""
+# An encoding and its rows (rows[x] the successors of x), as walks yield them
+_Rowed = tuple[int, tuple[int, ...]]
+
+
+def _split(n: int, masks: Iterable[int]) -> Iterator[_Rowed]:
+    """Each encoding of masks with its rows, split from it."""
+    full = (1 << n) - 1
+    return ((m, tuple([m >> (i * n) & full for i in range(n)]))
+            for m in masks)
+
+
+def _all_masks(n: int, irreflexive: bool) -> Iterator[_Rowed]:
+    """Every relation encoding with its rows, ascending; diagonal empty if
+    irreflexive."""
     diagonal = sum(1 << (i * n + i) for i in range(n)) if irreflexive else 0
-    return (m for m in range(1 << (n * n)) if not m & diagonal)
+    return _split(n, (m for m in range(1 << (n * n)) if not m & diagonal))
 
 
 def _canonical_masks(n: int, irreflexive: bool,
-                     after: int = -1) -> Iterator[int]:
+                     after: int = -1) -> Iterator[_Rowed]:
     """The canonical relation encodings above after, ascending and
-    lazily; diagonal empty if irreflexive.
+    lazily, each with its rows; diagonal empty if irreflexive.
 
     Orderly generation (Read, Every one a winner, 1978, in complement
     form): setting the lowest empty cell of a canonical encoding other
@@ -376,7 +390,7 @@ def _canonical_masks(n: int, irreflexive: bool,
     is above its root, so a child at or below after is skipped, subtree
     and all, without an is_canonical call.  Each node keeps its rows, and
     a child's are its parent's with one bit cleared, handed to
-    is_canonical with the child.
+    is_canonical with the child and yielded with it.
     """
     cells = [(i, j) for i in range(n) for j in range(n)
              if not (irreflexive and i == j)]
@@ -401,13 +415,13 @@ def _canonical_masks(n: int, irreflexive: bool,
                 stack.append((child, child_rows, k))
                 break
         else:
-            yield mask
+            yield mask, tuple(rows)
 
 
 def _transitive_masks(n: int, irreflexive: bool,
-                      top_bound: bool = False) -> Iterator[int]:
-    """All transitive relations on n elements, ascending and lazily;
-    diagonal empty if irreflexive.
+                      top_bound: bool = False) -> Iterator[_Rowed]:
+    """All transitive relations on n elements, ascending and lazily,
+    each with its rows; diagonal empty if irreflexive.
 
     Whole rows are decided from the most significant (element n-1) down,
     each taking its values in increasing order.  Row i ranges over the
@@ -453,7 +467,8 @@ def _transitive_masks(n: int, irreflexive: bool,
                                              else r):
                 pass                # least(i) below the top row: skip
             elif i == 0:
-                yield prefix[1] | r
+                rows[0] = r
+                yield prefix[1] | r, tuple(rows)
             else:
                 rows[i] = r
                 prefix[i] = prefix[i + 1] | r << (i * n)
@@ -590,10 +605,13 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
 WALK_BUDGET_BYTES = 8 << 20
 
 
-def _passing(structures: Iterable[ParthoodStructure],
+def _passing(n: int, walk: Iterable[_Rowed],
              finders) -> Iterator[ParthoodStructure]:
-    """The structures that every finder passes, in order."""
-    for s in structures:
+    """A structure built from the rows of each item of the walk, in
+    order, if every finder passes it."""
+    labels = _DEFAULT_LABEL_TUPLES[n]
+    for _, rows in walk:
+        s = ParthoodStructure(labels, rows)
         for find in finders:
             if find(s) is not None:
                 break
@@ -608,20 +626,20 @@ class _SharedWalk:
     class's structure, and only the first check to read a class's subset
     planes builds those.
 
-    _kept holds one structure per class found, built with from_mask by
-    the consumer that found it and never handed out.  checked(finders)
-    runs a consumer's checks on each kept structure, so a class they
-    reject costs no structure; a class that passes is yielded as a fresh
-    _from_fields copy, sharing the kept structure's field tuples and
-    its planes list, if it has one.  Planes a check builds on a kept
-    structure stay there at once.  A consumer's checks on the copy may
-    build planes too (find_model's forbid check does): when the
-    consumer asks for the next class, they go to the kept structure if
-    it still has none.  A class's planes list is one object shared by
-    the kept structure and its copies, each entry filled once with a
-    tuple of ints that depends only on the relation, so whichever of
-    them fills it, every other reads the same planes; what else a copy
-    fills on first use is its own.
+    _kept holds one structure per class found, built from the rows the
+    walk yields with its encoding by the consumer that found it, and
+    never handed out.  checked(finders) runs a consumer's checks on each
+    kept structure, so a class they reject costs no structure; a class
+    that passes is yielded as a fresh _from_fields copy, sharing the kept
+    structure's field tuples and its planes list, if it has one.  Planes
+    a check builds on a kept structure stay there at once.  A consumer's
+    checks on the copy may build planes too (find_model's forbid check
+    does): when the consumer asks for the next class, they go to the
+    kept structure if it still has none.  A class's planes list is one
+    object shared by the kept structure and its copies, each entry
+    filled once with a tuple of ints that depends only on the relation,
+    so whichever of them fills it, every other reads the same planes;
+    what else a copy fills on first use is its own.
 
     The walk keeps at most _cap classes, worked out when it is made: each
     kept class reserves room for both of its planes, so planes filled
@@ -635,12 +653,13 @@ class _SharedWalk:
     class is kept: the consumer that reached it takes over the live
     walk, later ones restart it past the kept classes, and each builds,
     checks and hands on every structure from there on.  start(after)
-    walks only the encodings above after, the last kept class's (-1 for
-    none), so a restart checks nothing the kept classes cover.  The cap
-    is 0 above eight elements, where the masks are no longer the shared
-    small ints the estimate counts on; a walk there, such as the census
-    of the 183,231 strict partial orders on nine elements, reads each
-    class once, so keeping would only add to its memory.
+    yields, with their rows, only the encodings above after, the last
+    kept class's (-1 for none), so a restart checks nothing the kept
+    classes cover.  The cap is 0 above eight elements, where the masks
+    are no longer the shared small ints the estimate counts on; a walk
+    there, such as the census of the 183,231 strict partial orders on
+    nine elements, reads each class once, so keeping would only add to
+    its memory.
 
     If the walk raises, the classes already found stay; the next
     consumer to pass the end restarts the walk past the kept classes,
@@ -655,7 +674,7 @@ class _SharedWalk:
         self._n = n
         self._start = start     # after -> the walk past encoding after
         self._kept: list[ParthoodStructure] = []
-        self._walk: Optional[Iterator[int]] = None
+        self._walk: Optional[Iterator[_Rowed]] = None
         self._done = False
         # a kept structure, its five tuples and its slot in _kept, and
         # its planes list holding two tuples of n planes of 2^n bits
@@ -667,8 +686,8 @@ class _SharedWalk:
                                        *planes, *(plane,) * (2 * n))))
         self._cap = WALK_BUDGET_BYTES // (size + 8) if n <= 8 else 0
 
-    def _next_mask(self) -> Optional[int]:
-        """The walk's next encoding; None once the walk is over."""
+    def _next(self) -> Optional[_Rowed]:
+        """The walk's next encoding and rows; None once it is over."""
         if self._walk is None:
             self._walk = self._restart()
         try:
@@ -691,7 +710,7 @@ class _SharedWalk:
         n = self._n
         kept = self._kept
         copy = ParthoodStructure._from_fields
-        build = ParthoodStructure.from_mask
+        labels = _DEFAULT_LABEL_TUPLES[n]
         cap = self._cap
         i = 0
         while True:
@@ -702,10 +721,10 @@ class _SharedWalk:
             elif i >= cap:
                 break
             else:
-                m = self._next_mask()
-                if m is None:
+                got = self._next()
+                if got is None:
                     return
-                s = build(n, m)
+                s = ParthoodStructure(labels, got[1])
                 kept.append(s)
             i += 1
             for find in finders:
@@ -719,10 +738,9 @@ class _SharedWalk:
                     s._subset_planes = t._subset_planes
         # past the cap: the rest of the walk, unshared
         walk, self._walk = self._walk, None
-        yield from _passing((build(n, m) for m in walk or self._restart()),
-                            finders)
+        yield from _passing(n, walk or self._restart(), finders)
 
-    def _restart(self) -> Iterator[int]:
+    def _restart(self) -> Iterator[_Rowed]:
         """The walk past the last kept class."""
         kept = self._kept
         return self._start(kept[-1].relation_mask if kept else -1)
@@ -734,17 +752,18 @@ def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
     n, shared by every search in the process: the memoised poset classes
     under T and IRR, the orderly walk without T, and the canonical
     members of the labelled transitive walk under T alone, walked with
-    its top-row bound."""
+    its top-row bound and tested with the rows it yields."""
     if has_t and has_irr:
         def posets(after):
             classes = _poset_classes(n)
-            return iter(classes[bisect.bisect_right(classes, after):])
+            return _split(n, classes[bisect.bisect_right(classes, after):])
         return _SharedWalk(n, posets)
     if not has_t:
         return _SharedWalk(n, lambda after: _canonical_masks(n, has_irr,
                                                              after))
-    return _SharedWalk(n, lambda after: (m for m in _transitive_masks(
-        n, False, top_bound=True) if m > after and is_canonical(n, m)))
+    return _SharedWalk(n, lambda after: (
+        got for got in _transitive_masks(n, False, top_bound=True)
+        if got[0] > after and is_canonical(n, *got)))
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
@@ -761,7 +780,8 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     it, with its planes, only for a class that passes; a search that
     stops early leaves the rest of the walk undone.  Labelled walks (all
     relations, or the transitive ones) run lazily per search, build
-    every candidate and hand on the models they check.
+    every candidate from the rows its walk yields and hand on the models
+    they check.
 
     Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE before any
     walk starts.
@@ -773,19 +793,7 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
         yield from _iso_candidates(n, has_t, has_irr).checked(finders)
     else:
         walk = _transitive_masks if has_t else _all_masks
-        yield from _passing((ParthoodStructure.from_mask(n, m)
-                             for m in walk(n, has_irr)), finders)
-
-
-def enumerate_model_masks(n: int, constraints: Sequence[AxiomLike] = (),
-                          up_to_iso: bool = True) -> list[int]:
-    """Relation encodings of every model of the constraints, ascending.
-
-    With up_to_iso, exactly the canonical (minimal-encoding)
-    representative of each isomorphism class is kept.
-    """
-    return [s.relation_mask for s in enumerate_models(n, constraints,
-                                                      up_to_iso)]
+        yield from _passing(n, walk(n, has_irr), finders)
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),

@@ -15,7 +15,8 @@ from `subset_entry`, and `sums_in` / `sups_in` read the sums and
 suprema off the pair.  For every subset at once, `subset_planes` gives
 each element one int of 2^n bits, set at the subsets it sums (or is a
 supremum of), made by `meeting` from the planes of submasks: a few
-big-int operations per element, at every size.  The literal
+big-int operations per element at every size, each submask plane one
+table lookup up to eight elements.  The literal
 definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
 `sum_candidates`, `sup_candidates`) are oracles for the tests only.
 """
@@ -78,11 +79,13 @@ def subset_planes(s: ParthoodStructure, sups: bool = False) \
 
     x sums m iff x bounds m and m meets ov_of[z], the elements
     overlapping z, for every ingrediens z of x; x is a supremum of m iff
-    x bounds m and no y that x is not an ingrediens of does.  Each tuple
-    is made once per structure, on first use, and kept in the list in
-    the structure's `_subset_planes` slot, where a shared
-    up-to-isomorphism walk may have set it already.  Bit m of sums[x]
-    equals `is_sum_mask(s, x, m)`, and of sups[x] `is_sup_mask(s, x, m)`.
+    x bounds m and no y that x is not an ingrediens of does.  SUB(S) is
+    one lookup, _LOW[S], up to eight elements, and a product of two above
+    (see the tables).  Each tuple is made once per structure, on first
+    use, and kept in the list in the structure's `_subset_planes` slot,
+    where a shared up-to-isomorphism walk may have set it already.  Bit
+    m of sums[x] equals `is_sum_mask(s, x, m)`, and of sups[x]
+    `is_sup_mask(s, x, m)`.
     """
     planes = s._subset_planes
     if planes is None:
@@ -94,27 +97,32 @@ def subset_planes(s: ParthoodStructure, sups: bool = False) \
 
 
 def _sum_planes(s: ParthoodStructure) -> tuple[int, ...]:
-    # meeting(ing, ing, ov_of) for each ing, inlined: a call per element
-    # would add a fifth to the time of making them at four elements
-    low, high, elems, elems_high = _LOW, _HIGH, _ELEMS, _ELEMS_HIGH
-    made, ov_of = [], s.ov_of
+    # meeting(ing, ing, ov_of) for each ing, inlined up to eight
+    # elements, where a call each would add a fifth to the time
+    ov_of = s.ov_of
+    if s.n > 8:
+        return tuple([meeting(ing, ing, ov_of) for ing in s.ing_of])
+    low, elems, made = _LOW, _ELEMS, []
     for ing in s.ing_of:
         missed = 0
-        for z in elems[ing & 255] + elems_high[ing >> 8]:
-            apart = ing & ~ov_of[z]
-            missed |= low[apart & 255] * high[apart >> 8]
-        made.append(low[ing & 255] * high[ing >> 8] & ~missed)
+        for z in elems[ing]:
+            missed |= low[ing & ~ov_of[z]]
+        made.append(low[ing] & ~missed)
     return tuple(made)
 
 
 def _sup_planes(s: ParthoodStructure) -> tuple[int, ...]:
-    low, high, elems, elems_high = _LOW, _HIGH, _ELEMS, _ELEMS_HIGH
-    full = s.full
-    bounds = [low[ing & 255] * high[ing >> 8] for ing in s.ing_of]
-    made = []
+    low, high = _LOW, _HIGH
+    if s.n > 8:
+        elements = _elements
+        bounds = [low[ing & 255] * high[ing >> 8] for ing in s.ing_of]
+    else:
+        elements = _ELEMS.__getitem__
+        bounds = [low[ing] for ing in s.ing_of]
+    full, made = s.full, []
     for bound, up in zip(bounds, s.ing_up):
-        missed, above = 0, full ^ up
-        for y in elems[above & 255] + elems_high[above >> 8]:
+        missed = 0
+        for y in elements(full ^ up):
             missed |= bounds[y]
         made.append(bound & ~missed)
     return tuple(made)
@@ -123,8 +131,12 @@ def _sup_planes(s: ParthoodStructure) -> tuple[int, ...]:
 def meeting(within: int, meets: int, ov_of: Sequence[int]) -> int:
     """The plane of the subsets of within that meet ov_of[z] for every z
     in meets: SUB(within) less SUB(within & ~ov_of[z]) for each z."""
-    low, high = _LOW, _HIGH
-    missed = 0
+    low, missed = _LOW, 0
+    if within | meets < 256:
+        for z in _ELEMS[meets]:
+            missed |= low[within & ~ov_of[z]]
+        return low[within] & ~missed
+    high = _HIGH
     for z in _ELEMS[meets & 255] + _ELEMS_HIGH[meets >> 8]:
         apart = within & ~ov_of[z]
         missed |= low[apart & 255] * high[apart >> 8]
@@ -150,13 +162,14 @@ def _by_bits(first: int, count: int) \
     return planes, elements
 
 
-# The submasks of S are its low byte's times its high bits' as masks
-# whose low byte is 0, so SUB(S) = _LOW[S & 255] * _HIGH[S >> 8], the
-# product of the planes of the two parts: the low plane's bits lie below
-# 256 and the high one's at multiples of 256, so no two bit products
-# meet and nothing carries.  _ELEMS and _ELEMS_HIGH list the elements of
-# the same two parts, so the kernels visit a mask's elements without a
-# loop over its bits.
+# Below 256, SUB(S) = _LOW[S] and _ELEMS[S] lists the elements of S.
+# Above, the submasks of S are its low byte's times its high bits' as
+# masks whose low byte is 0, so SUB(S) = _LOW[S & 255] * _HIGH[S >> 8],
+# the product of the planes of the two parts: the low plane's bits lie
+# below 256 and the high one's at multiples of 256, so no two bit
+# products meet and nothing carries.  _ELEMS and _ELEMS_HIGH list the
+# elements of the same two parts, so the kernels visit a mask's elements
+# without a loop over its bits.
 _LOW, _ELEMS = _by_bits(0, 8)
 _HIGH, _ELEMS_HIGH = _by_bits(8, MAX_UNIVERSE_SIZE - 8)
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from mereo import ParthoodStructure
 from mereo.cli import load_structure
-from mereo.search import _poset_classes, enumerate_model_masks
+from mereo.search import _poset_classes
+from oracles import enumerate_model_masks
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

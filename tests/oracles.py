@@ -1,6 +1,7 @@
 """Literal definitions the kernels are tested against: in mereo.search,
 the canonical forms, by applying every one of the n! relabellings to
-every set cell of the encoding, the down-sets of a strict partial order,
+every set cell of the encoding, the model encodings a search yields,
+read off its structures, the down-sets of a strict partial order,
 each with no twin pruning or rank, and the choice of walk, by the codes
 as named; in mereo.axioms, the shortest part-cycle, by a full
 breadth-first search from each start and a pass over every path back
@@ -27,6 +28,7 @@ from mereo.axioms import AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
 from mereo.core import ParthoodStructure, _bits
 from mereo.lattice import LatticeReport, ZeroedStructure
+from mereo.search import enumerate_models
 from mereo.sums import sums_in, sups_in
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
@@ -62,6 +64,16 @@ def _is_canonical_scan(n: int, mask: int) -> bool:
         if _remap(mask, cmap) < mask:
             return False
     return True
+
+
+def enumerate_model_masks(n: int, constraints=(),
+                          up_to_iso: bool = True) -> list[int]:
+    """Relation encodings of every model of the constraints, ascending,
+    read off search.enumerate_models; with up_to_iso, exactly the
+    canonical (minimal-encoding) representative of each isomorphism
+    class is kept."""
+    return [s.relation_mask for s in enumerate_models(n, constraints,
+                                                      up_to_iso)]
 
 
 def _plain_down_sets(parts_in) -> list[int]:

@@ -18,11 +18,11 @@ from mereo import (
 )
 from mereo.cli import main as cli_main
 from mereo.cli import parse_structure, serialize
-from mereo.search import enumerate_model_masks
 from mereo.sums import difference, product, product_by_cases
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture
-from oracles import _canonical_form_scan, dollar_converse_holds
+from oracles import (_canonical_form_scan, dollar_converse_holds,
+                     enumerate_model_masks)
 
 
 @contextmanager

@@ -585,6 +585,32 @@ def test_json_implies_transitive_countermodel():
     assert doc["explored"] == 61
 
 
+def test_every_recorded_claim_gives_its_size_and_explored_count():
+    # all 2,730 claims of perfbench/claims.json in file order, in one
+    # process whose walks start cold and are then shared by every later
+    # claim: a change to a walk's order or to what it yields shows here
+    from mereo import search
+    path = FIXTURE_DIR.parent / "perfbench" / "claims.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    rows = [dict(zip(doc["fields"], row)) for row in doc["claims"]]
+    assert len(rows) == 2730
+    search._iso_candidates.cache_clear()
+    wrong = []
+    for c in rows:
+        argv = ["implies", "--from", c["from"], "--to", c["to"],
+                "--max-n", str(c["max_n"]), "--json"]
+        if c["ambient"]:
+            argv[1:1] = ["--ambient", c["ambient"]]
+        code, out = run_cli(*argv)
+        got = json.loads(out)
+        model = got["countermodel"]
+        size = None if model is None else len(model["elements"])
+        want = (c["countermodel_n"], c["explored"])
+        if (code, size, got["explored"]) != (int(size is not None), *want):
+            wrong.append((argv, code, size, got["explored"], want))
+    assert wrong == []
+
+
 # -- dot export ------------------------------------------------------------------
 
 def naive_covers(s: ParthoodStructure):

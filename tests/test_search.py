@@ -19,13 +19,18 @@ from mereo import axioms, core, search, sums
 from mereo.axioms import CATALOG_ORDER, CatalogError, axiom_id
 from mereo.search import (
     _all_masks, _canonical_masks, _down_sets, _poset_classes,
-    _transitive_masks, _twin_masks, enumerate_model_masks,
+    _transitive_masks, _twin_masks,
 )
 from conftest import fixture
 from oracles import (
     _canonical_form_scan, _is_canonical_scan, _literal_split_constraints,
-    _perm_cell_maps, _plain_down_sets, _remap,
+    _perm_cell_maps, _plain_down_sets, _remap, enumerate_model_masks,
 )
+
+
+def _masks(walk):
+    """The encodings of a walk that yields each with its rows, lazily."""
+    return (m for m, _ in walk)
 
 
 # -- naive oracle: filter every labelled relation, group by permutation -------
@@ -365,8 +370,8 @@ def test_poset_classes_match_canonicalised_labelled_posets():
                        for m in _order_compatible_posets(n)})
         assert list(_poset_classes(n)) == want
         if n <= 5:
-            assert want == sorted({canonical_form(n, m)
-                                   for m in _transitive_masks(n, True)})
+            assert want == sorted({canonical_form(n, m) for m
+                                   in _masks(_transitive_masks(n, True))})
 
 
 def test_ranked_extension_matches_twin_pruned_reference():
@@ -475,7 +480,7 @@ def test_census_counts_match_oeis():
     labelled_posets = [1, 3, 19, 219, 4231, 130023]
     for n, want in enumerate(labelled_posets, start=1):
         assert sum(1 for _ in _transitive_masks(n, True)) == want
-    transitive_classes = [2, 8, 39, 242]
+    transitive_classes = [2, 8, 39, 242, 1895]
     for n, want in enumerate(transitive_classes, start=1):
         assert count_models(n, ("T",)) == want
 
@@ -492,7 +497,7 @@ def test_canonical_form_matches_scan_on_posets_and_transitive():
     for n in range(1, 6):
         for mask in _order_compatible_posets(n):
             assert canonical_form(n, mask) == _canonical_form_scan(n, mask)
-    for mask in _transitive_masks(4, False):
+    for mask in _masks(_transitive_masks(4, False)):
         assert canonical_form(4, mask) == _canonical_form_scan(4, mask)
     # the classes with two or more maximal elements, which are the sinks
     # placed in one cell at the top labels.  The scan is the same on
@@ -788,8 +793,9 @@ def test_is_canonical_builds_no_table_above_six_elements(monkeypatch):
                 assert is_canonical(n, mask) == (mask == canon)
     # the first classes of the n=7 walks that call is_canonical
     n = 7
-    walks = [_canonical_masks(n, False), _canonical_masks(n, True),
-             (m for m in _transitive_masks(n, False, top_bound=True)
+    walks = [_masks(_canonical_masks(n, False)),
+             _masks(_canonical_masks(n, True)),
+             (m for m in _masks(_transitive_masks(n, False, top_bound=True))
               if is_canonical(n, m))]
     for walk in walks:
         first = list(itertools.islice(walk, 200))
@@ -813,14 +819,14 @@ def test_canonical_kernels_refuse_input_outside_the_grid():
 def test_orderly_generation_matches_canonical_filter():
     for n in range(1, 5):
         for irreflexive in (False, True):
-            want = [m for m in _all_masks(n, irreflexive)
+            want = [m for m in _masks(_all_masks(n, irreflexive))
                     if _is_canonical_scan(n, m)]
-            assert list(_canonical_masks(n, irreflexive)) == want
+            assert list(_masks(_canonical_masks(n, irreflexive))) == want
             if n > 3:
                 continue
             # a walk past an encoding is the rest of the walk
             for after in [-1] + want + [want[-1] + 1]:
-                assert list(_canonical_masks(n, irreflexive, after)) \
+                assert list(_masks(_canonical_masks(n, irreflexive, after))) \
                     == [m for m in want if m > after]
 
 
@@ -865,9 +871,9 @@ def _reference_find(spec):
     explored = 0
     for n in range(1, spec.max_n + 1):
         if transitive and irreflexive:
-            candidates = _transitive_masks(n, True)
+            candidates = _masks(_transitive_masks(n, True))
         else:
-            candidates = (m for m in _all_masks(n, irreflexive)
+            candidates = (m for m in _masks(_all_masks(n, irreflexive))
                           if not transitive or _is_transitive(n, m))
         for mask in candidates:
             if not _is_canonical_scan(n, mask):
@@ -972,8 +978,8 @@ def _filtered_candidates(n, generator, code, up_to_iso):
     canonical (up to isomorphism) and if satisfies() accepts every
     constraint."""
     irreflexive = "IRR" in generator
-    walk = (_transitive_masks(n, irreflexive) if "T" in generator
-            else _all_masks(n, irreflexive))
+    walk = (_masks(_transitive_masks(n, irreflexive)) if "T" in generator
+            else _masks(_all_masks(n, irreflexive)))
     constraints = generator + (code,)
     return [m for m in walk
             if (not up_to_iso or _is_canonical_scan(n, m))
@@ -1065,9 +1071,9 @@ def test_claims_agree_with_the_literal_split(hypotheses, max_n, monkeypatch):
 def test_transitive_walk_matches_literal_filter():
     for n in range(1, 5):
         for irreflexive in (False, True):
-            want = [m for m in _all_masks(n, irreflexive)
+            want = [m for m in _masks(_all_masks(n, irreflexive))
                     if _is_transitive(n, m)]
-            assert list(_transitive_masks(n, irreflexive)) == want
+            assert list(_masks(_transitive_masks(n, irreflexive))) == want
 
 
 def test_transitive_walk_is_lazy():
@@ -1075,15 +1081,16 @@ def test_transitive_walk_is_lazy():
     # hanging on the n=7 space below
     walk = _transitive_masks(3, False)
     assert iter(walk) is walk
-    assert list(itertools.islice(_transitive_masks(7, False), 5)) \
+    assert list(itertools.islice(_masks(_transitive_masks(7, False)), 5)) \
         == [0, 1, 2, 3, 4]
 
 
 def test_top_row_bound_drops_only_non_canonical_relations():
     for n in range(1, 6):
-        bounded = list(_transitive_masks(n, False, True))
+        bounded = list(_masks(_transitive_masks(n, False, True)))
         assert [m for m in bounded if is_canonical(n, m)] \
-            == [m for m in _transitive_masks(n, False) if is_canonical(n, m)]
+            == [m for m in _masks(_transitive_masks(n, False))
+                if is_canonical(n, m)]
     # at n=5 it keeps 34,179 of the 154,303 transitive relations
     assert len(bounded) < sum(1 for _ in _transitive_masks(5, False)) / 4
 
@@ -1101,7 +1108,7 @@ def test_orderly_generation_is_lazy(monkeypatch):
         return scan(n, mask, *rows)
 
     monkeypatch.setattr(search, "is_canonical", counted)
-    assert next(_canonical_masks(6, False)) == 0
+    assert next(_masks(_canonical_masks(6, False))) == 0
 
 
 # -- up-to-iso walks shared across the searches of a process ------------------
@@ -1130,8 +1137,9 @@ def _unshared_iso_walk(n, constraints):
     if "T" in constraints and "IRR" in constraints:
         return list(_poset_classes(n))
     if "T" in constraints:
-        return [m for m in _transitive_masks(n, False) if is_canonical(n, m)]
-    return list(_canonical_masks(n, "IRR" in constraints))
+        return [m for m in _masks(_transitive_masks(n, False))
+                if is_canonical(n, m)]
+    return list(_masks(_canonical_masks(n, "IRR" in constraints)))
 
 
 _SLOTS = ("n", "full", "rows", "parts_in", "ing_of", "ing_up", "ov_of",
@@ -1235,7 +1243,7 @@ def _assert_kept_planes(planes, n, mask):
 def test_shared_walk_calls_is_canonical_only_past_what_was_found(monkeypatch):
     search._iso_candidates.cache_clear()
     calls = _counted_is_canonical(monkeypatch)
-    full = list(_canonical_masks(4, False))
+    full = list(_masks(_canonical_masks(4, False)))
     full_calls, calls[0] = calls[0], 0
     # no ambient: refuted at n=4 after 290 explored models
     spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
@@ -1310,6 +1318,39 @@ _ISO_KEYS = [
 def _generating_codes(key):
     _, has_t, has_irr = key
     return ["T"] * has_t + ["IRR"] * has_irr
+
+
+@pytest.mark.parametrize("has_t, has_irr, top", [
+    (False, False, 4), (False, True, 4), (True, False, 5), (True, True, 6),
+], ids=["orderly", "orderly-IRR", "T", "posets"])
+def test_walks_hand_on_the_split_rows_of_each_class(has_t, has_irr, top):
+    # the rows yielded with each class are the split of its encoding, and
+    # the structure kept for it equals a from_mask build field by field
+    search._iso_candidates.cache_clear()
+    for n in range(1, top + 1):
+        walk = search._iso_candidates(n, has_t, has_irr)
+        yielded = list(walk._start(-1))
+        assert [m for m, _ in yielded] \
+            == _unshared_iso_walk(n, _generating_codes((n, has_t, has_irr)))
+        for m, rows in yielded:
+            assert type(rows) is tuple and rows == tuple(_rows(n, m))
+        assert len(list(walk)) == len(yielded) <= walk._cap
+        assert [s._fields() for s in _kept(walk)] \
+            == [ParthoodStructure.from_mask(n, m)._fields()
+                for m, _ in yielded]
+
+
+def test_labelled_walks_hand_on_the_split_rows_of_each_relation():
+    for n in range(1, 4):
+        for walk in (_all_masks, _transitive_masks):
+            for irreflexive in (False, True):
+                for m, rows in walk(n, irreflexive):
+                    assert type(rows) is tuple
+                    assert rows == tuple(_rows(n, m))
+        for codes in ((), ("T",)):
+            for s in enumerate_models(n, codes, up_to_iso=False):
+                want = ParthoodStructure.from_mask(n, s.relation_mask)
+                assert s._fields() == want._fields()
 
 
 @pytest.mark.parametrize("key", _ISO_KEYS)
@@ -1391,7 +1432,8 @@ def test_a_walk_above_eight_elements_keeps_nothing():
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
-    walk = search._SharedWalk(n, lambda after: (m for m in want if m > after))
+    walk = search._SharedWalk(n, lambda after: ((m, tuple(_rows(n, m)))
+                                                for m in want if m > after))
     assert walk._cap == 0
     seen = []
     for _ in range(2):
