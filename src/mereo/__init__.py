@@ -21,7 +21,7 @@ from .theories import (
 )
 from .search import (
     DEFAULT_SWEEP_MAX, SEARCH_MAX, SearchResult, SearchSpec, canonical_form,
-    count_models, enumerate_models, find_model, is_canonical, models_up_to_iso,
+    count_models, enumerate_models, find_model, is_canonical,
     verify_implication,
 )
 from .lattice import (
@@ -45,8 +45,7 @@ __all__ = [
     "TheoryId", "TheoryVerdict", "THEORY_AXIOMS", "DERIVED_THESES",
     "check_theory", "theory_axioms", "derived_theses",
     "SearchSpec", "SearchResult", "canonical_form", "is_canonical",
-    "enumerate_models", "count_models", "models_up_to_iso",
-    "find_model", "verify_implication",
+    "enumerate_models", "count_models", "find_model", "verify_implication",
     "ZeroedStructure", "LatticeReport", "adjoin_zero", "lattice_report",
     "tarski_check",
     "PartPath", "AcyclicityVerdict", "LocalTransitivityVerdict",

@@ -31,21 +31,20 @@ encodings (_canonical_masks).  Every walk yields each encoding with its
 rows as a tuple (_Rowed), the rows the walk decided or split once, and
 is_canonical under T alone and every build read them.
 
-Each up-to-isomorphism walk is shared by every search in the process,
-one per universe size and generating axioms (T, IRR, both or neither),
-and keeps its classes within a byte budget (_iso_candidates,
-_SharedWalk); labelled walks are not shared.  The walk is chosen from
-what the constraints entail: AS, AC and WSP each entail IRR
-(_ENTAILS_IRR), and a walk of strict partial orders guarantees AS, AC
-and ANTIS as well as T and IRR.  The other codes are checked on what it
-yields, each once, cheapest first in an order fixed when a walk starts,
-and each model is handed on as a fresh structure with the subset planes
-its checks built or found.  Labels are built only when read.
+One table, _WALKS, has a row per walk (strict partial orders,
+transitive, irreflexive and all relations): the codes that select it
+and those it guarantees, its generators and its class counts.  A search
+walks the first row its constraints select (AS, AC and WSP each entail
+IRR) and checks the other codes on what it yields, each once, cheapest
+first; each model is handed on as a fresh structure with the subset
+planes its checks built or found, its labels built only when read.  An
+up-to-isomorphism walk is shared by every search in the process if its
+row's class count fits a byte budget, and walked afresh by each search
+otherwise (_iso_candidates, _SharedWalk); labelled walks are not shared.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import sys
@@ -374,10 +373,9 @@ def _all_masks(n: int, irreflexive: bool) -> Iterator[_Rowed]:
     return _split(n, (m for m in range(1 << (n * n)) if not m & diagonal))
 
 
-def _canonical_masks(n: int, irreflexive: bool,
-                     after: int = -1) -> Iterator[_Rowed]:
-    """The canonical relation encodings above after, ascending and
-    lazily, each with its rows; diagonal empty if irreflexive.
+def _canonical_masks(n: int, irreflexive: bool) -> Iterator[_Rowed]:
+    """The canonical relation encodings, ascending and lazily, each with
+    its rows; diagonal empty if irreflexive.
 
     Orderly generation (Read, Every one a winner, 1978, in complement
     form): setting the lowest empty cell of a canonical encoding other
@@ -386,10 +384,8 @@ def _canonical_masks(n: int, irreflexive: bool,
     node whose lowest empty cell is z are its canonical copies with one
     cell k < z cleared.  Every encoding below the child at k keeps the
     node's cells from k up, so a post-order walk taking children from
-    the highest k down yields ascending order.  No encoding in a subtree
-    is above its root, so a child at or below after is skipped, subtree
-    and all, without an is_canonical call.  Each node keeps its rows, and
-    a child's are its parent's with one bit cleared, handed to
+    the highest k down yields ascending order.  Each node keeps its
+    rows, and a child's are its parent's with one bit cleared, handed to
     is_canonical with the child and yielded with it.
     """
     cells = [(i, j) for i in range(n) for j in range(n)
@@ -399,14 +395,12 @@ def _canonical_masks(n: int, irreflexive: bool,
     full = (1 << n) - 1
     root_rows = [full ^ (irreflexive << i) for i in range(n)]
     # (node, its rows, its untried cells below)
-    stack = [(root, root_rows, len(bits))] if root > after else []
+    stack = [(root, root_rows, len(bits))]
     while stack:
         mask, rows, k = stack.pop()
         while k:
             k -= 1
             child = mask ^ bits[k]
-            if child <= after:
-                continue
             i, j = cells[k]
             child_rows = rows.copy()
             child_rows[i] ^= 1 << j
@@ -569,40 +563,100 @@ def _poset_classes(n: int) -> tuple[int, ...]:
 
 # -- enumeration ---------------------------------------------------------------
 
-# The codes that entail IRR on every structure, so a search naming one
-# walks only irreflexive relations.  Each fails on a loop x P x:
-_ENTAILS_IRR = frozenset({
+class _Walk:
+    """A row of _WALKS: one way of walking the relations on n elements.
+
+    selects is a tuple of code sets, and the row serves constraints that
+    name a code of each.  Every relation the walk yields satisfies the
+    codes of guarantees, so no search checks them.  iso(n) yields one
+    canonical encoding per class, labelled(n) every encoding, ascending
+    and each with its rows.  counts[n - 1] is iso(n)'s length, n <= 8.
+    """
+
+    __slots__ = ("selects", "guarantees", "iso", "labelled", "counts")
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
+
+
+# IRR and the codes that entail it, each failing on a loop x P x
+_LOOPLESS = frozenset({
+    AxiomId.IRR,
     AxiomId.AS,     # x and x are mutual parts
     AxiomId.AC,     # the loop is a part-cycle of length 1
     AxiomId.WSP,    # x is a part of x, yet every part of x overlaps x
 })
 
-# The codes a walk of strict partial orders guarantees: T and IRR, and
-# what they entail (a cycle or mutual parts would give a loop by T).
-_POSET_CODES = frozenset({AxiomId.T, AxiomId.IRR, AxiomId.AS, AxiomId.AC,
-                          AxiomId.ANTIS})
+# The walks, most constrained first.  Each generator looks its walk
+# function up by name when it runs, so a replaced one is seen.
+_WALKS = (
+    _Walk(  # strict partial orders
+        (frozenset({AxiomId.T}), _LOOPLESS),
+        frozenset({
+            AxiomId.T, AxiomId.IRR,     # each class is a strict order
+            AxiomId.AS,     # mutual parts would give a loop by T
+            AxiomId.ANTIS,  # so would distinct mutual parts
+            AxiomId.AC,     # so would a part-cycle
+        }),
+        lambda n: _split(n, _poset_classes(n)),
+        lambda n: _transitive_masks(n, True),
+        (1, 2, 5, 16, 63, 318, 2045, 16999)),                   # A000112
+    _Walk(  # transitive relations
+        (frozenset({AxiomId.T}),),
+        frozenset({AxiomId.T}),         # each relation is transitive
+        # its canonical members, under is_canonical's top-row bound
+        lambda n: (got for got in _transitive_masks(n, False, top_bound=True)
+                   if is_canonical(n, *got)),
+        lambda n: _transitive_masks(n, False),
+        (2, 8, 39, 242, 1895, 19051, 246895, 4145108)),         # A091073
+    _Walk(  # irreflexive relations
+        (_LOOPLESS,),
+        frozenset({AxiomId.IRR}),       # each diagonal is empty
+        lambda n: _canonical_masks(n, True),
+        lambda n: _all_masks(n, True),
+        (1, 3, 16, 218, 9608, 1540944, 882033440,
+         1793359192848)),                                       # A000273
+    _Walk(  # all relations
+        (),
+        frozenset(),
+        lambda n: _canonical_masks(n, False),
+        lambda n: _all_masks(n, False),
+        (2, 10, 104, 3044, 291968, 96928992, 112282908928,
+         458297100061728)),                                     # A000595
+)
 
 
 def _split_constraints(constraints: Sequence[AxiomLike]):
-    """Whether the walk is to guarantee T and IRR, and the codes it does
-    not guarantee, each once, in the order first named.
-
-    IRR is guaranteed when it or a code in _ENTAILS_IRR is named; with
-    both T and IRR, the codes they entail are guaranteed too.
-    """
+    """The row of _WALKS for the constraints, the first whose selecting
+    codes they name, and the codes its walk does not guarantee, each
+    once, in the order first named."""
     axs = dict.fromkeys(axiom_id(a) for a in constraints)
-    has_t = AxiomId.T in axs
-    has_irr = AxiomId.IRR in axs or not _ENTAILS_IRR.isdisjoint(axs)
-    walked = (_POSET_CODES if has_t and has_irr
-              else (AxiomId.T, AxiomId.IRR))
-    residual = [a for a in axs if a not in walked]
-    return has_t, has_irr, residual
+    walk = next(w for w in _WALKS
+                if all(not codes.isdisjoint(axs) for codes in w.selects))
+    return walk, [a for a in axs if a not in walk.guarantees]
 
 
-# What one shared walk of up to eight elements may keep of its
-# classes' structures and planes, in bytes, made a class cap by
-# _SharedWalk: 9,039 at n=4, where the walk of all relations has 3,044.
+# What one shared walk may keep of its classes' structures and planes,
+# in bytes: every walk the benchmark's claims and census reach fits,
+# the largest being the 3,044 classes of all relations on four
+# elements, at 928 bytes each.
 WALK_BUDGET_BYTES = 8 << 20
+
+
+def _class_bytes(n: int) -> int:
+    """What a shared walk at n <= 8 elements keeps for one class, with
+    room for both of its planes, by sys.getsizeof: its structure, five
+    tuples of n ints, a list slot and its planes, the list, two tuples
+    and 2n ints of 2^n bits (928 bytes at n=4).  Every other int it
+    holds is below 256, shared by every process, and so are its labels.
+    """
+    zeros = (0,) * n
+    sample = ParthoodStructure._from_fields(n, (zeros,) * 5)
+    plane = (1 << (1 << n)) - 1
+    planes = [(plane,) * n] * 2
+    return 8 + sum(map(sys.getsizeof, (sample, *(zeros,) * 5, planes,
+                                       *planes, *(plane,) * (2 * n))))
 
 
 def _passing(n: int, walk: Iterable[_Rowed],
@@ -620,76 +674,44 @@ def _passing(n: int, walk: Iterable[_Rowed],
 
 
 class _SharedWalk:
-    """One lazy walk of canonical encodings at size n, kept as it is read
-    so that every consumer in the process reads the same classes: only
-    the consumer that passes the end advances the walk and builds a
-    class's structure, and only the first check to read a class's subset
-    planes builds those.
+    """One lazy walk of canonical encodings at size n, shared whole by
+    every consumer in the process or, as decided when it is made, not at
+    all: then each consumer walks it afresh, and nothing is kept.
 
-    _kept holds one structure per class found, built from the rows the
-    walk yields with its encoding by the consumer that found it, and
+    A shared walk keeps one structure per class found (_kept), built from
+    the rows the walk yields by the consumer that passed the end, and
     never handed out.  checked(finders) runs a consumer's checks on each
     kept structure, so a class they reject costs no structure; a class
-    that passes is yielded as a fresh _from_fields copy, sharing the kept
+    that passes is yielded as a fresh _from_fields copy sharing the kept
     structure's field tuples and its planes list, if it has one.  Planes
-    a check builds on a kept structure stay there at once.  A consumer's
-    checks on the copy may build planes too (find_model's forbid check
-    does): when the consumer asks for the next class, they go to the
-    kept structure if it still has none.  A class's planes list is one
-    object shared by the kept structure and its copies, each entry
-    filled once with a tuple of ints that depends only on the relation,
-    so whichever of them fills it, every other reads the same planes;
-    what else a copy fills on first use is its own.
+    a check builds on a kept structure stay there at once; planes the
+    consumer's checks build on the copy (find_model's forbid check does)
+    go to the kept structure, if it still has none, when the consumer
+    asks for the next class.  Each planes entry is filled once with a
+    tuple of ints that depends only on the relation, so whichever
+    structure fills it, every other reads the same planes.
 
-    The walk keeps at most _cap classes, worked out when it is made: each
-    kept class reserves room for both of its planes, so planes filled
-    later always fit and the kept bytes stay within WALK_BUDGET_BYTES
-    whatever the consumers read.  Up to eight elements every mask a
-    structure holds is one of the ints below 256 that every process
-    shares, and the labels are the shared default tuple, so by
-    sys.getsizeof a class costs its structure, five tuples of n ints, a
-    list slot and its planes: the list, two tuples and 2n ints of 2^n
-    bits.  That is 928 bytes at n=4, a cap of 9,039.  Past the cap, no
-    class is kept: the consumer that reached it takes over the live
-    walk, later ones restart it past the kept classes, and each builds,
-    checks and hands on every structure from there on.  start(after)
-    yields, with their rows, only the encodings above after, the last
-    kept class's (-1 for none), so a restart checks nothing the kept
-    classes cover.  The cap is 0 above eight elements, where the masks
-    are no longer the shared small ints the estimate counts on; a walk
-    there, such as the census of the 183,231 strict partial orders on
-    nine elements, reads each class once, so keeping would only add to
-    its memory.
-
-    If the walk raises, the classes already found stay; the next
-    consumer to pass the end restarts the walk past the kept classes,
-    so a failed walk never reads as a finished one.  One thread
-    is assumed: the walk is a generator, and two threads advancing it at
-    once would fail.
+    If a shared walk raises, the classes found stay, and the next
+    consumer to pass the end starts it again, skipping as many encodings
+    as are kept, so a failed walk never reads as a finished one.  One
+    thread is assumed: two threads advancing the walk at once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_kept", "_walk", "_done", "_cap")
+    __slots__ = ("_n", "_start", "_shared", "_kept", "_walk", "_done")
 
-    def __init__(self, n: int, start):
+    def __init__(self, n: int, start, shared: bool):
         self._n = n
-        self._start = start     # after -> the walk past encoding after
+        self._start = start     # () -> the walk from its first encoding
+        self._shared = shared
         self._kept: list[ParthoodStructure] = []
         self._walk: Optional[Iterator[_Rowed]] = None
         self._done = False
-        # a kept structure, its five tuples and its slot in _kept, and
-        # its planes list holding two tuples of n planes of 2^n bits
-        zeros = (0,) * n
-        sample = ParthoodStructure._from_fields(n, (zeros,) * 5)
-        plane = (1 << (1 << n)) - 1
-        planes = [(plane,) * n] * 2
-        size = sum(map(sys.getsizeof, (sample, *(zeros,) * 5, planes,
-                                       *planes, *(plane,) * (2 * n))))
-        self._cap = WALK_BUDGET_BYTES // (size + 8) if n <= 8 else 0
 
     def _next(self) -> Optional[_Rowed]:
         """The walk's next encoding and rows; None once it is over."""
         if self._walk is None:
-            self._walk = self._restart()
+            self._walk = itertools.islice(self._start(), len(self._kept),
+                                          None)
         try:
             return next(self._walk)
         except StopIteration:
@@ -705,21 +727,21 @@ class _SharedWalk:
 
     def checked(self, finders) -> Iterator[ParthoodStructure]:
         """A fresh structure for each class of the walk that every
-        finder passes, in walk order; the finders run on the kept
-        structures."""
+        finder passes, in walk order; the finders of a shared walk run
+        on the kept structures."""
         n = self._n
+        if not self._shared:
+            yield from _passing(n, self._start(), finders)
+            return
         kept = self._kept
         copy = ParthoodStructure._from_fields
         labels = _DEFAULT_LABEL_TUPLES[n]
-        cap = self._cap
         i = 0
         while True:
             if i < len(kept):
                 s = kept[i]
             elif self._done:
                 return
-            elif i >= cap:
-                break
             else:
                 got = self._next()
                 if got is None:
@@ -736,34 +758,19 @@ class _SharedWalk:
                 yield t
                 if s._subset_planes is None:
                     s._subset_planes = t._subset_planes
-        # past the cap: the rest of the walk, unshared
-        walk, self._walk = self._walk, None
-        yield from _passing(n, walk or self._restart(), finders)
-
-    def _restart(self) -> Iterator[_Rowed]:
-        """The walk past the last kept class."""
-        kept = self._kept
-        return self._start(kept[-1].relation_mask if kept else -1)
 
 
 @functools.lru_cache(maxsize=None)
-def _iso_candidates(n: int, has_t: bool, has_irr: bool) -> _SharedWalk:
-    """The canonical structures an up-to-isomorphism search walks at size
-    n, shared by every search in the process: the memoised poset classes
-    under T and IRR, the orderly walk without T, and the canonical
-    members of the labelled transitive walk under T alone, walked with
-    its top-row bound and tested with the rows it yields."""
-    if has_t and has_irr:
-        def posets(after):
-            classes = _poset_classes(n)
-            return _split(n, classes[bisect.bisect_right(classes, after):])
-        return _SharedWalk(n, posets)
-    if not has_t:
-        return _SharedWalk(n, lambda after: _canonical_masks(n, has_irr,
-                                                             after))
-    return _SharedWalk(n, lambda after: (
-        got for got in _transitive_masks(n, False, top_bound=True)
-        if got[0] > after and is_canonical(n, *got)))
+def _iso_candidates(n: int, walk: _Walk) -> _SharedWalk:
+    """The canonical structures an up-to-isomorphism search over the row
+    walk reads at size n, one walk for every search in the process,
+    shared if the row's class count at n, each class costing
+    _class_bytes(n), fits WALK_BUDGET_BYTES.  No row counts the classes
+    above eight elements, so no walk there is shared."""
+    counts = walk.counts
+    shared = (n <= len(counts)
+              and counts[n - 1] * _class_bytes(n) <= WALK_BUDGET_BYTES)
+    return _SharedWalk(n, lambda: walk.iso(n), shared)
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
@@ -774,37 +781,30 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     with the canonical (minimal) encoding; ordered by increasing
     encoding.  Every model is a fresh structure, with the subset planes
     its checks against the residual axioms filled or found; its labels
-    are filled only if read.  Up to isomorphism the candidates come
-    from the shared walk of _iso_candidates, which runs the checks on
-    the structure it keeps for each class and hands on a fresh copy of
-    it, with its planes, only for a class that passes; a search that
-    stops early leaves the rest of the walk undone.  Labelled walks (all
-    relations, or the transitive ones) run lazily per search, build
-    every candidate from the rows its walk yields and hand on the models
-    they check.
+    are filled only if read.  The row of _WALKS the constraints select
+    gives the candidates.  Up to isomorphism they come from the walk of
+    _iso_candidates, which, if shared, runs the checks on the structure
+    it keeps for each class and hands on a fresh copy of it, with its
+    planes, only for a class that passes; a search that stops early
+    leaves the rest of the walk undone.  Labelled walks run lazily per
+    search, build every candidate from the rows its walk yields and hand
+    on the models they check.
 
     Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE before any
     walk starts.
     """
     _check_grid(n, 0)
-    has_t, has_irr, residual = _split_constraints(constraints)
+    walk, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
     if up_to_iso:
-        yield from _iso_candidates(n, has_t, has_irr).checked(finders)
+        yield from _iso_candidates(n, walk).checked(finders)
     else:
-        walk = _transitive_masks if has_t else _all_masks
-        yield from _passing(n, walk(n, has_irr), finders)
+        yield from _passing(n, walk.labelled(n), finders)
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),
                  up_to_iso: bool = True) -> int:
     return sum(1 for _ in enumerate_models(n, constraints, up_to_iso))
-
-
-def models_up_to_iso(n: int, constraints: Iterable[AxiomLike] = ()) \
-        -> list[ParthoodStructure]:
-    """The canonical models of exactly size n, by increasing encoding."""
-    return list(enumerate_models(n, constraints))
 
 
 # -- search -------------------------------------------------------------------

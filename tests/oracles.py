@@ -3,7 +3,9 @@ the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, the model encodings a search yields,
 read off its structures, the down-sets of a strict partial order,
 each with no twin pruning or rank, and the choice of walk, by the codes
-as named; in mereo.axioms, the shortest part-cycle, by a full
+as named; in mereo.axioms, every catalog code's finder, by scanning
+the pairs or subsets its definition quantifies over (_REFERENCE), the
+shortest part-cycle, by a full
 breadth-first search from each start and a pass over every path back
 to it, the first transitivity gap, by trying every triple, and the
 subset-quantified finders, by reading each subset's pair
@@ -28,8 +30,11 @@ from mereo.axioms import AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
 from mereo.core import ParthoodStructure, _bits
 from mereo.lattice import LatticeReport, ZeroedStructure
-from mereo.search import enumerate_models
-from mereo.sums import sums_in, sups_in
+from mereo.search import _WALKS, enumerate_models
+from mereo.sums import (
+    cover_mask, is_sum_mask, is_sup_mask, sum_candidates, sup_candidates,
+    sums_in, sups_in,
+)
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
 
 
@@ -94,12 +99,15 @@ def _plain_down_sets(parts_in) -> list[int]:
 
 
 def _literal_split_constraints(constraints):
-    """Whether T and IRR are named, and the other codes, each once, in the
-    order first named: the walk chosen from the codes alone, the oracle
-    for search._split_constraints, which reads what they entail."""
+    """The row of search._WALKS guaranteeing exactly the codes named of T
+    and IRR, and the other codes, each once, in the order first named:
+    the walk chosen from the codes alone, the oracle for
+    search._split_constraints, which reads what they entail."""
     axs = dict.fromkeys(axiom_id(a) for a in constraints)
-    residual = [a for a in axs if a not in (AxiomId.T, AxiomId.IRR)]
-    return AxiomId.T in axs, AxiomId.IRR in axs, residual
+    generating = {AxiomId.T, AxiomId.IRR}
+    walk = next(w for w in _WALKS
+                if w.guarantees & generating == generating.intersection(axs))
+    return walk, [a for a in axs if a not in generating]
 
 
 def _first_joinless_mask(z) -> Optional[int]:
@@ -443,3 +451,309 @@ def _model_doc(s: ParthoodStructure) -> dict:
     ElementIds: the oracle for cli._dumps on a structure."""
     return {"elements": [e.label for e in s.universe],
             "parts": [[p.label, w.label] for p, w in s.pairs()]}
+
+
+# -- every catalog code by its literal definition -----------------------------
+# Each reference scans every (element, subset) or (element, element)
+# pair with the literal is_sum_mask / is_sup_mask definitions, parthood
+# rows or ing_of intersections, in the order the catalog promises, so
+# the finders must return exactly the same first witness.
+
+
+def _ref_closure(s, x, mask):
+    ing, cover = s.ing_of, cover_mask(s, mask)
+    return all(bool(ing[u] & ing[x]) == bool(ing[u] & cover)
+               for u in range(s.n))
+
+
+def _ref_unique(candidates):
+    def find(s):
+        for mask in range(1, s.full + 1):
+            cands = candidates(s, mask)
+            if len(cands) > 1:
+                return (cands[0], cands[1], ("subset", mask))
+        return None
+    return find
+
+
+def _literal_dollar(s):
+    for x in range(s.n):
+        for mask in range(s.full + 1):
+            if is_sum_mask(s, x, mask) != _ref_closure(s, x, mask):
+                return (x, ("subset", mask))
+    return None
+
+
+def _ref_dollar_converse(s):
+    return all(not _ref_closure(s, x, mask) or is_sum_mask(s, x, mask)
+               for x in range(s.n) for mask in range(s.full + 1))
+
+
+def _literal_diamond(s):
+    for mask in range(1, s.full + 1):
+        sums = sum_candidates(s, mask)
+        if not sums:
+            continue
+        for x in sums:
+            for y in sup_candidates(s, mask):
+                if x != y:
+                    return (x, y, ("subset", mask))
+    return None
+
+
+def _ref_pairwise(violates, first_mask):
+    def find(s):
+        for x in range(s.n):
+            for mask in range(first_mask, s.full + 1):
+                if violates(s, x, mask):
+                    return (x, ("subset", mask))
+        return None
+    return find
+
+
+def _literal_e_sum(s):
+    for mask in range(1, s.full + 1):
+        if not sum_candidates(s, mask):
+            return (("subset", mask),)
+    return None
+
+
+def _sup_not_sum(s, x, mask):
+    return is_sup_mask(s, x, mask) and not is_sum_mask(s, x, mask)
+
+
+# The pair-quantified finders, as seed-style scans: parthood by reading
+# rows, exteriority by intersecting ing_of rows, sums by the literal
+# candidate lists.
+
+def _ref_mutual_parts(distinct):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if distinct and x == y:
+                    continue
+                if s.rows[x] >> y & 1 and s.rows[y] >> x & 1:
+                    return (x, y)
+        return None
+    return find
+
+
+def _parts(s, x):
+    return [u for u in range(s.n) if s.rows[u] >> x & 1]
+
+
+def _overlappers(s, x):
+    return [u for u in range(s.n) if s.ing_of[u] & s.ing_of[x]]
+
+
+def _ref_ssp_ov(s):
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if all(s.ing_of[u] & s.ing_of[y] for u in _overlappers(s, x)):
+                return (x, y)
+    return None
+
+
+def _ref_ssp_ext(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if all(not ing[u] & ing[x] for u in range(s.n)
+                   if not ing[u] & ing[y]):
+                return (x, y)
+    return None
+
+
+def _ref_ppp(s):
+    for x in range(s.n):
+        px = _parts(s, x)
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if px and all(s.rows[u] >> y & 1 for u in px):
+                return (x, y)
+    return None
+
+
+def _ref_extensional(same):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if x != y and same(s, x, y):
+                    return (x, y)
+        return None
+    return find
+
+
+def _same_proper_parts(s, x, y):
+    px = _parts(s, x)
+    return bool(px) and px == _parts(s, y)
+
+
+def _same_ingredienses(s, x, y):
+    return ([u for u in range(s.n) if u == x or s.rows[u] >> x & 1]
+            == [u for u in range(s.n) if u == y or s.rows[u] >> y & 1])
+
+
+def _same_overlappers(s, x, y):
+    return _overlappers(s, x) == _overlappers(s, y)
+
+
+def _same_exteriors(s, x, y):
+    ing = s.ing_of
+    return all((not ing[u] & ing[x]) == (not ing[u] & ing[y])
+               for u in range(s.n))
+
+
+def _ref_exists_ext(s):
+    if s.n < 2:
+        return None
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if not ing[x] & ing[y]:
+                return None
+    return ()
+
+
+def _ref_wsp(s):
+    ing = s.ing_of
+    for a in range(s.n):
+        for b in _bits(s.rows[a]):
+            if not any(not ing[z] & ing[a] for z in _bits(s.parts_in[b])):
+                return (a, b)
+    return None
+
+
+def _ref_ssp(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            if not any(not ing[z] & ing[y] for z in _bits(ing[x])):
+                return (x, y)
+    return None
+
+
+def _ref_ssp_plus(s):
+    ing = s.ing_of
+    for x in range(s.n):
+        for y in range(s.n):
+            if s.ing_up[x] >> y & 1:
+                continue
+            rest = 0
+            for u in _bits(ing[x]):
+                if not ing[u] & ing[y]:
+                    rest |= 1 << u
+            if not any(not rest & ~ing[z] for z in _bits(rest)):
+                return (x, y)
+    return None
+
+
+def _ref_s_sum(s):
+    for x in range(s.n):
+        for y in range(s.n):
+            if x != y and is_sum_mask(s, x, 1 << y):
+                return (x, y)
+    return None
+
+
+def _ref_c_prod(s):
+    """First (x, y) that overlap while no z has exactly their common
+    ingredienses as its own."""
+    def ingredienses(x):
+        return {u for u in range(s.n) if s.ing(u, x)}
+    for x in range(s.n):
+        for y in range(s.n):
+            common = ingredienses(x) & ingredienses(y)
+            if common and not any(ingredienses(z) == common
+                                  for z in range(s.n)):
+                return (x, y)
+    return None
+
+
+def _ref_pair_sum(bounded):
+    def find(s):
+        for x in range(s.n):
+            for y in range(s.n):
+                if bounded and not s.ing_up[x] & s.ing_up[y]:
+                    continue
+                if not sum_candidates(s, (1 << x) | (1 << y)):
+                    return (x, y)
+        return None
+    return find
+
+
+def _ref_irr(s):
+    for x in range(s.n):
+        if s.rows[x] >> x & 1:
+            return (x,)
+    return None
+
+
+def _ref_t(s):
+    return _ref_transitivity_gap(s, s.full)
+
+
+def _is_ingrediens(s, x, y):
+    return x == y or s.rows[x] >> y & 1
+
+
+def _ref_no_zero(s):
+    if s.n < 2:
+        return None
+    for x in range(s.n):
+        if all(_is_ingrediens(s, x, y) for y in range(s.n)):
+            return (x,)
+    return None
+
+
+def _ref_unity(s):
+    if any(all(_is_ingrediens(s, y, x) for y in range(s.n))
+           for x in range(s.n)):
+        return None
+    return ()
+
+
+_REFERENCE = {
+    AxiomId.IRR: _ref_irr,
+    AxiomId.T: _ref_t,
+    AxiomId.AC: _ref_find_cycle,
+    AxiomId.NO_ZERO: _ref_no_zero,
+    AxiomId.UNITY: _ref_unity,
+    AxiomId.U_SUM: _ref_unique(sum_candidates),
+    AxiomId.U_SUP: _ref_unique(sup_candidates),
+    AxiomId.DOLLAR_EXT: _literal_dollar,
+    AxiomId.DOLLAR_OV: _literal_dollar,
+    AxiomId.DIAMOND: _literal_diamond,
+    AxiomId.SUM_SUB_SUP: _ref_pairwise(
+        lambda s, x, m: is_sum_mask(s, x, m) and not is_sup_mask(s, x, m), 1),
+    AxiomId.SUP_SUB_SUM: _ref_pairwise(_sup_not_sum, 0),
+    AxiomId.DAGGER: _ref_pairwise(_sup_not_sum, 1),
+    AxiomId.DDAGGER: _ref_pairwise(
+        lambda s, x, m: is_sum_mask(s, x, m)
+        != (m != 0 and is_sup_mask(s, x, m)), 0),
+    AxiomId.E_SUM: _literal_e_sum,
+    AxiomId.ANTIS: _ref_mutual_parts(True),
+    AxiomId.AS: _ref_mutual_parts(False),
+    AxiomId.EXISTS_EXT: _ref_exists_ext,
+    AxiomId.WSP: _ref_wsp,
+    AxiomId.SSP: _ref_ssp,
+    AxiomId.SSP_OV: _ref_ssp_ov,
+    AxiomId.SSP_EXT: _ref_ssp_ext,
+    AxiomId.SSP_PLUS: _ref_ssp_plus,
+    AxiomId.PPP: _ref_ppp,
+    AxiomId.EXT_PP: _ref_extensional(_same_proper_parts),
+    AxiomId.EXT_ING: _ref_extensional(_same_ingredienses),
+    AxiomId.EXT_OV: _ref_extensional(_same_overlappers),
+    AxiomId.EXT_EXT: _ref_extensional(_same_exteriors),
+    AxiomId.S_SUM: _ref_s_sum,
+    AxiomId.C_PROD: _ref_c_prod,
+    AxiomId.C_BSUM: _ref_pair_sum(True),
+    AxiomId.E_BSUM: _ref_pair_sum(False),
+}

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 
 from mereo import (
     AxiomId, ParthoodStructure, SearchSpec, canonical_form, check_theory,
-    find_model, holds, is_acyclic, is_locally_transitive,
-    is_sum, models_up_to_iso, satisfies, sum_of, sup_of, theory_axioms,
+    enumerate_models, find_model, holds, is_acyclic, is_locally_transitive,
+    is_sum, satisfies, sum_of, sup_of, theory_axioms,
     verify_implication,
 )
 from mereo.cli import main as cli_main
@@ -38,7 +38,7 @@ def criterion(label):
 
 def sweep(nmax, ambient=()):
     for n in range(1, nmax + 1):
-        yield from models_up_to_iso(n, ambient)
+        yield from enumerate_models(n, ambient)
 
 
 def test_c01_definitional_coherence():

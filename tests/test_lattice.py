@@ -4,8 +4,8 @@ import pytest
 
 from mereo import (
     DomainError, ElementId, OrderError, ParthoodStructure, adjoin_zero,
-    check_theory, enumerate_models, holds, lattice_report, models_up_to_iso,
-    satisfies, tarski_check, theory_axioms,
+    check_theory, enumerate_models, holds, lattice_report, satisfies,
+    tarski_check, theory_axioms,
 )
 from mereo.lattice import zero_report
 
@@ -145,14 +145,14 @@ def test_zero_report_is_none_exactly_off_strict_orders():
 
 def test_tarski_sweep_to_5():
     for n in range(1, 6):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
+        for s in enumerate_models(n, ["T", "IRR"]):
             assert tarski_check(s), s
 
 
 def test_gmu_matches_boolean_adjunction_to_5():
     gmu = theory_axioms("GMU")
     for n in range(1, 6):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
+        for s in enumerate_models(n, ["T", "IRR"]):
             assert satisfies(s, gmu) == lattice_report(adjoin_zero(s)).is_boolean, s
 
 
@@ -187,7 +187,7 @@ def _strict_orders():
     """The poset classes to 5 elements, seeded strict orders of 8 to 11
     elements and the fixtures that are strict orders."""
     for n in range(1, 6):
-        yield from models_up_to_iso(n, ["T", "IRR"])
+        yield from enumerate_models(n, ["T", "IRR"])
     rng = random.Random(29)
     for n in range(8, 12):
         for _ in range(5):
@@ -230,7 +230,7 @@ def _report_inputs():
     12 elements, the inclusion families and the fixtures that are strict
     orders."""
     for n in range(1, 7):
-        yield from models_up_to_iso(n, ["T", "IRR"])
+        yield from enumerate_models(n, ["T", "IRR"])
     rng = random.Random(35)
     for n in range(7, 13):
         for _ in range(300):

@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,8 +25,9 @@ from mereo.search import (
 )
 from conftest import fixture
 from oracles import (
-    _canonical_form_scan, _is_canonical_scan, _literal_split_constraints,
-    _perm_cell_maps, _plain_down_sets, _remap, enumerate_model_masks,
+    _REFERENCE, _canonical_form_scan, _is_canonical_scan,
+    _literal_split_constraints, _perm_cell_maps, _plain_down_sets, _remap,
+    enumerate_model_masks,
 )
 
 
@@ -822,12 +825,6 @@ def test_orderly_generation_matches_canonical_filter():
             want = [m for m in _masks(_all_masks(n, irreflexive))
                     if _is_canonical_scan(n, m)]
             assert list(_masks(_canonical_masks(n, irreflexive))) == want
-            if n > 3:
-                continue
-            # a walk past an encoding is the rest of the walk
-            for after in [-1] + want + [want[-1] + 1]:
-                assert list(_masks(_canonical_masks(n, irreflexive, after))) \
-                    == [m for m in want if m > after]
 
 
 def test_orderly_walk_hands_is_canonical_the_rows_of_each_child(
@@ -969,7 +966,7 @@ def test_a_code_named_twice_is_checked_once(ambient, hypothesis,
     got = verify_implication(ambient, hypothesis, "SSP", 3)
     assert calls[0] == want_calls > 0
     assert got == want
-    assert search._split_constraints(ambient + hypothesis)[2] \
+    assert search._split_constraints(ambient + hypothesis)[1] \
         == [AxiomId.U_SUM]
 
 
@@ -1013,14 +1010,21 @@ def _looped_models(code, max_n):
 
 
 def test_codes_entailing_irr_are_exactly_the_table():
-    # each entry has no looped model to n=3 (so none under T either), and
-    # every other code but IRR has one on at most two elements, so a new
-    # catalog entry must be placed on one side or the other
+    # the codes that select the irreflexive row besides IRR each have no
+    # looped model to n=3 (so none under T either), and every other code
+    # but IRR has one on at most two elements, so a new catalog entry
+    # must be placed on one side or the other
+    (selects,), = [w.selects for w in search._WALKS
+                   if w.guarantees == {AxiomId.IRR}]
+    assert AxiomId.IRR in selects
     for code in CATALOG_ORDER:
-        if code in search._ENTAILS_IRR:
+        if code in selects and code is not AxiomId.IRR:
             assert next(_looped_models(code, 3), None) is None, code
         elif code is not AxiomId.IRR:
             assert next(_looped_models(code, 2), None) is not None, code
+    # every row selects on T or on that same set of codes
+    assert {codes for w in search._WALKS for codes in w.selects} \
+        == {frozenset({AxiomId.T}), selects}
 
 
 def _literal_then_entailed(monkeypatch, run):
@@ -1064,6 +1068,110 @@ def test_claims_agree_with_the_literal_split(hypotheses, max_n, monkeypatch):
 
     literal, entailed = _literal_then_entailed(monkeypatch, verdicts)
     assert entailed == literal
+
+
+def test_sets_of_two_codes_agree_with_the_literal_split(monkeypatch):
+    # every set of at most two catalog codes, up to isomorphism to n=3
+    # and labelled to n=2: sets naming AS, AC or WSP without IRR, or T
+    # with IRR, are where the two splits walk or check differently
+    sets = [()] + [(c,) for c in CATALOG_ORDER] \
+        + list(itertools.combinations(CATALOG_ORDER, 2))
+
+    def census():
+        return [enumerate_model_masks(n, codes, up_to_iso) for codes in sets
+                for up_to_iso in (True, False)
+                for n in range(1, 4 if up_to_iso else 3)]
+
+    literal, entailed = _literal_then_entailed(monkeypatch, census)
+    assert len(sets) == 529 and entailed == literal
+
+
+# -- laws every recorded claim obeys --------------------------------------------
+
+def _recorded_claims():
+    """(ambient, from, to) -> (max_n, countermodel size or None) for each
+    claim of the benchmark's claim pool."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "claims.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["fields"][:5] == ["ambient", "from", "to", "max_n",
+                                 "countermodel_n"]
+    return {tuple(c[:3]): (c[3], c[4]) for c in doc["claims"]}
+
+
+def test_recorded_claims_obey_closure_and_ambient_monotonicity():
+    claims = _recorded_claims()
+
+    def refutes_by(key, size):
+        # the claim at key is refuted at most at size, unless it was not
+        # searched that far
+        max_n, got = claims[key]
+        return size > max_n or got is not None and got <= size
+
+    # closure: A => B exhausted to k makes every countermodel of A => C
+    # at a size s <= k one of B => C, refuted by s
+    triples, broken = 0, []
+    for (ambient, a, b), (k, exhausted) in claims.items():
+        if exhausted is not None:
+            continue
+        for (amb, a2, c), (_, s) in claims.items():
+            if (amb, a2) != (ambient, a) or c == b \
+                    or (ambient, b, c) not in claims:
+                continue
+            triples += 1
+            if s is not None and s <= k \
+                    and not refutes_by((ambient, b, c), s):
+                broken.append((ambient, a, b, c))
+    # ambient monotonicity: a countermodel under T or IRR is one under
+    # no ambient
+    pairs = 0
+    for (ambient, a, c), (_, s) in claims.items():
+        if ambient and ("", a, c) in claims:
+            pairs += 1
+            if s is not None and not refutes_by(("", a, c), s):
+                broken.append((ambient, a, c))
+    assert (triples, pairs, broken) == (10_594, 1_800, [])
+
+
+# -- the table of walks --------------------------------------------------------
+
+def _row(codes):
+    """The row of the table of walks that the generating codes select."""
+    return search._split_constraints(codes)[0]
+
+
+_ROW_CODES = [SPO, ("T",), ("IRR",), ()]
+
+
+def test_the_table_has_one_row_per_generating_ambient():
+    assert [_row(codes) for codes in _ROW_CODES] == list(search._WALKS)
+    assert [sorted(c.value for c in w.guarantees) for w in search._WALKS] \
+        == [["AC", "ANTIS", "AS", "IRR", "T"], ["T"], ["IRR"], []]
+    assert all(len(w.counts) == 8 for w in search._WALKS)
+
+
+def test_each_row_counts_the_classes_its_walk_yields():
+    # all relations to n=4, IRR and T to n=5, posets to n=8
+    for codes, top in zip(_ROW_CODES, (8, 5, 5, 4)):
+        walk = _row(codes)
+        assert [sum(1 for _ in walk.iso(n)) for n in range(1, top + 1)] \
+            == list(walk.counts[:top]), codes
+
+
+def test_every_guaranteed_code_holds_on_every_relation_of_its_walk():
+    # by the literal finders, on every class and every labelled relation
+    # of each row up to n=4
+    checked = 0
+    for walk in search._WALKS:
+        finders = [_REFERENCE[code] for code in walk.guarantees]
+        for n in range(1, 5):
+            for generate in (walk.iso, walk.labelled):
+                for m, rows in generate(n):
+                    s = ParthoodStructure.from_mask(n, m)
+                    assert rows == s.rows
+                    assert all(find(s) is None for find in finders), (n, m)
+                    checked += bool(finders)
+    # the classes and the relations of the posets, T and IRR rows to n=4
+    assert checked == (24 + 242) + (291 + 4180) + (238 + 4165)
 
 
 # -- the row-by-row transitive walk against the literal filter ----------------
@@ -1142,6 +1250,12 @@ def _unshared_iso_walk(n, constraints):
     return list(_masks(_canonical_masks(n, "IRR" in constraints)))
 
 
+def _iso_walk(n, codes):
+    """The walk _iso_candidates makes at size n for the generating
+    codes."""
+    return search._iso_candidates(n, _row(codes))
+
+
 _SLOTS = ("n", "full", "rows", "parts_in", "ing_of", "ing_up", "ov_of",
           "universe")
 
@@ -1167,14 +1281,13 @@ def _kept_planes(walk):
 
 
 def _assert_store_aligned(walk, n, want):
-    """The walk keeps a prefix of the classes want, in order, at most its
-    cap: a structure of each, equal to a fresh build, with its default
-    labels shared and unread, holding None or that class's subset
-    planes; and what it keeps, with room for every planes entry still
-    missing, is within the budget."""
+    """The walk keeps a prefix of the classes want, in order, if shared,
+    and nothing if not: a structure of each, equal to a fresh build,
+    with its default labels shared and unread, holding None or that
+    class's subset planes; and all of want, with room for both planes of
+    each, is within the budget if the walk is shared."""
     kept = _kept(walk)
-    assert len(kept) <= len(want)
-    assert len(kept) <= walk._cap
+    assert len(kept) <= len(want) * walk._shared
     for s, mask in zip(kept, want):
         fields = s._fields()
         assert [type(f) for f in fields] == [tuple] * 5
@@ -1184,8 +1297,9 @@ def _assert_store_aligned(walk, n, want):
         assert s._universe is None and s._label_index is None
         if s._subset_planes is not None:
             _assert_kept_planes(s._subset_planes, n, mask)
-    assert _store_bytes(walk) <= walk._cap * _per_class(n) \
-        <= search.WALK_BUDGET_BYTES
+    if walk._shared:
+        assert _store_bytes(walk) <= len(want) * _per_class(n) \
+            <= search.WALK_BUDGET_BYTES
 
 
 def _class_bytes(s):
@@ -1269,8 +1383,7 @@ def test_interleaved_consumers_see_one_sequence(constraints):
     want = _unshared_iso_walk(n, constraints)
     # consumer k reads k+1 values a round, so each passes the end of the
     # shared list at different times
-    key = (n, "T" in constraints, "IRR" in constraints)
-    streams = [iter(search._iso_candidates(*key)) for _ in range(3)]
+    streams = [iter(_iso_walk(n, constraints)) for _ in range(3)]
     seen = [[] for _ in streams]
     live = True
     while live:
@@ -1282,7 +1395,7 @@ def test_interleaved_consumers_see_one_sequence(constraints):
     assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
     # the consumer that found a class built the walk's structure for it;
     # each consumer got a copy of that structure, a structure of its own
-    kept = _kept(search._iso_candidates(*key))
+    kept = _kept(_iso_walk(n, constraints))
     for m, k, structures in zip(want, kept, zip(*seen)):
         assert len({id(s) for s in structures + (k,)}) == 4
         for s in structures:
@@ -1299,11 +1412,16 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     _counted_is_canonical(monkeypatch, fail_after=100)
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, constraints)
-    walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
-    assert 0 < len(_kept(walk)) < len(want)
+    walk = _iso_walk(n, constraints)
+    kept = len(_kept(walk))
+    assert 0 < kept < len(want)
     _assert_store_aligned(walk, n, want)
     monkeypatch.undo()
+    # the next search starts the walk again and skips the kept classes,
+    # building none of them twice
+    builds = _count_builds(monkeypatch)
     assert enumerate_model_masks(n, constraints) == want
+    assert builds[0] == len(want) - kept
     _assert_store_aligned(walk, n, want)
     assert enumerate_model_masks(n, constraints) == want
     assert len(_kept(walk)) == len(want)
@@ -1328,13 +1446,14 @@ def test_walks_hand_on_the_split_rows_of_each_class(has_t, has_irr, top):
     # the structure kept for it equals a from_mask build field by field
     search._iso_candidates.cache_clear()
     for n in range(1, top + 1):
-        walk = search._iso_candidates(n, has_t, has_irr)
-        yielded = list(walk._start(-1))
-        assert [m for m, _ in yielded] \
-            == _unshared_iso_walk(n, _generating_codes((n, has_t, has_irr)))
+        codes = _generating_codes((n, has_t, has_irr))
+        walk = _iso_walk(n, codes)
+        yielded = list(walk._start())
+        assert [m for m, _ in yielded] == _unshared_iso_walk(n, codes)
         for m, rows in yielded:
             assert type(rows) is tuple and rows == tuple(_rows(n, m))
-        assert len(list(walk)) == len(yielded) <= walk._cap
+        assert walk._shared
+        assert len(list(walk)) == len(yielded)
         assert [s._fields() for s in _kept(walk)] \
             == [ParthoodStructure.from_mask(n, m)._fields()
                 for m, _ in yielded]
@@ -1356,7 +1475,7 @@ def test_labelled_walks_hand_on_the_split_rows_of_each_relation():
 @pytest.mark.parametrize("key", _ISO_KEYS)
 def test_second_pass_structures_equal_fresh_builds(key):
     search._iso_candidates.cache_clear()
-    walk = search._iso_candidates(*key)
+    walk = _iso_walk(key[0], _generating_codes(key))
     first = list(walk)
     second = list(walk)
     n = key[0]
@@ -1407,7 +1526,7 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
     # U_SUM reads every candidate's sum planes, so the first search keeps
     # all
     first = count_models(n, ["U_SUM"] + _generating_codes(key))
-    walk = search._iso_candidates(*key)
+    walk = _iso_walk(key[0], _generating_codes(key))
     want = _unshared_iso_walk(n, _generating_codes(key))
     assert len(_kept(walk)) == len(want)
     assert None not in _kept_planes(walk)
@@ -1427,34 +1546,46 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
 
 
 def test_a_walk_above_eight_elements_keeps_nothing():
-    # a chain and an antichain on nine elements: masks above 255, not the
-    # shared small ints a kept class's estimate counts on
+    # no row counts the classes on nine elements, so no walk there is
+    # shared; here a chain and an antichain stand for one's classes
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
-    walk = search._SharedWalk(n, lambda after: ((m, tuple(_rows(n, m)))
-                                                for m in want if m > after))
-    assert walk._cap == 0
-    seen = []
-    for _ in range(2):
-        got = []
-        for s in walk:
-            _assert_built_afresh(s, n, want[len(got)])
-            sums.subset_planes(s)   # planes a walk with room would keep
-            got.append(s)
-        assert [s.relation_mask for s in got] == want
-        assert _kept(walk) == []
-        seen += got
-    assert len({id(s) for s in seen}) == 2 * len(want)
+    search._iso_candidates.cache_clear()
+    walk = _iso_walk(n, SPO)
+    walk._start = lambda: ((m, tuple(_rows(n, m))) for m in want)
+    try:
+        assert not walk._shared
+        seen = []
+        for _ in range(2):
+            got = []
+            for s in walk:
+                _assert_built_afresh(s, n, want[len(got)])
+                sums.subset_planes(s)   # planes a shared walk would keep
+                got.append(s)
+            assert [s.relation_mask for s in got] == want
+            assert _kept(walk) == []
+            seen += got
+        assert len({id(s) for s in seen}) == 2 * len(want)
+    finally:
+        search._iso_candidates.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_walk_costs_are_one_class_and_one_table_pair_by_getsizeof(n):
-    walk = search._SharedWalk(n, lambda after: iter(()))
-    if n <= 8:
-        assert walk._cap == search.WALK_BUDGET_BYTES // _per_class(n)
-    else:
-        assert walk._cap == 0
+    # a walk is shared iff its row's class count at n, each class costing
+    # both its planes, fits the budget; no row counts classes above eight
+    search._iso_candidates.cache_clear()
+    for walk in search._WALKS:
+        if n <= 8:
+            assert search._class_bytes(n) == _per_class(n)
+            assert search._iso_candidates(n, walk)._shared == (
+                walk.counts[n - 1] * _per_class(n)
+                <= search.WALK_BUDGET_BYTES)
+        else:
+            assert len(walk.counts) == 8
+            assert not search._iso_candidates(n, walk)._shared
+    search._iso_candidates.cache_clear()
 
 
 @pytest.mark.parametrize("constraints", [(), ("IRR",), ("T",)])
@@ -1469,7 +1600,7 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     _counted_is_canonical(monkeypatch, fail_after=100)
     with pytest.raises(RuntimeError, match="mid-walk"):
         enumerate_model_masks(n, codes)
-    walk = search._iso_candidates(n, "T" in constraints, "IRR" in constraints)
+    walk = _iso_walk(n, constraints)
     kept = len(_kept(walk))
     assert 0 < kept < len(classes)
     # the consumer checked U_SUM on every class the walk kept
@@ -1480,7 +1611,7 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     assert enumerate_model_masks(n, codes) == want
     _assert_store_aligned(walk, n, classes)
     assert None not in _kept_planes(walk)
-    # after the restart, only the classes past the raise built planes
+    # after the raise, only the classes past the kept ones built planes
     assert builds[0] == len(_kept(walk)) - kept == len(classes) - kept
 
 
@@ -1491,7 +1622,7 @@ def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
     search._iso_candidates.cache_clear()
     spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
     found = find_model(spec).found
-    walk = search._iso_candidates(4, False, False)
+    walk = _iso_walk(4, ())
     want = _unshared_iso_walk(4, ())
     last = want.index(found.relation_mask)
     assert last == len(_kept(walk)) - 1
@@ -1518,7 +1649,7 @@ def test_tables_the_walk_checks_build_are_kept_at_once():
     result = find_model(spec)
     found = result.found
     assert (found.n, result.explored) == (2, 8)
-    walk = search._iso_candidates(2, False, False)
+    walk = _iso_walk(2, ())
     want = _unshared_iso_walk(2, ())
     assert len(_kept(walk)) == want.index(found.relation_mask) + 1
     assert None not in _kept_planes(walk)
@@ -1527,7 +1658,7 @@ def test_tables_the_walk_checks_build_are_kept_at_once():
     _assert_store_aligned(walk, 2, want)
     # a consumer that is handed a class and never resumes keeps them too
     search._iso_candidates.cache_clear()
-    walk = search._iso_candidates(3, False, False)
+    walk = _iso_walk(3, ())
     model = next(walk.checked(axioms.violation_finders(["U_SUM"])))
     assert _kept_planes(walk)[-1] is model._subset_planes is not None
     _assert_store_aligned(walk, 3, _unshared_iso_walk(3, ()))
@@ -1569,66 +1700,49 @@ def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
     searches = [codes, codes + ["U_SUM"]]
     search._iso_candidates.cache_clear()
     want = [enumerate_model_masks(n, c) for c in searches]
+    classes = _unshared_iso_walk(n, codes)
     walk_budget(budget)
-    walk = search._iso_candidates(*key)
-    assert walk._cap == budget // _per_class(n)
+    walk = _iso_walk(n, codes)
+    assert walk._shared == (len(classes) * _per_class(n) <= budget)
     for _ in range(2):
         assert [enumerate_model_masks(n, c) for c in searches] == want
-        _assert_store_aligned(walk, n, _unshared_iso_walk(n, codes))
+        _assert_store_aligned(walk, n, classes)
+    assert len(_kept(walk)) == len(classes) * walk._shared
 
 
-def test_a_walk_that_overflows_mid_search_finishes_unshared(monkeypatch,
+def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
                                                             walk_budget):
     n = 4
     classes = _unshared_iso_walk(n, ())
     search._iso_candidates.cache_clear()
     checked = []
-    calls = _counted_is_canonical(monkeypatch, masks=checked)
+    _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
-    cold, cold_checked = calls[0], checked[:]
-    # U_SUM reads every class's sum planes: 53 classes fit
+    cold_checked = checked[:]
+    # U_SUM reads every class's sum planes: 53 of the 3,044 classes fit
     walk_budget(50_000)
-    walk = search._iso_candidates(n, False, False)
-    calls[0] = 0
-    got = []
-    for s in enumerate_models(n, ["U_SUM"]):
-        assert _store_bytes(walk) <= 50_000
-        got.append(s.relation_mask)
-    assert got == want
-    kept = len(_kept(walk))
-    assert kept == walk._cap == 50_000 // _per_class(n) == 53
-    # each kept class had room for its planes
-    assert None not in _kept_planes(walk)
-    _assert_store_aligned(walk, n, classes)
-    # the search that reached the budget walked on from where it was
-    assert calls[0] == cold
-    # a later one restarts the walk past the last kept class, checks only
-    # the encodings above it, and builds each class past the store
-    builds = [0]
-    init = ParthoodStructure.__init__
-
-    def counted(self, *args, **kwargs):
-        builds[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParthoodStructure, "__init__", counted)
+    walk = _iso_walk(n, ())
+    assert not walk._shared and 50_000 // _per_class(n) == 53
+    builds = _count_builds(monkeypatch)
     table_builds = _count_table_builds(monkeypatch)
-    checked.clear()
-    kept_bytes = _store_bytes(walk)
-    assert enumerate_model_masks(n, ["U_SUM"]) == want
-    last = classes[kept - 1]
-    assert checked == [m for m in cold_checked if m > last]
-    assert 0 < len(checked) < cold
-    assert builds[0] == len(classes) - kept
-    assert table_builds[0] == builds[0] + _kept_planes(walk).count(None)
-    assert (len(_kept(walk)), _store_bytes(walk)) == (kept, kept_bytes)
+    for _ in range(2):
+        checked.clear()
+        builds[0] = table_builds[0] = 0
+        got = []
+        for s in enumerate_models(n, ["U_SUM"]):
+            assert _kept(walk) == []
+            got.append(s.relation_mask)
+        assert got == want
+        # each search walks, builds and checks every class itself
+        assert checked == cold_checked
+        assert builds[0] == table_builds[0] == len(classes)
     _assert_store_aligned(walk, n, classes)
 
 
 @pytest.mark.parametrize("budget", [1000, 4000])
 @pytest.mark.parametrize("key", [k for k in _ISO_KEYS if k[0] <= 4])
-def test_a_restarted_walk_checks_nothing_the_kept_classes_cover(
-        key, budget, monkeypatch, walk_budget):
+def test_a_walk_is_shared_whole_or_not_at_all(key, budget, monkeypatch,
+                                             walk_budget):
     n = key[0]
     codes = _generating_codes(key)
     search._iso_candidates.cache_clear()
@@ -1637,16 +1751,17 @@ def test_a_restarted_walk_checks_nothing_the_kept_classes_cover(
     want = enumerate_model_masks(n, codes)
     cold_checked = checked[:]
     walk_budget(budget)
-    walk = search._iso_candidates(*key)
-    assert enumerate_model_masks(n, codes) == want
-    kept = len(_kept(walk))
-    assert kept == min(len(want), walk._cap)
-    checked.clear()
-    assert enumerate_model_masks(n, codes) == want
-    # no encoding at or below the last kept class is checked again
-    last = want[kept - 1]
-    assert checked == [m for m in cold_checked if m > last]
-    _assert_store_aligned(walk, n, _unshared_iso_walk(n, codes))
+    walk = _iso_walk(n, codes)
+    assert walk._shared == (len(want) * _per_class(n) <= budget)
+    rounds = []
+    for _ in range(2):
+        checked.clear()
+        assert enumerate_model_masks(n, codes) == want
+        rounds.append(checked[:])
+    assert len(_kept(walk)) == len(want) * walk._shared
+    # a shared walk is walked once, an unshared one by every search
+    assert rounds == [cold_checked, [] if walk._shared else cold_checked]
+    _assert_store_aligned(walk, n, want)
 
 
 @pytest.mark.parametrize("budget", [0, 3000])
@@ -1655,7 +1770,8 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
     n = 4
     want = _unshared_iso_walk(n, ("IRR",))
     walk_budget(budget)
-    walk = search._iso_candidates(n, False, True)
+    walk = _iso_walk(n, ("IRR",))
+    assert not walk._shared
     streams = [iter(walk) for _ in range(3)]
     seen = [[] for _ in streams]
     live = True
@@ -1666,7 +1782,7 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
             seen[k] += [s.relation_mask for s in chunk]
             live |= bool(chunk)
     assert seen == [want] * 3
-    assert len(_kept(walk)) == min(len(want), walk._cap)
+    assert _kept(walk) == []
     _assert_store_aligned(walk, n, want)
 
 
@@ -1725,7 +1841,7 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
     search._iso_candidates.cache_clear()
     try:
         with mock.patch.object(search, "WALK_BUDGET_BYTES", budget):
-            walk = search._iso_candidates(*key)
+            walk = _iso_walk(n, codes)
             streams = [_consumer(walk, n, codes, residual, forbid)
                        for residual, forbid in consumers]
             seen = [[] for _ in streams]
@@ -1758,7 +1874,7 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
 
 def test_a_handed_out_structure_is_never_the_kept_one_nor_another_consumers():
     search._iso_candidates.cache_clear()
-    walk = search._iso_candidates(3, False, False)
+    walk = _iso_walk(3, ())
     ours = enumerate_models(3, ["U_SUM"])
     theirs = iter(walk)
     seen = [[], []]

@@ -1,8 +1,9 @@
 import pytest
 
 from mereo import (
-    AxiomId, SearchSpec, TheoryId, check_theory, derived_theses, find_model,
-    holds, models_up_to_iso, satisfies, theory_axioms, verify_implication,
+    AxiomId, SearchSpec, TheoryId, check_theory, derived_theses,
+    enumerate_models, find_model, holds, satisfies, theory_axioms,
+    verify_implication,
 )
 
 from conftest import fixture
@@ -44,7 +45,7 @@ def _theory_sweep(tid, nmax=4):
     axs = theory_axioms(tid)
     ambient = [a for a in (AxiomId.T, AxiomId.IRR) if a in axs]
     for n in range(1, nmax + 1):
-        for s in models_up_to_iso(n, ambient):
+        for s in enumerate_models(n, ambient):
             if satisfies(s, axs):
                 yield s
 
@@ -67,7 +68,7 @@ def test_finite_gm_models_have_a_unity():
 def test_finite_cm_and_gmu_models_coincide():
     cm, gmu = theory_axioms("CM"), theory_axioms("GMU")
     for n in range(1, 6):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
+        for s in enumerate_models(n, ["T", "IRR"]):
             assert satisfies(s, cm) == satisfies(s, gmu), s
 
 
@@ -130,7 +131,7 @@ def test_mspo_variants_agree():
     # the two axiomatisations carve out the same bounded model class
     dag, ddag = theory_axioms("MSPO_DAG"), theory_axioms("MSPO_DDAG")
     for n in range(1, 5):
-        for s in models_up_to_iso(n, ["T", "IRR"]):
+        for s in enumerate_models(n, ["T", "IRR"]):
             assert satisfies(s, dag) == satisfies(s, ddag)
 
 
