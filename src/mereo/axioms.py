@@ -43,8 +43,9 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .core import MereologyError, ParthoodStructure, _bits, _Record, _set
-from .sums import _elements, meeting, subset_planes, sums_in
+from .core import (DomainError, MereologyError, ParthoodStructure, _ELEMS,
+                   _Record, _set)
+from .sums import meeting, subset_planes, sums_in
 
 
 class CatalogError(MereologyError):
@@ -152,10 +153,12 @@ def transitivity_gap(s: ParthoodStructure,
     """The first triple (x, y, z) of elements of the set within, in
     universe order, with x P y and y P z but not x P z; None if the
     relation restricted to within is transitive."""
+    if within & ~s.full:
+        raise DomainError("subset mask mentions foreign elements")
     rows = s.rows
-    for x in _elements(within):
+    for x in _ELEMS[within]:
         rx = rows[x]
-        for y in _elements(rx & within):
+        for y in _ELEMS[rx & within]:
             missing = rows[y] & within & ~rx
             if missing:
                 return (x, y, (missing & -missing).bit_length() - 1)
@@ -185,7 +188,7 @@ def _find_cycle(s: ParthoodStructure) -> Optional[tuple[int, ...]]:
         while queue and back:
             nxt = []
             for u in queue:
-                for v in _bits(rows[u] & ~seen):
+                for v in _ELEMS[rows[u] & ~seen]:
                     seen |= 1 << v
                     prev[v] = u
                     nxt.append(v)
@@ -217,7 +220,7 @@ def _exists_ext(s):
 
 def _wsp(s):
     for a in range(s.n):
-        for b in _bits(s.rows[a]):
+        for b in _ELEMS[s.rows[a]]:
             if not s.parts_in[b] & ~s.ov_of[a]:
                 return (a, b)
     return None
@@ -229,13 +232,10 @@ def _within_cover(masks: str, covers: str) -> Checker:
     def find(s):
         ms, cs, up = getattr(s, masks), getattr(s, covers), s.ing_up
         for x, mx in enumerate(ms):
-            rest = mx and s.full & ~up[x]       # the y not above x
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                if not mx & ~cs[y]:
-                    return (x, y)
-                rest ^= low
+            if mx:
+                for y in _ELEMS[s.full & ~up[x]]:   # the y not above x
+                    if not mx & ~cs[y]:
+                        return (x, y)
         return None
     return find
 
@@ -245,14 +245,10 @@ def _ssp_plus(s):
     # meets the & of ing_up over rest; an empty rest has none
     ing, up, ov = s.ing_of, s.ing_up, s.ov_of
     for x in range(s.n):
-        for y in range(s.n):
-            if up[x] >> y & 1:
-                continue
+        for y in _ELEMS[s.full & ~up[x]]:       # the y not above x
             greatest = rest = ing[x] & ~ov[y]
-            while rest:
-                low = rest & -rest
-                greatest &= up[low.bit_length() - 1]
-                rest ^= low
+            for z in _ELEMS[rest]:
+                greatest &= up[z]
             if not greatest:
                 return (x, y)
     return None
@@ -314,7 +310,7 @@ def _dollar(s):
     for x, sums in enumerate(subset_planes(s)):
         ovx = ov_of[x]
         inside = full
-        for z in _elements(full ^ ovx):
+        for z in _ELEMS[full ^ ovx]:
             inside &= ~ov_of[z]
         wrong = sums ^ meeting(inside, ovx, ov_of)
         if wrong:

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .axioms import (
     AxiomId, CatalogError, Verdict, axiom_id, check_all, check_axiom,
 )
-from .core import ElementId, MereologyError, ParthoodStructure, Subset, _bits
+from .core import ElementId, MereologyError, ParthoodStructure, Subset, _ELEMS
 from .lattice import tarski_agrees, zero_report
 from .search import (
     SEARCH_MAX, SearchSpec, enumerate_models, find_model,
@@ -114,10 +114,8 @@ def _label_pairs(s: ParthoodStructure, parts: Sequence[str],
     pairs = []
     for x, r in enumerate(s.rows):
         part = parts[x]
-        while r:
-            low = r & -r
-            pairs.append(part + wholes[low.bit_length() - 1])
-            r ^= low
+        for y in _ELEMS[r]:
+            pairs.append(part + wholes[y])
     return pairs
 
 
@@ -525,7 +523,7 @@ def _covering_pairs(s: ParthoodStructure) -> list[tuple[ElementId, ElementId]]:
     covered = []
     for b in below:
         between = 0
-        for z in _bits(b):
+        for z in _ELEMS[b]:
             between |= below[z]
         covered.append(b & ~between)
     u = s.universe

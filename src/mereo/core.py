@@ -8,14 +8,16 @@ violations and the model search must range over all relations.
 
 The relation and its derived element masks are precomputed as bitmasks
 at construction (bit i of an element mask corresponds to universe index
-i) and never change afterwards.  They come from one pass over the rows,
-which checks each row and, for every set bit of it, updates the parts
-and the overlaps of that bit's element; only `ing_of` is read off the
-parts afterwards.  What only some callers read is filled
-on first use instead: the `ElementId` tuple `universe` and the label
-index, which only naming, reporting and printing need, and the
-per-element subset planes (`_subset_planes`) that
-`sums.subset_planes` builds for the subset-quantified axioms.  Each
+i) and never change afterwards.  _ELEMS[m], made at import, is the
+tuple of the elements of mask m, ascending, for every m below
+2^MAX_UNIVERSE_SIZE; every module lists a mask's elements through it.
+The masks come from one pass over the rows, which checks each row and,
+for every element of it, updates that element's parts and overlaps;
+only `ing_of` is read off the parts afterwards.  What only some
+callers read is filled on first use instead: the `ElementId` tuple
+`universe` and the label index, which only naming, reporting and
+printing need, and the per-element subset planes (`_subset_planes`)
+that `sums.subset_planes` builds for the subset-quantified axioms.  Each
 depends only on the labels or the relation given at construction, so
 filling it never changes an answer, and a search candidate that is
 never reported never builds its labels.  All queries are pure.
@@ -151,12 +153,20 @@ ElementLike = Union[ElementId, str, int]
 SubsetLike = Union[Subset, int, Iterable[ElementLike]]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _element_lists() -> tuple[tuple[int, ...], ...]:
+    """The elements of each mask below 2^MAX_UNIVERSE_SIZE, ascending,
+    doubled over the elements: those of m | 1 << i, m below 1 << i, are
+    m's and i."""
+    elements = [()]
+    for i in range(MAX_UNIVERSE_SIZE):
+        elements += [t + (i,) for t in elements]
+    return tuple(elements)
+
+
+# _ELEMS[m]: the elements of mask m, ascending.  A negative m would
+# quietly read an entry from the end, so every public entry point
+# refuses a mask outside the universe before any lookup.
+_ELEMS = _element_lists()
 
 
 def _check_grid(n: int, mask: int) -> None:
@@ -225,12 +235,9 @@ class ParthoodStructure:
             bit = 1 << x
             up = ing_up[x] = r | bit
             ov_of[x] |= up
-            while r:
-                low = r & -r
-                y = low.bit_length() - 1
+            for y in _ELEMS[r]:
                 parts_in[y] |= bit
                 ov_of[y] |= up
-                r ^= low
         self.n = n
         self.full = full
         self._labels = labels
@@ -364,7 +371,7 @@ class ParthoodStructure:
         if mask & ~self.full:
             raise DomainError("subset mask mentions foreign elements")
         universe = self.universe
-        return Subset(tuple(universe[i] for i in _bits(mask)), mask)
+        return Subset(tuple([universe[i] for i in _ELEMS[mask]]), mask)
 
     def subsets(self) -> Iterator[Subset]:
         """All subsets in increasing characteristic-vector encoding."""
@@ -436,7 +443,7 @@ class ParthoodStructure:
         universe = self.universe
         out = []
         for i in range(self.n):
-            for j in _bits(self.rows[i]):
+            for j in _ELEMS[self.rows[i]]:
                 out.append((universe[i], universe[j]))
         return out
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .axioms import AxiomId, holds
 from .core import (DomainError, ElementId, MereologyError,
-                   ParthoodStructure, _bits, _Record, _set)
+                   ParthoodStructure, _Record, _set)
 from .theories import TheoryId, TheoryVerdict, check_theory
 
 
@@ -64,8 +64,8 @@ class ZeroedStructure:
 
     def meet(self, i: int, j: int) -> Optional[int]:
         lower = self.below[i] & self.below[j]
-        for k in _bits(lower):
-            if not lower & ~self.below[k]:
+        for k in range(self.n):
+            if lower >> k & 1 and not lower & ~self.below[k]:
                 return k
         return None
 
@@ -73,12 +73,15 @@ class ZeroedStructure:
         return self.join_of_set((1 << i) | (1 << j))
 
     def join_of_set(self, mask: int) -> Optional[int]:
+        if mask & ~self.full:
+            raise DomainError("subset mask mentions foreign elements")
         upper = self.full
-        for i in _bits(mask):
-            upper &= self.above[i]
+        for i in range(self.n):
+            if mask >> i & 1:
+                upper &= self.above[i]
         # the least upper bound, if any
-        for k in _bits(upper):
-            if not upper & ~self.above[k]:
+        for k in range(self.n):
+            if upper >> k & 1 and not upper & ~self.above[k]:
                 return k
         return None
 

@@ -51,7 +51,7 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
-from .core import (_DEFAULT_LABEL_TUPLES, MAX_UNIVERSE_SIZE,
+from .core import (_DEFAULT_LABEL_TUPLES, _ELEMS, MAX_UNIVERSE_SIZE,
                    ParthoodStructure, _Record, _check_grid, _set)
 
 # Invariant sweeps default to universes of size at most 5; command-line
@@ -108,11 +108,7 @@ def _twin_masks(n: int, succ: list[int], among: int) -> list[int]:
     swapping x and y is an automorphism of the relation (x included).
     twins[x] is {x} for x outside among."""
     twins = [1 << x for x in range(n)]
-    pool = []
-    while among:
-        low = among & -among
-        pool.append(low.bit_length() - 1)
-        among ^= low
+    pool = _ELEMS[among]
     for i, x in enumerate(pool):
         for y in pool[i + 1:]:
             sx = succ[x]
@@ -193,13 +189,10 @@ def canonical_form(n: int, mask: int) -> int:
         for cells in branches:
             owner = cells[k][1]
             tried = 0
-            free = owner
-            while free:
-                low = free & -free
-                free ^= low
+            for x in _ELEMS[owner]:
+                low = 1 << x
                 if tried & low:
                     continue
-                x = low.bit_length() - 1
                 tried |= twins[x]
                 s = succ[x]
                 others = s & ~low
@@ -450,12 +443,9 @@ def _transitive_masks(n: int, irreflexive: bool,
     uppers[i] = upper_of(i)
     r = 0
     while True:
-        above = r >> (i + 1) << (i + 1)
-        while above:
-            low = above & -above
-            if rows[low.bit_length() - 1] & ~r:
+        for d in _ELEMS[r >> (i + 1) << (i + 1)]:
+            if rows[d] & ~r:
                 break
-            above ^= low
         else:
             if top_bound and leasts[i][r] < (rows[n - 1] if i < n - 1
                                              else r):
@@ -544,12 +534,11 @@ def _poset_classes(n: int) -> tuple[int, ...]:
         parts_in = [0] * m
         for i, r in enumerate(rows):
             base |= r << (i * n)
-            while r:
-                low = r & -r
-                parts_in[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        maximal = [(sum(n * n + parts_in[z].bit_count() for z in range(m)
-                        if parts_in[y] >> z & 1), 1 << y)  # _down_sets' rank
+            for y in _ELEMS[r]:
+                parts_in[y] |= 1 << i
+        # each maximal element with its _down_sets' rank
+        maximal = [(sum(n * n + parts_in[z].bit_count()
+                        for z in _ELEMS[parts_in[y]]), 1 << y)
                    for y in range(m) if not rows[y]]
         for down, rank, column in _down_sets(
                 parts_in, _twin_masks(m, rows, full), n):

@@ -16,9 +16,11 @@ suprema off the pair.  For every subset at once, `subset_planes` gives
 each element one int of 2^n bits, set at the subsets it sums (or is a
 supremum of), made by `meeting` from the planes of submasks: a few
 big-int operations per element at every size, each submask plane one
-table lookup up to eight elements.  The literal
+table lookup up to eight elements and a product of two above.  Every
+kernel lists a mask's elements as `core._ELEMS[m]`.  The literal
 definitions (`cover_mask`, `is_sum_mask`, `is_sup_mask`,
-`sum_candidates`, `sup_candidates`) are oracles for the tests only.
+`sum_candidates`, `sup_candidates`) are oracles for the tests only, and
+scan the universe element by element instead.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import (
-    MAX_UNIVERSE_SIZE, ElementId, ElementLike, MereologyError,
-    ParthoodStructure, SubsetLike, _bits, _Record, _set,
+    MAX_UNIVERSE_SIZE, DomainError, ElementId, ElementLike, MereologyError,
+    ParthoodStructure, SubsetLike, _ELEMS, _Record, _set,
 )
 
 
@@ -58,8 +60,10 @@ class SupQueryResult(_Record):
 
 def subset_entry(s: ParthoodStructure, subset_mask: int) -> tuple[int, int]:
     """The pair (ub, ov) of one subset, folded over its members."""
+    if subset_mask & ~s.full:
+        raise DomainError("subset mask mentions foreign elements")
     ub, ov = s.full, 0
-    for i in _bits(subset_mask):
+    for i in _ELEMS[subset_mask]:
         ub &= s.ing_up[i]
         ov |= s.ov_of[i]
     return ub, ov
@@ -114,15 +118,13 @@ def _sum_planes(s: ParthoodStructure) -> tuple[int, ...]:
 def _sup_planes(s: ParthoodStructure) -> tuple[int, ...]:
     low, high = _LOW, _HIGH
     if s.n > 8:
-        elements = _elements
         bounds = [low[ing & 255] * high[ing >> 8] for ing in s.ing_of]
     else:
-        elements = _ELEMS.__getitem__
         bounds = [low[ing] for ing in s.ing_of]
     full, made = s.full, []
     for bound, up in zip(bounds, s.ing_up):
         missed = 0
-        for y in elements(full ^ up):
+        for y in _ELEMS[full ^ up]:
             missed |= bounds[y]
         made.append(bound & ~missed)
     return tuple(made)
@@ -137,62 +139,48 @@ def meeting(within: int, meets: int, ov_of: Sequence[int]) -> int:
             missed |= low[within & ~ov_of[z]]
         return low[within] & ~missed
     high = _HIGH
-    for z in _ELEMS[meets & 255] + _ELEMS_HIGH[meets >> 8]:
+    for z in _ELEMS[meets]:
         apart = within & ~ov_of[z]
         missed |= low[apart & 255] * high[apart >> 8]
     return low[within & 255] * high[within >> 8] & ~missed
 
 
-def _elements(mask: int) -> tuple[int, ...]:
-    """The elements of mask, ascending."""
-    return _ELEMS[mask & 255] + _ELEMS_HIGH[mask >> 8]
-
-
-def _by_bits(first: int, count: int) \
-        -> tuple[list[int], list[tuple[int, ...]]]:
-    """For each a below 2^count, the plane of the submasks of a << first
-    and the elements of a << first, doubled over the elements i from
-    first: the plane of a | 1 << (i - first) is that of a ORed with
-    itself shifted by 1 << i, the mask value of element i, and its
-    elements are a's and i."""
-    planes, elements = [1], [()]
+def _by_bits(first: int, count: int) -> list[int]:
+    """For each a below 2^count, the plane of the submasks of a << first,
+    doubled over the elements i from first: the plane of
+    a | 1 << (i - first) is that of a ORed with itself shifted by 1 << i,
+    the mask value of element i."""
+    planes = [1]
     for i in range(first, first + count):
         planes += [p | p << (1 << i) for p in planes]
-        elements += [t + (i,) for t in elements]
-    return planes, elements
+    return planes
 
 
-# Below 256, SUB(S) = _LOW[S] and _ELEMS[S] lists the elements of S.
-# Above, the submasks of S are its low byte's times its high bits' as
-# masks whose low byte is 0, so SUB(S) = _LOW[S & 255] * _HIGH[S >> 8],
-# the product of the planes of the two parts: the low plane's bits lie
-# below 256 and the high one's at multiples of 256, so no two bit
-# products meet and nothing carries.  _ELEMS and _ELEMS_HIGH list the
-# elements of the same two parts, so the kernels visit a mask's elements
-# without a loop over its bits.
-_LOW, _ELEMS = _by_bits(0, 8)
-_HIGH, _ELEMS_HIGH = _by_bits(8, MAX_UNIVERSE_SIZE - 8)
+# Below 256, SUB(S) = _LOW[S], one lookup.  Above, the submasks of S are
+# its low byte's times its high bits' as masks whose low byte is 0, so
+# SUB(S) = _LOW[S & 255] * _HIGH[S >> 8], the product of the planes of
+# the two parts: the low plane's bits lie below 256 and the high one's
+# at multiples of 256, so no two bit products meet and nothing carries.
+# One table of all 4,096 planes would take megabytes to build at import.
+_LOW = _by_bits(0, 8)
+_HIGH = _by_bits(8, MAX_UNIVERSE_SIZE - 8)
 
 
 def sums_in(s: ParthoodStructure, ub_m: int, ov_m: int) -> int:
     """The sums of a subset with entry (ub_m, ov_m), as a mask."""
     ing, gaps, out = s.ing_of, ~ov_m, 0
-    while ub_m:
-        low = ub_m & -ub_m
-        if not ing[low.bit_length() - 1] & gaps:
-            out |= low
-        ub_m ^= low
+    for y in _ELEMS[ub_m]:
+        if not ing[y] & gaps:
+            out |= 1 << y
     return out
 
 
 def sups_in(s: ParthoodStructure, ub_m: int) -> int:
     """The suprema of a subset with upper bounds ub_m, as a mask."""
-    up, out, rest = s.ing_up, 0, ub_m
-    while rest:
-        low = rest & -rest
-        if not ub_m & ~up[low.bit_length() - 1]:
-            out |= low
-        rest ^= low
+    up, out = s.ing_up, 0
+    for y in _ELEMS[ub_m]:
+        if not ub_m & ~up[y]:
+            out |= 1 << y
     return out
 
 
@@ -201,8 +189,9 @@ def sups_in(s: ParthoodStructure, ub_m: int) -> int:
 def cover_mask(s: ParthoodStructure, subset_mask: int) -> int:
     """Union of the ingrediens sets of the subset's members."""
     cover = 0
-    for i in _bits(subset_mask):
-        cover |= s.ing_of[i]
+    for i in range(s.n):
+        if subset_mask >> i & 1:
+            cover |= s.ing_of[i]
     return cover
 
 
@@ -211,8 +200,8 @@ def is_sum_mask(s: ParthoodStructure, x: int, subset_mask: int) -> bool:
     if subset_mask & ~ing[x]:
         return False
     cover = cover_mask(s, subset_mask)
-    for u in _bits(ing[x]):
-        if not ing[u] & cover:
+    for u in range(s.n):
+        if ing[x] >> u & 1 and not ing[u] & cover:
             return False
     return True
 

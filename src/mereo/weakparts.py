@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .axioms import _find_cycle, transitivity_gap
-from .core import ElementId, ElementLike, ParthoodStructure, _bits
+from .core import ElementId, ElementLike, ParthoodStructure, _ELEMS
 from .core import _Record, _set
 
 
@@ -76,7 +76,7 @@ def _simple_paths(s: ParthoodStructure, x: int, y: int,
     """Simple part-paths from x to y with at most max_len nodes, in
     lexicographic node order, each yielded as the walk reaches it."""
     def walk(path, seen):
-        for nxt in _bits(s.rows[path[-1]]):
+        for nxt in _ELEMS[s.rows[path[-1]]]:
             if nxt == y:
                 yield path + (y,)
             elif not seen >> nxt & 1 and len(path) + 2 <= max_len:
@@ -109,7 +109,7 @@ def is_locally_transitive(s: ParthoodStructure) -> LocalTransitivityVerdict:
     if transitivity_gap(s, s.full) is None:
         return LocalTransitivityVerdict(True)
     for x in range(s.n):
-        for y in _bits(s.rows[x]):
+        for y in _ELEMS[s.rows[x]]:
             for nodes in _simple_paths(s, x, y, s.n):
                 gap = transitivity_gap(s, sum(1 << k for k in nodes))
                 if gap is not None:

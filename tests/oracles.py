@@ -28,7 +28,7 @@ from typing import Optional
 
 from mereo.axioms import AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
-from mereo.core import ParthoodStructure, _bits
+from mereo.core import ParthoodStructure
 from mereo.lattice import LatticeReport, ZeroedStructure
 from mereo.search import _WALKS, enumerate_models
 from mereo.sums import (
@@ -36,6 +36,12 @@ from mereo.sums import (
     sums_in, sups_in,
 )
 from mereo.weakparts import LocalTransitivityVerdict, paths_between
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending, read one by one:
+    a listing independent of the package's element table."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @functools.lru_cache(maxsize=None)

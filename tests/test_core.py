@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from mereo import (
     MAX_UNIVERSE_SIZE, DomainError, ElementId, ParthoodStructure, holds,
+    is_sum, is_sup, sum_of, sup_of,
 )
+from mereo.axioms import transitivity_gap
 from mereo.cli import serialize
+from mereo.core import _ELEMS
+from mereo.sums import subset_entry
 
 from conftest import (
     all_fixtures, all_relations, fixture, o_ing, o_labels, o_ov, o_pairs,
@@ -125,15 +129,28 @@ def test_resolution_refusals():
         w4.subset_mask(b7.subset("ab", "ac", "abc"))
     with pytest.raises(DomainError, match="^element a not in universe$"):
         w4.subset_mask(b7.subset("a", "b"))
-    with pytest.raises(DomainError,
-                       match="^subset mask mentions foreign elements$"):
-        w4.subset_mask(1 << 4)
-    with pytest.raises(DomainError,
-                       match="^subset mask mentions foreign elements$"):
-        w4.subset_from_mask(1 << 4)
+    # a mask with a bit past the universe, or a negative one, which the
+    # element table would read from its end
+    for mask in (1 << 4, -1, 1 << MAX_UNIVERSE_SIZE):
+        for query in (w4.subset_mask, w4.subset_from_mask,
+                      lambda m: sum_of(w4, m), lambda m: sup_of(w4, m),
+                      lambda m: is_sum(w4, "1", m),
+                      lambda m: is_sup(w4, "1", m),
+                      lambda m: subset_entry(w4, m),
+                      lambda m: transitivity_gap(w4, m)):
+            with pytest.raises(DomainError,
+                               match="^subset mask mentions foreign "
+                                     "elements$"):
+                query(mask)
     for pair in (("c", "a"), ("a", "c")):
         with pytest.raises(DomainError, match="^undeclared label 'c'$"):
             ParthoodStructure.build(["a", "b"], [pair])
+
+
+def test_element_table_lists_every_mask():
+    assert len(_ELEMS) == 1 << MAX_UNIVERSE_SIZE
+    for m, elements in enumerate(_ELEMS):
+        assert elements == tuple(i for i in range(12) if m >> i & 1)
 
 
 def test_subsets_in_encoding_order_and_membership():

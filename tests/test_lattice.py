@@ -27,6 +27,10 @@ def test_adjoin_zero_shapes():
                and not any(z.leq(i, k) and z.leq(k, top)
                            and k not in (i, top) for k in range(z.n))]
     assert len(coatoms) == 3
+    for mask in (1 << z.n, -1):
+        with pytest.raises(DomainError,
+                           match="^subset mask mentions foreign elements$"):
+            z.join_of_set(mask)
 
 
 def test_adjoin_zero_requires_strict_order():

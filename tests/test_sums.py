@@ -12,7 +12,7 @@ from mereo import (
     satisfies, sum_of, sup_of, theory_axioms,
 )
 from mereo.cli import main
-from mereo.core import ParthoodStructure, _bits
+from mereo.core import ParthoodStructure
 from mereo.sums import (
     is_sum_mask, is_sup_mask, subset_entry, subset_planes, sum_candidates,
     sums_in, sup_candidates, sups_in,
@@ -284,14 +284,22 @@ def test_subset_tables_are_built_once_per_structure():
 
 
 def test_plane_bits_equal_the_literal_sum_and_sup_definitions():
-    # every element and every mask of the differential structures and the
-    # fixtures, past eight elements too, where SUB multiplies a low and a
-    # high submask plane
+    # every element of the differential structures and the fixtures,
+    # past eight elements too, where SUB multiplies a low and a high
+    # submask plane.  Both definitions are False at once on a mask with a
+    # member that is no ingrediens of x, so each plane must have no bit
+    # outside the submasks of ing_of[x], and only those are asked.
     sizes = set()
     for s in (*differential_structures(), *all_fixtures()):
         sums, sups = subset_planes(s), subset_planes(s, True)
-        masks = range(1 << s.n)
         for x in range(s.n):
+            ing = s.ing_of[x]
+            masks, m = [ing], ing
+            while m:
+                m = (m - 1) & ing
+                masks.append(m)
+            within = sum(1 << m for m in masks)
+            assert not (sums[x] | sups[x]) & ~within, (s, x)
             assert sums[x] == sum(is_sum_mask(s, x, m) << m for m in masks), \
                 (s, x)
             assert sups[x] == sum(is_sup_mask(s, x, m) << m for m in masks), \
@@ -315,8 +323,8 @@ def _ref_product(s, i, j):
 
 def _ref_difference(s, i, j):
     mask = 0
-    for u in _bits(s.ing_of[i]):
-        if not s.ing_of[u] & s.ing_of[j]:
+    for u in range(s.n):
+        if s.ing_of[i] >> u & 1 and not s.ing_of[u] & s.ing_of[j]:
             mask |= 1 << u
     return _ref_unique_sum(s, mask, "difference")
 

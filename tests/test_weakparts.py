@@ -138,14 +138,17 @@ def test_first_failing_path_ends_the_walk(monkeypatch):
     # the gap e7 P e0 P e8 within a few row scans and stops there
     s = _complete_but_one(9)
     calls = 0
-    real_bits = weakparts._bits
+    real_elems = weakparts._ELEMS
 
-    def counting_bits(mask):
-        nonlocal calls
-        calls += 1
-        return real_bits(mask)
+    class CountingElems:
+        """Counts each row scan: one lookup of a row's elements."""
 
-    monkeypatch.setattr(weakparts, "_bits", counting_bits)
+        def __getitem__(self, mask):
+            nonlocal calls
+            calls += 1
+            return real_elems[mask]
+
+    monkeypatch.setattr(weakparts, "_ELEMS", CountingElems())
     got = is_locally_transitive(s)
     monkeypatch.undo()
     assert got == _locally_transitive_by_paths(s)
