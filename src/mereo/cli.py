@@ -14,7 +14,7 @@ Commands (see --help for options):
     sum FILE --set LABELS         sum candidates of a subset
     sup FILE --set LABELS         supremum candidates of a subset
     alg FILE --op OP --args LABELS   product/difference/complement/bsum
-    enumerate --n K --theory ID   models up to isomorphism
+    enumerate --n K --theory ID   labelled models (--up-to-iso: up to iso)
     implies --ambient IDS --from IDS --to ID --max-n K   countermodel search
     lattice FILE [--tarski]       lattice laws of the zero adjunction
     localtrans FILE               acyclicity and local transitivity
@@ -634,12 +634,11 @@ _GRAMMARS = {name: _grammar(func, arguments)
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
-    """The `mereo` argparse parser and its subparsers by command name,
-    built from `_COMMANDS` for the first line `_exact_namespace` leaves
-    to argparse and shared by every later one; argparse is imported
-    only here.  They hold only constant defaults (no output stream,
-    nothing mutable), so one call's result never depends on an earlier
-    call's."""
+    """The `mereo` argparse parser, built from `_COMMANDS` for the first
+    line `_exact_namespace` leaves to argparse and shared by every later
+    one; argparse is imported only here.  It holds only constant
+    defaults (no output stream, nothing mutable), so one call's result
+    never depends on an earlier call's."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="mereo",
@@ -658,13 +657,12 @@ def _build_parser():
                                **kwargs)
             else:
                 p.add_argument(dest, **kwargs)
-    return parser, dict(sub.choices)
+    return parser
 
 
 def _exact_namespace(command: str, argv: Sequence[str]):
-    """The namespace the command's parser gives `argv` (without
-    `command`), or None for a line left to that parser (`_parse_args`
-    says which)."""
+    """The namespace argparse gives `argv` after `command`, or None for
+    a line left to argparse (`_parse_args` says which)."""
     defaults, options, positionals, required = _GRAMMARS[command]
     values = dict(defaults)
     unfilled = iter(positionals)
@@ -707,28 +705,20 @@ def _parse_args(argv: Optional[Sequence[str]]):
     positional that does not start with `-`.  An option's value is the
     next token; it is converted by the option's type and checked against
     its choices, and a repeated option keeps its last value, as in
-    argparse.  Any other line goes to argparse (`_build_parser`), with
-    its own usage and messages: one with a `-` token the command does
-    not declare (`-h`, `--`, `-`, an abbreviation, `--opt=value`, an
-    unknown option), a value that is missing or starts with `-`, a
-    conversion that raises, a value outside the choices, too many or too
-    few positionals, or a required option left out.  There the command's
-    subparser reads the tail, and with no arguments left over it gives
-    the namespace the exact route would.  Otherwise (no command first, or
-    arguments left over) the top-level parser parses the whole line, so
-    `-h`, unknown commands and unrecognised arguments get its usage and
-    messages."""
+    argparse.  Every other line is parsed once, whole, by the argparse
+    parser (`_build_parser`), with its usage and messages: no command
+    first, a `-` token the command does not declare (`-h`, `--`, `-`, an
+    abbreviation, `--opt=value`, an unknown option), a value that is
+    missing or starts with `-`, a conversion that raises, a value
+    outside the choices, too many or too few positionals, or a required
+    option left out."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _GRAMMARS:
         args = _exact_namespace(argv[0], argv[1:])
-        if args is None:
-            parser, commands = _build_parser()
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                return parser.parse_args(argv)
-        args.command = argv[0]
-        return args
-    return _build_parser()[0].parse_args(argv)
+        if args is not None:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -736,11 +726,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
     Reports and `--help` text go to `out` (default: stdout); usage and
     error messages go to stderr.  A line whose options are spelled
-    exactly is read from the command table without argparse; other
-    spellings (`-h`, `--opt=value`, abbreviations, `--`, values starting
-    with `-`) and lines in error go to an argparse parser, built on the
-    first such line and kept for the process, with argparse's usage and
-    messages (`_parse_args`).  Commands on the same file content in one
+    exactly is read from the command table without argparse; every
+    other line (`-h`, `--opt=value`, abbreviations, `--`, values
+    starting with `-`, lines in error) is parsed once by an argparse
+    parser, built on the first such line and kept for the process
+    (`_parse_args`).  Commands on the same file content in one
     process share one parsed structure, from a bounded cache keyed by
     the file's bytes (`load_structure`); a one-shot process pays one
     lookup.  So `main` is cheap and safe to call repeatedly in-process.

@@ -62,12 +62,16 @@ class ZeroedStructure:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.below[j] >> i & 1)
 
-    def meet(self, i: int, j: int) -> Optional[int]:
-        lower = self.below[i] & self.below[j]
+    def _bound(self, bounds: int, within: tuple) -> Optional[int]:
+        """The first k in `bounds` whose `within[k]` contains `bounds`:
+        the greatest lower (`below`) or least upper (`above`) bound."""
         for k in range(self.n):
-            if lower >> k & 1 and not lower & ~self.below[k]:
+            if bounds >> k & 1 and not bounds & ~within[k]:
                 return k
         return None
+
+    def meet(self, i: int, j: int) -> Optional[int]:
+        return self._bound(self.below[i] & self.below[j], self.below)
 
     def join(self, i: int, j: int) -> Optional[int]:
         return self.join_of_set((1 << i) | (1 << j))
@@ -79,11 +83,7 @@ class ZeroedStructure:
         for i in range(self.n):
             if mask >> i & 1:
                 upper &= self.above[i]
-        # the least upper bound, if any
-        for k in range(self.n):
-            if upper >> k & 1 and not upper & ~self.above[k]:
-                return k
-        return None
+        return self._bound(upper, self.above)
 
 
 class LatticeReport(_Record):

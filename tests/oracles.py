@@ -2,8 +2,10 @@
 the canonical forms, by applying every one of the n! relabellings to
 every set cell of the encoding, the model encodings a search yields,
 read off its structures, the down-sets of a strict partial order,
-each with no twin pruning or rank, and the choice of walk, by the codes
-as named; in mereo.axioms, every catalog code's finder, by scanning
+each with no twin pruning or rank, the choice of walk, by the codes
+as named, and the least countermodel size of a claim, from the
+_REFERENCE verdicts of every labelled relation; in mereo.axioms, every
+catalog code's finder, by scanning
 the pairs or subsets its definition quantifies over (_REFERENCE), the
 shortest part-cycle, by a full
 breadth-first search from each start and a pass over every path back
@@ -26,7 +28,7 @@ import functools
 import itertools
 from typing import Optional
 
-from mereo.axioms import AxiomId, axiom_id, transitivity_gap
+from mereo.axioms import CATALOG_ORDER, AxiomId, axiom_id, transitivity_gap
 from mereo.cli import ParseError
 from mereo.core import ParthoodStructure
 from mereo.lattice import LatticeReport, ZeroedStructure
@@ -763,3 +765,33 @@ _REFERENCE = {
     AxiomId.C_BSUM: _ref_pair_sum(True),
     AxiomId.E_BSUM: _ref_pair_sum(False),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def reference_vectors(n: int) -> frozenset[int]:
+    """The distinct verdict vectors of the labelled relations on n
+    elements, one per relation: bit i is set iff CATALOG_ORDER[i] holds
+    by _REFERENCE.  No canonical form, walk or catalog finder is used."""
+    finders = [_REFERENCE[code] for code in CATALOG_ORDER]
+    vectors = set()
+    for m in range(1 << n * n):
+        s = ParthoodStructure.from_mask(n, m)
+        holds = {find: find(s) is None for find in dict.fromkeys(finders)}
+        vectors.add(sum(1 << i for i, find in enumerate(finders)
+                        if holds[find]))
+    return frozenset(vectors)
+
+
+def least_countermodel_size(given, conclusion,
+                            max_n: int) -> Optional[int]:
+    """The least n <= max_n with a labelled relation on n elements where
+    every given code holds and the conclusion fails, by
+    reference_vectors; None if there is none up to max_n."""
+    bit = {code: 1 << i for i, code in enumerate(CATALOG_ORDER)}
+    need = sum({bit[axiom_id(a)] for a in given})
+    fails = bit[axiom_id(conclusion)]
+    for n in range(1, max_n + 1):
+        if any(v & need == need and not v & fails
+               for v in reference_vectors(n)):
+            return n
+    return None
