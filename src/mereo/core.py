@@ -20,13 +20,8 @@ printing need, and the per-element subset planes (`_subset_planes`)
 that `sums.subset_planes` builds for the subset-quantified axioms.  Each
 depends only on the labels or the relation given at construction, so
 filling it never changes an answer, and a search candidate that is
-never reported never builds its labels.  All queries are pure.
-
-A structure can also be made from the five derived mask tuples of an
-earlier build of the same relation (`_fields`, `_from_fields`), with
-nothing checked, derived or copied: a shared up-to-isomorphism walk of
-`search` hands each search such a copy of a class that passes its
-checks, with the subset planes kept for it.
+never reported never builds its labels.  All queries are pure, so one
+structure may be handed to any number of callers.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ MAX_UNIVERSE_SIZE = 12
 DEFAULT_LABELS = "abcdefghijkl"
 
 # The default label tuple of each size, shared by every structure that
-# from_mask or _from_fields makes with default labels.
+# from_mask makes with default labels.
 _DEFAULT_LABEL_TUPLES = tuple(tuple(DEFAULT_LABELS[:n])
                               for n in range(MAX_UNIVERSE_SIZE + 1))
 
@@ -105,14 +100,6 @@ class ElementId(_Record):
 
     def __str__(self) -> str:
         return self.label
-
-    def __eq__(self, other):
-        if other.__class__ is ElementId:
-            return self.index == other.index and self.label == other.label
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.label))
 
     def __lt__(self, other):
         if other.__class__ is ElementId:
@@ -201,8 +188,7 @@ class ParthoodStructure:
     distinct; `universe` and the label index are built from them on
     first use.  `_subset_planes` holds the list [sums, sups] that
     `sums.subset_planes` fills, each entry None until it is first read
-    and then a tuple of n ints: None until that makes the list or a
-    shared up-to-isomorphism walk sets the list it kept.
+    and then a tuple of n ints: None until that makes the list.
     """
 
     __slots__ = (
@@ -271,41 +257,17 @@ class ParthoodStructure:
     def from_mask(cls, n: int, mask: int,
                   labels: Optional[Sequence[str]] = None) -> "ParthoodStructure":
         """Build from the row-major relation encoding (bit i*n+j = i P j)."""
-        if not 1 <= n <= MAX_UNIVERSE_SIZE or mask >> (n * n):
-            _check_grid(n, mask)    # raises; the inline test spares a call
+        _check_grid(n, mask)
         if labels is None:
             labels = _DEFAULT_LABEL_TUPLES[n]
         rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
         return cls(labels, rows)
 
-    def _fields(self) -> tuple[tuple[int, ...], ...]:
-        """The derived mask tuples rows, parts_in, ing_of, ing_up and
-        ov_of, in that order, that _from_fields reads back."""
-        return self.rows, self.parts_in, self.ing_of, self.ing_up, self.ov_of
-
-    @classmethod
-    def _from_fields(cls, n: int, fields: Sequence[tuple[int, ...]],
-                     labels: Optional[tuple[str, ...]] = None
-                     ) -> "ParthoodStructure":
-        """A fresh structure sharing the five tuples of _fields of a
-        structure of size n with these labels (default labels if None).
-        Nothing is checked, derived or copied: the tuples are immutable,
-        and were checked when that structure was built."""
-        s = cls.__new__(cls)
-        s.n = n
-        s.full = (1 << n) - 1
-        s._labels = _DEFAULT_LABEL_TUPLES[n] if labels is None else labels
-        s._universe = None
-        s._label_index = None
-        s.rows, s.parts_in, s.ing_of, s.ing_up, s.ov_of = fields
-        s._subset_planes = None
-        return s
-
     def __reduce__(self):
-        """Pickle and copy the labels and the five derived mask tuples.
-        What is filled on first use is left out, and is filled again
-        when next read."""
-        return self._from_fields, (self.n, self._fields(), self._labels)
+        """Pickle and copy the labels and the rows, from which the masks
+        are derived and checked again; what is filled on first use is
+        left out, and filled again when next read."""
+        return type(self), (self._labels, self.rows)
 
     @property
     def universe(self) -> tuple[ElementId, ...]:
@@ -452,10 +414,10 @@ class ParthoodStructure:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ParthoodStructure)
                 and self.rows == other.rows
-                and self.universe == other.universe)
+                and self._labels == other._labels)
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.rows))
+        return hash((self._labels, self.rows))
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{p}<{w}" for p, w in self.pairs())

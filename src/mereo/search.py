@@ -36,11 +36,12 @@ transitive, irreflexive and all relations): the codes that select it
 and those it guarantees, its generators and its class counts.  A search
 walks the first row its constraints select (AS, AC and WSP each entail
 IRR) and checks the other codes on what it yields, each once, cheapest
-first; each model is handed on as a fresh structure with the subset
-planes its checks built or found, its labels built only when read.  An
-up-to-isomorphism walk is shared by every search in the process if its
-row's class count fits a byte budget, and walked afresh by each search
-otherwise (_iso_candidates, _SharedWalk); labelled walks are not shared.
+first; each model is handed on with the subset planes its checks
+built or found, its labels built only when read.  An up-to-isomorphism
+walk is shared by every search in the process if its row's class count
+fits a byte budget (_iso_candidates, _SharedWalk): every search is then
+handed the one structure the walk keeps for each class.  Otherwise, and
+for every labelled walk, each search builds its own.
 """
 
 from __future__ import annotations
@@ -162,8 +163,6 @@ def canonical_form(n: int, mask: int) -> int:
     with a cell outside the n x n grid.
     """
     _check_grid(n, mask)
-    if not mask:
-        return 0
     full = (1 << n) - 1
     succ = [mask >> (x * n) & full for x in range(n)]
     sinks = 0
@@ -324,8 +323,7 @@ def is_canonical(n: int, mask: int,
         return canonical_form(n, mask) == mask
     blocks = _perm_row_tables(n)
     if rows is None:
-        if mask >> (n * n):
-            _check_grid(n, mask)    # raises; the inline test spares a call
+        _check_grid(n, mask)
         full = (1 << n) - 1
         rows = [mask >> (x * n) & full for x in range(n)]
     t = rows[-1]
@@ -638,10 +636,13 @@ def _class_bytes(n: int) -> int:
     room for both of its planes, by sys.getsizeof: its structure, five
     tuples of n ints, a list slot and its planes, the list, two tuples
     and 2n ints of 2^n bits (928 bytes at n=4).  Every other int it
-    holds is below 256, shared by every process, and so are its labels.
+    holds is below 256, shared by every process, and so are its default
+    labels; the universe and label index a caller may read on a model
+    are left out (448 bytes at n=4), and every walk the table shares
+    fits the budget with them.
     """
     zeros = (0,) * n
-    sample = ParthoodStructure._from_fields(n, (zeros,) * 5)
+    sample = ParthoodStructure.__new__(ParthoodStructure)
     plane = (1 << (1 << n)) - 1
     planes = [(plane,) * n] * 2
     return 8 + sum(map(sys.getsizeof, (sample, *(zeros,) * 5, planes,
@@ -664,34 +665,28 @@ def _passing(n: int, walk: Iterable[_Rowed],
 
 class _SharedWalk:
     """One lazy walk of canonical encodings at size n, shared whole by
-    every consumer in the process or, as decided when it is made, not at
-    all: then each consumer walks it afresh, and nothing is kept.
+    every consumer in the process.
 
-    A shared walk keeps one structure per class found (_kept), built from
-    the rows the walk yields by the consumer that passed the end, and
-    never handed out.  checked(finders) runs a consumer's checks on each
-    kept structure, so a class they reject costs no structure; a class
-    that passes is yielded as a fresh _from_fields copy sharing the kept
-    structure's field tuples and its planes list, if it has one.  Planes
-    a check builds on a kept structure stay there at once; planes the
-    consumer's checks build on the copy (find_model's forbid check does)
-    go to the kept structure, if it still has none, when the consumer
-    asks for the next class.  Each planes entry is filled once with a
-    tuple of ints that depends only on the relation, so whichever
-    structure fills it, every other reads the same planes.
+    It keeps one structure per class found (_kept), built from the rows
+    the walk yields by the consumer that passed the end.
+    checked(finders) runs a consumer's checks on each kept structure and
+    hands on the kept structure itself for each class that passes, so a
+    class costs one structure however many consumers read it.  Subset
+    planes that any consumer builds on it stay with it: each planes entry
+    is filled once with a tuple of ints that depends only on the
+    relation, so every consumer reads the same planes.
 
-    If a shared walk raises, the classes found stay, and the next
-    consumer to pass the end starts it again, skipping as many encodings
-    as are kept, so a failed walk never reads as a finished one.  One
-    thread is assumed: two threads advancing the walk at once would fail.
+    If the walk raises, the classes found stay, and the next consumer to
+    pass the end starts it again, skipping as many encodings as are
+    kept, so a failed walk never reads as a finished one.  One thread is
+    assumed: two threads advancing the walk at once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_shared", "_kept", "_walk", "_done")
+    __slots__ = ("_n", "_start", "_kept", "_walk", "_done")
 
-    def __init__(self, n: int, start, shared: bool):
+    def __init__(self, n: int, start):
         self._n = n
         self._start = start     # () -> the walk from its first encoding
-        self._shared = shared
         self._kept: list[ParthoodStructure] = []
         self._walk: Optional[Iterator[_Rowed]] = None
         self._done = False
@@ -711,20 +706,11 @@ class _SharedWalk:
             self._walk = None
             raise
 
-    def __iter__(self) -> Iterator[ParthoodStructure]:
-        return self.checked(())
-
     def checked(self, finders) -> Iterator[ParthoodStructure]:
-        """A fresh structure for each class of the walk that every
-        finder passes, in walk order; the finders of a shared walk run
-        on the kept structures."""
-        n = self._n
-        if not self._shared:
-            yield from _passing(n, self._start(), finders)
-            return
+        """The kept structure of each class of the walk that every
+        finder passes, in walk order."""
         kept = self._kept
-        copy = ParthoodStructure._from_fields
-        labels = _DEFAULT_LABEL_TUPLES[n]
+        labels = _DEFAULT_LABEL_TUPLES[self._n]
         i = 0
         while True:
             if i < len(kept):
@@ -742,24 +728,21 @@ class _SharedWalk:
                 if find(s) is not None:
                     break
             else:
-                t = copy(n, s._fields())
-                t._subset_planes = s._subset_planes
-                yield t
-                if s._subset_planes is None:
-                    s._subset_planes = t._subset_planes
+                yield s
 
 
 @functools.lru_cache(maxsize=None)
-def _iso_candidates(n: int, walk: _Walk) -> _SharedWalk:
-    """The canonical structures an up-to-isomorphism search over the row
-    walk reads at size n, one walk for every search in the process,
-    shared if the row's class count at n, each class costing
-    _class_bytes(n), fits WALK_BUDGET_BYTES.  No row counts the classes
-    above eight elements, so no walk there is shared."""
+def _iso_candidates(n: int, walk: _Walk) -> Optional[_SharedWalk]:
+    """The walk an up-to-isomorphism search over the row walk reads at
+    size n, one for every search in the process, if the row's class
+    count at n, each class costing _class_bytes(n), fits
+    WALK_BUDGET_BYTES; None if not.  No row counts the classes above
+    eight elements, so no walk there is shared."""
     counts = walk.counts
-    shared = (n <= len(counts)
-              and counts[n - 1] * _class_bytes(n) <= WALK_BUDGET_BYTES)
-    return _SharedWalk(n, lambda: walk.iso(n), shared)
+    if (n <= len(counts)
+            and counts[n - 1] * _class_bytes(n) <= WALK_BUDGET_BYTES):
+        return _SharedWalk(n, lambda: walk.iso(n))
+    return None
 
 
 def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
@@ -768,16 +751,15 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
 
     One representative per isomorphism class when up_to_iso, the one
     with the canonical (minimal) encoding; ordered by increasing
-    encoding.  Every model is a fresh structure, with the subset planes
-    its checks against the residual axioms filled or found; its labels
-    are filled only if read.  The row of _WALKS the constraints select
-    gives the candidates.  Up to isomorphism they come from the walk of
-    _iso_candidates, which, if shared, runs the checks on the structure
-    it keeps for each class and hands on a fresh copy of it, with its
-    planes, only for a class that passes; a search that stops early
-    leaves the rest of the walk undone.  Labelled walks run lazily per
-    search, build every candidate from the rows its walk yields and hand
-    on the models they check.
+    encoding.  Every model comes with the subset planes its checks
+    against the residual axioms filled or found; its labels are filled
+    only if read.  The row of _WALKS the constraints select gives the
+    candidates.  Up to isomorphism, if _iso_candidates shares the walk,
+    the checks run on the structure it keeps for each class and that
+    structure is the model; a search that stops early leaves the rest of
+    the walk undone.  Otherwise, and for labelled walks, the walk runs
+    lazily per search, and every candidate is built from the rows it
+    yields.
 
     Raises DomainError for n outside 1..MAX_UNIVERSE_SIZE before any
     walk starts.
@@ -785,10 +767,12 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
     _check_grid(n, 0)
     walk, residual = _split_constraints(constraints)
     finders = violation_finders(residual)
-    if up_to_iso:
-        yield from _iso_candidates(n, walk).checked(finders)
+    shared = _iso_candidates(n, walk) if up_to_iso else None
+    if shared is not None:
+        yield from shared.checked(finders)
     else:
-        yield from _passing(n, walk.labelled(n), finders)
+        yield from _passing(n, walk.iso(n) if up_to_iso else walk.labelled(n),
+                            finders)
 
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),

@@ -39,6 +39,12 @@ def all_fixtures() -> list[ParthoodStructure]:
     return [fixture(name) for name in FIXTURE_NAMES]
 
 
+def mask_tuples(s: ParthoodStructure) -> tuple[tuple[int, ...], ...]:
+    """The relation and the four element masks a structure derives from
+    it at construction: rows, parts_in, ing_of, ing_up and ov_of."""
+    return s.rows, s.parts_in, s.ing_of, s.ing_up, s.ov_of
+
+
 # -- naive oracles ------------------------------------------------------------
 
 def o_pairs(s: ParthoodStructure) -> set[tuple[str, str]]:

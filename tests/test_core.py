@@ -191,9 +191,10 @@ def _label_queries(labels, rows):
     def identity(s):
         twin = ParthoodStructure(list(labels), list(rows))
         assert s == twin
-        assert hash(s) == hash(twin) == hash((eager, tuple(rows)))
+        assert hash(s) == hash(twin)
         renamed = [e.label + "'" for e in eager]
         assert s != ParthoodStructure(renamed, rows)
+        assert s != ParthoodStructure(list(labels), [r ^ 1 for r in rows])
 
     def text(s):
         shown = ", ".join(f"{p.label}<{w.label}" for p, w in edges)

@@ -20,11 +20,11 @@ from mereo import (
     is_locally_transitive,
 )
 from mereo.axioms import AxiomInfo
-from mereo.search import enumerate_models
+from mereo.search import _iso_candidates, _split_constraints, enumerate_models
 from mereo.sums import subset_planes
 from mereo.theories import theory_axioms
 
-from conftest import fixture
+from conftest import fixture, mask_tuples
 
 A, B = ElementId(0, "a"), ElementId(1, "b")
 A_REPR = "ElementId(index=0, label='a')"
@@ -165,8 +165,9 @@ def test_pickle_round_trip(make, fields, text, protocol):
 
 def _filled_structures():
     """A structure with its labels read and both its subset planes built,
-    one a shared walk handed out with the planes list it kept, and one
-    of nine elements with its planes built, of 512 bits each."""
+    the one a shared walk keeps for a class, with the planes list a
+    search built on it, and one of nine elements with its planes built,
+    of 512 bits each."""
     s = ParthoodStructure.build(["é", 'q"x', "c"], [("é", "q\"x")])
     s.element("c")
     subset_planes(s)
@@ -176,6 +177,7 @@ def _filled_structures():
     for t in enumerate_models(3, spo, up_to_iso=True):
         subset_planes(t)
     kept = list(enumerate_models(3, spo, up_to_iso=True))[-1]
+    assert kept is _iso_candidates(3, _split_constraints(spo)[0])._kept[-1]
     assert type(kept._subset_planes) is list
     assert type(kept._subset_planes[0]) is tuple
     # each element a part of the next
@@ -195,7 +197,7 @@ def test_structures_with_filled_caches_pickle_and_copy(protocol):
                   copy.copy(s), copy.deepcopy(s)):
             assert type(y) is ParthoodStructure and y == s
             assert repr(y) == repr(s) and hash(y) == hash(s)
-            assert y._fields() == s._fields()
+            assert y is not s and mask_tuples(y) == mask_tuples(s)
             # the caches filled on first use are filled again
             assert subset_planes(y) == subset_planes(s)
             assert subset_planes(y, True) == subset_planes(s, True)

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -13,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mereo import (
-    AxiomId, DomainError, ParthoodStructure, SearchSpec, TheoryId,
-    canonical_form, check_axiom, count_models, enumerate_models, find_model,
-    is_canonical, satisfies, theory_axioms, verify_implication,
+    AxiomId, DomainError, ParthoodStructure, SearchResult, SearchSpec,
+    TheoryId, canonical_form, check_axiom, count_models, enumerate_models,
+    find_model, is_canonical, satisfies, theory_axioms, verify_implication,
 )
 from mereo import axioms, core, search, sums
 from mereo.axioms import CATALOG_ORDER, CatalogError, axiom_id
@@ -23,7 +26,7 @@ from mereo.search import (
     _all_masks, _canonical_masks, _down_sets, _poset_classes,
     _transitive_masks, _twin_masks,
 )
-from conftest import fixture
+from conftest import fixture, mask_tuples
 from oracles import (
     _REFERENCE, _canonical_form_scan, _is_canonical_scan,
     _literal_split_constraints, _perm_cell_maps, _plain_down_sets, _remap,
@@ -267,6 +270,18 @@ def test_each_candidate_is_built_once(monkeypatch):
     assert [s.relation_mask for s in models] == masks
 
 
+def _count_element_ids(monkeypatch):
+    made = [0]
+    element_id = core.ElementId
+
+    def counted(*args):
+        made[0] += 1
+        return element_id(*args)
+
+    monkeypatch.setattr(core, "ElementId", counted)
+    return made
+
+
 @pytest.mark.parametrize("spec", [
     SearchSpec(max_n=4, ambient=("T", "IRR"), require=("SSP",),
                forbid=("WSP",)),
@@ -280,14 +295,9 @@ def test_each_candidate_is_built_once(monkeypatch):
 ], ids=["posets", "transitive", "transitive-labelled", "orderly",
         "all-labelled"])
 def test_exhausted_search_builds_no_labels(spec, monkeypatch):
-    made = [0]
-    element_id = core.ElementId
-
-    def counted(*args):
-        made[0] += 1
-        return element_id(*args)
-
-    monkeypatch.setattr(core, "ElementId", counted)
+    # the labels an earlier test read on a shared model stay with it
+    search._iso_candidates.cache_clear()
+    made = _count_element_ids(monkeypatch)
     r = find_model(spec)
     assert r.found is None and r.exhausted and r.explored > 0
     assert made[0] == 0
@@ -1299,27 +1309,38 @@ def _unshared_iso_walk(n, constraints):
 
 
 def _iso_walk(n, codes):
-    """The walk _iso_candidates makes at size n for the generating
-    codes."""
+    """The walk _iso_candidates shares at size n for the generating
+    codes, None if it shares none."""
     return search._iso_candidates(n, _row(codes))
 
 
-_SLOTS = ("n", "full", "rows", "parts_in", "ing_of", "ing_up", "ov_of",
-          "universe")
+_SLOTS = ("n", "full", "_labels", "rows", "parts_in", "ing_of", "ing_up",
+          "ov_of")
 
 
 def _assert_built_afresh(s, n, mask):
-    """s equals a fresh, validated build of the encoding slot by slot."""
+    """s equals a fresh, validated build of the encoding slot by slot,
+    each of its masks a tuple; what s has filled on first use (its
+    universe, label index and subset planes) equals what the fresh
+    build fills, and nothing of s is filled here."""
     want = ParthoodStructure.from_mask(n, mask)
     for slot in _SLOTS:
         assert getattr(s, slot) == getattr(want, slot), slot
-    assert s._subset_planes is None
+    assert [type(f) for f in mask_tuples(s)] == [tuple] * 5
+    if s._universe is not None:
+        assert s._universe == want.universe
+    if s._label_index is not None:
+        want.index(want._labels[0])
+        assert s._label_index == want._label_index
+    if s._subset_planes is not None:
+        _assert_kept_planes(s._subset_planes, n, mask)
 
 
 def _kept(walk):
-    """The structures the walk keeps, one per class in walk order: every
-    read of the walk's store goes through here."""
-    return walk._kept
+    """The structures the walk keeps, one per class in walk order, and
+    none if it is not shared: every read of the walk's store goes
+    through here."""
+    return [] if walk is None else walk._kept
 
 
 def _kept_planes(walk):
@@ -1329,38 +1350,40 @@ def _kept_planes(walk):
 
 
 def _assert_store_aligned(walk, n, want):
-    """The walk keeps a prefix of the classes want, in order, if shared,
-    and nothing if not: a structure of each, equal to a fresh build,
-    with its default labels shared and unread, holding None or that
-    class's subset planes; and all of want, with room for both planes of
-    each, is within the budget if the walk is shared."""
+    """A shared walk keeps a prefix of the classes want, in order: a
+    structure of each, equal to a fresh build, with its default labels
+    shared and, as no caller here reads them, unread, holding None or
+    that class's subset planes; and all of want, with room for both
+    planes of each, is within the budget."""
+    if walk is None:
+        return
     kept = _kept(walk)
-    assert len(kept) <= len(want) * walk._shared
+    assert len(kept) <= len(want)
     for s, mask in zip(kept, want):
-        fields = s._fields()
-        assert [type(f) for f in fields] == [tuple] * 5
-        _assert_built_afresh(ParthoodStructure._from_fields(n, fields), n,
-                             mask)
+        _assert_built_afresh(s, n, mask)
         assert s._labels is core._DEFAULT_LABEL_TUPLES[n]
         assert s._universe is None and s._label_index is None
-        if s._subset_planes is not None:
-            _assert_kept_planes(s._subset_planes, n, mask)
-    if walk._shared:
-        assert _store_bytes(walk) <= len(want) * _per_class(n) \
-            <= search.WALK_BUDGET_BYTES
+    assert _store_bytes(walk) <= len(want) * _per_class(n) \
+        <= search.WALK_BUDGET_BYTES
 
 
 def _class_bytes(s):
     """What keeping s costs, recounted by sys.getsizeof: the structure
-    and its slot in a list, each of its tuples, whose values are small
-    ints a process shares, like its full mask and its default labels;
-    its planes list, if it has one, with each tuple filled in it and
-    each plane int."""
+    and its slot in a list, each of its mask tuples, whose values are
+    small ints a process shares, like its full mask and its default
+    labels; its universe with each ElementId and its label index, if
+    read; its planes list, if it has one, with each tuple filled in it
+    and each plane int."""
     size = sys.getsizeof(s) + 8
     assert 0 <= s.full < 256
-    for f in s._fields():
+    for f in mask_tuples(s):
         assert all(0 <= v < 256 for v in f)
         size += sys.getsizeof(f)
+    if s._universe is not None:
+        size += sys.getsizeof(s._universe)
+        size += sum(map(sys.getsizeof, s._universe))
+    if s._label_index is not None:
+        size += sys.getsizeof(s._label_index)
     planes = s._subset_planes
     if planes is not None:
         assert type(planes) is list and len(planes) == 2
@@ -1431,7 +1454,8 @@ def test_interleaved_consumers_see_one_sequence(constraints):
     want = _unshared_iso_walk(n, constraints)
     # consumer k reads k+1 values a round, so each passes the end of the
     # shared list at different times
-    streams = [iter(_iso_walk(n, constraints)) for _ in range(3)]
+    walk = _iso_walk(n, constraints)
+    streams = [walk.checked(()) for _ in range(3)]
     seen = [[] for _ in streams]
     live = True
     while live:
@@ -1441,13 +1465,13 @@ def test_interleaved_consumers_see_one_sequence(constraints):
             seen[k] += chunk
             live |= bool(chunk)
     assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
-    # the consumer that found a class built the walk's structure for it;
-    # each consumer got a copy of that structure, a structure of its own
-    kept = _kept(_iso_walk(n, constraints))
+    # the consumer that found a class built the walk's structure for it,
+    # and every consumer was handed that structure
+    kept = _kept(walk)
+    assert len(kept) == len(want)
     for m, k, structures in zip(want, kept, zip(*seen)):
-        assert len({id(s) for s in structures + (k,)}) == 4
-        for s in structures:
-            _assert_built_afresh(s, n, m)
+        assert all(s is k for s in structures)
+        _assert_built_afresh(k, n, m)
     assert enumerate_model_masks(n, constraints) == want
 
 
@@ -1500,10 +1524,10 @@ def test_walks_hand_on_the_split_rows_of_each_class(has_t, has_irr, top):
         assert [m for m, _ in yielded] == _unshared_iso_walk(n, codes)
         for m, rows in yielded:
             assert type(rows) is tuple and rows == tuple(_rows(n, m))
-        assert walk._shared
-        assert len(list(walk)) == len(yielded)
-        assert [s._fields() for s in _kept(walk)] \
-            == [ParthoodStructure.from_mask(n, m)._fields()
+        assert walk is not None
+        assert len(list(walk.checked(()))) == len(yielded)
+        assert [mask_tuples(s) for s in _kept(walk)] \
+            == [mask_tuples(ParthoodStructure.from_mask(n, m))
                 for m, _ in yielded]
 
 
@@ -1517,23 +1541,24 @@ def test_labelled_walks_hand_on_the_split_rows_of_each_relation():
         for codes in ((), ("T",)):
             for s in enumerate_models(n, codes, up_to_iso=False):
                 want = ParthoodStructure.from_mask(n, s.relation_mask)
-                assert s._fields() == want._fields()
+                assert mask_tuples(s) == mask_tuples(want)
 
 
 @pytest.mark.parametrize("key", _ISO_KEYS)
 def test_second_pass_structures_equal_fresh_builds(key):
     search._iso_candidates.cache_clear()
     walk = _iso_walk(key[0], _generating_codes(key))
-    first = list(walk)
-    second = list(walk)
+    first = list(walk.checked(()))
+    second = list(walk.checked(()))
     n = key[0]
     want = _unshared_iso_walk(n, _generating_codes(key))
     assert [s.relation_mask for s in first] == want
-    assert len(second) == len(want)
+    assert len(second) == len(want) == len(_kept(walk))
+    # both passes are handed the structure the walk keeps for each class
     for m, s, t, k in zip(want, first, second, _kept(walk)):
-        assert t is not s and k is not s and k is not t
+        assert s is t is k
         _assert_built_afresh(s, n, m)
-        _assert_built_afresh(t, n, m)
+        assert s._subset_planes is None
     _assert_store_aligned(walk, n, want)
 
 
@@ -1578,45 +1603,44 @@ def test_second_pass_structures_carry_the_kept_subset_tables(key):
     want = _unshared_iso_walk(n, _generating_codes(key))
     assert len(_kept(walk)) == len(want)
     assert None not in _kept_planes(walk)
-    second = list(walk)
+    second = list(walk.checked(()))
     assert len(second) == len(want)
     for i, (m, s) in enumerate(zip(want, second)):
+        assert s is _kept(walk)[i]
         planes = s._subset_planes
         assert planes is _kept_planes(walk)[i]
         assert planes[0] is not None
         assert sums.subset_planes(s) is planes[0]
         _assert_kept_planes(planes, n, m)
-        # the supremum planes a copy fills go into the one shared list
+        # the supremum planes a later search fills go into the same list
         assert sums.subset_planes(s, True) is planes[1] is not None
         assert _kept(walk)[i]._subset_planes is planes
     _assert_store_aligned(walk, n, want)
     assert count_models(n, ["U_SUM"] + _generating_codes(key)) == first
 
 
-def test_a_walk_above_eight_elements_keeps_nothing():
+def test_a_walk_above_eight_elements_keeps_nothing(monkeypatch):
     # no row counts the classes on nine elements, so no walk there is
-    # shared; here a chain and an antichain stand for one's classes
+    # shared; here a chain and an antichain stand for the posets' classes
     n = 9
     chain = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n))
     want = [0, chain]
     search._iso_candidates.cache_clear()
-    walk = _iso_walk(n, SPO)
-    walk._start = lambda: ((m, tuple(_rows(n, m))) for m in want)
-    try:
-        assert not walk._shared
-        seen = []
-        for _ in range(2):
-            got = []
-            for s in walk:
-                _assert_built_afresh(s, n, want[len(got)])
-                sums.subset_planes(s)   # planes a shared walk would keep
-                got.append(s)
-            assert [s.relation_mask for s in got] == want
-            assert _kept(walk) == []
-            seen += got
-        assert len({id(s) for s in seen}) == 2 * len(want)
-    finally:
-        search._iso_candidates.cache_clear()
+    assert [_iso_walk(n, codes) for codes in _ROW_CODES] == [None] * 4
+    monkeypatch.setattr(_row(SPO), "iso", lambda k: (
+        (m, tuple(_rows(k, m))) for m in want))
+    seen = []
+    for _ in range(2):
+        got = list(enumerate_models(n, SPO))
+        assert [s.relation_mask for s in got] == want
+        for s, m in zip(got, want):
+            # built by this search, so nothing is filled yet
+            assert s._subset_planes is None
+            _assert_built_afresh(s, n, m)
+            sums.subset_planes(s)   # planes a shared walk would keep
+        seen += got
+    assert len({id(s) for s in seen}) == 2 * len(want)
+    assert _iso_walk(n, SPO) is None
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -1627,12 +1651,12 @@ def test_walk_costs_are_one_class_and_one_table_pair_by_getsizeof(n):
     for walk in search._WALKS:
         if n <= 8:
             assert search._class_bytes(n) == _per_class(n)
-            assert search._iso_candidates(n, walk)._shared == (
+            assert (search._iso_candidates(n, walk) is not None) == (
                 walk.counts[n - 1] * _per_class(n)
                 <= search.WALK_BUDGET_BYTES)
         else:
             assert len(walk.counts) == 8
-            assert not search._iso_candidates(n, walk)._shared
+            assert search._iso_candidates(n, walk) is None
     search._iso_candidates.cache_clear()
 
 
@@ -1663,28 +1687,32 @@ def test_a_walk_that_raises_keeps_its_tables_aligned(constraints,
     assert builds[0] == len(_kept(walk)) - kept == len(classes) - kept
 
 
-def test_a_search_that_stops_keeps_no_tables_for_its_last_class():
-    # planes a forbid check builds on the model it is handed wait until
-    # the search asks for the next class, so a search that stops keeps
-    # none for its last class
+def test_a_search_that_stops_keeps_the_tables_of_its_last_class(
+        monkeypatch):
+    # a forbid check runs on the model the search is handed, the
+    # structure the walk keeps, so the planes it builds stay with the
+    # class, the one where the search stops included
     search._iso_candidates.cache_clear()
     spec = SearchSpec(max_n=4, require=("ANTIS",), forbid=("DAGGER",))
     found = find_model(spec).found
     walk = _iso_walk(4, ())
     want = _unshared_iso_walk(4, ())
     last = want.index(found.relation_mask)
-    assert last == len(_kept(walk)) - 1
-    # DAGGER read both planes of every explored model before the last one
+    assert last == len(_kept(walk)) - 1 and found is _kept(walk)[last]
+    # DAGGER read both planes of every explored model, the last one too
     explored = [i for i, m in enumerate(want[:last + 1])
                 if satisfies(ParthoodStructure.from_mask(4, m), ["ANTIS"])]
     planes = _kept_planes(walk)
-    assert all(None not in planes[i] for i in explored[:-1])
-    assert explored[-1] == last and planes[last] is None
-    # the same search stops there again; a search that passes it keeps them
-    assert find_model(spec).found == found
-    assert _kept_planes(walk)[last] is None
+    assert explored[-1] == last
+    assert all(None not in planes[i] for i in explored)
+    assert found._subset_planes is planes[last]
+    _assert_kept_planes(planes[last], 4, found.relation_mask)
+    # the same search stops there again, reading the planes it kept
+    table_builds = _count_table_builds(monkeypatch)
+    assert find_model(spec).found is found
+    assert table_builds[0] == 0
     count_models(4, ["ANTIS", "U_SUM"])
-    _assert_kept_planes(_kept_planes(walk)[last], 4, found.relation_mask)
+    assert _kept_planes(walk)[last] is planes[last]
     _assert_store_aligned(walk, 4, want)
 
 
@@ -1701,6 +1729,7 @@ def test_tables_the_walk_checks_build_are_kept_at_once():
     want = _unshared_iso_walk(2, ())
     assert len(_kept(walk)) == want.index(found.relation_mask) + 1
     assert None not in _kept_planes(walk)
+    assert found is _kept(walk)[-1]
     assert found._subset_planes is _kept_planes(walk)[-1]
     assert None not in found._subset_planes
     _assert_store_aligned(walk, 2, want)
@@ -1712,21 +1741,28 @@ def test_tables_the_walk_checks_build_are_kept_at_once():
     _assert_store_aligned(walk, 3, _unshared_iso_walk(3, ()))
 
 
-def test_searches_over_one_walk_share_no_structure():
+def test_searches_over_one_walk_share_each_structure():
     search._iso_candidates.cache_clear()
+    want = _unshared_iso_walk(3, ())
     ours = list(enumerate_models(3, ()))
     theirs = list(enumerate_models(3, ()))
-    assert [a.rows for a in ours] == [b.rows for b in theirs]
-    assert all(a is not b for a, b in zip(ours, theirs))
-    # they share the immutable field tuples the first build made
-    assert all(a._fields()[i] is b._fields()[i]
-               for a, b in zip(ours, theirs) for i in range(5))
+    assert [a.relation_mask for a in ours] == want
+    # both are handed the structure the walk keeps for each class, which
+    # equals a fresh build slot by slot
+    assert all(a is b is k for a, b, k in zip(ours, theirs,
+                                              _kept(_iso_walk(3, ()))))
+    for a, m in zip(ours, want):
+        assert a._subset_planes is None and a._universe is None
+        _assert_built_afresh(a, 3, m)
+    # what one search fills on a model, the other reads, and it equals
+    # what a fresh build fills
     for a in ours:
         sums.subset_planes(a)
         a.universe
-    for b in theirs:
-        assert b._subset_planes is None
-        assert b._universe is None
+    for b, m in zip(theirs, want):
+        assert b._subset_planes is not None and b._universe is not None
+        _assert_built_afresh(b, 3, m)
+    search._iso_candidates.cache_clear()
 
 
 @pytest.fixture
@@ -1751,11 +1787,12 @@ def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
     classes = _unshared_iso_walk(n, codes)
     walk_budget(budget)
     walk = _iso_walk(n, codes)
-    assert walk._shared == (len(classes) * _per_class(n) <= budget)
+    shared = len(classes) * _per_class(n) <= budget
+    assert (walk is not None) == shared
     for _ in range(2):
         assert [enumerate_model_masks(n, c) for c in searches] == want
         _assert_store_aligned(walk, n, classes)
-    assert len(_kept(walk)) == len(classes) * walk._shared
+    assert len(_kept(walk)) == len(classes) * shared
 
 
 def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
@@ -1769,22 +1806,20 @@ def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
     cold_checked = checked[:]
     # U_SUM reads every class's sum planes: 53 of the 3,044 classes fit
     walk_budget(50_000)
-    walk = _iso_walk(n, ())
-    assert not walk._shared and 50_000 // _per_class(n) == 53
+    assert _iso_walk(n, ()) is None and 50_000 // _per_class(n) == 53
     builds = _count_builds(monkeypatch)
     table_builds = _count_table_builds(monkeypatch)
+    rounds = []
     for _ in range(2):
         checked.clear()
         builds[0] = table_builds[0] = 0
-        got = []
-        for s in enumerate_models(n, ["U_SUM"]):
-            assert _kept(walk) == []
-            got.append(s.relation_mask)
-        assert got == want
+        got = list(enumerate_models(n, ["U_SUM"]))
+        assert [s.relation_mask for s in got] == want
         # each search walks, builds and checks every class itself
         assert checked == cold_checked
         assert builds[0] == table_builds[0] == len(classes)
-    _assert_store_aligned(walk, n, classes)
+        rounds.append(got)
+    assert all(a is not b for a, b in zip(*rounds))
 
 
 @pytest.mark.parametrize("budget", [1000, 4000])
@@ -1800,15 +1835,16 @@ def test_a_walk_is_shared_whole_or_not_at_all(key, budget, monkeypatch,
     cold_checked = checked[:]
     walk_budget(budget)
     walk = _iso_walk(n, codes)
-    assert walk._shared == (len(want) * _per_class(n) <= budget)
+    shared = len(want) * _per_class(n) <= budget
+    assert (walk is not None) == shared
     rounds = []
     for _ in range(2):
         checked.clear()
         assert enumerate_model_masks(n, codes) == want
         rounds.append(checked[:])
-    assert len(_kept(walk)) == len(want) * walk._shared
+    assert len(_kept(walk)) == len(want) * shared
     # a shared walk is walked once, an unshared one by every search
-    assert rounds == [cold_checked, [] if walk._shared else cold_checked]
+    assert rounds == [cold_checked, [] if shared else cold_checked]
     _assert_store_aligned(walk, n, want)
 
 
@@ -1818,20 +1854,20 @@ def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
     n = 4
     want = _unshared_iso_walk(n, ("IRR",))
     walk_budget(budget)
-    walk = _iso_walk(n, ("IRR",))
-    assert not walk._shared
-    streams = [iter(walk) for _ in range(3)]
+    assert _iso_walk(n, ("IRR",)) is None
+    streams = [enumerate_models(n, ("IRR",)) for _ in range(3)]
     seen = [[] for _ in streams]
     live = True
     while live:
         live = False
         for k, it in enumerate(streams):
             chunk = list(itertools.islice(it, k + 1))
-            seen[k] += [s.relation_mask for s in chunk]
+            seen[k] += chunk
             live |= bool(chunk)
-    assert seen == [want] * 3
-    assert _kept(walk) == []
-    _assert_store_aligned(walk, n, want)
+    assert [[s.relation_mask for s in got] for got in seen] == [want] * 3
+    # each search built a structure of its own for every class
+    handed = [s for got in seen for s in got]
+    assert len({id(s) for s in handed}) == len(handed)
 
 
 # Residual codes a consumer may check, none of which changes the walk a
@@ -1856,11 +1892,11 @@ def _walk_verdicts(key):
     return want, holds
 
 
-def _consumer(walk, n, codes, residual, forbid):
-    """Each model of a search over the walk checking the residual codes
-    (a plain walk if there are none), with whether the forbid code holds
-    on it, checked on the model as find_model checks its forbid codes."""
-    models = enumerate_models(n, codes + residual) if residual else iter(walk)
+def _consumer(n, codes, residual, forbid):
+    """Each model of a search over the walk of the generating codes
+    checking the residual codes, with whether the forbid code holds on
+    it, checked on the model as find_model checks its forbid codes."""
+    models = enumerate_models(n, codes + residual)
     finders = axioms.violation_finders([forbid] if forbid else [])
     for s in models:
         yield s, [find(s) is None for find in finders]
@@ -1890,7 +1926,7 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
     try:
         with mock.patch.object(search, "WALK_BUDGET_BYTES", budget):
             walk = _iso_walk(n, codes)
-            streams = [_consumer(walk, n, codes, residual, forbid)
+            streams = [_consumer(n, codes, residual, forbid)
                        for residual, forbid in consumers]
             seen = [[] for _ in streams]
             for k, count in steps + [(k, None) for k in range(3)]:
@@ -1902,11 +1938,14 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
                 assert [s.relation_mask for s, _ in got] == models
                 assert [verdicts for _, verdicts in got] == [
                     [m in holds[forbid]] if forbid else [] for m in models]
-            # each model is a structure of its own, none of them kept
+            # a shared walk hands every consumer the structure it keeps
+            # for each class; each unshared search builds its own
             handed = [s for got in seen for s, _ in got]
-            kept = _kept(walk)
-            assert len({id(s) for s in handed + kept}) \
-                == len(handed) + len(kept)
+            if walk is None:
+                assert len({id(s) for s in handed}) == len(handed)
+            else:
+                by_mask = {k.relation_mask: k for k in _kept(walk)}
+                assert all(s is by_mask[s.relation_mask] for s in handed)
             for s in handed:
                 if s._subset_planes is not None:
                     _assert_kept_planes(s._subset_planes, n, s.relation_mask)
@@ -1920,11 +1959,11 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
         search._iso_candidates.cache_clear()
 
 
-def test_a_handed_out_structure_is_never_the_kept_one_nor_another_consumers():
+def test_every_consumer_is_handed_the_kept_structure():
     search._iso_candidates.cache_clear()
     walk = _iso_walk(3, ())
     ours = enumerate_models(3, ["U_SUM"])
-    theirs = iter(walk)
+    theirs = walk.checked(())
     seen = [[], []]
     for k in itertools.cycle((0, 1, 1)):
         s = next((ours, theirs)[k], None)
@@ -1933,36 +1972,114 @@ def test_a_handed_out_structure_is_never_the_kept_one_nor_another_consumers():
         seen[k].append(s)
     seen[0] += ours
     seen[1] += theirs
-    assert [s.relation_mask for s in seen[1]] == _unshared_iso_walk(3, ())
+    want = _unshared_iso_walk(3, ())
+    assert [s.relation_mask for s in seen[1]] == want
     assert len(seen[0]) == count_models(3, ["U_SUM"]) > 0
-    handed = seen[0] + seen[1]
+    # each is the structure the walk keeps for its class, equal to a
+    # fresh build, with the sum planes the U_SUM search built on it
     kept = _kept(walk)
-    assert len({id(s) for s in handed + kept}) == len(handed) + len(kept)
-    # the copies share the kept field tuples and planes list
+    assert len(kept) == len(want)
+    assert all(s is k for s, k in zip(seen[1], kept))
     by_mask = {k.relation_mask: k for k in kept}
-    for s in handed:
-        k = by_mask[s.relation_mask]
-        assert all(a is b for a, b in zip(s._fields(), k._fields()))
     for s in seen[0]:
-        assert s._subset_planes is by_mask[s.relation_mask]._subset_planes
+        assert s is by_mask[s.relation_mask]
+        assert s._subset_planes[0] is not None
+    for k, m in zip(kept, want):
+        _assert_built_afresh(k, 3, m)
 
 
-def test_a_repeated_search_copies_only_the_classes_that_pass(monkeypatch):
+def _live_structures():
+    """How many structures the process holds, by the garbage collector,
+    which tracks every instance however it was made."""
+    gc.collect()
+    return sum(type(o) is ParthoodStructure for o in gc.get_objects())
+
+
+def test_a_repeated_search_builds_and_copies_nothing(monkeypatch):
     search._iso_candidates.cache_clear()
-    assert count_models(4, ["U_SUM"]) == 25
+    first = list(enumerate_models(4, ["U_SUM"]))
+    assert len(first) == 25
     builds = _count_builds(monkeypatch)
-    copies = [0]
-    from_fields = ParthoodStructure._from_fields
+    live = _live_structures()
+    again = list(enumerate_models(4, ["U_SUM"]))
+    # 3,044 classes checked, and the 25 that pass handed on as kept
+    assert builds[0] == 0 and _live_structures() == live
+    assert len(again) == 25 and all(a is b for a, b in zip(first, again))
+    # the counters see a copy and a build
+    twins = [copy.copy(first[0]), ParthoodStructure.from_mask(1, 0)]
+    assert builds[0] == 2 and _live_structures() == live + len(twins)
 
-    def counted(cls, *args):
-        copies[0] += 1
-        return from_fields(*args)
 
-    monkeypatch.setattr(ParthoodStructure, "_from_fields",
-                        classmethod(counted))
-    assert count_models(4, ["U_SUM"]) == 25
-    # 3,044 classes checked, 25 structures made, none built
-    assert (builds[0], copies[0]) == (0, 25)
+def test_comparing_models_builds_no_labels(monkeypatch):
+    # equality and hashing read the label strings and the rows, so a
+    # model compared with another, or reported in a SearchResult that is,
+    # builds no ElementId
+    search._iso_candidates.cache_clear()
+    made = _count_element_ids(monkeypatch)
+    models = list(enumerate_models(4, SPO))
+    fresh = [ParthoodStructure.from_mask(4, s.relation_mask) for s in models]
+    assert models == fresh and models[0] != models[1]
+    assert [hash(s) for s in models] == [hash(t) for t in fresh]
+    assert len(set(models + fresh)) == len(models) == 16
+    assert SearchResult(models[-1], 3, False) \
+        == SearchResult(fresh[-1], 3, False)
+    assert SearchResult(models[-1], 3, False) \
+        != SearchResult(models[-2], 3, False)
+    assert made[0] == 0
+    assert all(s._universe is None for s in models + fresh)
+
+
+def test_a_kept_structure_pickles_and_copies_to_a_fresh_build(monkeypatch):
+    search._iso_candidates.cache_clear()
+    assert count_models(4, ["U_SUM"]) == 25     # planes on every class
+    kept = _kept(_iso_walk(4, ()))[::300]
+    assert len(kept) == 11 and None not in _kept_planes(_iso_walk(4, ()))
+    builds = _count_builds(monkeypatch)
+    for s in kept:
+        copies = (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                  copy.deepcopy(s))
+        for y in copies:
+            assert type(y) is ParthoodStructure and y is not s and y == s
+            assert mask_tuples(y) == mask_tuples(s)
+            # the masks were derived again; what fills on first use is
+            # left to fill again
+            assert y._subset_planes is None and y._universe is None
+            assert sums.subset_planes(y) == sums.subset_planes(s)
+    assert builds[0] == 3 * len(kept)
+
+
+def test_shared_models_with_their_labels_read_stay_within_the_budget():
+    # every walk the table shares, with the universe and the label index
+    # of every model read and both planes of every class built: the
+    # labels stay on the structures the walk keeps
+    search._iso_candidates.cache_clear()
+    largest = []
+    try:
+        for codes, walk in zip(_ROW_CODES, search._WALKS):
+            for n in range(1, len(walk.counts) + 1):
+                shared = _iso_walk(n, codes)
+                if shared is None:
+                    continue
+                for s in shared.checked(()):
+                    assert [e.label for e in s.universe] \
+                        == list(core.DEFAULT_LABELS[:n])
+                    assert s.index(s._labels[-1]) == n - 1
+                    sums.subset_planes(s)
+                    sums.subset_planes(s, True)
+                kept = _kept(shared)
+                assert len(kept) == walk.counts[n - 1]
+                assert all(s._universe is not None
+                           and s._label_index is not None for s in kept)
+                largest.append((_store_bytes(shared), n, codes))
+                assert largest[-1][0] <= search.WALK_BUDGET_BYTES
+    finally:
+        search._iso_candidates.cache_clear()
+    # posets to 7 elements, T to 5, IRR and all relations to 4; the
+    # largest two, 4.09 and 4.19 MB, are the posets on 7 elements and
+    # all relations on 4
+    assert len(largest) == 7 + 5 + 4 + 4
+    assert [(n, codes) for _, n, codes in sorted(largest)[-2:]] \
+        == [(7, SPO), (4, ())]
 
 
 _GENERATING = [(), ("T",), ("IRR",), ("T", "IRR")]

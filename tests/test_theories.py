@@ -5,6 +5,9 @@ from mereo import (
     enumerate_models, find_model, holds, satisfies, theory_axioms,
     verify_implication,
 )
+from mereo.axioms import CATALOG, CATALOG_ORDER
+from mereo.search import _WALKS, _split_constraints
+from mereo.theories import DERIVED_THESES, THEORY_AXIOMS
 
 from conftest import fixture
 
@@ -154,3 +157,118 @@ def test_mcm_c_bsum_overlap_reformulation():
                     assert closure == is_sum(s, z, [x, y])
                 if any(s.ing(x, u) and s.ing(y, u) for u in s.universe):
                     assert any(is_sum(s, z, [x, y]) for z in s.universe)
+
+
+# -- the thesis table, both ways ----------------------------------------------
+
+def _class_vectors(max_n):
+    """The size of each poset class up to max_n elements, in poset-walk
+    order, with the catalog codes that hold on it: one verdict vector
+    per class, each distinct finder run once."""
+    finders = {}
+    for code in CATALOG_ORDER:
+        finders.setdefault(CATALOG[code].find_violation, []).append(code)
+    return [(n, frozenset(code for find, codes in finders.items()
+                          if find(s) is None for code in codes))
+            for n in range(1, max_n + 1)
+            for s in enumerate_models(n, ["T", "IRR"])]
+
+
+def _thesis_table(vectors):
+    """For each theory, its unlisted codes (neither its axioms nor its
+    listed theses) by the size of their first countermodel among the
+    classes of vectors, None for those that hold in all its models
+    there, as space-separated code lists; its number of models of each
+    size; and (theory, thesis, size) for each model a listed thesis
+    fails in."""
+    top = max(n for n, _ in vectors)
+    table, models, broken = {}, {}, []
+    for t in TheoryId:
+        axioms, theses = set(THEORY_AXIOMS[t]), DERIVED_THESES[t]
+        mine = [(n, holds) for n, holds in vectors if axioms <= holds]
+        models[t.value] = [sum(n == k for n, _ in mine)
+                           for k in range(1, top + 1)]
+        broken += [(t.value, code.value, n) for n, holds in mine
+                   for code in theses if code not in holds]
+        cells = {}
+        for code in CATALOG_ORDER:
+            if code not in axioms and code not in theses:
+                first = next((n for n, holds in mine if code not in holds),
+                             None)
+                cells.setdefault(first, []).append(code.value)
+        table[t.value] = {k: " ".join(codes) for k, codes in cells.items()}
+    return table, models, broken
+
+
+# two atoms and nothing else: no sum of both, no unity
+_SUMS_FAIL = "E_BSUM E_SUM UNITY"
+
+# The unlisted codes of each theory by the size of their first
+# countermodel among the poset classes, in poset-walk order, up to n=7.
+# None is open to n=7:
+#   T2: its models are T3's to n=9, so if T2 proves SSP they coincide;
+#   MSPO_DAG, MSPO_DDAG: one countermodel at n=8, for all three;
+#   MCM: no countermodel to n=9;
+#   GM, GMU: finite GM models are CM models (3 to n=8), which have both.
+_FIRST_COUNTERMODELS = {
+    "SPO": {1: "SUP_SUB_SUM",
+            2: "NO_ZERO EXISTS_EXT WSP SSP SSP_OV SSP_EXT SSP_PLUS U_SUM "
+               "S_SUM EXT_OV EXT_EXT DOLLAR_EXT DOLLAR_OV DIAMOND "
+               "SUM_SUB_SUP DDAGGER E_BSUM E_SUM UNITY",
+            3: "PPP EXT_PP", 4: "DAGGER C_PROD C_BSUM"},
+    "T1": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+           4: "SSP_PLUS DAGGER DDAGGER C_BSUM",
+           5: "SSP SSP_OV SSP_EXT PPP DOLLAR_EXT DOLLAR_OV SUM_SUB_SUP "
+              "C_PROD"},
+    "T2": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+           4: "SSP_PLUS DAGGER DDAGGER C_BSUM", 6: "C_PROD",
+           None: "SSP SSP_OV SSP_EXT DOLLAR_EXT DOLLAR_OV SUM_SUB_SUP"},
+    "T3": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+           4: "SSP_PLUS DAGGER DDAGGER C_BSUM", 6: "C_PROD"},
+    "MSPO_DAG": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+                 None: "SSP_PLUS C_PROD C_BSUM"},
+    "MSPO_DDAG": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+                  None: "SSP_PLUS C_PROD C_BSUM"},
+    "MEM": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+            4: "SSP_PLUS DAGGER DDAGGER C_BSUM"},
+    "MCM": {1: "SUP_SUB_SUM", 2: _SUMS_FAIL,
+            None: "SSP_PLUS DAGGER DDAGGER"},
+    "GM": {1: "SUP_SUB_SUM", None: "E_SUM UNITY"},
+    "GMU": {1: "SUP_SUB_SUM", None: "E_SUM"},
+    "CM": {1: "SUP_SUB_SUM"},
+}
+
+# Each theory's models of each size up to n=7, up to isomorphism.
+_MODELS = {
+    "SPO": [1, 2, 5, 16, 63, 318, 2045],
+    "T1": [1, 1, 2, 3, 7, 19, 69],
+    "T2": [1, 1, 2, 3, 6, 14, 38],
+    "T3": [1, 1, 2, 3, 6, 14, 38],
+    "MSPO_DAG": [1, 1, 2, 2, 3, 5, 8],
+    "MSPO_DDAG": [1, 1, 2, 2, 3, 5, 8],
+    "MEM": [1, 1, 2, 3, 6, 13, 31],
+    "MCM": [1, 1, 2, 2, 3, 5, 8],
+    "GM": [1, 0, 1, 0, 0, 0, 1],
+    "GMU": [1, 0, 1, 0, 0, 0, 1],
+    "CM": [1, 0, 1, 0, 0, 0, 1],
+}
+
+
+def test_every_theory_has_only_poset_models():
+    # each names T and IRR, or T and WSP, which entails IRR: its axioms
+    # select the poset walk, whose classes hold every model up to
+    # isomorphism
+    for t in TheoryId:
+        assert _split_constraints(THEORY_AXIOMS[t])[0] is _WALKS[0], t
+
+
+def test_the_thesis_table_to_seven_elements():
+    vectors = _class_vectors(7)
+    assert len(vectors) == 2450
+    assert len({holds for _, holds in vectors}) == 46
+    table, models, broken = _thesis_table(vectors)
+    # every listed thesis holds in every model, and every unlisted code
+    # fails in one, or is open
+    assert broken == []
+    assert table == _FIRST_COUNTERMODELS
+    assert models == _MODELS
