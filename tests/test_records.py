@@ -17,7 +17,7 @@ from mereo import (
     LocalTransitivityVerdict, ParthoodStructure, PartPath, SearchResult,
     SearchSpec, Subset, SumQueryResult, SupQueryResult, TheoryId,
     TheoryVerdict, Verdict, check_axiom, check_theory, is_acyclic,
-    is_locally_transitive,
+    is_locally_transitive, verify_implication,
 )
 from mereo.axioms import AxiomInfo
 from mereo.search import _iso_candidates, _split_constraints, enumerate_models
@@ -212,6 +212,15 @@ def test_copy_round_trip(make, fields, text):
 
 
 def test_search_spec_refusals_in_order():
+    # a max_n that is not an int is refused before its range is read,
+    # not left to fail inside a search's range()
+    for max_n, name in ((2.0, "float"), (2.5, "float"), (0.0, "float"),
+                        ("3", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError,
+                           match=f"^max_n must be an int, not {name}$"):
+            SearchSpec(max_n, ["T"], ["IRR"], ["IRR", "T"])
+    with pytest.raises(TypeError, match="^max_n must be an int, not float$"):
+        verify_implication((), ["U_SUM"], "S_SUM", max_n=3.0)
     with pytest.raises(ValueError, match="max_n must be at least 1"):
         SearchSpec(0, ["T"], ["IRR"], ["IRR", "T"])
     with pytest.raises(CatalogError):

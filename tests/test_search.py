@@ -455,17 +455,82 @@ def test_random_strict_order_has_its_class_in_the_poset_classes(case):
 def test_poset_classes_canonicalise_each_class_about_once(monkeypatch):
     # 405 classes for n <= 6, 404 of them built by extension; twin
     # pruning alone canonicalised 730 children
-    calls = [0]
+    calls = []
     canon = search.canonical_form
 
-    def counted(n, mask):
-        calls[0] += 1
-        return canon(n, mask)
+    def counted(n, mask, *vouched):
+        calls.append(vouched)
+        return canon(n, mask, *vouched)
 
     monkeypatch.setattr(search, "canonical_form", counted)
     _poset_classes.cache_clear()
     assert sum(len(_poset_classes(n)) for n in range(1, 7)) == 405
-    assert calls[0] <= 445
+    assert len(calls) <= 445
+    # every child goes with its rows and twins
+    assert all(len(v) == 2 and None not in v for v in calls)
+
+
+def test_poset_walk_hands_canonical_form_the_rows_and_twins_of_each_child(
+        monkeypatch):
+    # each child of the walks to n=7, recorded as the walk canonicalises
+    # it, has the vouched rows and twins and the public path's form
+    seen = []
+    canon = search.canonical_form
+
+    def recorded(n, mask, rows, twins):
+        seen.append((n, mask, rows, twins))
+        return canon(n, mask, rows, twins)
+
+    monkeypatch.setattr(search, "canonical_form", recorded)
+    for n in range(2, 8):
+        # the walk at n alone, its parents read from the cache
+        assert _poset_classes.__wrapped__(n) == _poset_classes(n)
+    monkeypatch.undo()
+    assert len(seen) > 2045
+    for n, mask, rows, twins in seen:
+        assert rows == _rows(n, mask)
+        assert twins == _twin_masks(n, rows, sum(
+            1 << x for x, r in enumerate(rows) if r))
+        assert canonical_form(n, mask, rows, twins) == canonical_form(n, mask)
+
+
+@st.composite
+def posets_with_a_down_set(draw, max_m=6):
+    """A strict order on m elements blown up from one on fewer kinds
+    (elements of one kind unrelated, each related to the others as its
+    kind is, so twins), as its rows, and one of its down-sets."""
+    k, kinds = draw(labelled_strict_orders(max_n=4))
+    m = draw(st.integers(min_value=k, max_value=max_m))
+    kind = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    rows = [sum(1 << y for y in range(m)
+                if kinds >> (kind[x] * k + kind[y]) & 1) for x in range(m)]
+    pick = draw(st.integers(0, (1 << m) - 1))
+    down = pick | sum(1 << x for x in range(m) if rows[x] & pick)
+    return m, rows, down
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_a_down_set())
+def test_a_childs_twins_are_its_parents_split_by_the_down_set(case):
+    # a new maximal element over a down-set of any strict order, not only
+    # over the walk's parents and twin-pruned down-sets: the child's twins
+    # derived from the parent's as _poset_classes derives them are
+    # _twin_masks' over the child's non-sinks, and canonical_form reads
+    # them as its public path does
+    m, rows, down = case
+    n = m + 1
+    twins = _twin_masks(m, rows, (1 << m) - 1)
+    new = 1 << m
+    child_rows = [r | new if down >> i & 1 else r
+                  for i, r in enumerate(rows)] + [0]
+    child_twins = [twins[i] & down if down >> i & 1
+                   else twins[i] & ~down if rows[i] else 1 << i
+                   for i in range(m)] + [new]
+    mask = sum(r << (x * n) for x, r in enumerate(child_rows))
+    assert child_twins == _twin_masks(n, child_rows, sum(
+        1 << x for x, r in enumerate(child_rows) if r))
+    assert canonical_form(n, mask, child_rows, child_twins) == (
+        canonical_form(n, mask))
 
 
 def test_census_counts_match_oeis():
@@ -827,6 +892,10 @@ def test_canonical_kernels_refuse_input_outside_the_grid():
         with pytest.raises(DomainError,
                            match=f"^universe size {n} outside 1..12$"):
             canonical_form(n, 0)
+        # vouched rows skip the grid check, not the size check
+        with pytest.raises(DomainError,
+                           match=f"^universe size {n} outside 1..12$"):
+            canonical_form(n, 0, [0] * n)
 
 
 def test_orderly_generation_matches_canonical_filter():

@@ -164,14 +164,17 @@ def test_mcm_c_bsum_overlap_reformulation():
 def _class_vectors(max_n):
     """The size of each poset class up to max_n elements, in poset-walk
     order, with the catalog codes that hold on it: one verdict vector
-    per class, each distinct finder run once."""
+    per class, each distinct finder run once.  Equal pairs are one
+    object: the 202,680 classes to n=9 hold 220 pairs."""
     finders = {}
     for code in CATALOG_ORDER:
         finders.setdefault(CATALOG[code].find_violation, []).append(code)
-    return [(n, frozenset(code for find, codes in finders.items()
-                          if find(s) is None for code in codes))
+    seen = {}
+    return [seen.setdefault(pair, pair)
             for n in range(1, max_n + 1)
-            for s in enumerate_models(n, ["T", "IRR"])]
+            for s in enumerate_models(n, ["T", "IRR"])
+            for pair in [(n, frozenset(code for find, codes in finders.items()
+                                       if find(s) is None for code in codes))]]
 
 
 def _thesis_table(vectors):
