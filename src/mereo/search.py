@@ -26,10 +26,8 @@ down-sets are listed with their ranks, twin-pruned as they are listed
 maximal element is skipped, so each class is canonicalised about once
 (_poset_classes, memoised per size: 428 canonical forms for the 405
 classes up to n=6, 20,855 for 16,999 at n=8), each handed its rows and
-twins, which the walk holds: count_models(8, ["T", "IRR"]) takes
-0.70-0.79 s against 0.76-1.02 s when canonical_form split each child and
-searched its twins, and at n=9 10.7-11.0 s against 12.0-13.7 s (2-core
-Intel Xeon, Python 3.11.7).  Without transitivity an orderly walk down
+twins, which the walk holds, so canonical_form neither splits a child
+nor searches its twins again.  Without transitivity an orderly walk down
 from the full relation generates only canonical encodings
 (_canonical_masks).  Every walk yields each encoding with its rows as a
 tuple (_Rowed), the rows the walk decided or split once, and

@@ -20,6 +20,7 @@ from mereo import ParthoodStructure
 from mereo.cli import load_structure
 from mereo.search import _poset_classes
 from oracles import enumerate_model_masks
+from tables import _closure, _inclusion_family, _raw_relation
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -92,22 +93,6 @@ def o_subsets(labels):
 
 # -- random structures --------------------------------------------------------
 
-def _closure(n: int, mask: int) -> int:
-    rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            for j in range(n):
-                if rows[i] >> j & 1:
-                    acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    return sum(rows[i] << (i * n) for i in range(n))
-
-
 @st.composite
 def structures(draw, max_n=5, transitive=False, irreflexive=False):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -136,28 +121,6 @@ def all_relations(max_n):
     for n in range(1, max_n + 1):
         for mask in range(1 << (n * n)):
             yield ParthoodStructure.from_mask(n, mask)
-
-
-_COMPOSITES = ["".join(c) for k in (2, 3, 4)
-               for c in itertools.combinations("abcd", k)]
-
-
-def _inclusion_family(rng, n, atoms):
-    """The given atoms and n - len(atoms) composites of abcd under strict
-    inclusion, in shuffled order."""
-    labels = list(atoms) + rng.sample(_COMPOSITES, n - len(atoms))
-    rng.shuffle(labels)
-    return ParthoodStructure.build(labels, [
-        (x, y) for x in labels for y in labels if set(x) < set(y)])
-
-
-def _raw_relation(rng, n, closed):
-    """Each ordered pair of distinct elements with chance 0.16, plus a
-    loop; transitively closed when closed."""
-    mask = sum(1 << cell for cell in range(n * n)
-               if cell % (n + 1) and rng.random() < 0.16)
-    mask |= 1 << (rng.randrange(n) * (n + 1))
-    return ParthoodStructure.from_mask(n, _closure(n, mask) if closed else mask)
 
 
 def differential_structures():

@@ -13,15 +13,15 @@ from mereo.axioms import CATALOG
 from mereo.sums import is_sum_mask, sup_candidates
 
 from conftest import (
-    FIXTURE_NAMES, _inclusion_family, _raw_relation, all_fixtures,
-    all_relations, differential_structures, fixture, sparse_relations,
-    structures_maybe_with_zero,
+    FIXTURE_NAMES, all_fixtures, all_relations, differential_structures,
+    fixture, sparse_relations, structures_maybe_with_zero,
 )
 from oracles import (
     _REF_SUBSET_FINDERS, _REFERENCE, _literal_diamond, _literal_dollar,
     _ref_c_prod, _ref_dollar_converse, _ref_ssp_plus, _ref_transitivity_gap,
     dollar_converse_holds,
 )
+from tables import _inclusion_family, _raw_relation
 
 
 def sweep(nmax, ambient=()):

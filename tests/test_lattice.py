@@ -9,8 +9,9 @@ from mereo import (
 )
 from mereo.lattice import zero_report
 
-from conftest import _closure, _inclusion_family, all_fixtures, fixture
+from conftest import all_fixtures, fixture
 from oracles import _first_joinless_mask, _ref_lattice_report
+from tables import _closure, _inclusion_family
 
 
 def test_adjoin_zero_shapes():

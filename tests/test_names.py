@@ -96,3 +96,47 @@ def test_the_scan_sees_a_name_nothing_reaches(tmp_path):
     (tmp_path / "README.md").write_text(
         "lonely, in prose\n```python\nshown()\n```\n")
     assert _unreached(tmp_path) == [("a", "lonely"), ("b", "X")]
+
+
+# -- a test imports shared helpers from a plain module ------------------------
+
+def _test_module_imports(root=ROOT):
+    """(file, module, name) of each import, in a file under root's tests/
+    or frontier/, of a test_*.py module or of a private name from
+    conftest: helpers both need live in a plain module instead."""
+    found = []
+    for folder in ("tests", "frontier"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    pairs = [(a.name, None) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    pairs = [(node.module, a.name) for a in node.names]
+                else:
+                    continue
+                found += [(f"{folder}/{path.name}", module, name)
+                          for module, name in pairs
+                          if module.startswith("test_")
+                          or module == "conftest" and name.startswith("_")]
+    return found
+
+
+def test_no_test_imports_a_test_module_or_a_private_conftest_name():
+    assert _test_module_imports() == []
+
+
+def test_the_scan_sees_an_import_from_a_test_module(tmp_path):
+    # public conftest names and private names of a plain module may be
+    # imported; any import of a test module, or a private conftest name,
+    # may not
+    for folder in ("tests", "frontier"):
+        (tmp_path / folder).mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from conftest import fixture\nfrom oracles import _REFERENCE\n"
+        "from conftest import _closure\n")
+    (tmp_path / "frontier" / "test_b.py").write_text(
+        "from test_a import helper\nimport test_a\n")
+    assert _test_module_imports(tmp_path) == [
+        ("tests/test_a.py", "conftest", "_closure"),
+        ("frontier/test_b.py", "test_a", "helper"),
+        ("frontier/test_b.py", "test_a", None)]

@@ -30,8 +30,9 @@ from conftest import fixture, mask_tuples
 from oracles import (
     _REFERENCE, _canonical_form_scan, _is_canonical_scan,
     _literal_split_constraints, _perm_cell_maps, _plain_down_sets, _remap,
-    enumerate_model_masks, least_countermodel_size,
+    enumerate_model_masks,
 )
+from tables import _law_breaks, _live_claims
 
 
 def _masks(walk):
@@ -1177,76 +1178,8 @@ def _recorded_claims():
     return {tuple(c[:3]): (c[3], c[4]) for c in doc["claims"]}
 
 
-def _law_breaks(claims):
-    """(closure triples, ambient pairs, claims breaking a law) of a table
-    (ambient, from, to) -> (max_n, countermodel size or None)."""
-
-    def refutes_by(key, size):
-        # the claim at key is refuted at most at size, unless it was not
-        # searched that far
-        max_n, got = claims[key]
-        return size > max_n or got is not None and got <= size
-
-    # closure: A => B exhausted to k makes every countermodel of A => C
-    # at a size s <= k one of B => C, refuted by s
-    by_hypothesis = {}
-    for (ambient, a, c), (_, s) in claims.items():
-        by_hypothesis.setdefault((ambient, a), []).append((c, s))
-    triples, broken = 0, []
-    for (ambient, a, b), (k, exhausted) in claims.items():
-        if exhausted is not None:
-            continue
-        for c, s in by_hypothesis[ambient, a]:
-            if c == b or (ambient, b, c) not in claims:
-                continue
-            triples += 1
-            if s is not None and s <= k \
-                    and not refutes_by((ambient, b, c), s):
-                broken.append((ambient, a, b, c))
-    # ambient monotonicity: a countermodel under T or IRR is one under
-    # no ambient
-    pairs = 0
-    for (ambient, a, c), (_, s) in claims.items():
-        if ambient and ("", a, c) in claims:
-            pairs += 1
-            if s is not None and not refutes_by(("", a, c), s):
-                broken.append((ambient, a, c))
-    return triples, pairs, broken
-
-
 def test_recorded_claims_obey_closure_and_ambient_monotonicity():
     assert _law_breaks(_recorded_claims()) == (10_594, 1_800, [])
-
-
-def _live_claims(max_n):
-    """(ambient, from, to) -> least countermodel size or None, searched
-    live for every claim of one code to another under no ambient, IRR
-    and T (the ambient's own code may be the hypothesis, never the
-    conclusion), and the claims whose result is wrong: a size other than
-    the labelled brute force's, `exhausted` set with a countermodel or
-    clear without one, or a countermodel that _REFERENCE does not find a
-    model of ambient and hypothesis violating the conclusion."""
-    sizes, wrong = {}, []
-    for ambient in ("", "IRR", "T"):
-        ambients = [ambient] if ambient else []
-        for a in CATALOG_ORDER:
-            given = ambients + [a.value]
-            for c in CATALOG_ORDER:
-                if c is a or c.value == ambient:
-                    continue
-                r = verify_implication(ambients, [a], c, max_n)
-                s = r.found
-                key = (ambient, a.value, c.value)
-                sizes[key] = None if s is None else s.n
-                if sizes[key] != least_countermodel_size(given, c, max_n) \
-                        or r.exhausted != (s is None):
-                    wrong.append(key)
-                elif s is not None and (
-                        any(_REFERENCE[axiom_id(code)](s) is not None
-                            for code in given)
-                        or _REFERENCE[c](s) is None):
-                    wrong.append(key)
-    return sizes, wrong
 
 
 def test_live_claims_obey_the_laws_and_the_labelled_brute_force():
