@@ -18,7 +18,7 @@ def _peak_mb():
 
 
 def test_the_binary_relations_on_five_elements_up_to_isomorphism():
-    # the 291,968 classes at n=5 do not fit the walk budget, so the
+    # the 291,968 classes at n=5 are over the class cap, so the
     # orderly walk is not shared: the search builds each class from the
     # rows the walk yields, and nothing keeps them
     start = time.perf_counter()

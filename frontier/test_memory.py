@@ -35,7 +35,7 @@ def _fresh(check):
     return json.loads(out.stdout)
 
 
-def _byte_budget():
+def _over_the_cap():
     from mereo.search import count_models
     count = count_models(5, ["U_SUM"])
     return {"count": count, "peak": _peak_mb()}
@@ -43,9 +43,9 @@ def _byte_budget():
 
 def test_a_shared_walk_keeps_within_its_byte_budget():
     # U_SUM reads the subset planes of all 291,968 classes on 5 elements,
-    # too many to share, so the walk keeps none; per-subset tables kept
-    # without a budget peaked at 88 MB
-    got = _fresh(_byte_budget)
+    # a walk over the class cap, so it is not shared and keeps nothing;
+    # per-subset tables kept for every class peaked at 88 MB
+    got = _fresh(_over_the_cap)
     print(f"count_models(5, [\"U_SUM\"]) = {got['count']}, "
           f"peak RSS {got['peak']:.1f} MB (limit 60)")
     assert got["peak"] <= 60

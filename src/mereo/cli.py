@@ -38,7 +38,7 @@ from .axioms import (
 from .core import ElementId, MereologyError, ParthoodStructure, Subset, _ELEMS
 from .lattice import tarski_agrees, zero_report
 from .search import (
-    SEARCH_MAX, SearchSpec, enumerate_models, find_model,
+    SEARCH_MAX, SearchSpec, count_models, enumerate_models, find_model,
 )
 from .sums import (
     UniquenessFault, binary_sum, complement, difference, product, sum_of,
@@ -403,9 +403,8 @@ def _cmd_alg(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     _size_within_cap("--n", args.n)
     constraints = theory_axioms(args.theory)
-    models = enumerate_models(args.n, constraints, up_to_iso=args.up_to_iso)
     if args.count_only:
-        count = sum(1 for _ in models)
+        count = count_models(args.n, constraints, args.up_to_iso)
         if args.json:
             _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
                                "up_to_iso": args.up_to_iso,
@@ -413,6 +412,7 @@ def _cmd_enumerate(args, out) -> int:
         else:
             _emit(out, str(count))
         return 0
+    models = enumerate_models(args.n, constraints, args.up_to_iso)
     if args.json:
         _emit(out, _dumps({"n": args.n, "theory": args.theory.upper(),
                            "models": list(models)}))

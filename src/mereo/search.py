@@ -40,17 +40,17 @@ walks the first row its constraints select (AS, AC and WSP each entail
 IRR) and checks the other codes on what it yields, each once, cheapest
 first; each model is handed on with the subset planes its checks
 built or found, its labels built only when read.  An up-to-isomorphism
-walk is shared by every search in the process if its row's class count
-fits a byte budget (_iso_candidates, _SharedWalk): every search is then
-handed the one structure the walk keeps for each class.  Otherwise, and
-for every labelled walk, each search builds its own.
+walk is shared by every search in the process if its row counts at most
+WALK_MAX_CLASSES classes at its size (_iso_candidates, _SharedWalk):
+every search is then handed the one structure the walk keeps for each
+class, and the walk is over once it keeps as many as its row counts.
+Otherwise, and for every labelled walk, each search builds its own.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .axioms import AxiomId, AxiomLike, axiom_id, violation_finders
@@ -69,12 +69,12 @@ class SearchSpec(_Record):
     codes together choose the walk that generates candidates; the forbid
     codes are checked on what it yields."""
 
-    __slots__ = ("max_n", "ambient", "require", "forbid", "up_to_iso")
+    __slots__ = ("max_n", "ambient", "require", "forbid")
 
     def __init__(self, max_n: int, ambient: Iterable[AxiomLike] = (),
                  require: Iterable[AxiomLike] = (),
-                 forbid: Iterable[AxiomLike] = (), up_to_iso: bool = True):
-        if not isinstance(max_n, int):
+                 forbid: Iterable[AxiomLike] = ()):
+        if isinstance(max_n, bool) or not isinstance(max_n, int):
             raise TypeError(f"max_n must be an int, not "
                             f"{type(max_n).__name__}")
         if max_n < 1:
@@ -94,7 +94,6 @@ class SearchSpec(_Record):
         _set(self, "ambient", ambient)
         _set(self, "require", require)
         _set(self, "forbid", forbid)
-        _set(self, "up_to_iso", up_to_iso)
 
 
 class SearchResult(_Record):
@@ -651,29 +650,11 @@ def _split_constraints(constraints: Sequence[AxiomLike]):
     return walk, [a for a in axs if a not in walk.guarantees]
 
 
-# What one shared walk may keep of its classes' structures and planes,
-# in bytes: every walk the benchmark's claims and census reach fits,
-# the largest being the 3,044 classes of all relations on four
-# elements, at 928 bytes each.
-WALK_BUDGET_BYTES = 8 << 20
-
-
-def _class_bytes(n: int) -> int:
-    """What a shared walk at n <= 8 elements keeps for one class, with
-    room for both of its planes, by sys.getsizeof: its structure, five
-    tuples of n ints, a list slot and its planes, the list, two tuples
-    and 2n ints of 2^n bits (928 bytes at n=4).  Every other int it
-    holds is below 256, shared by every process, and so are its default
-    labels; the universe and label index a caller may read on a model
-    are left out (448 bytes at n=4), and every walk the table shares
-    fits the budget with them.
-    """
-    zeros = (0,) * n
-    sample = ParthoodStructure.__new__(ParthoodStructure)
-    plane = (1 << (1 << n)) - 1
-    planes = [(plane,) * n] * 2
-    return 8 + sum(map(sys.getsizeof, (sample, *(zeros,) * 5, planes,
-                                       *planes, *(plane,) * (2 * n))))
+# The most classes a walk may keep to be shared: every row's count up to
+# 3,044 (all relations on four elements) is shared, and none from 9,608
+# (irreflexive relations on five).  4,096 classes of eight elements,
+# each with both planes, take 7.7 MB (Python 3.11).
+WALK_MAX_CLASSES = 4096
 
 
 def _passing(n: int, walk: Iterable[_Rowed],
@@ -695,7 +676,8 @@ class _SharedWalk:
     every consumer in the process.
 
     It keeps one structure per class found (_kept), built from the rows
-    the walk yields by the consumer that passed the end.
+    the walk yields by the consumer that passed the end, and is over once
+    it keeps count of them, its row's class count.
     checked(finders) runs a consumer's checks on each kept structure and
     hands on the kept structure itself for each class that passes, so a
     class costs one structure however many consumers read it.  Subset
@@ -705,30 +687,28 @@ class _SharedWalk:
 
     If the walk raises, the classes found stay, and the next consumer to
     pass the end starts it again, skipping as many encodings as are
-    kept, so a failed walk never reads as a finished one.  One thread is
-    assumed: two threads advancing the walk at once would fail.
+    kept.  A walk that ends short of its count raises too (its
+    StopIteration, raised in checked, is a RuntimeError there), so a
+    failed walk never reads as a finished one.  One thread is assumed:
+    two threads advancing the walk at once would fail.
     """
 
-    __slots__ = ("_n", "_start", "_kept", "_walk", "_done")
+    __slots__ = ("_n", "_count", "_start", "_kept", "_walk")
 
-    def __init__(self, n: int, start):
+    def __init__(self, n: int, count: int, start):
         self._n = n
+        self._count = count
         self._start = start     # () -> the walk from its first encoding
         self._kept: list[ParthoodStructure] = []
         self._walk: Optional[Iterator[_Rowed]] = None
-        self._done = False
 
-    def _next(self) -> Optional[_Rowed]:
-        """The walk's next encoding and rows; None once it is over."""
+    def _next(self) -> _Rowed:
+        """The walk's next encoding and rows past the kept classes."""
         if self._walk is None:
             self._walk = itertools.islice(self._start(), len(self._kept),
                                           None)
         try:
             return next(self._walk)
-        except StopIteration:
-            self._done = True
-            self._walk = None
-            return None
         except BaseException:
             self._walk = None
             raise
@@ -738,19 +718,10 @@ class _SharedWalk:
         finder passes, in walk order."""
         kept = self._kept
         labels = _DEFAULT_LABEL_TUPLES[self._n]
-        i = 0
-        while True:
-            if i < len(kept):
-                s = kept[i]
-            elif self._done:
-                return
-            else:
-                got = self._next()
-                if got is None:
-                    return
-                s = ParthoodStructure(labels, got[1])
-                kept.append(s)
-            i += 1
+        for i in range(self._count):
+            if i == len(kept):
+                kept.append(ParthoodStructure(labels, self._next()[1]))
+            s = kept[i]
             for find in finders:
                 if find(s) is not None:
                     break
@@ -761,14 +732,12 @@ class _SharedWalk:
 @functools.lru_cache(maxsize=None)
 def _iso_candidates(n: int, walk: _Walk) -> Optional[_SharedWalk]:
     """The walk an up-to-isomorphism search over the row walk reads at
-    size n, one for every search in the process, if the row's class
-    count at n, each class costing _class_bytes(n), fits
-    WALK_BUDGET_BYTES; None if not.  No row counts the classes above
-    eight elements, so no walk there is shared."""
+    size n, one for every search in the process, if the row counts at
+    most WALK_MAX_CLASSES classes at n; None if not.  No row counts the
+    classes above eight elements, so no walk there is shared."""
     counts = walk.counts
-    if (n <= len(counts)
-            and counts[n - 1] * _class_bytes(n) <= WALK_BUDGET_BYTES):
-        return _SharedWalk(n, lambda: walk.iso(n))
+    if n <= len(counts) and counts[n - 1] <= WALK_MAX_CLASSES:
+        return _SharedWalk(n, counts[n - 1], lambda: walk.iso(n))
     return None
 
 
@@ -804,6 +773,7 @@ def enumerate_models(n: int, constraints: Sequence[AxiomLike] = (),
 
 def count_models(n: int, constraints: Sequence[AxiomLike] = (),
                  up_to_iso: bool = True) -> int:
+    """How many models enumerate_models yields for the same arguments."""
     return sum(1 for _ in enumerate_models(n, constraints, up_to_iso))
 
 
@@ -812,6 +782,8 @@ def count_models(n: int, constraints: Sequence[AxiomLike] = (),
 def find_model(spec: SearchSpec) -> SearchResult:
     """First canonical structure satisfying ambient plus require and
     violating every forbid entry; sizes are searched in increasing order.
+    Every code is kept by isomorphisms, so it is also the least labelled
+    such structure of the least size.
 
     `explored` counts the structures that met ambient plus require and
     were tested against the forbid list, whose checkers are read from
@@ -821,7 +793,7 @@ def find_model(spec: SearchSpec) -> SearchResult:
     constraints = spec.ambient + spec.require
     forbid = violation_finders(spec.forbid)
     for n in range(1, spec.max_n + 1):
-        for s in enumerate_models(n, constraints, spec.up_to_iso):
+        for s in enumerate_models(n, constraints):
             explored += 1
             if all(find(s) is not None for find in forbid):
                 return SearchResult(s, explored, False)

@@ -57,11 +57,10 @@ RECORDS = [
      "LatticeReport(is_lattice=True, is_distributive=True, "
      "is_complemented=False, is_boolean=False, is_complete=True, "
      f"witness=({A_REPR}, {B_REPR}))"),
-    (lambda: SearchSpec(3, ["T"], ("IRR",), ["SSP"], False),
-     ("max_n", "ambient", "require", "forbid", "up_to_iso"),
+    (lambda: SearchSpec(3, ["T"], ("IRR",), ["SSP"]),
+     ("max_n", "ambient", "require", "forbid"),
      "SearchSpec(max_n=3, ambient=(<AxiomId.T: 'T'>,), "
-     "require=(<AxiomId.IRR: 'IRR'>,), forbid=(<AxiomId.SSP: 'SSP'>,), "
-     "up_to_iso=False)"),
+     "require=(<AxiomId.IRR: 'IRR'>,), forbid=(<AxiomId.SSP: 'SSP'>,))"),
     (lambda: SearchResult(ParthoodStructure.build("ab", [("a", "b")]), 3,
                           False),
      ("found", "explored", "exhausted"),
@@ -133,8 +132,7 @@ def test_defaults():
     assert Verdict(axiom=AxiomId.IRR, holds=True).witness is None
     assert TheoryVerdict(TheoryId.CM, True).failing is None
     assert LatticeReport(True, True, True, True, True).witness is None
-    assert SearchSpec(2) == SearchSpec(2, (), (), (), True)
-    assert SearchSpec(max_n=2).up_to_iso is True
+    assert SearchSpec(2) == SearchSpec(2, (), (), ())
     assert AcyclicityVerdict(holds=True).cycle is None
     v = LocalTransitivityVerdict(True)
     assert v.path is None and v.triple is None

@@ -247,6 +247,28 @@ def test_find_model_exhaustion():
     assert r.explored == 1 + 2 + 5
 
 
+def test_a_search_finds_the_least_labelled_countermodel():
+    # every code is kept by isomorphisms, so the least labelled model at
+    # the least size is the canonical form of its class: the first class
+    # the walk yields, which find_model reports
+    rng = random.Random(7)
+    for _ in range(40):
+        ambient = rng.choice(_GENERATING)
+        require, forbid = rng.sample(
+            [a for a in CATALOG_ORDER if a.value not in ambient], 2)
+        spec = SearchSpec(3, ambient, [require], [forbid])
+        finders = axioms.violation_finders(spec.forbid)
+        want = None
+        for n in range(1, 4):
+            want = next((s for s in enumerate_models(
+                n, ambient + (require,), up_to_iso=False)
+                if all(find(s) is not None for find in finders)), None)
+            if want is not None:
+                break
+        got = find_model(spec)
+        assert (got.found, got.exhausted) == (want, want is None), spec
+
+
 def _count_builds(monkeypatch):
     builds = [0]
     init = ParthoodStructure.__init__
@@ -288,13 +310,8 @@ def _count_element_ids(monkeypatch):
                forbid=("WSP",)),
     SearchSpec(max_n=4, ambient=("T",), require=("ANTIS",),
                forbid=("U_SUP",)),
-    SearchSpec(max_n=4, ambient=("T",), require=("ANTIS",),
-               forbid=("U_SUP",), up_to_iso=False),
     SearchSpec(max_n=3, require=("ANTIS",), forbid=("EXT_ING",)),
-    SearchSpec(max_n=3, require=("ANTIS",), forbid=("EXT_ING",),
-               up_to_iso=False),
-], ids=["posets", "transitive", "transitive-labelled", "orderly",
-        "all-labelled"])
+], ids=["posets", "transitive", "orderly"])
 def test_exhausted_search_builds_no_labels(spec, monkeypatch):
     # the labels an earlier test read on a shared model stay with it
     search._iso_candidates.cache_clear()
@@ -321,6 +338,11 @@ def test_search_spec_validation():
         SearchSpec(max_n=3, ambient=("T", "U_SUM"), forbid=("u_sum",))
     with pytest.raises(ValueError, match="T is also in ambient"):
         verify_implication(["T"], ["WSP"], "T", max_n=2)
+    # a bool is an int to isinstance, yet True would search n=1
+    for flag in (True, False):
+        with pytest.raises(TypeError,
+                           match="^max_n must be an int, not bool$"):
+            SearchSpec(max_n=flag)
 
 
 def test_verify_implication_resolves_each_code_once(monkeypatch):
@@ -1355,18 +1377,17 @@ def _assert_store_aligned(walk, n, want):
     """A shared walk keeps a prefix of the classes want, in order: a
     structure of each, equal to a fresh build, with its default labels
     shared and, as no caller here reads them, unread, holding None or
-    that class's subset planes; and all of want, with room for both
-    planes of each, is within the budget."""
+    that class's subset planes; and all of want is within the class
+    cap and, with room for both planes of each, within _WALK_BYTES."""
     if walk is None:
         return
     kept = _kept(walk)
-    assert len(kept) <= len(want)
+    assert len(kept) <= len(want) <= search.WALK_MAX_CLASSES
     for s, mask in zip(kept, want):
         _assert_built_afresh(s, n, mask)
         assert s._labels is core._DEFAULT_LABEL_TUPLES[n]
         assert s._universe is None and s._label_index is None
-    assert _store_bytes(walk) <= len(want) * _per_class(n) \
-        <= search.WALK_BUDGET_BYTES
+    assert _store_bytes(walk) <= len(want) * _per_class(n) <= _WALK_BYTES
 
 
 def _class_bytes(s):
@@ -1400,6 +1421,10 @@ def _class_bytes(s):
 def _store_bytes(walk):
     """What the walk keeps, recounted by sys.getsizeof."""
     return sum(map(_class_bytes, _kept(walk)))
+
+
+# What a shared walk may keep, in bytes by sys.getsizeof
+_WALK_BYTES = 8 << 20
 
 
 def _per_class(n):
@@ -1501,6 +1526,24 @@ def test_a_walk_that_raises_leaves_no_truncated_list(constraints,
     assert len(_kept(walk)) == len(want)
 
 
+def test_a_walk_that_ends_short_of_its_count_raises(monkeypatch):
+    # a shared walk is over once it keeps its row's count of classes, so
+    # one that yields fewer never reads as finished
+    search._iso_candidates.cache_clear()
+    want = _unshared_iso_walk(3, SPO)
+    monkeypatch.setattr(_row(SPO), "iso", lambda k: (
+        (m, tuple(_rows(k, m))) for m in want[:-1]))
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            count_models(3, SPO)
+        assert len(_kept(_iso_walk(3, SPO))) == len(want) - 1
+    # the next search past the kept classes walks the whole row again
+    monkeypatch.undo()
+    assert enumerate_model_masks(3, SPO) == want
+    assert len(_kept(_iso_walk(3, SPO))) == len(want)
+    search._iso_candidates.cache_clear()
+
+
 _ISO_KEYS = [
     (n, has_t, has_irr) for n in range(1, 5)
     for has_t in (False, True) for has_irr in (False, True)
@@ -1533,7 +1576,9 @@ def test_walks_hand_on_the_split_rows_of_each_class(has_t, has_irr, top):
                 for m, _ in yielded]
 
 
-def test_labelled_walks_hand_on_the_split_rows_of_each_relation():
+def test_labelled_walks_hand_on_the_split_rows_of_each_relation(
+        monkeypatch):
+    made = _count_element_ids(monkeypatch)
     for n in range(1, 4):
         for walk in (_all_masks, _transitive_masks):
             for irreflexive in (False, True):
@@ -1544,6 +1589,8 @@ def test_labelled_walks_hand_on_the_split_rows_of_each_relation():
             for s in enumerate_models(n, codes, up_to_iso=False):
                 want = ParthoodStructure.from_mask(n, s.relation_mask)
                 assert mask_tuples(s) == mask_tuples(want)
+    # nor do they build any labels
+    assert made[0] == 0
 
 
 @pytest.mark.parametrize("key", _ISO_KEYS)
@@ -1647,18 +1694,32 @@ def test_a_walk_above_eight_elements_keeps_nothing(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_walk_costs_are_one_class_and_one_table_pair_by_getsizeof(n):
-    # a walk is shared iff its row's class count at n, each class costing
-    # both its planes, fits the budget; no row counts classes above eight
+    # a walk is shared iff its row counts at most WALK_MAX_CLASSES
+    # classes at n, and that many classes at n, each with both planes of
+    # the widest structure, fit _WALK_BYTES; no row counts classes above
+    # eight
     search._iso_candidates.cache_clear()
     for walk in search._WALKS:
         if n <= 8:
-            assert search._class_bytes(n) == _per_class(n)
+            assert search.WALK_MAX_CLASSES * _per_class(n) <= _WALK_BYTES
             assert (search._iso_candidates(n, walk) is not None) == (
-                walk.counts[n - 1] * _per_class(n)
-                <= search.WALK_BUDGET_BYTES)
+                walk.counts[n - 1] <= search.WALK_MAX_CLASSES)
         else:
             assert len(walk.counts) == 8
             assert search._iso_candidates(n, walk) is None
+    search._iso_candidates.cache_clear()
+
+
+def test_the_cap_shares_posets_to_7_t_to_5_and_the_rest_to_4():
+    search._iso_candidates.cache_clear()
+    shared = [(codes, n) for codes in _ROW_CODES for n in range(1, 10)
+              if _iso_walk(n, codes) is not None]
+    assert shared == [(SPO, n) for n in range(1, 8)] \
+        + [(("T",), n) for n in range(1, 6)] \
+        + [(("IRR",), n) for n in range(1, 5)] + [((), n) for n in range(1, 5)]
+    # any cap from the 3,044 relations on four elements up to below the
+    # 9,608 irreflexive ones on five shares the same walks
+    assert 3044 <= search.WALK_MAX_CLASSES < 9608
     search._iso_candidates.cache_clear()
 
 
@@ -1768,28 +1829,28 @@ def test_searches_over_one_walk_share_each_structure():
 
 
 @pytest.fixture
-def walk_budget(monkeypatch):
-    """Set the byte budget of the walks made from here on; the walks
-    made under it are dropped afterwards."""
-    def set_budget(budget):
-        monkeypatch.setattr(search, "WALK_BUDGET_BYTES", budget)
+def walk_cap(monkeypatch):
+    """Set the class cap of the walks made from here on; the walks made
+    under it are dropped afterwards."""
+    def set_cap(cap):
+        monkeypatch.setattr(search, "WALK_MAX_CLASSES", cap)
         search._iso_candidates.cache_clear()
-    yield set_budget
+    yield set_cap
     search._iso_candidates.cache_clear()
 
 
-@pytest.mark.parametrize("budget", [0, 1500, 4000])
+@pytest.mark.parametrize("cap", [0, 1500, 4000])
 @pytest.mark.parametrize("key", [k for k in _ISO_KEYS if k[0] <= 4])
-def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
+def test_a_bounded_walk_gives_the_unbounded_models(key, cap, walk_cap):
     n = key[0]
     codes = _generating_codes(key)
     searches = [codes, codes + ["U_SUM"]]
     search._iso_candidates.cache_clear()
     want = [enumerate_model_masks(n, c) for c in searches]
     classes = _unshared_iso_walk(n, codes)
-    walk_budget(budget)
+    walk_cap(cap)
     walk = _iso_walk(n, codes)
-    shared = len(classes) * _per_class(n) <= budget
+    shared = len(classes) <= cap
     assert (walk is not None) == shared
     for _ in range(2):
         assert [enumerate_model_masks(n, c) for c in searches] == want
@@ -1798,7 +1859,7 @@ def test_a_bounded_walk_gives_the_unbounded_models(key, budget, walk_budget):
 
 
 def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
-                                                            walk_budget):
+                                                            walk_cap):
     n = 4
     classes = _unshared_iso_walk(n, ())
     search._iso_candidates.cache_clear()
@@ -1806,9 +1867,9 @@ def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
     _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, ["U_SUM"])
     cold_checked = checked[:]
-    # U_SUM reads every class's sum planes: 53 of the 3,044 classes fit
-    walk_budget(50_000)
-    assert _iso_walk(n, ()) is None and 50_000 // _per_class(n) == 53
+    # a cap of 53 classes leaves the 3,044 unshared
+    walk_cap(53)
+    assert _iso_walk(n, ()) is None
     builds = _count_builds(monkeypatch)
     table_builds = _count_table_builds(monkeypatch)
     rounds = []
@@ -1824,10 +1885,10 @@ def test_an_over_budget_walk_keeps_nothing_and_walks_afresh(monkeypatch,
     assert all(a is not b for a, b in zip(*rounds))
 
 
-@pytest.mark.parametrize("budget", [1000, 4000])
+@pytest.mark.parametrize("cap", [1000, 4000])
 @pytest.mark.parametrize("key", [k for k in _ISO_KEYS if k[0] <= 4])
-def test_a_walk_is_shared_whole_or_not_at_all(key, budget, monkeypatch,
-                                             walk_budget):
+def test_a_walk_is_shared_whole_or_not_at_all(key, cap, monkeypatch,
+                                             walk_cap):
     n = key[0]
     codes = _generating_codes(key)
     search._iso_candidates.cache_clear()
@@ -1835,9 +1896,9 @@ def test_a_walk_is_shared_whole_or_not_at_all(key, budget, monkeypatch,
     _counted_is_canonical(monkeypatch, masks=checked)
     want = enumerate_model_masks(n, codes)
     cold_checked = checked[:]
-    walk_budget(budget)
+    walk_cap(cap)
     walk = _iso_walk(n, codes)
-    shared = len(want) * _per_class(n) <= budget
+    shared = len(want) <= cap
     assert (walk is not None) == shared
     rounds = []
     for _ in range(2):
@@ -1850,14 +1911,15 @@ def test_a_walk_is_shared_whole_or_not_at_all(key, budget, monkeypatch,
     _assert_store_aligned(walk, n, want)
 
 
-@pytest.mark.parametrize("budget", [0, 3000])
+@pytest.mark.parametrize("cap", [0, 3000])
 def test_interleaved_consumers_of_a_bounded_walk_see_one_sequence(
-        budget, walk_budget):
+        cap, walk_cap):
+    # both caps are below the 3,044 relations on four elements
     n = 4
-    want = _unshared_iso_walk(n, ("IRR",))
-    walk_budget(budget)
-    assert _iso_walk(n, ("IRR",)) is None
-    streams = [enumerate_models(n, ("IRR",)) for _ in range(3)]
+    want = _unshared_iso_walk(n, ())
+    walk_cap(cap)
+    assert _iso_walk(n, ()) is None
+    streams = [enumerate_models(n, ()) for _ in range(3)]
     seen = [[] for _ in streams]
     live = True
     while live:
@@ -1905,18 +1967,18 @@ def _consumer(n, codes, residual, forbid):
 
 
 @settings(max_examples=60, deadline=None)
-@example(key=(3, False, False), budget=60_000,
+@example(key=(3, False, False), cap=104,
          consumers=[([], "U_SUM"), (["ANTIS"], None), (["SSP"], "DAGGER")],
          steps=[(0, 5), (2, 3), (1, 40)])
 @given(key=st.sampled_from([k for k in _ISO_KEYS if k[0] <= 4]),
-       budget=st.integers(0, 60_000),
+       cap=st.integers(0, 4000),
        consumers=st.lists(st.tuples(
            st.lists(st.sampled_from(_RESIDUAL_POOL), max_size=2, unique=True),
            st.one_of(st.none(), st.sampled_from(_RESIDUAL_POOL))),
            min_size=3, max_size=3),
        steps=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 150)),
                       max_size=12))
-def test_any_interleaving_of_consumers_under_any_budget(key, budget,
+def test_any_interleaving_of_consumers_under_any_budget(key, cap,
                                                         consumers, steps):
     # consumer k checks a drawn set of residual codes on the walk and a
     # drawn forbid code on each model it is handed; each advances by the
@@ -1926,14 +1988,14 @@ def test_any_interleaving_of_consumers_under_any_budget(key, budget,
     want, holds = _walk_verdicts(key)
     search._iso_candidates.cache_clear()
     try:
-        with mock.patch.object(search, "WALK_BUDGET_BYTES", budget):
+        with mock.patch.object(search, "WALK_MAX_CLASSES", cap):
             walk = _iso_walk(n, codes)
             streams = [_consumer(n, codes, residual, forbid)
                        for residual, forbid in consumers]
             seen = [[] for _ in streams]
             for k, count in steps + [(k, None) for k in range(3)]:
                 seen[k] += itertools.islice(streams[k], count)
-                assert _store_bytes(walk) <= budget
+                assert len(_kept(walk)) <= cap
             for (residual, forbid), got in zip(consumers, seen):
                 models = [m for m in want
                           if all(m in holds[c] for c in residual)]
@@ -2073,7 +2135,7 @@ def test_shared_models_with_their_labels_read_stay_within_the_budget():
                 assert all(s._universe is not None
                            and s._label_index is not None for s in kept)
                 largest.append((_store_bytes(shared), n, codes))
-                assert largest[-1][0] <= search.WALK_BUDGET_BYTES
+                assert largest[-1][0] <= _WALK_BYTES
     finally:
         search._iso_candidates.cache_clear()
     # posets to 7 elements, T to 5, IRR and all relations to 4; the
